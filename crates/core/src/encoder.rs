@@ -37,12 +37,13 @@
 //!   `f = n - rank` — tiny, because the first (largest) cube consumed
 //!   most of the rank. Probing happens entirely in that `f`-bit
 //!   coordinate frame instead of the `n`-bit ambient space.
-//! * **A streamed projected expression table.** Expression-table row
-//!   `t+1` is row `t` advanced by the LFSR transition matrix
-//!   ([`ExprTable::transition`]), so the whole table's projection into
-//!   the frame is *streamed* once per seed — `O(n)` words per cycle —
-//!   rather than projected row by row. One probed equation then costs
-//!   one table lookup.
+//! * **On-demand projection through a byte-sliced frame.** Projection
+//!   into the frame is linear in the table row, so each seed frame
+//!   tabulates the packed images of the `n` seed variables and a
+//!   lookup table of every XOR of eight consecutive images (the Method
+//!   of Four Russians). Projecting a probed row costs one lookup per
+//!   row byte, so probing costs time in proportion to the rows it
+//!   reads — nothing of size `L x cells` is built per seed.
 //! * **Residue caching with a high-water mark.** Each viable
 //!   `(cube, position)` candidate caches its locally-eliminated
 //!   projected system. Later rounds do not re-eliminate it: committed
@@ -52,9 +53,9 @@
 //!   grows, and conflicts are monotone. In the smallest spaces
 //!   (`f <= 10`) the residue degenerates to a bitmask of the `2^f`
 //!   candidate seeds that satisfy the system, probing one equation is
-//!   a word-AND against the row's satisfying-seed truth table, and
-//!   resuming a residue is one intersection with the global constraint
-//!   mask.
+//!   a word-AND against the satisfying-seed mask computed from the
+//!   row's projection, and resuming a residue is one intersection with
+//!   the global constraint mask.
 //! * **Parallel candidate probing.** Probing is read-only against the
 //!   shared per-seed engine, so first-visit candidates are initialised
 //!   across a [`std::thread::scope`] worker pool, in level batches
@@ -404,47 +405,112 @@ impl FastElim {
     }
 }
 
-/// Per-encode constants for streaming projected tables: the sparse
-/// transition-matrix rows and the phase-shifter tap columns of every
-/// chain (the cycle-0 table rows, since `T^0 = I`).
-struct StreamConsts {
-    /// `t_rows[i]` = ones of row `i` of the transition matrix `T`.
-    t_rows: Vec<Vec<u32>>,
-    /// `ps_taps[chain]` = ones of the chain's phase-shifter row.
-    ps_taps: Vec<Vec<u32>>,
+/// Truth table of coordinate bit `y_j` (`j < 6`) over the 64 points of
+/// one mask word.
+const PAT: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// `PARITY6[m]` bit `k` = parity of `m & k`: the truth table of the
+/// low six coordinates of a projected row over one mask word.
+const PARITY6: [u64; 64] = {
+    let mut t = [0u64; 64];
+    let mut m = 1;
+    while m < 64 {
+        t[m] = t[m & (m - 1)] ^ PAT[m.trailing_zeros() as usize];
+        m += 1;
+    }
+    t
+};
+
+/// One seed frame `x0 + span(N)` of dimension `<= 63`, ready to project
+/// expression-table rows on demand.
+///
+/// Projection is linear in the row, so it is tabulated per seed
+/// variable: `img[i]` packs variable `i`'s image — bit `j` is `N_j[i]`,
+/// bit 63 is `x0[i]` — and a row projects to the XOR of the images of
+/// its ones. A byte-sliced lookup table (the Method of Four Russians)
+/// holds the XOR of every subset of eight consecutive images, so one
+/// projection costs one lookup per row byte.
+struct Frame {
+    /// Packed image of each seed variable.
+    img: Vec<u64>,
+    /// `lut[b][v]` = XOR of `img[8b + k]` over the ones `k` of `v`.
+    lut: Vec<[u64; 256]>,
 }
 
-impl StreamConsts {
-    fn build(table: &ExprTable) -> StreamConsts {
-        let t = table.transition();
-        let t_rows = (0..t.row_count())
-            .map(|i| t.row(i).iter_ones().map(|k| k as u32).collect())
-            .collect();
-        let ps_taps = (0..table.chains())
-            .map(|chain| {
-                let mut taps = Vec::new();
-                for (wi, &w) in table.expr_words(0, chain).iter().enumerate() {
-                    let mut w = w;
-                    while w != 0 {
-                        taps.push((wi * 64 + w.trailing_zeros() as usize) as u32);
-                        w &= w - 1;
-                    }
+impl Frame {
+    fn new(space: &AffineSpace) -> Frame {
+        debug_assert!(space.dim() <= FixedEngine::MAX_DIM);
+        let mut img = vec![0u64; space.vars()];
+        let mut scatter = |row: &[u64], bit: u64| {
+            for (wi, &word) in row.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    img[wi * 64 + word.trailing_zeros() as usize] |= bit;
+                    word &= word - 1;
                 }
-                taps
-            })
-            .collect();
-        StreamConsts { t_rows, ps_taps }
+            }
+        };
+        for j in 0..space.dim() {
+            scatter(space.null_row(j), 1u64 << j);
+        }
+        scatter(space.x0_words(), 1u64 << 63);
+        let mut frame = Frame {
+            lut: vec![[0u64; 256]; img.len().div_ceil(8)],
+            img,
+        };
+        frame.rebuild();
+        frame
+    }
+
+    /// Recomputes the lookup table from the images (256 XORs per byte).
+    fn rebuild(&mut self) {
+        for (table, img) in self.lut.iter_mut().zip(self.img.chunks(8)) {
+            for v in 1..256usize {
+                let k = v.trailing_zeros() as usize;
+                table[v] = table[v & (v - 1)] ^ img.get(k).copied().unwrap_or(0);
+            }
+        }
+    }
+
+    /// The packed projection of table row `row`: bit `j` = `row · N_j`,
+    /// bit 63 = `row · x0`.
+    #[inline]
+    fn project(&self, row: &[u64]) -> u64 {
+        let mut acc = 0u64;
+        for (&w, tables) in row.iter().zip(self.lut.chunks(8)) {
+            for (k, table) in tables.iter().enumerate() {
+                acc ^= table[usize::from((w >> (8 * k)) as u8)];
+            }
+        }
+        acc
+    }
+
+    /// Reduces every image modulo the committed rows of `g` and
+    /// rebuilds the lookup table. Reduction by Jordan rows is linear,
+    /// so every later projection comes out already reduced.
+    fn reduce(&mut self, g: &FastElim) {
+        for v in &mut self.img {
+            *v = g.reduce_packed(*v);
+        }
+        self.rebuild();
     }
 }
 
 /// Truth-table probing engine for free spaces of dimension
-/// `<= MAX_DIM`: the space holds at most `2^10` candidate seeds, so
-/// every expression-table row is materialised as the **truth table**
-/// of its output over all of them (streamed once via the transition
-/// matrix). A candidate system's cached residue is simply the *mask
-/// of seeds that satisfy it*:
+/// `<= MAX_DIM`: the space holds at most `2^10` candidate seeds, so a
+/// probed row's output over all of them is computed from its packed
+/// projection — the low six coordinates from [`PARITY6`], the rest as
+/// one parity per mask word. A candidate system's cached residue is
+/// simply the *mask of seeds that satisfy it*:
 ///
-/// * probing one equation = one word-AND with the row's truth table;
+/// * probing one equation = one word-AND per mask word;
 /// * the committed basis is one global constraint mask `C` (each
 ///   commit intersects it with the winner's cached mask);
 /// * resuming a cached residue after commits = `mask &= C` — the
@@ -454,18 +520,12 @@ impl StreamConsts {
 ///   power-of-two sizes), conflict = empty mask — exactly the
 ///   invariants the reference search computes.
 struct TtEngine {
-    /// Words per mask (`2^dim / 64`, at least 1).
-    w0: usize,
     /// `log2` of the current constraint-mask population (the solver's
     /// free-variable count).
     f_log: usize,
-    /// Truth table of every expression-table row over the engine's
-    /// frame, `w0` words per row.
-    pt: Vec<u64>,
-    /// The full frame's mask (`2^dim` low bits set).
-    ones: Vec<u64>,
+    frame: Frame,
     /// Solution mask of everything committed since the frame was
-    /// taken.
+    /// taken (`2^dim / 64` words, at least 1).
     c_mask: Vec<u64>,
 }
 
@@ -474,104 +534,37 @@ impl TtEngine {
     /// per mask); larger spaces use the fixed-frame or general tiers.
     const MAX_DIM: usize = 10;
 
-    fn build(
-        space: &AffineSpace,
-        table: &ExprTable,
-        consts: &StreamConsts,
-        recycle: Option<Vec<u64>>,
-    ) -> TtEngine {
+    fn new(space: &AffineSpace) -> TtEngine {
         let dim = space.dim();
         debug_assert!(dim <= Self::MAX_DIM);
-        let w0 = ((1usize << dim) / 64).max(1);
-        let n = space.vars();
-        let chains = table.chains();
-        let cycles = table.cycles();
-        let mut ones = vec![!0u64; w0];
+        let mut c_mask = vec![!0u64; ((1usize << dim) / 64).max(1)];
         if dim < 6 {
-            ones[0] = (1u64 << (1usize << dim)) - 1;
+            c_mask[0] = (1u64 << (1usize << dim)) - 1;
         }
-        // truth table of coordinate bit y_j over all y
-        const PAT: [u64; 6] = [
-            0xAAAA_AAAA_AAAA_AAAA,
-            0xCCCC_CCCC_CCCC_CCCC,
-            0xF0F0_F0F0_F0F0_F0F0,
-            0xFF00_FF00_FF00_FF00,
-            0xFFFF_0000_FFFF_0000,
-            0xFFFF_FFFF_0000_0000,
-        ];
-        let var_mask = |j: usize, m: &mut [u64]| {
-            if j < 6 {
-                m.fill(PAT[j]);
-            } else {
-                for (wi, w) in m.iter_mut().enumerate() {
-                    *w = if (wi >> (j - 6)) & 1 == 1 { !0 } else { 0 };
-                }
-            }
-            for (a, b) in m.iter_mut().zip(&ones) {
-                *a &= *b;
-            }
-        };
-        // TT[i] = truth table of ambient variable i over x0 + N y
-        let mut tt = vec![0u64; n * w0];
-        let mut vm = vec![0u64; w0];
-        for j in 0..dim {
-            var_mask(j, &mut vm);
-            for (wi, &word) in space.null_row(j).iter().enumerate() {
-                let mut word = word;
-                while word != 0 {
-                    let i = wi * 64 + word.trailing_zeros() as usize;
-                    words::xor_in(&mut tt[i * w0..(i + 1) * w0], &vm);
-                    word &= word - 1;
-                }
-            }
-        }
-        for (wi, &word) in space.x0_words().iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let i = wi * 64 + word.trailing_zeros() as usize;
-                let row = &mut tt[i * w0..(i + 1) * w0];
-                for (a, b) in row.iter_mut().zip(&ones) {
-                    *a ^= *b;
-                }
-                word &= word - 1;
-            }
-        }
-        // stream the table: row (c+1) is row c advanced by T
-        let mut pt = recycle.unwrap_or_default();
-        pt.clear();
-        pt.resize(cycles * chains * w0, 0);
-        let mut tt_next = vec![0u64; n * w0];
-        for c in 0..cycles {
-            let base = c * chains * w0;
-            for (ch, taps) in consts.ps_taps.iter().enumerate() {
-                let out = &mut pt[base + ch * w0..base + (ch + 1) * w0];
-                for &tap in taps {
-                    let src = &tt[tap as usize * w0..(tap as usize + 1) * w0];
-                    words::xor_in(out, src);
-                }
-            }
-            if c + 1 < cycles {
-                for (i, trow) in consts.t_rows.iter().enumerate() {
-                    let out = &mut tt_next[i * w0..(i + 1) * w0];
-                    out.fill(0);
-                    for &k in trow {
-                        let src = &tt[k as usize * w0..(k as usize + 1) * w0];
-                        for (a, b) in out.iter_mut().zip(src) {
-                            *a ^= *b;
-                        }
-                    }
-                }
-                std::mem::swap(&mut tt, &mut tt_next);
-            }
-        }
-        let c_mask = ones.clone();
         TtEngine {
-            w0,
             f_log: dim,
-            pt,
-            ones,
+            frame: Frame::new(space),
             c_mask,
         }
+    }
+
+    /// Intersects `mask` with the seeds satisfying `row · x = bit`;
+    /// returns whether any survives. Seed `y` is bit `y % 64` of mask
+    /// word `y / 64`, and the row's output there is
+    /// `p63 ^ parity(p & y)` for its projection `p`.
+    #[inline]
+    fn and_equation(&self, mask: &mut [u64], row: &[u64], bit: bool) -> bool {
+        let p = self.frame.project(row);
+        let low = PARITY6[(p & 63) as usize];
+        let high = (p & FastElim::ROW_MASK) >> 6;
+        let flip = (p >> 63) ^ u64::from(!bit);
+        let mut any = 0u64;
+        for (wi, m) in mask.iter_mut().enumerate() {
+            let invert = (u64::from((high & wi as u64).count_ones()) ^ flip) & 1;
+            *m &= low ^ 0u64.wrapping_sub(invert);
+            any |= *m;
+        }
+        any != 0
     }
 
     /// Intersects the constraint mask with the committed winner's
@@ -592,22 +585,21 @@ impl TtEngine {
 }
 
 /// Fixed-frame probing engine for free spaces of dimension
-/// `11..=63`: the frame (affine space + streamed projected table) is
-/// taken once per seed. Every table row is packed as
-/// `projection | rhs << 63`, and — the crucial part — the table is
-/// kept **pre-reduced modulo the committed rows**: each commit sweeps
-/// its (few) new Jordan rows through the table, so a probed equation
+/// `11..=63`: the frame is taken once per seed and rows are projected
+/// on demand as `projection | rhs << 63`. The frame's images are kept
+/// **pre-reduced modulo the committed rows** — each commit reduces the
+/// `n` images and rebuilds the lookup table — so a probed equation
 /// only reduces against the candidate's own few local rows, and an
-/// equation inconsistent with the committed basis alone dies on a
-/// single load. Cached residues are the *local* rows (the rank the
+/// equation inconsistent with the committed basis alone dies on its
+/// projection. Cached residues are the *local* rows (the rank the
 /// candidate would add); commits append to a row log and a stale
 /// residue is resumed by folding in only the log suffix past its
 /// high-water mark.
 struct FixedEngine {
     dim: usize,
-    /// Packed per-row projection, pre-reduced mod `g`: bits `0..dim` =
+    /// Projects rows already reduced mod `g`: bits `0..dim` =
     /// coordinates, bit 63 = right-hand side.
-    pt: Vec<u64>,
+    frame: Frame,
     /// Eliminated committed rows (everything since the frame).
     g: FastElim,
     /// Append-only log of the committed rows as inserted — the replay
@@ -620,80 +612,20 @@ impl FixedEngine {
     /// (bit 63 carries the right-hand side).
     const MAX_DIM: usize = 63;
 
-    fn build(
-        space: &AffineSpace,
-        table: &ExprTable,
-        consts: &StreamConsts,
-        recycle: Option<Vec<u64>>,
-    ) -> FixedEngine {
-        let dim = space.dim();
-        debug_assert!(dim <= Self::MAX_DIM);
-        let n = space.vars();
-        let stride = space.stride();
-        let chains = table.chains();
-        let cycles = table.cycles();
-        // W[i] bit j = (T^c N_j)[i], transposed so a chain's
-        // projection is an XOR over its taps; starts as N itself
-        let mut w = vec![0u64; n];
-        for j in 0..dim {
-            for (wi, &word) in space.null_row(j).iter().enumerate() {
-                let mut word = word;
-                while word != 0 {
-                    w[wi * 64 + word.trailing_zeros() as usize] |= 1u64 << j;
-                    word &= word - 1;
-                }
-            }
-        }
-        // z = T^c x0 drives the packed rhs bit
-        let mut z: Vec<u64> = space.x0_words().to_vec();
-        let mut w_next = vec![0u64; n];
-        let mut z_next = vec![0u64; stride];
-        let mut pt = recycle.unwrap_or_default();
-        pt.clear();
-        pt.resize(cycles * chains, 0);
-        for c in 0..cycles {
-            let base = c * chains;
-            for (ch, taps) in consts.ps_taps.iter().enumerate() {
-                let mut row = 0u64;
-                let mut e = false;
-                for &tap in taps {
-                    row ^= w[tap as usize];
-                    e ^= words::get_bit(&z, tap as usize);
-                }
-                pt[base + ch] = row | (u64::from(e) << 63);
-            }
-            if c + 1 < cycles {
-                z_next.fill(0);
-                for (i, trow) in consts.t_rows.iter().enumerate() {
-                    let mut acc = 0u64;
-                    let mut zb = false;
-                    for &k in trow {
-                        acc ^= w[k as usize];
-                        zb ^= words::get_bit(&z, k as usize);
-                    }
-                    w_next[i] = acc;
-                    if zb {
-                        z_next[i / 64] |= 1u64 << (i % 64);
-                    }
-                }
-                std::mem::swap(&mut w, &mut w_next);
-                std::mem::swap(&mut z, &mut z_next);
-            }
-        }
+    fn new(space: &AffineSpace) -> FixedEngine {
         FixedEngine {
-            dim,
-            pt,
+            dim: space.dim(),
+            frame: Frame::new(space),
             g: FastElim::new(),
             g_log: Vec::new(),
         }
     }
 
     /// Folds the committed winner's local residue rows (packed) into
-    /// the global eliminator, the replay log, and the pre-reduced
-    /// table.
+    /// the global eliminator and the replay log, and re-reduces the
+    /// frame.
     fn commit_update(&mut self, rows: &[u64]) {
-        let mut by_pivot = [0u64; 64];
-        let mut new_mask = 0u64;
+        let logged = self.g_log.len();
         for &packed in rows {
             let (row, e) = self
                 .g
@@ -703,25 +635,10 @@ impl FixedEngine {
                 continue;
             }
             self.g.insert_reduced(row, e);
-            let packed = row | (u64::from(e) << 63);
-            self.g_log.push(packed);
-            let p = row.trailing_zeros() as usize;
-            by_pivot[p] = packed;
-            new_mask |= 1u64 << p;
+            self.g_log.push(row | (u64::from(e) << 63));
         }
-        if new_mask == 0 {
-            return;
-        }
-        // one sweep of the new basis rows through the projected table
-        // so probing never reduces against committed rows again (the
-        // rows are mutually Jordan, so one pivot pass per entry is a
-        // complete reduction)
-        for entry in &mut self.pt {
-            let mut m = *entry & new_mask;
-            while m != 0 {
-                *entry ^= by_pivot[m.trailing_zeros() as usize];
-                m &= m - 1;
-            }
+        if self.g_log.len() > logged {
+            self.frame.reduce(&self.g);
         }
     }
 
@@ -825,6 +742,19 @@ enum Prober {
     Tt(TtEngine),
     Fixed(FixedEngine),
     General(GeneralCtx),
+}
+
+impl Prober {
+    /// The cheapest tier that handles `space`'s dimension.
+    fn for_space(space: AffineSpace) -> Prober {
+        if space.dim() <= TtEngine::MAX_DIM {
+            Prober::Tt(TtEngine::new(&space))
+        } else if space.dim() <= FixedEngine::MAX_DIM {
+            Prober::Fixed(FixedEngine::new(&space))
+        } else {
+            Prober::General(GeneralCtx { space })
+        }
+    }
 }
 
 /// The window-based reseeding encoder.
@@ -938,7 +868,6 @@ impl<'a> WindowEncoder<'a> {
         let mut caches: Vec<CubeCache> =
             (0..self.set.len()).map(|_| CubeCache::default()).collect();
         let mut level_order: Vec<usize> = Vec::with_capacity(self.set.len());
-        let consts = StreamConsts::build(self.table);
         // per-cube equations as (position-independent row offset, bit),
         // sorted by offset: the scan-geometry arithmetic and care-bit
         // iteration are paid once per cube, and probing walks each
@@ -958,7 +887,7 @@ impl<'a> WindowEncoder<'a> {
             .collect();
         let cube_eqs = &cube_eqs;
         let mut scratch = ProbeScratch::default();
-        let mut recycled_pt: Option<Vec<u64>> = None;
+        let per_position = self.table.rows_per_position();
         let mut seeds = Vec::new();
 
         while remaining_count > 0 {
@@ -992,26 +921,7 @@ impl<'a> WindowEncoder<'a> {
 
             // 2. greedy fill over cached residues (tier picked by the
             //    free dimension the first commit left)
-            let mut prober = {
-                let space = solver.affine_space();
-                if space.dim() <= TtEngine::MAX_DIM {
-                    Prober::Tt(TtEngine::build(
-                        &space,
-                        self.table,
-                        &consts,
-                        recycled_pt.take(),
-                    ))
-                } else if space.dim() <= FixedEngine::MAX_DIM {
-                    Prober::Fixed(FixedEngine::build(
-                        &space,
-                        self.table,
-                        &consts,
-                        recycled_pt.take(),
-                    ))
-                } else {
-                    Prober::General(GeneralCtx { space })
-                }
-            };
+            let mut prober = Prober::for_space(solver.affine_space());
             while solver.rank() < n {
                 level_order.clear();
                 level_order.extend(order.iter().copied().filter(|&ci| remaining[ci]));
@@ -1105,17 +1015,7 @@ impl<'a> WindowEncoder<'a> {
                     Prober::General(_) => free <= FixedEngine::MAX_DIM,
                 };
                 if upgrade {
-                    let space = solver.affine_space();
-                    let recycle = match &mut prober {
-                        Prober::Tt(engine) => Some(std::mem::take(&mut engine.pt)),
-                        Prober::Fixed(engine) => Some(std::mem::take(&mut engine.pt)),
-                        Prober::General(_) => recycled_pt.take(),
-                    };
-                    prober = if free <= TtEngine::MAX_DIM {
-                        Prober::Tt(TtEngine::build(&space, self.table, &consts, recycle))
-                    } else {
-                        Prober::Fixed(FixedEngine::build(&space, self.table, &consts, recycle))
-                    };
+                    prober = Prober::for_space(solver.affine_space());
                     for cache in &mut caches {
                         if cache.init {
                             cache.reset();
@@ -1123,26 +1023,26 @@ impl<'a> WindowEncoder<'a> {
                     }
                 }
             }
-            match prober {
-                Prober::Tt(engine) => recycled_pt = Some(engine.pt),
-                Prober::Fixed(engine) => recycled_pt = Some(engine.pt),
-                Prober::General(_) => {}
-            }
 
             // 3. fast path: at full rank the window is *uniquely*
             //    determined, so "solvable" degenerates to "already
-            //    embedded" — one concrete matching pass places every
-            //    remaining embedded cube at once.
+            //    embedded" — each remaining cube takes the first
+            //    position whose cells all evaluate to its bits under
+            //    the seed (checked cell by cell, with early exit).
             let seed = solver.solve_with(|_| rng.gen());
             debug_assert!(solver.check(&seed));
             if solver.rank() == n {
-                let vectors = self.table.expand(&seed);
                 for &ci in &order {
                     if !remaining[ci] {
                         continue;
                     }
-                    let cube = self.set.cube(ci);
-                    if let Some(v) = vectors.iter().position(|vec| cube.matches(vec)) {
+                    let embedded = (0..window).find(|&v| {
+                        cube_eqs[ci].iter().all(|&(off, bit)| {
+                            let row = self.table.row_words(v * per_position + off as usize);
+                            words::dot(row, seed.as_words()) == bit
+                        })
+                    });
+                    if let Some(v) = embedded {
                         placements.push(Placement {
                             cube: ci,
                             position: v,
@@ -1412,8 +1312,8 @@ impl<'a> WindowEncoder<'a> {
 
     /// First-visit probe of every window position, truth-table tier:
     /// start from the current constraint mask and AND in each
-    /// equation's satisfying-seed table row; surviving masks are the
-    /// cached residues.
+    /// equation's satisfying-seed mask; surviving masks are the cached
+    /// residues.
     fn init_cube_tt(
         &self,
         cache: &mut CubeCache,
@@ -1421,33 +1321,15 @@ impl<'a> WindowEncoder<'a> {
         engine: &TtEngine,
         scratch: &mut ProbeScratch,
     ) {
-        let w0 = engine.w0;
         let per_position = self.table.rows_per_position();
         for position in 0..self.table.window() {
             let pos_base = position * per_position;
             scratch.tmp.clear();
             scratch.tmp.extend_from_slice(&engine.c_mask);
-            let mut live = true;
-            for &(off, bit) in eqs {
-                let idx = (pos_base + off as usize) * w0;
-                let pt = &engine.pt[idx..idx + w0];
-                let mut any = 0u64;
-                if bit {
-                    for (m, &p) in scratch.tmp.iter_mut().zip(pt) {
-                        *m &= p;
-                        any |= *m;
-                    }
-                } else {
-                    for ((m, &p), &o) in scratch.tmp.iter_mut().zip(pt).zip(&engine.ones) {
-                        *m &= p ^ o;
-                        any |= *m;
-                    }
-                }
-                if any == 0 {
-                    live = false;
-                    break;
-                }
-            }
+            let live = eqs.iter().all(|&(off, bit)| {
+                let row = self.table.row_words(pos_base + off as usize);
+                engine.and_equation(&mut scratch.tmp, row, bit)
+            });
             if live {
                 let mut entry = cache.take_entry();
                 entry.position = position;
@@ -1461,7 +1343,7 @@ impl<'a> WindowEncoder<'a> {
     }
 
     /// First-visit probe of every window position, fixed-frame tier:
-    /// fold each equation's packed, committed-row-reduced table row
+    /// fold each equation's packed, committed-row-reduced projection
     /// into a local elimination — the surviving rows are exactly the
     /// rank the candidate would add, and equations inconsistent with
     /// the committed basis alone conflict on a single load.
@@ -1472,9 +1354,10 @@ impl<'a> WindowEncoder<'a> {
             let mut elim = FastElim::new();
             let mut viable = true;
             for &(off, bit) in eqs {
-                // table bit 63 is the x0 offset; the equation's rhs is
-                // that offset xor the cube bit
-                let packed = engine.pt[pos_base + off as usize] ^ (u64::from(bit) << 63);
+                // projected bit 63 is the x0 offset; the equation's rhs
+                // is that offset xor the cube bit
+                let row = self.table.row_words(pos_base + off as usize);
+                let packed = engine.frame.project(row) ^ (u64::from(bit) << 63);
                 if elim.fold_packed(packed) == LocalOutcome::Conflict {
                     viable = false;
                     break;
@@ -1906,6 +1789,116 @@ mod tests {
             let reference = enc.encode_reference(3).unwrap();
             assert_eq!(enc.encode(3).unwrap(), reference, "n={n}");
             assert_eq!(enc.encode_with_threads(3, 4).unwrap(), reference, "n={n}");
+        }
+    }
+
+    /// Free dimension left after each of `placements`' commits,
+    /// replayed in encoding order (entry 0 is the frame the greedy
+    /// fill of that seed starts in).
+    fn free_after_commits(enc: &WindowEncoder<'_>, placements: &[Placement]) -> Vec<usize> {
+        let mut solver = IncrementalSolver::new(enc.table.vars());
+        placements
+            .iter()
+            .map(|p| {
+                assert!(enc.commit(&mut solver, p.cube, p.position));
+                solver.free_vars()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn truth_table_tier_matches_the_reference() {
+        // (LFSR size, window, which seed frames the config must reach):
+        // a first commit leaving f < 6 (one partial mask word), one
+        // leaving 6 <= f <= 10 (multi-word masks), and a fixed-frame
+        // start that hands over to the truth-table tier mid-seed
+        type Reached = fn(&[usize]) -> bool;
+        let cases: [(usize, usize, &str, Reached); 3] = [
+            (16, 12, "f < 6", |f| (1..6).contains(&f[0])),
+            (22, 12, "6 <= f <= 10", |f| (6..=10).contains(&f[0])),
+            (30, 8, "fixed -> truth-table hand-off", |f| {
+                f[0] > TtEngine::MAX_DIM && f.iter().any(|&x| (1..=TtEngine::MAX_DIM).contains(&x))
+            }),
+        ];
+        let profile = CubeProfile::mini();
+        let set = generate_test_set(&profile, 5);
+        for (n, window, label, reached) in cases {
+            let table = build_table(n, set.config(), window, 2);
+            let enc = WindowEncoder::new(&set, &table).unwrap();
+            let reference = enc.encode_reference(3).unwrap();
+            assert!(
+                reference
+                    .seeds
+                    .iter()
+                    .any(|s| reached(&free_after_commits(&enc, &s.placements))),
+                "n={n} never reaches {label}"
+            );
+            assert_eq!(enc.encode(3).unwrap(), reference, "{label}");
+            assert_eq!(enc.encode_with_threads(3, 4).unwrap(), reference, "{label}");
+            assert_eq!(enc.encode_tuned(3, 4, 0, 0).unwrap(), reference, "{label}");
+        }
+    }
+
+    /// The solution set of random equations consistent with a random
+    /// seed, cut down to dimension `dim`.
+    fn random_space(n: usize, dim: usize, rng: &mut SmallRng) -> AffineSpace {
+        let target = BitVec::random(n, rng);
+        let mut solver = IncrementalSolver::new(n);
+        while solver.free_vars() > dim {
+            let row = BitVec::random(n, rng);
+            solver.insert(&row, row.dot(&target));
+        }
+        solver.affine_space()
+    }
+
+    #[test]
+    fn frame_projection_matches_the_naive_dot_products() {
+        // partial bytes, a word boundary and multi-word strides
+        let mut rng = SmallRng::seed_from_u64(21);
+        for n in [11usize, 24, 64, 85, 130] {
+            let space = random_space(n, (n - 3).min(FixedEngine::MAX_DIM), &mut rng);
+            let frame = Frame::new(&space);
+            for _ in 0..200 {
+                let row = BitVec::random(n, &mut rng);
+                let row = row.as_words();
+                let mut naive = u64::from(words::dot(row, space.x0_words())) << 63;
+                for j in 0..space.dim() {
+                    naive |= u64::from(words::dot(row, space.null_row(j))) << j;
+                }
+                assert_eq!(frame.project(row), naive, "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn reduced_frame_matches_projecting_then_reducing() {
+        let mut rng = SmallRng::seed_from_u64(22);
+        for n in [24usize, 85, 130] {
+            let space = random_space(n, (n - 3).min(FixedEngine::MAX_DIM), &mut rng);
+            let coords = FastElim::ROW_MASK >> (FixedEngine::MAX_DIM - space.dim());
+            let fresh = Frame::new(&space);
+            let mut engine = FixedEngine::new(&space);
+            // every committed row holds at one point, so none conflicts
+            let solution = rng.gen::<u64>() & coords;
+            for _ in 0..5 {
+                let rows: Vec<u64> = (0..3)
+                    .map(|_| {
+                        let row = rng.gen::<u64>() & coords;
+                        row | (u64::from((row & solution).count_ones() % 2 == 1) << 63)
+                    })
+                    .collect();
+                engine.commit_update(&rows);
+                for _ in 0..100 {
+                    let row = BitVec::random(n, &mut rng);
+                    assert_eq!(
+                        engine.frame.project(row.as_words()),
+                        engine.g.reduce_packed(fresh.project(row.as_words())),
+                        "n={n} after {} committed rows",
+                        engine.g.rank()
+                    );
+                }
+            }
+            assert_eq!(engine.g.rank(), 15, "n={n}");
         }
     }
 

@@ -8,7 +8,7 @@
 //! by every seed. Rows are stored in one flat word array to keep the
 //! table cache-friendly (an s38417-sized table is ~13 MB).
 
-use ss_gf2::{BitMatrix, BitVec};
+use ss_gf2::BitVec;
 use ss_lfsr::{ExpressionStream, Lfsr, PhaseShifter};
 use ss_testdata::ScanConfig;
 
@@ -43,11 +43,6 @@ pub struct ExprTable {
     cycles: usize,
     scan: ScanConfig,
     window: usize,
-    /// The LFSR's transition matrix `T` (`state(t+1) = T * state(t)`):
-    /// row `t+1` of the table is row `t` advanced by `T`, which lets
-    /// derived per-round tables (the encoder's projected expressions)
-    /// be *streamed* cycle by cycle instead of recomputed per row.
-    transition: BitMatrix,
 }
 
 impl ExprTable {
@@ -90,15 +85,7 @@ impl ExprTable {
             cycles,
             scan,
             window,
-            transition: lfsr.transition_matrix(),
         }
-    }
-
-    /// The LFSR transition matrix `T` the table was built from
-    /// (`expr(t+1, c) = expr(t, c) * T`, i.e. `state(t+1) = T *
-    /// state(t)`).
-    pub fn transition(&self) -> &BitMatrix {
-        &self.transition
     }
 
     /// Number of scan chains (rows per cycle).
@@ -232,8 +219,8 @@ impl ExprTable {
     /// Evaluates the whole window for a concrete seed: the `L` test
     /// vectors the decompressor would generate in Normal mode.
     /// Identical to [`try_expand_seed`](crate::try_expand_seed) but
-    /// computed from the table (used by the encoder's fast path once a
-    /// seed is fully determined).
+    /// computed from the table (used by the reference encoder's fast
+    /// path once a seed is fully determined).
     ///
     /// # Panics
     ///
