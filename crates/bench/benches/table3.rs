@@ -3,8 +3,8 @@
 //!
 //! `[11]` (window-based embedding with truncation, no State Skip) is
 //! reimplemented and measured; `[22]` is a closed reconfigurable-
-//! network scheme, so its column prints the paper-reported constants
-//! (see DESIGN.md § Substitutions). Our proposed column is measured.
+//! network scheme, so its column prints the paper-reported constants.
+//! Our proposed column is measured.
 //!
 //! ```text
 //! cargo bench -p ss-bench --bench table3

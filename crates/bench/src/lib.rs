@@ -10,10 +10,11 @@
 //! Pentium; a full five-circuit sweep here is likewise minutes of CPU.
 //! To keep `cargo bench` snappy the harness scales the synthetic test
 //! sets by `SS_SCALE` (default 0.25 — a quarter of the profile's cube
-//! count). Set `SS_SCALE=1` for full-size runs; `EXPERIMENTS.md`
-//! records which scale produced the committed numbers. Scaling shrinks
-//! seed counts roughly proportionally but leaves every *trend* (who
-//! wins, how results move with k, S and L) intact.
+//! count). Set `SS_SCALE=1` for full-size runs; every bench prints
+//! its scale in the banner, and the `BENCH_*.json` files record it as
+//! `ss_scale`. Scaling shrinks seed counts roughly proportionally but
+//! leaves every *trend* (who wins, how results move with k, S and L)
+//! intact.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -150,7 +151,7 @@ pub fn best_reduction(
 pub fn banner(what: &str) {
     println!("=== {what} ===");
     println!(
-        "workload: synthetic profiles at SS_SCALE={} (see DESIGN.md substitutions; SS_SCALE=1 for full size)",
+        "workload: synthetic profiles at SS_SCALE={} (SS_SCALE=1 for full size)",
         scale()
     );
     println!();

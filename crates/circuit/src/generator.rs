@@ -3,8 +3,8 @@
 //! The real ISCAS'89 netlists are not redistributable, so benchmarks
 //! and examples that need a *circuit* (rather than just cube
 //! statistics) use layered random netlists with matching interface
-//! sizes. See `DESIGN.md` § Substitutions for why this preserves the
-//! paper's observable behaviour.
+//! sizes: the compression flow only sees a circuit through its scan
+//! cells and the cubes ATPG emits for it.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

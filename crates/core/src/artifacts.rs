@@ -178,7 +178,7 @@ impl HardwareCtx {
     /// cube) triple; the paper's real test sets simply did not contain
     /// such cubes at the chosen LFSR sizes, and a DFT engineer hitting
     /// one would bump `n`. Benches use this filter to emulate the
-    /// former; see `EXPERIMENTS.md`.
+    /// former and report how many cubes it dropped.
     pub fn encodable_subset(&self, set: &TestSet) -> (TestSet, Vec<usize>) {
         let mut keep = TestSet::new(set.config());
         let mut dropped = Vec::new();

@@ -36,7 +36,10 @@
 //!   `x0 + span(N)` ([`IncrementalSolver::affine_space`]) of dimension
 //!   `f = n - rank` — tiny, because the first (largest) cube consumed
 //!   most of the rank. Probing happens entirely in that `f`-bit
-//!   coordinate frame instead of the `n`-bit ambient space.
+//!   coordinate frame instead of the `n`-bit ambient space. A packed
+//!   frame row is one `u64`, so `f <= 63`: a wider frame (an LFSR far
+//!   larger than its cubes) runs the reference search's own probe,
+//!   exact by construction, until commits shrink it into range.
 //! * **On-demand projection through a byte-sliced frame.** Projection
 //!   into the frame is linear in the table row, so each seed frame
 //!   tabulates the packed images of the `n` seed variables and a
@@ -191,21 +194,19 @@ const PAR_EQS: usize = 100_000;
 /// the representation of the seed's probing tier:
 ///
 /// * truth-table tier — `rows` is the bitmask of candidate seeds that
-///   satisfy the system (`rhs` unused);
-/// * fixed-frame tier — `rows`/`rhs` is the Gauss-Jordan eliminated
-///   system *including* the committed-row log up to `watermark`
-///   (one `u64` per row);
-/// * general tier — `rows`/`rhs` is the eliminated projected system
-///   in multi-word coordinates.
+///   satisfy the system;
+/// * fixed-frame tier — `rows` is the Gauss-Jordan eliminated system
+///   *including* the committed-row log up to `watermark`, one packed
+///   `u64` per row (right-hand side in bit 63).
+///
+/// Rounds in a frame wider than 63 dimensions cache nothing here: they
+/// run the reference search's probe.
 #[derive(Debug, Default)]
 struct PosResidue {
     position: usize,
     /// Committed-log rows already folded in (fixed-frame tier).
     watermark: usize,
     rows: Vec<u64>,
-    /// Reduced right-hand side per row (unused by the truth-table
-    /// tier).
-    rhs: Vec<bool>,
 }
 
 /// Per-cube probing state for the current seed: the still-viable
@@ -251,63 +252,9 @@ impl CubeCache {
 /// almost nothing.
 #[derive(Debug, Default)]
 struct ProbeScratch {
-    /// Projection / mask target row (general + truth-table tiers).
+    /// Solution-mask target of the position being probed (truth-table
+    /// tier).
     tmp: Vec<u64>,
-    /// Elimination target rows (general tier).
-    rows: Vec<u64>,
-    /// Right-hand sides matching `rows`.
-    rhs: Vec<bool>,
-    /// Pivot of each row in `rows`.
-    pivots: Vec<usize>,
-}
-
-/// Outcome of folding one row into a local residue elimination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LocalOutcome {
-    Added,
-    Redundant,
-    Conflict,
-}
-
-/// Reduces the `width`-word row `tmp`/`e` against the eliminated rows
-/// accumulated in `rows`/`rhs`/`pivots` and appends it unless it
-/// vanished. The row is built in place at the tail of `rows` — no
-/// temporary buffer. (General-width path; the one-word tiers use
-/// [`FastElim`].)
-fn fold_row(
-    tmp: &[u64],
-    e: bool,
-    width: usize,
-    rows: &mut Vec<u64>,
-    rhs: &mut Vec<bool>,
-    pivots: &mut Vec<usize>,
-) -> LocalOutcome {
-    let base = rows.len();
-    rows.extend_from_slice(tmp);
-    let (done, fresh) = rows.split_at_mut(base);
-    let row = &mut fresh[..width];
-    let mut r = e;
-    for (j, &p) in pivots.iter().enumerate() {
-        if words::get_bit(row, p) {
-            words::xor_in(row, &done[j * width..(j + 1) * width]);
-            r ^= rhs[j];
-        }
-    }
-    match words::first_one(row) {
-        None => {
-            rows.truncate(base);
-            if r {
-                LocalOutcome::Conflict
-            } else {
-                LocalOutcome::Redundant
-            }
-        }
-        Some(p) => {
-            pivots.push(p);
-            rhs.push(r);
-            LocalOutcome::Added
-        }
-    }
 }
 
 /// Single-word Gauss-Jordan eliminator for free spaces of dimension
@@ -378,19 +325,17 @@ impl FastElim {
         self.pivot_mask |= 1 << p;
     }
 
+    /// Folds a packed row in; returns `false` on a conflict (the row
+    /// reduces to `0 = 1`), leaving the eliminator unchanged.
     #[inline]
-    fn fold_packed(&mut self, packed: u64) -> LocalOutcome {
+    fn fold_packed(&mut self, packed: u64) -> bool {
         let packed = self.reduce_packed(packed);
         let row = packed & Self::ROW_MASK;
         if row == 0 {
-            return if packed >> 63 == 1 {
-                LocalOutcome::Conflict
-            } else {
-                LocalOutcome::Redundant
-            };
+            return packed >> 63 == 0;
         }
         self.insert_reduced(row, packed >> 63 == 1);
-        LocalOutcome::Added
+        true
     }
 
     /// Stores the eliminated rows (packed) into `out`, ascending by
@@ -531,7 +476,7 @@ struct TtEngine {
 
 impl TtEngine {
     /// Largest free dimension the truth-table tier handles (16 words
-    /// per mask); larger spaces use the fixed-frame or general tiers.
+    /// per mask); larger spaces use the fixed-frame tier.
     const MAX_DIM: usize = 10;
 
     fn new(space: &AffineSpace) -> TtEngine {
@@ -661,7 +606,7 @@ impl FixedEngine {
                     row ^= basis;
                 }
             }
-            if elim.fold_packed(row) == LocalOutcome::Conflict {
+            if !elim.fold_packed(row) {
                 return false;
             }
         }
@@ -671,88 +616,21 @@ impl FixedEngine {
     }
 }
 
-/// General-width probing context (free dimension beyond 63): the
-/// affine snapshot is rebuilt per round and candidates are projected
-/// lazily; cached residues are resumed across rounds by an explicit
-/// change of coordinates ([`Delta`]). This tier only runs for
-/// pathological configurations (an LFSR grossly oversized for its
-/// cubes) — as soon as commits shrink the space it hands over to the
-/// word-sized tiers.
-struct GeneralCtx {
-    space: AffineSpace,
-}
-
-/// Change of coordinates between the free spaces before and after a
-/// commit (general width): column `j'` is the old-space coordinate
-/// vector of the new space's null basis vector `j'`, and `y0` the
-/// old-space coordinates of the particular-solution shift. A cached
-/// residue row `rho` maps to the new space as
-/// `rho'[j'] = rho . kcol[j']`, `e' = e ^ (rho . y0)` — the per-round
-/// delta that resumes each cached reduction instead of restarting it.
-#[derive(Debug)]
-struct Delta {
-    /// `new_dim` columns, `old_fw` words each.
-    kcols: Vec<u64>,
-    /// Old-space coordinates of `x0_new ^ x0_old`, `old_fw` words.
-    y0: Vec<u64>,
-    old_fw: usize,
-    new_dim: usize,
-    new_fw: usize,
-}
-
-impl Delta {
-    fn between(old: &AffineSpace, new: &AffineSpace) -> Delta {
-        let old_fw = old.coord_stride();
-        let new_dim = new.dim();
-        let mut kcols = vec![0u64; new_dim * old_fw];
-        for j in 0..new_dim {
-            old.coords_of(new.null_row(j), &mut kcols[j * old_fw..(j + 1) * old_fw]);
-        }
-        let mut shift: Vec<u64> = old.x0_words().to_vec();
-        words::xor_in(&mut shift, new.x0_words());
-        let mut y0 = vec![0u64; old_fw];
-        old.coords_of(&shift, &mut y0);
-        Delta {
-            kcols,
-            y0,
-            old_fw,
-            new_dim,
-            new_fw: new.coord_stride(),
-        }
-    }
-
-    /// Re-expresses one cached row in the new space's coordinates,
-    /// writing `new_fw` words into `out`; returns the new right-hand
-    /// side.
-    fn apply(&self, row: &[u64], e: bool, out: &mut [u64]) -> bool {
-        out.fill(0);
-        for j in 0..self.new_dim {
-            if words::dot(row, &self.kcols[j * self.old_fw..(j + 1) * self.old_fw]) {
-                out[j / 64] |= 1u64 << (j % 64);
-            }
-        }
-        e ^ words::dot(row, &self.y0)
-    }
-}
-
 /// The per-seed probing engine, picked (and later upgraded) by the
 /// free dimension of the solution space.
 #[allow(clippy::large_enum_variant)] // one prober exists per seed
 enum Prober {
     Tt(TtEngine),
     Fixed(FixedEngine),
-    General(GeneralCtx),
 }
 
 impl Prober {
-    /// The cheapest tier that handles `space`'s dimension.
-    fn for_space(space: AffineSpace) -> Prober {
+    /// The cheapest tier that handles `space`'s dimension (`<= 63`).
+    fn for_space(space: &AffineSpace) -> Prober {
         if space.dim() <= TtEngine::MAX_DIM {
-            Prober::Tt(TtEngine::new(&space))
-        } else if space.dim() <= FixedEngine::MAX_DIM {
-            Prober::Fixed(FixedEngine::new(&space))
+            Prober::Tt(TtEngine::new(space))
         } else {
-            Prober::General(GeneralCtx { space })
+            Prober::Fixed(FixedEngine::new(space))
         }
     }
 }
@@ -919,106 +797,87 @@ impl<'a> WindowEncoder<'a> {
             remaining[first] = false;
             remaining_count -= 1;
 
-            // 2. greedy fill over cached residues (tier picked by the
-            //    free dimension the first commit left)
-            let mut prober = Prober::for_space(solver.affine_space());
-            while solver.rank() < n {
-                level_order.clear();
-                level_order.extend(order.iter().copied().filter(|&ci| remaining[ci]));
-                let Some(pick) = self.select_cached(
-                    &mut caches,
-                    &level_order,
-                    &specified,
-                    cube_eqs,
-                    &prober,
-                    threads,
-                    descent_levels,
-                    par_eqs,
-                    &mut scratch,
-                ) else {
-                    break;
-                };
-                // the word-sized tiers consume the winner's cached
-                // residue at commit time, before its cache is cleared
-                let winner: Option<(Vec<u64>, Vec<bool>)> = match &prober {
-                    Prober::Tt(engine) => {
-                        let entry = caches[pick.cube]
-                            .entries
-                            .iter()
-                            .find(|e| e.position == pick.position)
-                            .expect("picked placement has a cached residue");
-                        Some((
-                            entry
-                                .rows
-                                .iter()
-                                .zip(&engine.c_mask)
-                                .map(|(a, b)| a & b)
-                                .collect(),
-                            Vec::new(),
-                        ))
-                    }
-                    Prober::Fixed(_) => {
-                        let entry = caches[pick.cube]
-                            .entries
-                            .iter()
-                            .find(|e| e.position == pick.position)
-                            .expect("picked placement has a cached residue");
-                        Some((entry.rows.clone(), Vec::new()))
-                    }
-                    Prober::General(_) => None,
-                };
-                let rank_before = solver.rank();
-                let committed = self.commit(&mut solver, pick.cube, pick.position);
-                debug_assert!(committed, "selected system must still be solvable");
-                placements.push(pick);
-                remaining[pick.cube] = false;
-                remaining_count -= 1;
-                caches[pick.cube].reset();
-                if solver.rank() == n {
-                    break;
+            // 2. greedy fill. A frame wider than one word (f > 63, an
+            //    LFSR far larger than its cubes) runs the reference
+            //    search's own rounds — exact by construction — until
+            //    commits shrink it into the word-sized tiers.
+            'fill: {
+                let mut viable: HashMap<usize, Vec<usize>> = HashMap::new();
+                while solver.free_vars() > FixedEngine::MAX_DIM {
+                    let Some(pick) = self.select_next(&mut viable, &remaining, &order, &mut solver)
+                    else {
+                        break 'fill;
+                    };
+                    let committed = self.commit(&mut solver, pick.cube, pick.position);
+                    debug_assert!(committed, "selected system must still be solvable");
+                    placements.push(pick);
+                    remaining[pick.cube] = false;
+                    remaining_count -= 1;
+                    viable.remove(&pick.cube);
                 }
-                match &mut prober {
-                    Prober::Tt(engine) => {
-                        // delta reduction in the fixed frame: cached
-                        // masks simply intersect the new constraint
-                        let (mask, _) = winner.expect("tt tier captured the winner");
-                        engine.commit_update(&mask, solver.free_vars());
-                    }
-                    Prober::Fixed(engine) => {
-                        let (rows, _) = winner.expect("fixed tier captured the winner");
-                        engine.commit_update(&rows);
-                        debug_assert_eq!(engine.g.rank(), engine.dim - solver.free_vars());
-                    }
-                    Prober::General(ctx) => {
-                        if solver.rank() > rank_before {
-                            // resume every cached residue in the
-                            // shrunken free space: per-round delta
-                            let new_space = solver.affine_space();
-                            let delta = Delta::between(&ctx.space, &new_space);
-                            for cache in &mut caches {
-                                if cache.init {
-                                    refresh_cache_general(cache, &delta, &mut scratch);
-                                }
-                            }
-                            ctx.space = new_space;
+
+                // cached residues, tier picked by the free dimension
+                let mut prober = Prober::for_space(&solver.affine_space());
+                while solver.rank() < n {
+                    level_order.clear();
+                    level_order.extend(order.iter().copied().filter(|&ci| remaining[ci]));
+                    let Some(pick) = self.select_cached(
+                        &mut caches,
+                        &level_order,
+                        &specified,
+                        cube_eqs,
+                        &prober,
+                        threads,
+                        descent_levels,
+                        par_eqs,
+                        &mut scratch,
+                    ) else {
+                        break;
+                    };
+                    // the winner's cached residue is consumed at commit
+                    // time, before its cache is cleared
+                    let mut winner = caches[pick.cube]
+                        .entries
+                        .iter()
+                        .find(|e| e.position == pick.position)
+                        .expect("picked placement has a cached residue")
+                        .rows
+                        .clone();
+                    if let Prober::Tt(engine) = &prober {
+                        for (w, &c) in winner.iter_mut().zip(&engine.c_mask) {
+                            *w &= c;
                         }
                     }
-                }
-                // hand over to a cheaper tier once the free space has
-                // shrunk into its range. Caches restart — viability is
-                // an invariant of the basis, so the re-probe
-                // reproduces exactly the same sets.
-                let free = solver.free_vars();
-                let upgrade = match &prober {
-                    Prober::Tt(_) => false,
-                    Prober::Fixed(_) => free <= TtEngine::MAX_DIM,
-                    Prober::General(_) => free <= FixedEngine::MAX_DIM,
-                };
-                if upgrade {
-                    prober = Prober::for_space(solver.affine_space());
-                    for cache in &mut caches {
-                        if cache.init {
-                            cache.reset();
+                    let committed = self.commit(&mut solver, pick.cube, pick.position);
+                    debug_assert!(committed, "selected system must still be solvable");
+                    placements.push(pick);
+                    remaining[pick.cube] = false;
+                    remaining_count -= 1;
+                    caches[pick.cube].reset();
+                    if solver.rank() == n {
+                        break;
+                    }
+                    match &mut prober {
+                        Prober::Tt(engine) => {
+                            // delta reduction in the fixed frame: cached
+                            // masks simply intersect the new constraint
+                            engine.commit_update(&winner, solver.free_vars());
+                        }
+                        Prober::Fixed(engine) => {
+                            engine.commit_update(&winner);
+                            debug_assert_eq!(engine.g.rank(), engine.dim - solver.free_vars());
+                            // hand over to the truth-table tier once the
+                            // space shrinks into its range. Caches restart:
+                            // viability is an invariant of the basis, so
+                            // the re-probe reproduces the same sets.
+                            if solver.free_vars() <= TtEngine::MAX_DIM {
+                                prober = Prober::for_space(&solver.affine_space());
+                                for cache in &mut caches {
+                                    if cache.init {
+                                        cache.reset();
+                                    }
+                                }
+                            }
                         }
                     }
                 }
@@ -1292,21 +1151,6 @@ impl<'a> WindowEncoder<'a> {
                 }
                 best.map(|(rank, pos)| (rank, count, pos, ci))
             }
-            Prober::General(ctx) => {
-                if !cache.init {
-                    cache.init = true;
-                    self.init_cube_general(cache, &cube_eqs[ci], &ctx.space, scratch);
-                }
-                let count = cache.entries.len();
-                let mut best: Option<(usize, usize)> = None; // (rank, pos)
-                for entry in &cache.entries {
-                    let key = (entry.rhs.len(), entry.position);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                }
-                best.map(|(rank, pos)| (rank, count, pos, ci))
-            }
         }
     }
 
@@ -1336,7 +1180,6 @@ impl<'a> WindowEncoder<'a> {
                 entry.watermark = 0;
                 entry.rows.clear();
                 entry.rows.extend_from_slice(&scratch.tmp);
-                entry.rhs.clear();
                 cache.entries.push(entry);
             }
         }
@@ -1358,7 +1201,7 @@ impl<'a> WindowEncoder<'a> {
                 // is that offset xor the cube bit
                 let row = self.table.row_words(pos_base + off as usize);
                 let packed = engine.frame.project(row) ^ (u64::from(bit) << 63);
-                if elim.fold_packed(packed) == LocalOutcome::Conflict {
+                if !elim.fold_packed(packed) {
                     viable = false;
                     break;
                 }
@@ -1367,55 +1210,7 @@ impl<'a> WindowEncoder<'a> {
                 let mut entry = cache.take_entry();
                 entry.position = position;
                 entry.watermark = engine.g_log.len();
-                entry.rhs.clear();
                 elim.store_packed(&mut entry.rows);
-                cache.entries.push(entry);
-            }
-        }
-    }
-
-    /// First-visit probe of every window position, general-width tier
-    /// (free dimension beyond 63): lazy projection per equation.
-    fn init_cube_general(
-        &self,
-        cache: &mut CubeCache,
-        eqs: &[(u32, bool)],
-        space: &AffineSpace,
-        scratch: &mut ProbeScratch,
-    ) {
-        let fw = space.coord_stride();
-        let per_position = self.table.rows_per_position();
-        scratch.tmp.resize(fw, 0);
-        for position in 0..self.table.window() {
-            let pos_base = position * per_position;
-            scratch.rows.clear();
-            scratch.rhs.clear();
-            scratch.pivots.clear();
-            let mut viable = true;
-            for &(off, bit) in eqs {
-                let coeffs = self.table.row_words(pos_base + off as usize);
-                let e = space.project(coeffs, bit, &mut scratch.tmp);
-                if fold_row(
-                    &scratch.tmp,
-                    e,
-                    fw,
-                    &mut scratch.rows,
-                    &mut scratch.rhs,
-                    &mut scratch.pivots,
-                ) == LocalOutcome::Conflict
-                {
-                    viable = false;
-                    break;
-                }
-            }
-            if viable {
-                let mut entry = cache.take_entry();
-                entry.position = position;
-                entry.watermark = 0;
-                entry.rows.clear();
-                entry.rows.extend_from_slice(&scratch.rows);
-                entry.rhs.clear();
-                entry.rhs.extend_from_slice(&scratch.rhs);
                 cache.entries.push(entry);
             }
         }
@@ -1624,38 +1419,6 @@ impl<'a> WindowEncoder<'a> {
     }
 }
 
-/// Re-expresses every cached residue of one cube in the post-commit
-/// free space and re-eliminates it there, dropping positions whose
-/// system became inconsistent — the general tier's delta reduction.
-fn refresh_cache_general(cache: &mut CubeCache, delta: &Delta, scratch: &mut ProbeScratch) {
-    let old_fw = delta.old_fw;
-    let new_fw = delta.new_fw;
-    cache.entries.retain_mut(|entry| {
-        scratch.tmp.resize(new_fw, 0);
-        scratch.rows.clear();
-        scratch.rhs.clear();
-        scratch.pivots.clear();
-        for idx in 0..entry.rhs.len() {
-            let row = &entry.rows[idx * old_fw..(idx + 1) * old_fw];
-            let e = delta.apply(row, entry.rhs[idx], &mut scratch.tmp);
-            if fold_row(
-                &scratch.tmp,
-                e,
-                new_fw,
-                &mut scratch.rows,
-                &mut scratch.rhs,
-                &mut scratch.pivots,
-            ) == LocalOutcome::Conflict
-            {
-                return false;
-            }
-        }
-        std::mem::swap(&mut entry.rows, &mut scratch.rows);
-        std::mem::swap(&mut entry.rhs, &mut scratch.rhs);
-        true
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1839,42 +1602,69 @@ mod tests {
         }
     }
 
-    /// The solution set of random equations consistent with a random
-    /// seed, cut down to dimension `dim`.
-    fn random_space(n: usize, dim: usize, rng: &mut SmallRng) -> AffineSpace {
+    /// A solver holding random equations consistent with a random seed,
+    /// inserted until a word-sized frame is left, and the equations.
+    fn random_system(n: usize, rng: &mut SmallRng) -> (IncrementalSolver, Vec<BitVec>) {
         let target = BitVec::random(n, rng);
         let mut solver = IncrementalSolver::new(n);
-        while solver.free_vars() > dim {
+        let mut eqs = Vec::new();
+        while solver.free_vars() > (n - 3).min(FixedEngine::MAX_DIM) {
             let row = BitVec::random(n, rng);
             solver.insert(&row, row.dot(&target));
+            eqs.push(row);
         }
-        solver.affine_space()
+        (solver, eqs)
     }
 
     #[test]
     fn frame_projection_matches_the_naive_dot_products() {
         // partial bytes, a word boundary and multi-word strides
         let mut rng = SmallRng::seed_from_u64(21);
+        let mut seen = [0usize; 3]; // Added, Redundant, Conflict
         for n in [11usize, 24, 64, 85, 130] {
-            let space = random_space(n, (n - 3).min(FixedEngine::MAX_DIM), &mut rng);
+            let (solver, eqs) = random_system(n, &mut rng);
+            let space = solver.affine_space();
             let frame = Frame::new(&space);
-            for _ in 0..200 {
-                let row = BitVec::random(n, &mut rng);
-                let row = row.as_words();
-                let mut naive = u64::from(words::dot(row, space.x0_words())) << 63;
-                for j in 0..space.dim() {
-                    naive |= u64::from(words::dot(row, space.null_row(j))) << j;
+            for i in 0..200 {
+                // every other row lies in the basis's row space, so
+                // all three probe outcomes occur
+                let mut row = BitVec::random(n, &mut rng);
+                if i % 2 == 1 {
+                    row = BitVec::zeros(n);
+                    eqs.iter()
+                        .filter(|_| rng.gen())
+                        .for_each(|eq| row.xor_with(eq));
                 }
-                assert_eq!(frame.project(row), naive, "n={n}");
+                let w = row.as_words();
+                let mut naive = u64::from(words::dot(w, space.x0_words())) << 63;
+                for j in 0..space.dim() {
+                    naive |= u64::from(words::dot(w, space.null_row(j))) << j;
+                }
+                assert_eq!(frame.project(w), naive, "n={n}");
+
+                // the word-sized tiers' invariant: with the rhs xored
+                // into bit 63, zero coordinates mean the basis implies
+                // the row (a conflict iff bit 63 is set)
+                let rhs: bool = rng.gen();
+                let packed = naive ^ (u64::from(rhs) << 63);
+                let predicted = match (packed & FastElim::ROW_MASK, packed >> 63) {
+                    (0, 1) => SolveOutcome::Conflict,
+                    (0, _) => SolveOutcome::Redundant,
+                    _ => SolveOutcome::Added,
+                };
+                let outcome = solver.probe(&row, rhs);
+                assert_eq!(predicted, outcome, "n={n}");
+                seen[outcome as usize] += 1;
             }
         }
+        assert!(seen.iter().all(|&c| c > 0), "outcomes seen: {seen:?}");
     }
 
     #[test]
     fn reduced_frame_matches_projecting_then_reducing() {
         let mut rng = SmallRng::seed_from_u64(22);
         for n in [24usize, 85, 130] {
-            let space = random_space(n, (n - 3).min(FixedEngine::MAX_DIM), &mut rng);
+            let space = random_system(n, &mut rng).0.affine_space();
             let coords = FastElim::ROW_MASK >> (FixedEngine::MAX_DIM - space.dim());
             let fresh = Frame::new(&space);
             let mut engine = FixedEngine::new(&space);
@@ -1905,15 +1695,23 @@ mod tests {
     #[test]
     fn general_width_path_matches_the_reference_beyond_63_free_dims() {
         // a deliberately oversized LFSR leaves > 63 free dimensions
-        // after the first commit, forcing the multi-word probing path
-        // (and its mid-seed hand-off to the word-sized tiers)
+        // after the first commit: those rounds run the reference
+        // probe until the seed hands over to the word-sized tiers
         let profile = CubeProfile::mini();
         let set = generate_test_set(&profile, 5);
         let table = build_table(90, set.config(), 6, 2);
         let enc = WindowEncoder::new(&set, &table).unwrap();
         let reference = enc.encode_reference(3).unwrap();
+        assert!(
+            reference.seeds.iter().any(|s| {
+                let f = free_after_commits(&enc, &s.placements);
+                f[0] > FixedEngine::MAX_DIM && f.iter().any(|&x| x <= FixedEngine::MAX_DIM)
+            }),
+            "no seed hands over from f > 63 to the word-sized tiers"
+        );
         assert_eq!(enc.encode(3).unwrap(), reference);
         assert_eq!(enc.encode_with_threads(3, 4).unwrap(), reference);
+        assert_eq!(enc.encode_tuned(3, 4, 0, 0).unwrap(), reference);
     }
 
     #[test]

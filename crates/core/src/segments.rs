@@ -214,7 +214,7 @@ impl SegmentPlan {
     /// Computes the test sequence length under State Skip traversal
     /// with speedup `k`, for scan depth `r`.
     ///
-    /// Model (see `DESIGN.md`): each window is generated only up to its
+    /// Model: each window is generated only up to its
     /// last useful segment. Useful segments run in Normal mode
     /// (`len * r` clocks, `len` vectors applied). Maximal runs of
     /// useless segments with a total of `G` skipped states take

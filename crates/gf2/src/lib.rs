@@ -62,4 +62,4 @@ pub use bitvec::BitVec;
 pub use matrix::BitMatrix;
 pub use packed::{PackedPatterns, PATTERNS_PER_BLOCK};
 pub use poly::{primitive_poly, Gf2Poly, PrimitivePolyError};
-pub use solver::{AffineSpace, FrozenBasis, IncrementalSolver, SolveOutcome, SolverCheckpoint};
+pub use solver::{AffineSpace, IncrementalSolver, SolveOutcome, SolverCheckpoint};

@@ -17,15 +17,12 @@
 //!   call;
 //! * the borrowed word-slice layer
 //!   ([`insert_words`](IncrementalSolver::insert_words),
-//!   [`probe_words`](IncrementalSolver::probe_words),
-//!   [`freeze`](IncrementalSolver::freeze)) — allocation-free, fed
-//!   directly from precomputed expression tables. [`FrozenBasis`] is a
-//!   read-only snapshot of the basis that can be shared across threads
-//!   for parallel candidate probing, and supports *resumable* forward
-//!   reduction ([`FrozenBasis::reduce_row_from`]): because rows are
-//!   only appended, a row reduced against the first `m` basis rows can
-//!   later be re-reduced against rows `m..` only, yielding bit-exactly
-//!   the row a from-scratch reduction would produce.
+//!   [`probe_words`](IncrementalSolver::probe_words)) — fed directly
+//!   from precomputed expression tables, with no per-call `BitVec`.
+//!
+//! [`IncrementalSolver::affine_space`] exports the solution set as
+//! `x0 + span(N)`, the frame the encoder's word-sized probing tiers
+//! project candidate equations into.
 
 use rand::Rng;
 
@@ -164,18 +161,7 @@ impl IncrementalSolver {
         let mut row = std::mem::take(&mut self.scratch);
         row.clear();
         row.extend_from_slice(coeffs);
-        let mut r = rhs;
-        // Forward-reduce against the existing basis. Basis rows are in
-        // insertion order; each has a distinct pivot.
-        for (i, &pivot) in self.pivots.iter().enumerate() {
-            if words::get_bit(&row, pivot) {
-                words::xor_in(
-                    &mut row,
-                    &self.row_words[i * self.stride..(i + 1) * self.stride],
-                );
-                r ^= self.rhs[i];
-            }
-        }
+        let r = self.reduce(&mut row, rhs);
         let outcome = match words::first_one(&row) {
             None => {
                 if r {
@@ -216,8 +202,7 @@ impl IncrementalSolver {
     pub fn probe_words(&self, coeffs: &[u64], rhs: bool) -> SolveOutcome {
         assert_eq!(coeffs.len(), self.stride, "equation width mismatch");
         let mut row = coeffs.to_vec();
-        let mut r = rhs;
-        self.freeze().reduce_row_from(&mut row, &mut r, 0);
+        let r = self.reduce(&mut row, rhs);
         match words::first_one(&row) {
             None if r => SolveOutcome::Conflict,
             None => SolveOutcome::Redundant,
@@ -225,18 +210,17 @@ impl IncrementalSolver {
         }
     }
 
-    /// A read-only, shareable view of the current basis, for parallel
-    /// probing and resumable reduction. The view borrows the solver, so
-    /// the basis cannot change while views are alive — exactly the
-    /// append-only window the resumable-reduction invariant needs.
-    pub fn freeze(&self) -> FrozenBasis<'_> {
-        FrozenBasis {
-            vars: self.vars,
-            stride: self.stride,
-            row_words: &self.row_words,
-            pivots: &self.pivots,
-            rhs: &self.rhs,
+    /// Forward-reduces `row` (right-hand side `rhs`) against the basis,
+    /// in insertion order — each basis row has a distinct pivot — and
+    /// returns the reduced right-hand side.
+    fn reduce(&self, row: &mut [u64], mut rhs: bool) -> bool {
+        for (i, &pivot) in self.pivots.iter().enumerate() {
+            if words::get_bit(row, pivot) {
+                words::xor_in(row, &self.row_words[i * self.stride..(i + 1) * self.stride]);
+                rhs ^= self.rhs[i];
+            }
         }
+        rhs
     }
 
     /// Takes a snapshot that [`rollback`](Self::rollback) can restore.
@@ -345,14 +329,16 @@ impl IncrementalSolver {
     /// variable.
     ///
     /// This is the probing-side dual of the row basis: whether a new
-    /// equation system is consistent with the basis — and how much rank
-    /// it would add — depends only on the system's **projection into
-    /// the free subspace** ([`AffineSpace::project`]), which has
-    /// dimension `free_vars()` instead of `vars()`. Hot search loops
-    /// (the encoder's candidate probing) exploit exactly that: probing
-    /// against the space costs `O(free_vars)` word-dots per equation
-    /// where probing against the row basis costs `O(rank)` row
-    /// reductions.
+    /// equation `c · x = b` is consistent with the basis — and whether
+    /// it adds rank — depends only on its **projection into the free
+    /// subspace**, the `free_vars()` dot products `c · N_j` plus the
+    /// reduced right-hand side `b ^ (c · x0)`. A zero projection means
+    /// the basis implies the equation (a conflict iff the reduced
+    /// right-hand side is set); any other projection adds rank. Hot
+    /// search loops (the encoder's candidate probing) exploit exactly
+    /// that: probing against the space costs `O(free_vars)` bits per
+    /// equation where probing against the row basis costs `O(rank)`
+    /// row reductions.
     ///
     /// The returned space is an owned snapshot: freely shareable
     /// across threads, valid until more equations are inserted.
@@ -413,12 +399,9 @@ impl IncrementalSolver {
 /// [`IncrementalSolver::affine_space`].
 ///
 /// The null-space basis is in **free-column form**: vector `j` has a 1
-/// at the `j`-th free (non-pivot) column and 0 at every other free
-/// column. Consequently the coordinates of any vector of the span are
-/// just its restriction to the free columns
-/// ([`coords_of`](AffineSpace::coords_of)) — which is what makes
-/// change-of-coordinates between successive spaces (as the basis
-/// grows) a cheap extraction instead of a solve.
+/// at the `j`-th free (non-pivot) column
+/// ([`free_cols`](AffineSpace::free_cols)) and 0 at every other free
+/// column.
 #[derive(Debug, Clone)]
 pub struct AffineSpace {
     vars: usize,
@@ -447,12 +430,6 @@ impl AffineSpace {
         self.stride
     }
 
-    /// Words per coordinate row (`dim` rounded up to whole `u64`s) —
-    /// the slice length [`project`](Self::project) writes.
-    pub fn coord_stride(&self) -> usize {
-        self.free_cols.len().div_ceil(64)
-    }
-
     /// The particular solution's words.
     pub fn x0_words(&self) -> &[u64] {
         &self.x0
@@ -470,129 +447,6 @@ impl AffineSpace {
     /// The free columns, ascending.
     pub fn free_cols(&self) -> &[usize] {
         &self.free_cols
-    }
-
-    /// Projects the ambient equation `coeffs · x = rhs` into the
-    /// space's coordinates: writes the `dim()`-bit row `M` (bit `j` =
-    /// `coeffs · N_j`) into `out` and returns the reduced right-hand
-    /// side `rhs ^ (coeffs · x0)`.
-    ///
-    /// The equation is consistent with / adds rank to the underlying
-    /// basis exactly as `M · y = returned rhs` does in the
-    /// `dim()`-dimensional coordinate space — the invariant the
-    /// encoder's projected probing is built on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len() != stride()` or
-    /// `out.len() != coord_stride()`.
-    pub fn project(&self, coeffs: &[u64], rhs: bool, out: &mut [u64]) -> bool {
-        assert_eq!(coeffs.len(), self.stride, "equation width mismatch");
-        assert_eq!(out.len(), self.coord_stride(), "coordinate width mismatch");
-        out.fill(0);
-        for j in 0..self.free_cols.len() {
-            if words::dot(coeffs, self.null_row(j)) {
-                out[j / 64] |= 1u64 << (j % 64);
-            }
-        }
-        rhs ^ words::dot(coeffs, &self.x0)
-    }
-
-    /// Coordinates of an ambient vector **known to lie in the span**
-    /// (e.g. a null vector of a later, larger basis, or the difference
-    /// of two particular solutions): its restriction to the free
-    /// columns. Writes `coord_stride()` words into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != stride()` or `out.len() != coord_stride()`.
-    pub fn coords_of(&self, v: &[u64], out: &mut [u64]) {
-        assert_eq!(v.len(), self.stride, "vector width mismatch");
-        assert_eq!(out.len(), self.coord_stride(), "coordinate width mismatch");
-        out.fill(0);
-        for (j, &c) in self.free_cols.iter().enumerate() {
-            if words::get_bit(v, c) {
-                out[j / 64] |= 1u64 << (j % 64);
-            }
-        }
-    }
-}
-
-/// A read-only snapshot of an [`IncrementalSolver`] basis, created by
-/// [`IncrementalSolver::freeze`].
-///
-/// The view is `Copy` and freely shareable across threads (everything
-/// is a shared borrow), which is what makes *parallel* candidate
-/// probing sound: workers reduce their own scratch rows against one
-/// frozen basis without ever touching solver state.
-///
-/// Because basis rows are only ever appended and each row is zero at
-/// every earlier row's pivot, forward reduction is *resumable*: a row
-/// reduced against rows `..m` and later re-reduced against rows `m..`
-/// equals the row reduced against all rows from scratch, bit for bit
-/// (the residual of a row modulo a forward-reduced basis is unique).
-/// [`reduce_row_from`](FrozenBasis::reduce_row_from) exposes exactly
-/// that delta step; incremental residue caches are built on it.
-#[derive(Debug, Clone, Copy)]
-pub struct FrozenBasis<'a> {
-    vars: usize,
-    stride: usize,
-    row_words: &'a [u64],
-    pivots: &'a [usize],
-    rhs: &'a [bool],
-}
-
-impl FrozenBasis<'_> {
-    /// Number of basis rows (the solver's rank at freeze time).
-    pub fn len(&self) -> usize {
-        self.pivots.len()
-    }
-
-    /// `true` when the basis has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.pivots.is_empty()
-    }
-
-    /// Number of variables.
-    pub fn vars(&self) -> usize {
-        self.vars
-    }
-
-    /// Words per row.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Pivot column of basis row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn pivot(&self, i: usize) -> usize {
-        self.pivots[i]
-    }
-
-    /// Forward-reduces `row` (with right-hand side `rhs`) against basis
-    /// rows `from..len()`, in insertion order.
-    ///
-    /// Calling with `from = 0` performs a full reduction. Calling with
-    /// the row's previous high-water mark resumes it: appended rows are
-    /// zero at all earlier pivots, so the delta reduction lands on the
-    /// same unique residual a from-scratch reduction produces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len()` differs from [`stride`](Self::stride) or
-    /// `from > len()`.
-    pub fn reduce_row_from(&self, row: &mut [u64], rhs: &mut bool, from: usize) {
-        assert_eq!(row.len(), self.stride, "row width mismatch");
-        assert!(from <= self.pivots.len(), "reduction start out of range");
-        for i in from..self.pivots.len() {
-            if words::get_bit(row, self.pivots[i]) {
-                words::xor_in(row, &self.row_words[i * self.stride..(i + 1) * self.stride]);
-                *rhs ^= self.rhs[i];
-            }
-        }
     }
 }
 
@@ -762,46 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn resumed_reduction_is_bit_identical_to_scratch_reduction() {
-        // The residue-cache invariant: reduce a row against the first m
-        // basis rows, append more rows, resume from m — the result must
-        // equal a full reduction against the final basis.
-        let mut rng = SmallRng::seed_from_u64(4242);
-        for trial in 0..30 {
-            let vars = 90;
-            let mut s = IncrementalSolver::new(vars);
-            for _ in 0..20 {
-                let c = BitVec::random(vars, &mut rng);
-                let r = rand::Rng::gen(&mut rng);
-                s.insert(&c, r);
-            }
-            let mid = s.rank();
-            let target = BitVec::random(vars, &mut rng);
-            let mut resumed = target.as_words().to_vec();
-            let mut resumed_rhs = rand::Rng::gen(&mut rng);
-            let scratch_rhs_0 = resumed_rhs;
-            s.freeze()
-                .reduce_row_from(&mut resumed, &mut resumed_rhs, 0);
-
-            for _ in 0..15 {
-                let c = BitVec::random(vars, &mut rng);
-                let r = rand::Rng::gen(&mut rng);
-                s.insert(&c, r);
-            }
-            // resume from the watermark
-            s.freeze()
-                .reduce_row_from(&mut resumed, &mut resumed_rhs, mid);
-            // from-scratch reference
-            let mut scratch = target.as_words().to_vec();
-            let mut scratch_rhs = scratch_rhs_0;
-            s.freeze()
-                .reduce_row_from(&mut scratch, &mut scratch_rhs, 0);
-            assert_eq!(resumed, scratch, "trial {trial}");
-            assert_eq!(resumed_rhs, scratch_rhs, "trial {trial}");
-        }
-    }
-
-    #[test]
     fn affine_space_describes_the_solution_set_exactly() {
         let mut rng = SmallRng::seed_from_u64(777);
         for trial in 0..25 {
@@ -831,49 +645,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn projection_predicts_probe_outcomes() {
-        let mut rng = SmallRng::seed_from_u64(2024);
-        for trial in 0..40 {
-            let vars = 48;
-            let mut s = IncrementalSolver::new(vars);
-            let truth = BitVec::random(vars, &mut rng);
-            for _ in 0..30 {
-                let c = BitVec::random(vars, &mut rng);
-                s.insert(&c, c.dot(&truth));
-            }
-            let space = s.affine_space();
-            let mut out = vec![0u64; space.coord_stride()];
-            for _ in 0..10 {
-                let c = BitVec::random(vars, &mut rng);
-                let r: bool = rand::Rng::gen(&mut rng);
-                let e = space.project(c.as_words(), r, &mut out);
-                let projected_zero = out.iter().all(|&w| w == 0);
-                let expected = s.probe(&c, r);
-                let via_projection = match (projected_zero, e) {
-                    (true, true) => SolveOutcome::Conflict,
-                    (true, false) => SolveOutcome::Redundant,
-                    (false, _) => SolveOutcome::Added,
-                };
-                assert_eq!(via_projection, expected, "trial {trial}");
-            }
-        }
-    }
-
-    #[test]
-    fn frozen_basis_reports_dimensions() {
-        let mut s = IncrementalSolver::new(10);
-        assert!(s.freeze().is_empty());
-        s.insert(&row(&[3], 10), true);
-        s.insert(&row(&[3, 7], 10), false);
-        let view = s.freeze();
-        assert_eq!(view.len(), 2);
-        assert_eq!(view.vars(), 10);
-        assert_eq!(view.stride(), 1);
-        assert_eq!(view.pivot(0), 3);
-        assert_eq!(view.pivot(1), 7);
     }
 
     #[test]

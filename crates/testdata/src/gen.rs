@@ -8,7 +8,7 @@
 //! (calibrated against the numbers the paper itself reports: LFSR
 //! sizes, seed counts, and the 93123 specified bits quoted for s38417)
 //! and [`generate_cubes`] draws a deterministic synthetic test set from
-//! a profile. See `DESIGN.md` § Substitutions.
+//! a profile.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -160,8 +160,8 @@ impl CubeProfile {
     }
 
     /// Returns a copy with the cube count scaled by `factor` (rounded,
-    /// at least 1). Benches use this to trade fidelity for runtime;
-    /// `EXPERIMENTS.md` records the factor used per experiment.
+    /// at least 1). Benches use this to trade fidelity for runtime and
+    /// print the factor (`SS_SCALE`) in their banner.
     pub fn scaled(&self, factor: f64) -> Self {
         let mut p = self.clone();
         p.cube_count = ((p.cube_count as f64 * factor).round() as usize).max(1);

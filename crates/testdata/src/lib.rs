@@ -14,8 +14,7 @@
 //!   algorithms key on (`smax`, specified-bit totals).
 //! * [`CubeProfile`] / [`generate_cubes`] — a statistical cube
 //!   generator with profiles mimicking the paper's five ISCAS'89
-//!   benchmark test sets (see `DESIGN.md` for the substitution
-//!   rationale).
+//!   benchmark test sets, which are not redistributable.
 //! * Text serialisation in an Atalanta-like `01X` format
 //!   (`chains <m> depth <r>` header + one cube row per line).
 //! * [`WorkloadRegistry`] — the named workload corpus: checked-in

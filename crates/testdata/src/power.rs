@@ -11,7 +11,7 @@
 //! baselines ([21], low-power reseeding) is power-motivated, and a
 //! practical adopter will want to know what pseudorandom filling does
 //! to shift power — so the workspace carries the metric as an
-//! extension (see `DESIGN.md` § 7).
+//! extension.
 
 use ss_gf2::BitVec;
 

@@ -4,10 +4,10 @@
 //! cargo run --release --example atpg_flow
 //! ```
 //!
-//! Mirrors the paper's experimental setup end to end, with the
-//! substitutions documented in DESIGN.md: a synthetic full-scan core
-//! stands in for an ISCAS'89 netlist and our PODEM stands in for
-//! Atalanta. The uncompacted test cubes it emits are then compressed
+//! Mirrors the paper's experimental setup end to end, with two
+//! substitutions because neither ships with this workspace: a
+//! synthetic full-scan core stands in for an ISCAS'89 netlist and our
+//! PODEM stands in for Atalanta. The uncompacted test cubes it emits are then compressed
 //! with the State Skip pipeline.
 
 use ss_circuit::{generate_uncompacted_test_set, random_circuit, AtpgConfig, CircuitSpec};

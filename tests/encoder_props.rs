@@ -31,19 +31,27 @@ proptest! {
 
     /// Cached and parallel searches reproduce the reference encoding
     /// exactly for random workloads x window in {1, 8, 24} x threads
-    /// in {1, 4}.
+    /// in {1, 4} x one LFSR size band per probing path.
     #[test]
     fn cached_and_parallel_encoders_match_reference_exactly(
         set_seed in any::<u64>(),
         fill_seed in any::<u64>(),
         window_idx in 0usize..3,
-        extra_bits in 0usize..24,
+        band in 0usize..3,
+        offset in 0usize..21,
     ) {
         let window = [1usize, 8, 24][window_idx];
         let profile = CubeProfile::mini();
         let set = generate_test_set(&profile, set_seed);
-        // n sweeps across all three probing tiers as extra_bits grows
-        let n = (set.smax() + 4 + extra_bits).clamp(3, 64);
+        // bands by the free dimension f the seed's first cube leaves:
+        // truth-table (f <= 10), fixed-frame (11..=63) and oversized
+        // (f > 63, which runs the reference probe until f <= 63; the
+        // mini profile's smax is at most 12)
+        let n = match band {
+            0 => set.smax() + 4 + offset % 7,
+            1 => set.smax() + 11 + offset,
+            _ => 80 + offset,
+        };
         let table = table_for(&set, n, window, 2);
         let encoder = WindowEncoder::new(&set, &table).expect("one geometry");
 
