@@ -311,8 +311,8 @@ fn measure_throughput(workers: usize) -> ThroughputRow {
         "server dropped jobs under concurrent load"
     );
     assert_eq!(
-        stats.codec.connections_v3, CLIENTS as u64,
-        "every fan-out client negotiates the v3 codec"
+        stats.codec.connections, CLIENTS as u64,
+        "every fan-out client opens with one Hello"
     );
     assert_eq!(
         stats.codec.crc_rejects, 0,

@@ -1,22 +1,18 @@
 //! Client side of the compression service: one TCP connection, typed
 //! request/response calls, and a backpressure-aware submit loop.
 //!
-//! # Codec negotiation
+//! # Opening a connection
 //!
 //! [`Client::connect`] opens the connection by offering the preferred
-//! codec configuration in a plain-frame [`Request::Hello`]. A v3
-//! server answers [`Response::HelloAck`] with the agreed parameters
-//! and every subsequent message travels through the negotiated chunk
-//! codec; an older server rejects the unfamiliar version with
-//! [`Response::Error`], and the client transparently downgrades to the
-//! legacy v2 single-frame mode — so one client binary speaks to both
-//! server generations. [`Client::connect_legacy`] skips the offer
-//! entirely and behaves exactly like a v2 client (useful for
-//! compatibility testing). The ack is also where the *protocol*
-//! generation is agreed: the server mirrors back `min(client, server)`
-//! in the ack's version byte, and the client stamps every subsequent
-//! request at that generation — a v4 client against a v3 server simply
-//! runs the connection at v3.
+//! codec configuration in a plain-frame [`Request::Hello`]; the server
+//! answers [`Response::HelloAck`] with the agreed parameters and every
+//! subsequent message travels through the agreed chunk codec. The
+//! exchange runs under the fixed [`HELLO_TIMEOUT`], so a peer that
+//! accepts and never answers cannot hang the caller. A server of
+//! another protocol version refuses the `Hello` with an error stamped
+//! in its own version, and any reply stamped with another version
+//! surfaces as [`ClientError::Wire`]`(`[`WireError::Version`]`)`.
+//! Shard-to-shard traffic opens through the same exchange.
 //!
 //! # Fleet routing
 //!
@@ -38,20 +34,25 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cache::cache_key;
-use crate::codec::{Codec, CodecConfig, CodecError, Transport};
+use crate::codec::{Codec, CodecConfig, CodecError, WireStats};
 use crate::protocol::{
-    peek_version, read_frame, write_frame, JobPhase, JobReport, JobSpec, Request, Response,
-    ServerStats, Span, SpanDump, SpanKind, TraceContext, WireError, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    read_frame, write_frame, JobPhase, JobReport, JobSpec, Request, Response, ServerStats, Span,
+    SpanDump, SpanKind, TraceContext, WireError,
 };
 use crate::shard::{ShardError, ShardRing};
 use ss_telemetry::{fresh_trace_id, span_id, wall_micros, TraceClock};
+
+/// Deadline on each read and write of the opening `Hello`/`HelloAck`
+/// exchange in [`Client::connect`]. It is cleared once the codec is
+/// agreed: a `Wait` on a full-scale cold encode legitimately blocks
+/// for minutes.
+pub const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Error talking to the service.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum ClientError {
-    /// Transport failure.
+    /// I/O failure on the socket.
     Io(io::Error),
     /// The connection dropped mid-exchange (unexpected EOF, reset,
     /// broken pipe). Retryable: reconnect and resubmit — submissions
@@ -326,9 +327,9 @@ impl Default for RetryPolicy {
 /// One synchronous connection to an `ss-server`.
 ///
 /// Every call writes one request message and reads one response
-/// message (each a single frame in legacy mode, one or more
-/// CRC-guarded chunk frames after codec negotiation); the connection
-/// can be reused for any number of calls.
+/// message, each one or more CRC-guarded chunk frames through the
+/// codec agreed at connect time; the connection can be reused for any
+/// number of calls.
 ///
 /// ```no_run
 /// use ss_server::{Client, JobSpec, ServeOptions, Server};
@@ -349,26 +350,23 @@ impl Default for RetryPolicy {
 /// ```
 pub struct Client {
     stream: TcpStream,
-    transport: Transport,
-    /// Protocol generation stamped on requests: 3 after negotiation,
-    /// 2 in legacy mode (so an old server decodes them).
-    version: u8,
+    codec: Codec,
     /// Whether submissions are stamped with a fresh trace id when they
-    /// carry none. On by default; a no-op below protocol v6 (the
-    /// context field doesn't exist on the wire there).
+    /// carry none. On by default.
     tracing: bool,
     /// The trace id of the most recent submission (0 when untraced).
     last_trace: u64,
 }
 
 impl Client {
-    /// Connects and negotiates the preferred codec configuration,
-    /// downgrading to legacy v2 single-frame mode when the server
-    /// predates the codec.
+    /// Connects and agrees the preferred codec configuration.
     ///
     /// # Errors
     ///
-    /// Transport errors, or a nonsensical negotiation answer.
+    /// I/O errors (including a peer silent past
+    /// [`HELLO_TIMEOUT`]), [`ClientError::Overloaded`] when the accept
+    /// gate sheds the connection, [`ClientError::Server`] when the
+    /// server refuses the `Hello`, or a nonsensical answer.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, ClientError> {
         Self::connect_with(addr, CodecConfig::preferred())
     }
@@ -383,22 +381,44 @@ impl Client {
         addr: A,
         offer: CodecConfig,
     ) -> Result<Client, ClientError> {
-        let mut stream = TcpStream::connect(addr)?;
+        let stream = TcpStream::connect(addr)?;
+        stream.set_read_timeout(Some(HELLO_TIMEOUT))?;
+        stream.set_write_timeout(Some(HELLO_TIMEOUT))?;
+        let client = Self::open(stream, offer)?;
+        client.stream.set_read_timeout(None)?;
+        client.stream.set_write_timeout(None)?;
+        Ok(client)
+    }
+
+    /// Connects to a ring peer for shard-to-shard traffic: the connect
+    /// is bounded by `connect_timeout`, and every later read and write
+    /// — the `Hello` exchange included — by `io_timeout`.
+    pub(crate) fn connect_peer(
+        addr: &str,
+        connect_timeout: Duration,
+        io_timeout: Duration,
+    ) -> Result<Client, ClientError> {
+        let sock = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{addr}: no usable address"),
+            )
+        })?;
+        let stream = TcpStream::connect_timeout(&sock, connect_timeout)?;
+        stream.set_read_timeout(Some(io_timeout))?;
+        stream.set_write_timeout(Some(io_timeout))?;
+        Self::open(stream, CodecConfig::preferred())
+    }
+
+    /// The opening exchange on a fresh stream: a plain-frame `Hello`
+    /// out, a plain-frame `HelloAck` back.
+    fn open(mut stream: TcpStream, offer: CodecConfig) -> Result<Client, ClientError> {
         stream.set_nodelay(true)?;
-        // the offer travels as a plain frame: no codec exists yet
         write_frame(&mut stream, &Request::Hello(offer).encode())?;
-        let payload = read_frame(&mut stream)?;
-        // the ack's version byte is the agreed generation: the server
-        // stamps min(client, server), so a newer client downgrades
-        // itself here instead of sending messages the peer can't parse
-        let agreed_version = peek_version(&payload)
-            .unwrap_or(MIN_PROTOCOL_VERSION)
-            .clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-        match Response::decode(&payload)? {
+        match Response::decode(&read_frame(&mut stream)?)? {
             Response::HelloAck(agreed) => Ok(Client {
                 stream,
-                transport: Transport::Framed(Codec::new(agreed)),
-                version: agreed_version,
+                codec: Codec::new(agreed),
                 tracing: true,
                 last_trace: 0,
             }),
@@ -407,56 +427,25 @@ impl Client {
             Response::Busy { queued, capacity } => {
                 Err(ClientError::Overloaded { queued, capacity })
             }
-            // an old server rejects the versioned Hello with a plain
-            // error: fall back to speaking its generation
-            Response::Error(_) => Ok(Client {
-                stream,
-                transport: Transport::Legacy,
-                version: 2,
-                tracing: true,
-                last_trace: 0,
-            }),
+            Response::Error(m) => Err(ClientError::Server(m)),
             _ => Err(ClientError::Unexpected("hello answered oddly")),
         }
     }
 
-    /// Connects without negotiating — the connection behaves exactly
-    /// like a protocol-v2 client (one plain frame per message).
-    ///
-    /// # Errors
-    ///
-    /// Transport errors.
-    pub fn connect_legacy<A: ToSocketAddrs>(addr: A) -> Result<Client, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Client {
-            stream,
-            transport: Transport::Legacy,
-            version: 2,
-            tracing: true,
-            last_trace: 0,
-        })
-    }
-
-    /// The codec configuration in effect, or `None` in legacy mode.
+    /// The codec configuration agreed at connect time. Always `Some`:
+    /// every connection opens with the `Hello` exchange.
     pub fn codec_config(&self) -> Option<CodecConfig> {
-        match self.transport {
-            Transport::Framed(codec) => Some(codec.config()),
-            Transport::Legacy => None,
-        }
+        Some(self.codec.config())
     }
 
-    fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        self.transport
-            .write_message(&mut self.stream, &request.encode_versioned(self.version))?;
-        let (payload, _) = self.transport.read_message(&mut self.stream)?;
+    /// One request/response exchange through the agreed codec.
+    pub(crate) fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
+        self.codec
+            .write_message(&mut self.stream, &request.encode())?;
+        let payload = self
+            .codec
+            .read_message(&mut self.stream, &mut WireStats::default())?;
         Ok(Response::decode(&payload)?)
-    }
-
-    /// The protocol generation agreed at connect time (2 in legacy
-    /// mode).
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     /// Enables or disables trace stamping for future submissions
@@ -467,27 +456,21 @@ impl Client {
     }
 
     /// The trace id of the most recent submission through this client
-    /// — 0 when it was untraced (tracing off, or a pre-v6 peer).
+    /// — 0 when it was untraced.
     pub fn last_trace(&self) -> u64 {
         self.last_trace
     }
 
     /// Gives `spec` a trace context for this connection: a spec that
     /// already carries one keeps it verbatim; otherwise a fresh root
-    /// trace is minted when tracing is on and the peer speaks v6.
-    /// Either way [`Client::last_trace`] remembers what went out.
+    /// trace is minted when tracing is on. Either way
+    /// [`Client::last_trace`] remembers what went out.
     fn stamp(&mut self, spec: &JobSpec) -> JobSpec {
         let mut spec = spec.clone();
-        if !spec.trace.is_active() && self.tracing && self.version >= 6 {
+        if !spec.trace.is_active() && self.tracing {
             spec.trace = TraceContext::root(fresh_trace_id());
         }
-        self.last_trace = if self.version >= 6 {
-            spec.trace.trace
-        } else {
-            // the context never travels below v6 — whatever the spec
-            // says, the server sees an untraced submission
-            0
-        };
+        self.last_trace = spec.trace.trace;
         spec
     }
 
@@ -495,7 +478,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport/wire failures, [`ClientError::Server`] when the
+    /// I/O or wire failures, [`ClientError::Server`] when the
     /// submission itself was rejected (malformed workload or config),
     /// or [`ClientError::Redirected`] when a sharded server says
     /// another shard owns this key.
@@ -507,21 +490,14 @@ impl Client {
     /// Submits bypassing shard ownership: a sharded server executes a
     /// `SubmitDirect` locally instead of redirecting, which is how the
     /// balancer lands work on a non-owner when the owner is down
-    /// (redirect-following could otherwise loop). On a pre-v4
-    /// connection this degrades to a plain submit — those servers
-    /// never redirect anyway.
+    /// (redirect-following could otherwise loop).
     ///
     /// # Errors
     ///
     /// As [`Client::submit`].
     pub fn submit_direct(&mut self, spec: &JobSpec) -> Result<SubmitOutcome, ClientError> {
         let spec = self.stamp(spec);
-        let request = if self.version >= 4 {
-            Request::SubmitDirect(spec)
-        } else {
-            Request::Submit(spec)
-        };
-        self.submit_request(&request)
+        self.submit_request(&Request::SubmitDirect(spec))
     }
 
     fn submit_request(&mut self, request: &Request) -> Result<SubmitOutcome, ClientError> {
@@ -538,7 +514,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport/wire failures, or [`ClientError::Server`] for an
+    /// I/O or wire failures, or [`ClientError::Server`] for an
     /// unknown job id.
     pub fn poll(&mut self, job: u64) -> Result<JobStatus, ClientError> {
         match self.call(&Request::Poll(job))? {
@@ -555,7 +531,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport/wire failures, [`ClientError::Job`] when the job ran
+    /// I/O or wire failures, [`ClientError::Job`] when the job ran
     /// and failed, [`ClientError::Server`] for an unknown id or server
     /// shutdown.
     pub fn wait(&mut self, job: u64) -> Result<JobReport, ClientError> {
@@ -569,19 +545,12 @@ impl Client {
 
     /// Probes the server's membership view: `(epoch, shard id, peer
     /// list)`; the shard id is `u32::MAX` when the server is unsharded
-    /// or was reconfigured out of its ring. Needs a v5 peer.
+    /// or was reconfigured out of its ring.
     ///
     /// # Errors
     ///
-    /// Transport/wire failures, a protocol-level server error, or
-    /// [`ClientError::Server`] when the peer predates v5.
+    /// I/O or wire failures or a protocol-level server error.
     pub fn ping(&mut self) -> Result<(u64, u32, Vec<String>), ClientError> {
-        if self.version < 5 {
-            return Err(ClientError::Server(format!(
-                "peer speaks v{}; Ping needs v5",
-                self.version
-            )));
-        }
         match self.call(&Request::Ping)? {
             Response::Pong {
                 epoch,
@@ -596,19 +565,13 @@ impl Client {
     /// Installs a new membership view on the server (the admin side of
     /// live reconfiguration). Answers the epoch in force afterwards —
     /// `epoch` itself when the swap happened, the server's current
-    /// epoch when the request was stale. Needs a v5 peer.
+    /// epoch when the request was stale.
     ///
     /// # Errors
     ///
-    /// Transport/wire failures, [`ClientError::Server`] for a
-    /// degenerate peer list, an unsharded server, or a pre-v5 peer.
+    /// I/O or wire failures, or [`ClientError::Server`] for a
+    /// degenerate peer list or an unsharded server.
     pub fn reconfigure(&mut self, epoch: u64, peers: Vec<String>) -> Result<u64, ClientError> {
-        if self.version < 5 {
-            return Err(ClientError::Server(format!(
-                "peer speaks v{}; Reconfigure needs v5",
-                self.version
-            )));
-        }
         match self.call(&Request::Reconfigure { epoch, peers })? {
             Response::Ack { epoch } => Ok(epoch),
             Response::Error(m) => Err(ClientError::Server(m)),
@@ -620,7 +583,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport/wire failures or a protocol-level server error.
+    /// I/O or wire failures or a protocol-level server error.
     pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
         match self.call(&Request::Stats)? {
             Response::Stats(stats) => Ok(stats),
@@ -633,19 +596,12 @@ impl Client {
     /// `trace` is 0 — a debugging convenience). The dump carries the
     /// server's `(wall, mono)` clock pair, so dumps from different
     /// shards can be [`stitched`](ss_telemetry::stitch) into one
-    /// timeline. Needs a v6 peer.
+    /// timeline.
     ///
     /// # Errors
     ///
-    /// Transport/wire failures, a protocol-level server error, or
-    /// [`ClientError::Server`] when the peer predates v6.
+    /// I/O or wire failures or a protocol-level server error.
     pub fn trace_dump(&mut self, trace: u64) -> Result<SpanDump, ClientError> {
-        if self.version < 6 {
-            return Err(ClientError::Server(format!(
-                "peer speaks v{}; TraceDump needs v6",
-                self.version
-            )));
-        }
         match self.call(&Request::TraceDump { trace })? {
             Response::Spans(dump) => Ok(dump),
             Response::Error(m) => Err(ClientError::Server(m)),
@@ -731,8 +687,8 @@ pub struct BalancedRun {
     /// How many shards were skipped (down, saturated past the
     /// deadline, or dead mid-call) before one answered.
     pub failovers: u32,
-    /// The trace id stamped on the submission (0 when tracing was off
-    /// or the serving shard predates v6). Feed it to
+    /// The trace id stamped on the submission (0 when tracing was
+    /// off). Feed it to
     /// [`Balancer::trace_dump`] to reconstruct the job's timeline.
     pub trace: u64,
 }
@@ -1289,33 +1245,44 @@ mod tests {
         .is_retryable());
     }
 
+    /// A fake server that acks the `Hello` with the preferred codec,
+    /// then serves `reply` to every request until the client leaves.
+    fn fake_server(
+        reply: fn(Request) -> Response,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let hello = Request::decode(&read_frame(&mut stream).unwrap()).unwrap();
+            assert!(matches!(hello, Request::Hello(_)), "opened with {hello:?}");
+            let agreed = CodecConfig::preferred();
+            write_frame(&mut stream, &Response::HelloAck(agreed).encode()).unwrap();
+            let codec = Codec::new(agreed);
+            while let Ok(payload) = codec.read_message(&mut stream, &mut WireStats::default()) {
+                let answer = reply(Request::decode(&payload).unwrap()).encode();
+                if codec.write_message(&mut stream, &answer).is_err() {
+                    break;
+                }
+            }
+        });
+        (addr, server)
+    }
+
     /// A server that answers every submission `Busy` forever: the run
     /// must absorb rejections with backoff and fail over to
     /// `DeadlineExceeded` instead of spinning for eternity.
     #[test]
     fn run_with_deadline_escapes_a_saturated_server() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            // refuse the hello so the client drops to legacy framing,
-            // then answer every request Busy
-            let _ = read_frame(&mut stream).unwrap();
-            write_frame(&mut stream, &Response::Error("no codec".into()).encode()).unwrap();
-            while let Ok(payload) = read_frame(&mut stream) {
-                assert!(matches!(Request::decode(&payload), Ok(Request::Submit(_))));
-                let reply = Response::Busy {
-                    queued: 4,
-                    capacity: 4,
-                };
-                if write_frame(&mut stream, &reply.encode_versioned(2)).is_err() {
-                    break;
-                }
+        let (addr, server) = fake_server(|request| {
+            assert!(matches!(request, Request::Submit(_)));
+            Response::Busy {
+                queued: 4,
+                capacity: 4,
             }
         });
 
         let mut client = Client::connect(addr).unwrap();
-        assert_eq!(client.version(), 2, "fake server forces legacy");
         let mut policy = RetryPolicy::seeded(42).with_deadline(Duration::from_millis(20));
         let spec = JobSpec {
             set_text: "chains 1 depth 2\n1X\n".to_string(),
@@ -1337,6 +1304,68 @@ mod tests {
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
         drop(client);
+        server.join().unwrap();
+    }
+
+    /// A listener that completes the TCP handshake but never answers
+    /// the `Hello` cannot hang `connect`: it fails within the bound.
+    #[test]
+    fn connect_to_a_silent_listener_fails_within_the_hello_timeout() {
+        // never accepted: the kernel still completes the handshake
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let started = Instant::now();
+        match Client::connect(listener.local_addr().unwrap()) {
+            Err(ClientError::Io(err)) => assert!(
+                matches!(
+                    err.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ),
+                "silent peer surfaced as {err}"
+            ),
+            Err(other) => panic!("silent peer surfaced as {other}"),
+            Ok(_) => panic!("a silent peer acked the Hello"),
+        }
+        let waited = started.elapsed();
+        assert!(waited >= HELLO_TIMEOUT, "gave up early: {waited:?}");
+        assert!(
+            waited < HELLO_TIMEOUT + Duration::from_secs(3),
+            "blocked past the bound: {waited:?}"
+        );
+    }
+
+    /// The `Hello` deadline is lifted once the codec is agreed: a
+    /// `Wait` on a long cold encode must not time out.
+    #[test]
+    fn connected_socket_has_no_read_timeout() {
+        let (addr, server) = fake_server(|_| Response::Error("unused".into()));
+        let client = Client::connect(addr).unwrap();
+        assert_eq!(client.codec_config(), Some(CodecConfig::preferred()));
+        assert_eq!(client.stream.read_timeout().unwrap(), None);
+        assert_eq!(client.stream.write_timeout().unwrap(), None);
+        drop(client);
+        server.join().unwrap();
+    }
+
+    /// A reply stamped with another protocol version is refused as a
+    /// typed wire error, never misparsed.
+    #[test]
+    fn a_reply_in_another_version_surfaces_as_a_version_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_frame(&mut stream).unwrap();
+            let mut ack = Response::HelloAck(CodecConfig::preferred()).encode();
+            ack[0] = crate::PROTOCOL_VERSION + 1;
+            write_frame(&mut stream, &ack).unwrap();
+        });
+        match Client::connect(addr) {
+            Err(ClientError::Wire(WireError::Version(v))) => {
+                assert_eq!(v, crate::PROTOCOL_VERSION + 1)
+            }
+            Err(other) => panic!("expected a version error, got {other}"),
+            Ok(_) => panic!("accepted an ack in another version"),
+        }
         server.join().unwrap();
     }
 }

@@ -1,5 +1,5 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the
-//! per-chunk integrity check of the v3 wire codec.
+//! per-chunk integrity check of the wire codec.
 //!
 //! Std-only, table-driven. The table is built in a `const` context, so
 //! there is no lazy-init state and the checksum of a byte slice is a

@@ -1,16 +1,15 @@
-//! Composable streaming codec stack for the v3 wire protocol.
+//! Composable streaming codec stack for the wire protocol.
 //!
-//! Protocol v2 moves every message as one all-or-nothing frame capped
-//! at [`MAX_FRAME_BYTES`], so a workload
-//! larger than 64 MiB cannot flow at all and a single flipped bit
-//! anywhere in the stream kills the whole transfer undetected until
-//! the payload parser trips. Protocol v3 keeps the outer frame grammar
-//! but layers a negotiated *codec chain* on top, in the style of
-//! composable `ContentEncoding` stages: each [`Stage`] maps a list of
-//! packets to a list of packets, the chain is applied left to right on
-//! encode and right to left on decode.
+//! A plain frame is all-or-nothing and capped at [`MAX_FRAME_BYTES`],
+//! so on its own it could neither carry a workload past 64 MiB nor
+//! notice a flipped bit before the payload parser trips. Every message
+//! after the opening `Hello`/`HelloAck` exchange therefore travels
+//! through a *codec chain*, in the style of composable
+//! `ContentEncoding` stages: each [`Stage`] maps a list of packets to a
+//! list of packets, the chain is applied left to right on encode and
+//! right to left on decode.
 //!
-//! The negotiated chain is `[compress?] → chunk → crc32`:
+//! The chain is `[compress?] → chunk → crc32`:
 //!
 //! * **compress** — optional std-only LZSS ([`compress`]): cube
 //!   payloads are sparse `01X` text and shrink severalfold.
@@ -24,7 +23,7 @@
 //!
 //! # Chunk frame grammar
 //!
-//! Every frame carried for a codec-framed peer is one chunk:
+//! Every frame after the opening exchange is one chunk:
 //!
 //! ```text
 //! chunk   := seq u32 BE        ; 0-based position in the message
@@ -34,10 +33,10 @@
 //!            crc32 u32 BE      ; CRC-32 over seq..body inclusive
 //! ```
 //!
-//! The stage list is agreed during the `Hello`/`HelloAck` exchange
-//! (which travels as plain v2-style frames, since no codec exists
-//! yet); a v2 peer never sends `Hello` and keeps speaking plain
-//! single-frame messages unchanged — see [`Transport`].
+//! The parameters — compression on or off, and the chunk size — are
+//! exactly what the `Hello`/`HelloAck` exchange agrees (that exchange
+//! travels as plain frames, since no codec exists yet), and every
+//! chunk restates the compression choice in its flags byte.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -551,6 +550,10 @@ impl Codec {
     /// arrives so corruption is rejected at the earliest possible
     /// moment instead of after buffering the rest of the stream.
     ///
+    /// Every frame read is added to `stats` as it arrives, so the
+    /// frames and wire bytes of a rejected message are still
+    /// accounted; `raw_bytes` grows only when a message decodes.
+    ///
     /// # Errors
     ///
     /// A typed [`CodecError`]; `Io(UnexpectedEof)` when the peer
@@ -558,9 +561,9 @@ impl Codec {
     pub fn read_message<R: Read>(
         &self,
         stream: &mut R,
-    ) -> Result<(Vec<u8>, WireStats), CodecError> {
+        stats: &mut WireStats,
+    ) -> Result<Vec<u8>, CodecError> {
         let mut frames = Vec::new();
-        let mut stats = WireStats::default();
         let mut body_bytes = 0u64;
         let total = loop {
             let frame = read_frame(stream)?;
@@ -596,78 +599,8 @@ impl Codec {
         };
         debug_assert_eq!(frames.len() as u32, total);
         let message = self.decode_frames(frames)?;
-        stats.raw_bytes = message.len() as u64;
-        Ok((message, stats))
-    }
-}
-
-// ----------------------------------------------------------- transport
-
-/// How messages travel on one connection: the plain v2 single-frame
-/// scheme, or the negotiated v3 codec chain.
-///
-/// Both the client and the server speak through this type after the
-/// (possibly absent) `Hello` exchange, so the rest of the code is
-/// oblivious to which generation the peer is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Protocol ≤ 2: one message, one frame, no codec.
-    Legacy,
-    /// Protocol 3: messages framed through the negotiated codec.
-    Framed(Codec),
-}
-
-impl Transport {
-    /// Writes one message, accounting the transfer.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Io`] for stream failures; oversize messages are
-    /// typed rejections in either mode.
-    pub fn write_message<W: Write>(
-        &self,
-        stream: &mut W,
-        message: &[u8],
-    ) -> Result<WireStats, CodecError> {
-        match self {
-            Transport::Legacy => {
-                write_frame(stream, message)?;
-                Ok(WireStats {
-                    frames: 1,
-                    raw_bytes: message.len() as u64,
-                    wire_bytes: message.len() as u64,
-                })
-            }
-            Transport::Framed(codec) => codec.write_message(stream, message),
-        }
-    }
-
-    /// Reads one message, accounting the transfer.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`CodecError`]; in legacy mode only `Io` occurs.
-    pub fn read_message<R: Read>(
-        &self,
-        stream: &mut R,
-    ) -> Result<(Vec<u8>, WireStats), CodecError> {
-        match self {
-            Transport::Legacy => {
-                let message = read_frame(stream)?;
-                let stats = WireStats {
-                    frames: 1,
-                    raw_bytes: message.len() as u64,
-                    wire_bytes: message.len() as u64,
-                };
-                Ok((message, stats))
-            }
-            Transport::Framed(codec) => codec.read_message(stream),
-        }
-    }
-
-    /// Whether this is the negotiated v3 framed mode.
-    pub fn is_framed(&self) -> bool {
-        matches!(self, Transport::Framed(_))
+        stats.raw_bytes += message.len() as u64;
+        Ok(message)
     }
 }
 
@@ -735,28 +668,11 @@ mod tests {
             "structured text must net-compress even with chunk overhead"
         );
         let mut cursor = &wire[..];
-        let (back, read) = c.read_message(&mut cursor).unwrap();
+        let mut read = WireStats::default();
+        let back = c.read_message(&mut cursor, &mut read).unwrap();
         assert_eq!(back, message);
         assert_eq!(read, wrote);
         assert!(cursor.is_empty(), "reader must consume exactly the message");
-    }
-
-    #[test]
-    fn legacy_transport_is_a_plain_frame() {
-        let message = payload(300);
-        let mut wire = Vec::new();
-        let wrote = Transport::Legacy
-            .write_message(&mut wire, &message)
-            .unwrap();
-        assert_eq!(wrote.frames, 1);
-        assert_eq!(wrote.raw_bytes, wrote.wire_bytes);
-        // exactly the v2 frame bytes: length prefix + payload
-        let mut expect = (message.len() as u32).to_be_bytes().to_vec();
-        expect.extend_from_slice(&message);
-        assert_eq!(wire, expect);
-        let mut cursor = &wire[..];
-        let (back, _) = Transport::Legacy.read_message(&mut cursor).unwrap();
-        assert_eq!(back, message);
     }
 
     #[test]
@@ -865,7 +781,7 @@ mod tests {
         write_frame(&mut wire, &chunk).unwrap();
         let mut cursor = &wire[..];
         assert!(matches!(
-            c.read_message(&mut cursor),
+            c.read_message(&mut cursor, &mut WireStats::default()),
             Err(CodecError::BadChunk(_))
         ));
     }
@@ -878,7 +794,7 @@ mod tests {
         c.write_message(&mut wire, &message).unwrap();
         for cut in [1, 10, 80, wire.len() - 1] {
             let mut cursor = &wire[..cut];
-            match c.read_message(&mut cursor) {
+            match c.read_message(&mut cursor, &mut WireStats::default()) {
                 Err(CodecError::Io(err)) => {
                     assert_eq!(
                         err.kind(),

@@ -5,7 +5,9 @@
 //!
 //! The rest of the workspace computes; this crate *serves*. A running
 //! `ss-server` accepts workloads over a length-prefixed, versioned
-//! wire protocol ([`protocol`]), executes them on a worker pool
+//! wire protocol ([`protocol`]) — every connection opens with one
+//! `Hello` exchange and then streams CRC-guarded, optionally
+//! compressed chunks ([`codec`]) — executes them on a worker pool
 //! against the staged [`Engine`](ss_core::Engine) flow, and answers
 //! repeated submissions of the same `(cube set, engine config)` pair
 //! from a size-bounded LRU of synthesised hardware and encodings
@@ -48,12 +50,12 @@
 //! partitions the content-key space across a fleet by rendezvous
 //! hashing, the client-side [`Balancer`] routes each submission to
 //! its owning shard (failing over down the ring when shards die), and
-//! a sharded server redirects misrouted v4 submissions to the owner —
+//! a sharded server redirects misrouted submissions to the owner —
 //! keeping the cold computation exactly-once *cluster-wide* and
 //! growing aggregate cache capacity linearly with the shard count.
 //!
 //! The fleet also self-heals: each cold artifact is pushed
-//! (write-behind, v5 `Replicate`) to the next `--replicas - 1` shards
+//! (write-behind `Replicate`) to the next `--replicas - 1` shards
 //! of its key's rendezvous order, so a shard death fails over onto a
 //! *warm* replica instead of re-paying synthesis; rings carry a
 //! membership epoch and an admin `Reconfigure` swaps the peer list on
@@ -81,9 +83,10 @@ pub mod shard;
 pub use cache::{cache_key, ArtifactCache, CacheStats, CachedArtifacts, Fnv64};
 pub use client::{
     BalancedRun, Balancer, Client, ClientError, JobStatus, RetryPolicy, SubmitOutcome,
+    HELLO_TIMEOUT,
 };
 pub use codec::{
-    Codec, CodecConfig, CodecError, Transport, WireStats, DEFAULT_CHUNK_BYTES, MAX_CHUNK_BYTES,
+    Codec, CodecConfig, CodecError, WireStats, DEFAULT_CHUNK_BYTES, MAX_CHUNK_BYTES,
     MAX_MESSAGE_BYTES, MIN_CHUNK_BYTES,
 };
 pub use protocol::{

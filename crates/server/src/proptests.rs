@@ -1,4 +1,4 @@
-//! Property-based tests for the v3 wire protocol: every message, under
+//! Property-based tests for the wire protocol: every message, under
 //! adversarial bytes, through both the plain payload codecs and the
 //! chunked codec chain.
 //!
@@ -6,14 +6,15 @@
 //! `crates/store/src/proptests.rs` to the protocol layer. The
 //! contracts:
 //!
-//! * decode(encode(m)) is identity for every message, at every
-//!   supported version;
+//! * decode(encode(m)) is identity for every message;
 //! * every proper prefix of a valid payload is rejected — never a
 //!   panic, never a partial message;
 //! * a payload that decodes at all re-encodes to exactly the bytes
 //!   that were decoded (the encoding is canonical), so a single-bit
 //!   flip can never smuggle a *different* message through undetected
-//!   at the payload layer without being a well-formed message itself;
+//!   at the payload layer without being a well-formed message itself,
+//!   and a flipped version byte is always refused as a version
+//!   mismatch;
 //! * through the codec chain, every single-bit flip of any wire frame
 //!   is caught by the per-chunk CRC — the flip never reaches the
 //!   payload parser at all;
@@ -28,8 +29,7 @@ use ss_lfsr::LfsrKind;
 use crate::codec::{Codec, CodecConfig, CodecError, MIN_CHUNK_BYTES};
 use crate::protocol::{
     CacheTier, CodecCounters, ConnStats, JobPhase, JobReport, JobSpec, PhaseHistogram, Request,
-    Response, ServerStats, Span, SpanDump, SpanKind, TierStats, TraceContext, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    Response, ServerStats, Span, SpanDump, SpanKind, TierStats, TraceContext, WireError,
 };
 use crate::shard::ShardRing;
 
@@ -44,8 +44,7 @@ fn spec() -> JobSpec {
         ps_taps: 3,
         hw_seed: 77,
         fill_seed: 1,
-        // nonzero so the corpus exercises the v6 context fields (and
-        // the < v6 expectations below must strip them)
+        // nonzero so the corpus exercises the context fields
         trace: TraceContext {
             trace: 0x7AC3_0001_0002_0003,
             parent: 0x5EED_0004_0005_0006,
@@ -126,8 +125,7 @@ fn stats() -> ServerStats {
         embed: histogram,
         segment: PhaseHistogram::default(),
         codec: CodecCounters {
-            connections_v2: 1,
-            connections_v3: 2,
+            connections: 3,
             frames_sent: 30,
             frames_received: 31,
             crc_rejects: 1,
@@ -221,133 +219,22 @@ fn responses() -> Vec<Response> {
     ]
 }
 
-/// The canonical payload of every message at every version it encodes
-/// at, paired with a decode-and-reencode closure for the right
-/// direction.
+/// The canonical payload of every message.
 fn all_payloads() -> Vec<Vec<u8>> {
-    let mut payloads = Vec::new();
-    for version in MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION {
-        for request in requests() {
-            let payload = request.encode_versioned(version);
-            // Hello/SubmitDirect stamp their birth version; everything
-            // else round-trips at the stamped version
-            if Request::decode(&payload).is_ok() {
-                payloads.push(payload);
-            }
-        }
-        for response in responses() {
-            let payload = response.encode_versioned(version);
-            if Response::decode(&payload).is_ok() {
-                payloads.push(payload);
-            }
-        }
-    }
-    payloads
+    requests()
+        .iter()
+        .map(Request::encode)
+        .chain(responses().iter().map(Response::encode))
+        .collect()
 }
 
 #[test]
-fn every_message_round_trips_at_every_version() {
-    for version in MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION {
-        for request in requests() {
-            let payload = request.encode_versioned(version);
-            let back = Request::decode(&payload);
-            match &request {
-                // the trace context is a v6 field: a pre-v6 stamp
-                // negotiates it away, everything else survives
-                Request::Submit(s) if version < 6 => {
-                    let mut expect = s.clone();
-                    expect.trace = TraceContext::default();
-                    assert_eq!(back, Ok(Request::Submit(expect)), "v{version}");
-                }
-                Request::SubmitDirect(s) if version < 6 => {
-                    let mut expect = s.clone();
-                    expect.trace = TraceContext::default();
-                    assert_eq!(back, Ok(Request::SubmitDirect(expect)), "v{version}");
-                }
-                Request::Replicate {
-                    epoch, key, bytes, ..
-                } if version < 6 => {
-                    assert_eq!(
-                        back,
-                        Ok(Request::Replicate {
-                            epoch: *epoch,
-                            key: *key,
-                            bytes: bytes.clone(),
-                            trace: 0,
-                        }),
-                        "v{version}"
-                    );
-                }
-                // Hello, SubmitDirect and TraceDump force their birth
-                // version up; the rest round-trip at the stamped one
-                _ => assert_eq!(back.as_ref(), Ok(&request), "v{version}"),
-            }
-        }
-        for response in responses() {
-            let payload = response.encode_versioned(version);
-            let back = Response::decode(&payload);
-            match &response {
-                // HelloAck and Spans are version-floored; each counter
-                // block only survives its own generation's layout
-                Response::HelloAck(_) | Response::Spans(_) => {
-                    assert_eq!(back, Ok(response.clone()));
-                }
-                Response::Redirect { addr, .. } if version < 6 => {
-                    assert_eq!(
-                        back,
-                        Ok(Response::Redirect {
-                            addr: addr.clone(),
-                            trace: 0,
-                        }),
-                        "v{version}"
-                    );
-                }
-                Response::Failed { message, .. } if version < 6 => {
-                    assert_eq!(
-                        back,
-                        Ok(Response::Failed {
-                            message: message.clone(),
-                            conn: ConnStats::default(),
-                        }),
-                        "v{version}"
-                    );
-                }
-                Response::Stats(s) if version < 6 => {
-                    let mut expect = *s;
-                    if version < 3 {
-                        expect.codec = CodecCounters::default();
-                    }
-                    if version < 4 {
-                        expect.connections_active = 0;
-                        expect.connections_max = 0;
-                        expect.connections_shed = 0;
-                        expect.redirects = 0;
-                        expect.shard_id = 0;
-                        expect.shard_count = 0;
-                    }
-                    if version < 5 {
-                        expect.epoch = 0;
-                        expect.replicas_sent = 0;
-                        expect.replicas_received = 0;
-                        expect.replica_queue_drops = 0;
-                        expect.reconfigures = 0;
-                        expect.peers_down = 0;
-                    }
-                    expect.spans_recorded = 0;
-                    expect.spans_evicted = 0;
-                    assert_eq!(back, Ok(Response::Stats(expect)));
-                }
-                Response::Done(r) if version < 6 => {
-                    let mut expect = *r;
-                    if version < 5 {
-                        expect.conn = ConnStats::default();
-                    }
-                    expect.trace = 0;
-                    assert_eq!(back, Ok(Response::Done(expect)));
-                }
-                _ => assert_eq!(back, Ok(response.clone()), "v{version}"),
-            }
-        }
+fn every_message_round_trips() {
+    for request in requests() {
+        assert_eq!(Request::decode(&request.encode()), Ok(request));
+    }
+    for response in responses() {
+        assert_eq!(Response::decode(&response.encode()), Ok(response));
     }
 }
 
@@ -371,23 +258,30 @@ fn every_truncation_of_every_message_is_rejected() {
 
 /// A flipped payload either fails to decode or decodes to a message
 /// that re-encodes to exactly the flipped bytes — the payload codecs
-/// are canonical, so nothing ambiguous ever gets through.
+/// are canonical, so nothing ambiguous ever gets through. A flip in
+/// the leading version byte is always a version mismatch.
 #[test]
 fn every_single_bit_flip_decodes_canonically_or_not_at_all() {
     for payload in all_payloads() {
         for bit in 0..payload.len() * 8 {
             let mut flipped = payload.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
+            if bit < 8 {
+                let version = Err(WireError::Version(flipped[0]));
+                assert_eq!(Request::decode(&flipped).map(|_| ()), version.clone());
+                assert_eq!(Response::decode(&flipped).map(|_| ()), version);
+                continue;
+            }
             if let Ok(request) = Request::decode(&flipped) {
                 assert_eq!(
-                    request.encode_versioned(flipped[0]),
+                    request.encode(),
                     flipped,
                     "request decode is not canonical at bit {bit}"
                 );
             }
             if let Ok(response) = Response::decode(&flipped) {
                 assert_eq!(
-                    response.encode_versioned(flipped[0]),
+                    response.encode(),
                     flipped,
                     "response decode is not canonical at bit {bit}"
                 );

@@ -1,5 +1,5 @@
 //! The `ss-server` wire protocol: length-prefixed, versioned binary
-//! frames over any byte stream.
+//! messages over any byte stream.
 //!
 //! # Frame grammar
 //!
@@ -7,60 +7,29 @@
 //! frame    := length payload
 //! length   := u32 BE                  ; bytes in payload, <= 64 MiB
 //! payload  := version tag body
-//! version  := u8                      ; PROTOCOL_VERSION (currently 2)
+//! version  := u8                      ; PROTOCOL_VERSION, exactly
 //! tag      := u8                      ; message discriminant
 //! body     := tag-specific fields
 //! ```
 //!
 //! Scalar fields are big-endian fixed-width integers; strings are a
-//! `u32` byte length followed by UTF-8 bytes. Every message — request
-//! or response — is exactly one frame, and every request receives
+//! `u32` byte length followed by UTF-8 bytes. Every request receives
 //! exactly one response on the same connection, so a connection is a
 //! simple synchronous request/response channel that can be reused for
 //! any number of requests.
 //!
-//! Since version 3 a *message* is no longer necessarily a single
-//! frame: after a [`Request::Hello`] / [`Response::HelloAck`]
-//! negotiation (which itself travels as plain frames), both sides
-//! speak through the [`codec`](crate::codec) chain, and one message
-//! spans one or more CRC-guarded chunk frames. A v2 peer never sends
-//! `Hello` and keeps the one-message-one-frame scheme unchanged; a
-//! v3 server accepts both generations on the same port.
+//! Every connection — client or shard-to-shard — opens with one plain
+//! frame carrying [`Request::Hello`], answered by one plain frame
+//! carrying [`Response::HelloAck`] with the agreed codec parameters.
+//! From then on both sides speak through the [`codec`](crate::codec)
+//! chain: one message spans one or more CRC-guarded chunk frames, and
+//! the chunk payloads reassemble into the `payload` above.
 //!
-//! Version 4 adds the fleet surface: [`Request::SubmitDirect`] (a
-//! submission that bypasses the shard-ownership check — the balancer's
-//! failover path), [`Response::Redirect`] (a sharded server telling a
-//! v4 peer which shard owns the submitted key), and connection-gate /
-//! shard counters appended to [`ServerStats`]. A server mirrors each
-//! peer's generation — a v3 `Hello` is acked at v3 and the connection
-//! stays on the v3 layout — so every older client keeps working.
-//!
-//! Version 5 adds the resilience surface: [`Request::Replicate`] (a
-//! shard pushing a finished artifact envelope to a ring peer),
-//! [`Request::Reconfigure`] (the admin path that swaps the fleet's
-//! peer list under a new ring epoch without restarting any process),
-//! [`Request::Ping`] / [`Response::Pong`] (lightweight membership
-//! probes that also gossip the current epoch and peer list),
-//! [`Response::Ack`], per-connection codec totals appended to
-//! [`JobReport`], and replication/epoch counters appended to
-//! [`ServerStats`]. All of it is v5-born: the new tags refuse to
-//! decode below v5 and stamp at least v5 on encode, so every older
-//! peer keeps speaking its own generation untouched.
-//!
-//! Version 6 adds the tracing surface: a [`TraceContext`] appended to
-//! `Submit`/`SubmitDirect` (and echoed through `Replicate` and
-//! `Redirect`), per-connection [`ConnStats`] appended to
-//! [`Response::Failed`], a trace id echoed in [`JobReport`],
-//! span-ring counters appended to [`ServerStats`], and the
-//! [`Request::TraceDump`] / [`Response::Spans`] admin pair that drains
-//! a server's span ring for one trace. As always the new fields are
-//! trailing and version-gated — a v2–v5 peer negotiates tracing away
-//! entirely and its byte layouts stay frozen.
-//!
-//! The version byte leads the payload so a future protocol bump is
-//! detected before any tag is interpreted; a server that receives an
-//! unknown version replies [`Response::Error`] (whose encoding is
-//! frozen across versions).
+//! The version byte leads every payload and must equal
+//! [`PROTOCOL_VERSION`]; any other value decodes to
+//! [`WireError::Version`] before a tag is interpreted. A server answers
+//! an opening message that is not a `Hello` at this version with one
+//! [`Response::Error`] and closes the connection.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -73,30 +42,9 @@ pub use ss_telemetry::{Span, SpanDump, SpanKind, TraceContext};
 
 use crate::codec::{CodecConfig, MAX_MESSAGE_BYTES};
 
-/// Protocol version spoken by this build.
-///
-/// Version history: 1 — initial; 2 — [`JobReport::tier`] replaces the
-/// boolean `cached` flag, and [`ServerStats`] carries per-tier
-/// counters, per-phase latency histograms and persistent-store
-/// telemetry; 3 — `Hello`/`HelloAck` codec negotiation (chunked
-/// streaming, per-chunk CRC-32, optional compression) and
-/// [`CodecCounters`] appended to [`ServerStats`]; 4 — the fleet
-/// surface: `SubmitDirect`, `Redirect`, and connection-gate + shard
-/// counters appended to [`ServerStats`]; 5 — the resilience surface:
-/// `Replicate`/`Reconfigure`/`Ping`/`Pong`/`Ack`, per-connection
-/// [`ConnStats`] appended to [`JobReport`], and ring-epoch +
-/// replication counters appended to [`ServerStats`]; 6 — the tracing
-/// surface: [`TraceContext`] on submissions (echoed through
-/// `Replicate`/`Redirect`), `TraceDump`/`Spans`, [`ConnStats`] on
-/// [`Response::Failed`], the trace id echoed in [`JobReport`], and
-/// span-ring counters appended to [`ServerStats`].
-pub const PROTOCOL_VERSION: u8 = 6;
-
-/// Oldest protocol version this build still decodes. Messages from a
-/// v2 peer are answered in v2 layout, so old clients keep working
-/// against a new server (and a new client downgrades when an old
-/// server rejects its `Hello`).
-pub const MIN_PROTOCOL_VERSION: u8 = 2;
+/// Protocol version spoken by this build; a peer stamping any other
+/// value is refused.
+pub const PROTOCOL_VERSION: u8 = 7;
 
 /// Hard ceiling on a single frame's payload, guarding both peers
 /// against unbounded allocation from a hostile or corrupt stream.
@@ -110,7 +58,7 @@ pub enum WireError {
     Truncated,
     /// The peer speaks a different protocol version.
     Version(u8),
-    /// Unknown message tag for this version.
+    /// Unknown message tag.
     BadTag(u8),
     /// A string field was not valid UTF-8.
     BadUtf8,
@@ -171,8 +119,7 @@ pub struct JobSpec {
     pub hw_seed: u64,
     /// RNG seed for the pseudorandom fill of free seed variables.
     pub fill_seed: u64,
-    /// Distributed-tracing context (v6-only on the wire; the zero
-    /// context means untraced). Never shapes results and never enters
+    /// Distributed-tracing context (the zero context means untraced). Never shapes results and never enters
     /// the cache key — two submissions differing only here are the
     /// same job.
     pub trace: TraceContext,
@@ -221,13 +168,9 @@ pub enum CacheTier {
 }
 
 /// Per-connection wire totals as seen by the server at the moment a
-/// job's `Done` reply is built (protocol v5): frame counts and
+/// job's `Done` or `Failed` reply is built: frame counts and
 /// raw-vs-wire byte accounting for *this* connection only — the
 /// connection-scoped slice of the server-global [`CodecCounters`].
-///
-/// All zeros on a legacy (pre-v3) connection, where no codec chain is
-/// in play, and when talking to a pre-v5 server, where the field does
-/// not travel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConnStats {
     /// Chunk frames the server wrote on this connection.
@@ -278,19 +221,17 @@ pub struct JobReport {
     pub tier: CacheTier,
     /// Server-side service time in microseconds (excludes queueing).
     pub service_micros: u64,
-    /// This connection's wire totals at reply time (v5-only on the
-    /// wire; zeroed when talking to an older server or over a legacy
-    /// unframed connection).
+    /// This connection's wire totals at reply time.
     pub conn: ConnStats,
-    /// The trace this job was submitted under, echoed back (v6-only
-    /// on the wire; 0 when untraced or talking to an older server) —
-    /// what a caller feeds `TraceDump` to reconstruct the timeline.
+    /// The trace this job was submitted under, echoed back (0 when
+    /// untraced) — what a caller feeds `TraceDump` to reconstruct the
+    /// timeline.
     pub trace: u64,
 }
 
 impl JobReport {
     /// Whether the synthesis + encode stages were served from *any*
-    /// cache tier (the protocol-v1 `cached` flag).
+    /// cache tier.
     pub fn cached(&self) -> bool {
         !matches!(self.tier, CacheTier::Cold)
     }
@@ -306,8 +247,10 @@ pub enum JobPhase {
 }
 
 /// Number of log₂-microsecond buckets in a [`PhaseHistogram`]. The
-/// top bucket (≥ 2²³ µs ≈ 8.4 s) absorbs everything slower.
-pub const HISTOGRAM_BUCKETS: usize = 24;
+/// last finite bucket ends at 2³² µs ≈ 71.6 min, past the slowest
+/// full-scale encode; the open top bucket (≥ 2³² µs) absorbs anything
+/// slower.
+pub const HISTOGRAM_BUCKETS: usize = 33;
 
 /// A latency histogram for one pipeline phase: sample count, summed
 /// microseconds, and log₂-microsecond buckets (bucket `i` counts
@@ -409,21 +352,16 @@ pub struct TierStats {
     pub evictions: u64,
 }
 
-/// Wire-codec telemetry (protocol v3): connection generations, chunk
-/// traffic, integrity rejections, and raw-vs-wire byte accounting for
-/// the compression stage.
-///
-/// Travels only in v3 `Stats` replies; a v2 peer receives the stats
-/// layout it expects, without these fields.
+/// Wire-codec telemetry: connections opened, chunk traffic, integrity
+/// rejections, and raw-vs-wire byte accounting for the compression
+/// stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CodecCounters {
-    /// Connections that never sent `Hello` (legacy v2 peers).
-    pub connections_v2: u64,
-    /// Connections that completed codec negotiation.
-    pub connections_v3: u64,
-    /// Chunk frames written by the server on framed connections.
+    /// Connections that completed the `Hello` exchange.
+    pub connections: u64,
+    /// Chunk frames written by the server.
     pub frames_sent: u64,
-    /// Chunk frames read by the server on framed connections.
+    /// Chunk frames read by the server.
     pub frames_received: u64,
     /// Chunks rejected by the per-chunk CRC-32 check since startup.
     pub crc_rejects: u64,
@@ -495,65 +433,62 @@ pub struct ServerStats {
     pub embed: PhaseHistogram,
     /// Latency of the segmentation + finish phase (every job).
     pub segment: PhaseHistogram,
-    /// Wire-codec telemetry (v3-only on the wire; zeroed when talking
-    /// to a v2 server).
+    /// Wire-codec telemetry.
     pub codec: CodecCounters,
-    /// Connections currently inside the bounded accept gate (v4-only
-    /// on the wire; zeroed when talking to an older server).
+    /// Connections currently inside the bounded accept gate.
     pub connections_active: u32,
-    /// Concurrent-connection bound of the accept gate (v4-only).
+    /// Concurrent-connection bound of the accept gate.
     pub connections_max: u32,
     /// Connections shed at the gate with a `Busy` reply because the
-    /// bound was reached (v4-only).
+    /// bound was reached.
     pub connections_shed: u64,
-    /// Misrouted v4 submissions answered with [`Response::Redirect`]
-    /// to the owning shard (v4-only).
+    /// Misrouted submissions answered with [`Response::Redirect`] to
+    /// the owning shard.
     pub redirects: u64,
-    /// This server's index into the fleet peer list (v4-only; 0 when
-    /// unsharded — check `shard_count` first).
+    /// This server's index into the fleet peer list (0 when unsharded
+    /// — check `shard_count` first).
     pub shard_id: u32,
-    /// Shards in the fleet this server belongs to (v4-only; 0 means
-    /// the server is not sharded).
+    /// Shards in the fleet this server belongs to (0 means the server
+    /// is not sharded).
     pub shard_count: u32,
-    /// Ring epoch this server is currently serving under (v5-only; 0
-    /// until the first `Reconfigure`, and always 0 when unsharded).
+    /// Ring epoch this server is currently serving under (0 until the
+    /// first `Reconfigure`, and always 0 when unsharded).
     pub epoch: u64,
     /// Artifact envelopes this shard pushed to ring peers and saw
-    /// acknowledged (v5-only).
+    /// acknowledged.
     pub replicas_sent: u64,
     /// Artifact envelopes this shard accepted from ring peers after
-    /// integrity verification (v5-only).
+    /// integrity verification.
     pub replicas_received: u64,
     /// Replication work items dropped because the bounded write-behind
-    /// queue was full or the envelope exceeded a frame (v5-only).
+    /// queue was full or the envelope exceeded the message cap.
     pub replica_queue_drops: u64,
     /// `Reconfigure` messages that actually advanced the ring epoch
-    /// (v5-only; stale or repeated epochs are acked but not counted).
+    /// (stale or repeated epochs are acked but not counted).
     pub reconfigures: u64,
-    /// Ring peers the health prober currently considers unreachable
-    /// (v5-only).
+    /// Ring peers the health prober currently considers unreachable.
     pub peers_down: u32,
-    /// Spans ever recorded into this server's trace ring (v6-only).
+    /// Spans ever recorded into this server's trace ring.
     pub spans_recorded: u64,
-    /// Spans overwritten in the trace ring under capacity pressure
-    /// (v6-only).
+    /// Spans overwritten in the trace ring under capacity pressure.
     pub spans_evicted: u64,
 }
 
 /// Client → server messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Offer a codec configuration (v3 connection opener); answered
-    /// with `HelloAck` carrying the agreed configuration. Travels as a
-    /// plain frame — the codec starts with the *next* message.
+    /// Offer a codec configuration — the opening message of every
+    /// connection; answered with `HelloAck` carrying the agreed
+    /// configuration. Travels as a plain frame — the codec starts with
+    /// the *next* message.
     Hello(CodecConfig),
     /// Submit a job; answered with `Accepted` or `Busy` — or, on a
     /// sharded server that does not own the job's content key,
-    /// `Redirect` (v4 peers only; older peers are served locally).
+    /// `Redirect`.
     Submit(JobSpec),
-    /// Submit a job to *this* shard regardless of key ownership
-    /// (v4-born): the balancer's failover path when the owning shard
-    /// is down, and the reason a redirect chain can never loop.
+    /// Submit a job to *this* shard regardless of key ownership: the
+    /// balancer's failover path when the owning shard is down, and the
+    /// reason a redirect chain can never loop.
     /// Answered with `Accepted` or `Busy`, never `Redirect`.
     SubmitDirect(JobSpec),
     /// Ask where a job is; answered with `Phase`, `Done` or `Failed`.
@@ -563,7 +498,7 @@ pub enum Request {
     /// Fetch aggregate telemetry; answered with `Stats`.
     Stats,
     /// A ring peer pushing a finished artifact envelope for a key this
-    /// server is a replica of (v5-born, shard-to-shard). The bytes are
+    /// server is a replica of (shard-to-shard). The bytes are
     /// an `ss-store` artifact envelope for `key`; the receiver verifies
     /// it end to end before admitting it to its cache tiers. Answered
     /// with `Ack` (or `Error` if the envelope fails verification).
@@ -575,11 +510,11 @@ pub enum Request {
         /// Serialised artifact envelope (`Artifact::to_bytes`).
         bytes: Vec<u8>,
         /// The trace that last produced or served the artifact, so the
-        /// receiver's ingest span lands in the causing trace (v6-only
-        /// on the wire; 0 when untraced).
+        /// receiver's ingest span lands in the causing trace (0 when
+        /// untraced).
         trace: u64,
     },
-    /// Administratively swap the fleet's peer list (v5-born). An epoch
+    /// Administratively swap the fleet's peer list. An epoch
     /// above the server's current one atomically installs the new ring
     /// and triggers re-replication of keys whose ranked set changed; a
     /// stale or equal epoch is acked idempotently without any change.
@@ -590,11 +525,11 @@ pub enum Request {
         /// The full new fleet address list, in ring order.
         peers: Vec<String>,
     },
-    /// Lightweight liveness + membership probe (v5-born); answered
+    /// Lightweight liveness + membership probe; answered
     /// with `Pong` carrying the server's epoch, shard id, and peer
     /// list — the gossip channel epochs converge through.
     Ping,
-    /// Drain the server's span ring for one trace (v6-born, admin);
+    /// Drain the server's span ring for one trace (admin);
     /// `trace` 0 asks for every resident span. Answered with `Spans`.
     TraceDump {
         /// The trace to dump, or 0 for everything.
@@ -628,21 +563,20 @@ pub enum Response {
         /// What went wrong.
         message: String,
         /// This connection's wire totals at reply time, exactly as a
-        /// `Done` carries them (v6-only on the wire; zeroed when
-        /// talking to an older server or over a legacy connection) —
-        /// a failed submission still reports its frame/byte costs.
+        /// `Done` carries them — a failed submission still reports its
+        /// frame/byte costs.
         conn: ConnStats,
     },
     /// Aggregate telemetry.
     Stats(ServerStats),
     /// Protocol-level error (unknown job id, malformed frame, version
-    /// mismatch, shutdown).
+    /// mismatch, missing `Hello`, shutdown).
     Error(String),
     /// The agreed codec configuration (answer to [`Request::Hello`]).
     /// Travels as a plain frame — the codec starts with the *next*
     /// message.
     HelloAck(CodecConfig),
-    /// This shard does not own the submitted key (v4-born): the
+    /// This shard does not own the submitted key: the
     /// payload is the owning shard's advertised address. Only ever
     /// answers [`Request::Submit`] — a `SubmitDirect` is always served
     /// locally, so following one redirect always terminates.
@@ -650,10 +584,10 @@ pub enum Response {
         /// The owning shard's advertised address.
         addr: String,
         /// The declined submission's trace, echoed back so the hop
-        /// stays attributable (v6-only on the wire; 0 when untraced).
+        /// stays attributable (0 when untraced).
         trace: u64,
     },
-    /// Liveness + membership answer to [`Request::Ping`] (v5-born):
+    /// Liveness + membership answer to [`Request::Ping`]:
     /// the ring epoch this server serves under, its shard id
     /// (`u32::MAX` when the server is not a member of its own ring or
     /// is unsharded), and its current peer list.
@@ -666,13 +600,13 @@ pub enum Response {
         peers: Vec<String>,
     },
     /// Acknowledgement for [`Request::Replicate`] and
-    /// [`Request::Reconfigure`] (v5-born), carrying the ring epoch in
+    /// [`Request::Reconfigure`], carrying the ring epoch in
     /// force after the request was applied.
     Ack {
         /// Ring epoch in force on the answering server.
         epoch: u64,
     },
-    /// The span-ring contents for one trace (v6-born, answers
+    /// The span-ring contents for one trace (answers
     /// [`Request::TraceDump`]): the matching spans plus the clock pair
     /// that lets a stitcher place them on the wall clock.
     Spans(SpanDump),
@@ -772,7 +706,7 @@ impl<'a> Reader<'a> {
 
     fn string(&mut self) -> Result<String, WireError> {
         let len = self.u32()? as usize;
-        // chunked v3 messages may legitimately exceed one frame, so
+        // chunked messages may legitimately exceed one frame, so
         // the string cap is the message ceiling, not the frame cap
         if len as u64 > MAX_MESSAGE_BYTES {
             return Err(WireError::Oversize(len));
@@ -823,7 +757,7 @@ fn kind_from_u8(v: u8) -> Result<LfsrKind, WireError> {
     }
 }
 
-fn put_spec(buf: &mut Vec<u8>, spec: &JobSpec, version: u8) {
+fn put_spec(buf: &mut Vec<u8>, spec: &JobSpec) {
     put_u32(buf, spec.window);
     put_u32(buf, spec.segment);
     put_u64(buf, spec.speedup);
@@ -833,16 +767,12 @@ fn put_spec(buf: &mut Vec<u8>, spec: &JobSpec, version: u8) {
     put_u64(buf, spec.hw_seed);
     put_u64(buf, spec.fill_seed);
     put_str(buf, &spec.set_text);
-    // pre-v6 peers expect the spec to end at the set text — which is
-    // exactly how tracing is negotiated away on old connections
-    if version >= 6 {
-        put_u64(buf, spec.trace.trace);
-        put_u64(buf, spec.trace.parent);
-        put_u32(buf, spec.trace.hop);
-    }
+    put_u64(buf, spec.trace.trace);
+    put_u64(buf, spec.trace.parent);
+    put_u32(buf, spec.trace.hop);
 }
 
-fn read_spec(r: &mut Reader<'_>, version: u8) -> Result<JobSpec, WireError> {
+fn read_spec(r: &mut Reader<'_>) -> Result<JobSpec, WireError> {
     Ok(JobSpec {
         window: r.u32()?,
         segment: r.u32()?,
@@ -853,14 +783,10 @@ fn read_spec(r: &mut Reader<'_>, version: u8) -> Result<JobSpec, WireError> {
         hw_seed: r.u64()?,
         fill_seed: r.u64()?,
         set_text: r.string()?,
-        trace: if version >= 6 {
-            TraceContext {
-                trace: r.u64()?,
-                parent: r.u64()?,
-                hop: r.u32()?,
-            }
-        } else {
-            TraceContext::default()
+        trace: TraceContext {
+            trace: r.u64()?,
+            parent: r.u64()?,
+            hop: r.u32()?,
         },
     })
 }
@@ -939,7 +865,7 @@ fn read_conn_stats(r: &mut Reader<'_>) -> Result<ConnStats, WireError> {
     })
 }
 
-fn put_report(buf: &mut Vec<u8>, report: &JobReport, version: u8) {
+fn put_report(buf: &mut Vec<u8>, report: &JobReport) {
     put_u32(buf, report.lfsr_size);
     put_u32(buf, report.window);
     put_u32(buf, report.segment);
@@ -961,18 +887,11 @@ fn put_report(buf: &mut Vec<u8>, report: &JobReport, version: u8) {
         },
     );
     put_u64(buf, report.service_micros);
-    // pre-v5 peers expect the report to end at the service time
-    if version >= 5 {
-        put_conn_stats(buf, &report.conn);
-    }
-    // ... and pre-v6 peers at the connection stats: the trace echo is
-    // v6-born
-    if version >= 6 {
-        put_u64(buf, report.trace);
-    }
+    put_conn_stats(buf, &report.conn);
+    put_u64(buf, report.trace);
 }
 
-fn read_report(r: &mut Reader<'_>, version: u8) -> Result<JobReport, WireError> {
+fn read_report(r: &mut Reader<'_>) -> Result<JobReport, WireError> {
     Ok(JobReport {
         lfsr_size: r.u32()?,
         window: r.u32()?,
@@ -993,12 +912,8 @@ fn read_report(r: &mut Reader<'_>, version: u8) -> Result<JobReport, WireError> 
             _ => return Err(WireError::BadField("tier")),
         },
         service_micros: r.u64()?,
-        conn: if version >= 5 {
-            read_conn_stats(r)?
-        } else {
-            ConnStats::default()
-        },
-        trace: if version >= 6 { r.u64()? } else { 0 },
+        conn: read_conn_stats(r)?,
+        trace: r.u64()?,
     })
 }
 
@@ -1062,8 +977,7 @@ fn read_codec_config(r: &mut Reader<'_>) -> Result<CodecConfig, WireError> {
 }
 
 fn put_codec_counters(buf: &mut Vec<u8>, c: &CodecCounters) {
-    put_u64(buf, c.connections_v2);
-    put_u64(buf, c.connections_v3);
+    put_u64(buf, c.connections);
     put_u64(buf, c.frames_sent);
     put_u64(buf, c.frames_received);
     put_u64(buf, c.crc_rejects);
@@ -1075,8 +989,7 @@ fn put_codec_counters(buf: &mut Vec<u8>, c: &CodecCounters) {
 
 fn read_codec_counters(r: &mut Reader<'_>) -> Result<CodecCounters, WireError> {
     Ok(CodecCounters {
-        connections_v2: r.u64()?,
-        connections_v3: r.u64()?,
+        connections: r.u64()?,
         frames_sent: r.u64()?,
         frames_received: r.u64()?,
         crc_rejects: r.u64()?,
@@ -1087,7 +1000,7 @@ fn read_codec_counters(r: &mut Reader<'_>) -> Result<CodecCounters, WireError> {
     })
 }
 
-fn put_stats(buf: &mut Vec<u8>, s: &ServerStats, version: u8) {
+fn put_stats(buf: &mut Vec<u8>, s: &ServerStats) {
     put_u32(buf, s.workers);
     put_u32(buf, s.queue_capacity);
     put_u32(buf, s.queued);
@@ -1102,37 +1015,25 @@ fn put_stats(buf: &mut Vec<u8>, s: &ServerStats, version: u8) {
     put_histogram(buf, &s.encode);
     put_histogram(buf, &s.embed);
     put_histogram(buf, &s.segment);
-    // v2 peers expect the stats layout to end here
-    if version >= 3 {
-        put_codec_counters(buf, &s.codec);
-    }
-    // ... and v3 peers here: the fleet counters are v4-born
-    if version >= 4 {
-        put_u32(buf, s.connections_active);
-        put_u32(buf, s.connections_max);
-        put_u64(buf, s.connections_shed);
-        put_u64(buf, s.redirects);
-        put_u32(buf, s.shard_id);
-        put_u32(buf, s.shard_count);
-    }
-    // ... and v4 peers here: epoch + replication counters are v5-born
-    if version >= 5 {
-        put_u64(buf, s.epoch);
-        put_u64(buf, s.replicas_sent);
-        put_u64(buf, s.replicas_received);
-        put_u64(buf, s.replica_queue_drops);
-        put_u64(buf, s.reconfigures);
-        put_u32(buf, s.peers_down);
-    }
-    // ... and v5 peers here: the span-ring counters are v6-born
-    if version >= 6 {
-        put_u64(buf, s.spans_recorded);
-        put_u64(buf, s.spans_evicted);
-    }
+    put_codec_counters(buf, &s.codec);
+    put_u32(buf, s.connections_active);
+    put_u32(buf, s.connections_max);
+    put_u64(buf, s.connections_shed);
+    put_u64(buf, s.redirects);
+    put_u32(buf, s.shard_id);
+    put_u32(buf, s.shard_count);
+    put_u64(buf, s.epoch);
+    put_u64(buf, s.replicas_sent);
+    put_u64(buf, s.replicas_received);
+    put_u64(buf, s.replica_queue_drops);
+    put_u64(buf, s.reconfigures);
+    put_u32(buf, s.peers_down);
+    put_u64(buf, s.spans_recorded);
+    put_u64(buf, s.spans_evicted);
 }
 
-fn read_stats(r: &mut Reader<'_>, version: u8) -> Result<ServerStats, WireError> {
-    let mut stats = ServerStats {
+fn read_stats(r: &mut Reader<'_>) -> Result<ServerStats, WireError> {
+    Ok(ServerStats {
         workers: r.u32()?,
         queue_capacity: r.u32()?,
         queued: r.u32()?,
@@ -1147,81 +1048,49 @@ fn read_stats(r: &mut Reader<'_>, version: u8) -> Result<ServerStats, WireError>
         encode: read_histogram(r)?,
         embed: read_histogram(r)?,
         segment: read_histogram(r)?,
-        codec: if version >= 3 {
-            read_codec_counters(r)?
-        } else {
-            CodecCounters::default()
-        },
-        ..ServerStats::default()
-    };
-    if version >= 4 {
-        stats.connections_active = r.u32()?;
-        stats.connections_max = r.u32()?;
-        stats.connections_shed = r.u64()?;
-        stats.redirects = r.u64()?;
-        stats.shard_id = r.u32()?;
-        stats.shard_count = r.u32()?;
-    }
-    if version >= 5 {
-        stats.epoch = r.u64()?;
-        stats.replicas_sent = r.u64()?;
-        stats.replicas_received = r.u64()?;
-        stats.replica_queue_drops = r.u64()?;
-        stats.reconfigures = r.u64()?;
-        stats.peers_down = r.u32()?;
-    }
-    if version >= 6 {
-        stats.spans_recorded = r.u64()?;
-        stats.spans_evicted = r.u64()?;
-    }
-    Ok(stats)
+        codec: read_codec_counters(r)?,
+        connections_active: r.u32()?,
+        connections_max: r.u32()?,
+        connections_shed: r.u64()?,
+        redirects: r.u64()?,
+        shard_id: r.u32()?,
+        shard_count: r.u32()?,
+        epoch: r.u64()?,
+        replicas_sent: r.u64()?,
+        replicas_received: r.u64()?,
+        replica_queue_drops: r.u64()?,
+        reconfigures: r.u64()?,
+        peers_down: r.u32()?,
+        spans_recorded: r.u64()?,
+        spans_evicted: r.u64()?,
+    })
 }
 
-/// Validates a payload's leading version byte against the supported
-/// window.
-fn check_version(version: u8) -> Result<u8, WireError> {
-    if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-        Ok(version)
-    } else {
-        Err(WireError::Version(version))
+/// Reads a payload's leading version byte, refusing any version but
+/// this build's.
+fn read_version(r: &mut Reader<'_>) -> Result<(), WireError> {
+    match r.u8()? {
+        PROTOCOL_VERSION => Ok(()),
+        other => Err(WireError::Version(other)),
     }
-}
-
-/// Version byte of a frame payload, if it has one — what the server
-/// peeks to answer each peer in its own generation.
-pub fn peek_version(payload: &[u8]) -> Option<u8> {
-    payload.first().copied()
 }
 
 impl Request {
-    /// Serialises into a frame payload at this build's version.
+    /// Serialises into a message payload.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_versioned(PROTOCOL_VERSION)
-    }
-
-    /// Serialises into a frame payload stamped with `version`, floored
-    /// at each message's birth version (`Hello` is v3-born — the
-    /// stamp *is* the version offer, so [`encode`](Self::encode) offers
-    /// this build's generation — `SubmitDirect` is v4-born, and the
-    /// resilience messages `Replicate`/`Reconfigure`/`Ping` are
-    /// v5-born).
-    pub fn encode_versioned(&self, version: u8) -> Vec<u8> {
-        let mut buf = vec![version];
+        let mut buf = vec![PROTOCOL_VERSION];
         match self {
             Request::Hello(config) => {
-                buf[0] = version.max(3);
                 put_u8(&mut buf, TAG_HELLO);
                 put_codec_config(&mut buf, config);
             }
             Request::Submit(spec) => {
                 put_u8(&mut buf, TAG_SUBMIT);
-                put_spec(&mut buf, spec, version);
+                put_spec(&mut buf, spec);
             }
             Request::SubmitDirect(spec) => {
-                let stamped = version.max(4);
-                buf[0] = stamped;
                 put_u8(&mut buf, TAG_SUBMIT_DIRECT);
-                put_spec(&mut buf, spec, stamped);
+                put_spec(&mut buf, spec);
             }
             Request::Poll(job) => {
                 put_u8(&mut buf, TAG_POLL);
@@ -1238,28 +1107,19 @@ impl Request {
                 bytes,
                 trace,
             } => {
-                buf[0] = version.max(5);
                 put_u8(&mut buf, TAG_REPLICATE);
                 put_u64(&mut buf, *epoch);
                 put_u64(&mut buf, *key);
                 put_bytes(&mut buf, bytes);
-                // v5 replicas expect the payload to end at the bytes
-                if buf[0] >= 6 {
-                    put_u64(&mut buf, *trace);
-                }
+                put_u64(&mut buf, *trace);
             }
             Request::Reconfigure { epoch, peers } => {
-                buf[0] = version.max(5);
                 put_u8(&mut buf, TAG_RECONFIGURE);
                 put_u64(&mut buf, *epoch);
                 put_peers(&mut buf, peers);
             }
-            Request::Ping => {
-                buf[0] = version.max(5);
-                put_u8(&mut buf, TAG_PING);
-            }
+            Request::Ping => put_u8(&mut buf, TAG_PING),
             Request::TraceDump { trace } => {
-                buf[0] = version.max(6);
                 put_u8(&mut buf, TAG_TRACE_DUMP);
                 put_u64(&mut buf, *trace);
             }
@@ -1267,35 +1127,35 @@ impl Request {
         buf
     }
 
-    /// Parses a frame payload (any supported version).
+    /// Parses a message payload.
     ///
     /// # Errors
     ///
-    /// [`WireError`] for a version outside the supported window, an
-    /// unknown tag for that version, truncated or trailing bytes, or
-    /// an out-of-domain field.
+    /// [`WireError`] for a version other than [`PROTOCOL_VERSION`], an
+    /// unknown tag, truncated or trailing bytes, or an out-of-domain
+    /// field.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(payload);
-        let version = check_version(r.u8()?)?;
+        read_version(&mut r)?;
         let request = match r.u8()? {
-            TAG_HELLO if version >= 3 => Request::Hello(read_codec_config(&mut r)?),
-            TAG_SUBMIT_DIRECT if version >= 4 => Request::SubmitDirect(read_spec(&mut r, version)?),
-            TAG_REPLICATE if version >= 5 => Request::Replicate {
-                epoch: r.u64()?,
-                key: r.u64()?,
-                bytes: r.bytes()?,
-                trace: if version >= 6 { r.u64()? } else { 0 },
-            },
-            TAG_RECONFIGURE if version >= 5 => Request::Reconfigure {
-                epoch: r.u64()?,
-                peers: r.peers()?,
-            },
-            TAG_PING if version >= 5 => Request::Ping,
-            TAG_TRACE_DUMP if version >= 6 => Request::TraceDump { trace: r.u64()? },
-            TAG_SUBMIT => Request::Submit(read_spec(&mut r, version)?),
+            TAG_HELLO => Request::Hello(read_codec_config(&mut r)?),
+            TAG_SUBMIT => Request::Submit(read_spec(&mut r)?),
+            TAG_SUBMIT_DIRECT => Request::SubmitDirect(read_spec(&mut r)?),
             TAG_POLL => Request::Poll(r.u64()?),
             TAG_WAIT => Request::Wait(r.u64()?),
             TAG_STATS => Request::Stats,
+            TAG_REPLICATE => Request::Replicate {
+                epoch: r.u64()?,
+                key: r.u64()?,
+                bytes: r.bytes()?,
+                trace: r.u64()?,
+            },
+            TAG_RECONFIGURE => Request::Reconfigure {
+                epoch: r.u64()?,
+                peers: r.peers()?,
+            },
+            TAG_PING => Request::Ping,
+            TAG_TRACE_DUMP => Request::TraceDump { trace: r.u64()? },
             tag => return Err(WireError::BadTag(tag)),
         };
         r.finish()?;
@@ -1304,19 +1164,9 @@ impl Request {
 }
 
 impl Response {
-    /// Serialises into a frame payload at this build's version.
+    /// Serialises into a message payload.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_versioned(PROTOCOL_VERSION)
-    }
-
-    /// Serialises into a frame payload stamped with `version`, using
-    /// that version's layout (a v2 `Stats` reply omits the codec
-    /// counters, a v3 one the fleet counters; `HelloAck` is v3-born
-    /// and stamps at least version 3 — a v4 server acking a v3 peer
-    /// stamps 3, which is how the connection's generation is agreed;
-    /// `Redirect` is v4-born).
-    pub fn encode_versioned(&self, version: u8) -> Vec<u8> {
-        let mut buf = vec![version];
+        let mut buf = vec![PROTOCOL_VERSION];
         match self {
             Response::Accepted(job) => {
                 put_u8(&mut buf, TAG_ACCEPTED);
@@ -1339,56 +1189,45 @@ impl Response {
             }
             Response::Done(report) => {
                 put_u8(&mut buf, TAG_DONE);
-                put_report(&mut buf, report, version);
+                put_report(&mut buf, report);
             }
             Response::Failed { message, conn } => {
                 put_u8(&mut buf, TAG_FAILED);
                 put_str(&mut buf, message);
-                // pre-v6 peers expect failures to end at the message
-                if version >= 6 {
-                    put_conn_stats(&mut buf, conn);
-                }
+                put_conn_stats(&mut buf, conn);
             }
             Response::Stats(stats) => {
                 put_u8(&mut buf, TAG_STATS_REPLY);
-                put_stats(&mut buf, stats, version);
+                put_stats(&mut buf, stats);
             }
             Response::Error(message) => {
                 put_u8(&mut buf, TAG_ERROR);
                 put_str(&mut buf, message);
             }
             Response::HelloAck(config) => {
-                buf[0] = version.max(3);
                 put_u8(&mut buf, TAG_HELLO_ACK);
                 put_codec_config(&mut buf, config);
             }
             Response::Redirect { addr, trace } => {
-                buf[0] = version.max(4);
                 put_u8(&mut buf, TAG_REDIRECT);
                 put_str(&mut buf, addr);
-                // v4/v5 peers expect the redirect to end at the address
-                if buf[0] >= 6 {
-                    put_u64(&mut buf, *trace);
-                }
+                put_u64(&mut buf, *trace);
             }
             Response::Pong {
                 epoch,
                 shard_id,
                 peers,
             } => {
-                buf[0] = version.max(5);
                 put_u8(&mut buf, TAG_PONG);
                 put_u64(&mut buf, *epoch);
                 put_u32(&mut buf, *shard_id);
                 put_peers(&mut buf, peers);
             }
             Response::Ack { epoch } => {
-                buf[0] = version.max(5);
                 put_u8(&mut buf, TAG_ACK);
                 put_u64(&mut buf, *epoch);
             }
             Response::Spans(dump) => {
-                buf[0] = version.max(6);
                 put_u8(&mut buf, TAG_SPANS);
                 put_span_dump(&mut buf, dump);
             }
@@ -1396,14 +1235,14 @@ impl Response {
         buf
     }
 
-    /// Parses a frame payload (any supported version).
+    /// Parses a message payload.
     ///
     /// # Errors
     ///
     /// [`WireError`], as for [`Request::decode`].
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(payload);
-        let version = check_version(r.u8()?)?;
+        read_version(&mut r)?;
         let response = match r.u8()? {
             TAG_ACCEPTED => Response::Accepted(r.u64()?),
             TAG_BUSY => Response::Busy {
@@ -1415,29 +1254,25 @@ impl Response {
                 1 => JobPhase::Running,
                 _ => return Err(WireError::BadField("phase")),
             }),
-            TAG_DONE => Response::Done(read_report(&mut r, version)?),
+            TAG_DONE => Response::Done(read_report(&mut r)?),
             TAG_FAILED => Response::Failed {
                 message: r.string()?,
-                conn: if version >= 6 {
-                    read_conn_stats(&mut r)?
-                } else {
-                    ConnStats::default()
-                },
+                conn: read_conn_stats(&mut r)?,
             },
-            TAG_STATS_REPLY => Response::Stats(read_stats(&mut r, version)?),
+            TAG_STATS_REPLY => Response::Stats(read_stats(&mut r)?),
             TAG_ERROR => Response::Error(r.string()?),
-            TAG_HELLO_ACK if version >= 3 => Response::HelloAck(read_codec_config(&mut r)?),
-            TAG_REDIRECT if version >= 4 => Response::Redirect {
+            TAG_HELLO_ACK => Response::HelloAck(read_codec_config(&mut r)?),
+            TAG_REDIRECT => Response::Redirect {
                 addr: r.string()?,
-                trace: if version >= 6 { r.u64()? } else { 0 },
+                trace: r.u64()?,
             },
-            TAG_PONG if version >= 5 => Response::Pong {
+            TAG_PONG => Response::Pong {
                 epoch: r.u64()?,
                 shard_id: r.u32()?,
                 peers: r.peers()?,
             },
-            TAG_ACK if version >= 5 => Response::Ack { epoch: r.u64()? },
-            TAG_SPANS if version >= 6 => Response::Spans(read_span_dump(&mut r)?),
+            TAG_ACK => Response::Ack { epoch: r.u64()? },
+            TAG_SPANS => Response::Spans(read_span_dump(&mut r)?),
             tag => return Err(WireError::BadTag(tag)),
         };
         r.finish()?;
@@ -1645,8 +1480,7 @@ mod tests {
                 },
                 segment: PhaseHistogram::default(),
                 codec: CodecCounters {
-                    connections_v2: 1,
-                    connections_v3: 5,
+                    connections: 6,
                     frames_sent: 900,
                     frames_received: 850,
                     crc_rejects: 3,
@@ -1707,238 +1541,6 @@ mod tests {
     }
 
     #[test]
-    fn hello_round_trips_and_is_v3_only() {
-        let hello = Request::Hello(CodecConfig {
-            compress: false,
-            chunk_bytes: 1024,
-        });
-        let payload = hello.encode();
-        assert_eq!(payload[0], PROTOCOL_VERSION);
-        assert_eq!(Request::decode(&payload), Ok(hello));
-
-        // a v2-stamped Hello is an unknown tag, exactly what a real v2
-        // build would say
-        let mut downgraded = payload.clone();
-        downgraded[0] = 2;
-        assert_eq!(
-            Request::decode(&downgraded),
-            Err(WireError::BadTag(TAG_HELLO))
-        );
-        let mut ack = Response::HelloAck(CodecConfig::preferred()).encode();
-        ack[0] = 2;
-        assert_eq!(
-            Response::decode(&ack),
-            Err(WireError::BadTag(TAG_HELLO_ACK))
-        );
-    }
-
-    #[test]
-    fn v2_peers_speak_the_old_stats_layout() {
-        let mut stats = ServerStats {
-            workers: 2,
-            jobs_done: 9,
-            connections_active: 1,
-            connections_max: 64,
-            connections_shed: 3,
-            redirects: 5,
-            shard_id: 2,
-            shard_count: 4,
-            epoch: 6,
-            replicas_sent: 13,
-            replicas_received: 12,
-            replica_queue_drops: 1,
-            reconfigures: 2,
-            peers_down: 1,
-            spans_recorded: 120,
-            spans_evicted: 7,
-            ..ServerStats::default()
-        };
-        stats.codec.connections_v3 = 7;
-        stats.codec.crc_rejects = 2;
-        let reply = Response::Stats(stats);
-
-        let v2 = reply.encode_versioned(2);
-        let v3 = reply.encode_versioned(3);
-        let v4 = reply.encode_versioned(4);
-        let v5 = reply.encode_versioned(5);
-        let v6 = reply.encode_versioned(6);
-        assert_eq!(v2[0], 2);
-        assert_eq!(v3[0], 3);
-        assert_eq!(v4[0], 4);
-        assert_eq!(v5[0], 5);
-        assert_eq!(v6[0], 6);
-        // each generation's layout is exactly the next one minus its
-        // trailing counter block (and the version stamp)
-        assert_eq!(v3.len() - v2.len(), 9 * 8);
-        assert_eq!(v2[1..], v3[1..v2.len()]);
-        assert_eq!(v4.len() - v3.len(), 4 + 4 + 8 + 8 + 4 + 4);
-        assert_eq!(v3[1..], v4[1..v3.len()]);
-        assert_eq!(v5.len() - v4.len(), 8 + 8 + 8 + 8 + 8 + 4);
-        assert_eq!(v4[1..], v5[1..v4.len()]);
-        assert_eq!(v6.len() - v5.len(), 8 + 8);
-        assert_eq!(v5[1..], v6[1..v5.len()]);
-
-        match Response::decode(&v2).unwrap() {
-            Response::Stats(back) => {
-                assert_eq!(back.jobs_done, 9);
-                assert_eq!(back.codec, CodecCounters::default());
-                assert_eq!(back.shard_count, 0);
-            }
-            other => panic!("v2 stats decoded as {other:?}"),
-        }
-        match Response::decode(&v3).unwrap() {
-            Response::Stats(back) => {
-                assert_eq!(back.codec.connections_v3, 7);
-                assert_eq!(back.connections_shed, 0, "fleet counters are v4-born");
-                assert_eq!(back.shard_count, 0);
-            }
-            other => panic!("v3 stats decoded as {other:?}"),
-        }
-        match Response::decode(&v4).unwrap() {
-            Response::Stats(back) => {
-                assert_eq!(back.shard_count, 4);
-                assert_eq!(back.epoch, 0, "epoch + replica counters are v5-born");
-                assert_eq!(back.replicas_sent, 0);
-            }
-            other => panic!("v4 stats decoded as {other:?}"),
-        }
-        match Response::decode(&v5).unwrap() {
-            Response::Stats(back) => {
-                assert_eq!(back.peers_down, 1);
-                assert_eq!(back.spans_recorded, 0, "span counters are v6-born");
-                assert_eq!(back.spans_evicted, 0);
-            }
-            other => panic!("v5 stats decoded as {other:?}"),
-        }
-        assert_eq!(Response::decode(&v6), Ok(reply));
-
-        // every v2-stamped request round-trips at the old layout too
-        for request in [Request::Poll(3), Request::Wait(4), Request::Stats] {
-            let payload = request.encode_versioned(2);
-            assert_eq!(payload[0], 2);
-            assert_eq!(Request::decode(&payload), Ok(request));
-        }
-    }
-
-    #[test]
-    fn fleet_messages_are_v4_born() {
-        // SubmitDirect and Redirect refuse to encode below v4 (the
-        // stamp is forced up) and refuse to decode below v4 (an older
-        // build would answer BadTag, exactly what a real one does)
-        let direct = Request::SubmitDirect(spec());
-        let payload = direct.encode_versioned(2);
-        assert_eq!(payload[0], 4);
-        assert_eq!(Request::decode(&payload), Ok(direct));
-        let mut downgraded = payload;
-        downgraded[0] = 3;
-        assert_eq!(
-            Request::decode(&downgraded),
-            Err(WireError::BadTag(TAG_SUBMIT_DIRECT))
-        );
-
-        let redirect = Response::Redirect {
-            addr: "127.0.0.1:7213".to_string(),
-            trace: 0,
-        };
-        let payload = redirect.encode_versioned(3);
-        assert_eq!(payload[0], 4);
-        assert_eq!(Response::decode(&payload), Ok(redirect));
-        let mut downgraded = payload;
-        downgraded[0] = 2;
-        assert_eq!(
-            Response::decode(&downgraded),
-            Err(WireError::BadTag(TAG_REDIRECT))
-        );
-
-        // a v4 server acking a v3 peer stamps the ack at the peer's
-        // generation — that is the whole version-mirroring contract
-        let ack = Response::HelloAck(CodecConfig::preferred());
-        assert_eq!(ack.encode_versioned(3)[0], 3);
-        assert_eq!(ack.encode_versioned(4)[0], 4);
-        assert_eq!(ack.encode_versioned(2)[0], 3, "HelloAck is v3-born");
-    }
-
-    #[test]
-    fn resilience_messages_are_v5_born() {
-        // every resilience message forces its stamp up to v5 on encode
-        // and refuses to decode below v5 — an older build answers
-        // BadTag, exactly what a real one does
-        let requests = [
-            Request::Replicate {
-                epoch: 1,
-                key: 42,
-                bytes: vec![1, 2, 3],
-                trace: 0,
-            },
-            Request::Reconfigure {
-                epoch: 2,
-                peers: vec!["127.0.0.1:7211".to_string()],
-            },
-            Request::Ping,
-        ];
-        for request in requests {
-            let payload = request.encode_versioned(2);
-            assert_eq!(payload[0], 5, "{request:?} must be stamped v5");
-            assert_eq!(Request::decode(&payload), Ok(request.clone()));
-            let mut downgraded = payload;
-            downgraded[0] = 4;
-            assert!(
-                matches!(Request::decode(&downgraded), Err(WireError::BadTag(_))),
-                "{request:?} decoded below its birth version"
-            );
-        }
-        let responses = [
-            Response::Pong {
-                epoch: 1,
-                shard_id: 0,
-                peers: vec!["127.0.0.1:7211".to_string()],
-            },
-            Response::Ack { epoch: 1 },
-        ];
-        for response in responses {
-            let payload = response.encode_versioned(3);
-            assert_eq!(payload[0], 5, "{response:?} must be stamped v5");
-            assert_eq!(Response::decode(&payload), Ok(response.clone()));
-            let mut downgraded = payload;
-            downgraded[0] = 4;
-            assert!(
-                matches!(Response::decode(&downgraded), Err(WireError::BadTag(_))),
-                "{response:?} decoded below its birth version"
-            );
-        }
-    }
-
-    #[test]
-    fn pre_v5_peers_speak_the_old_report_layout() {
-        let reply = Response::Done(report());
-        let v4 = reply.encode_versioned(4);
-        let v5 = reply.encode_versioned(5);
-        let v6 = reply.encode_versioned(6);
-        // the v5 report is exactly the v4 one plus the trailing
-        // 6-counter connection block, and the v6 one adds the trace
-        // echo (and the version stamp)
-        assert_eq!(v5.len() - v4.len(), 6 * 8);
-        assert_eq!(v4[1..], v5[1..v4.len()]);
-        assert_eq!(v6.len() - v5.len(), 8);
-        assert_eq!(v5[1..], v6[1..v5.len()]);
-        match Response::decode(&v4).unwrap() {
-            Response::Done(back) => {
-                assert_eq!(back.digest, report().digest);
-                assert_eq!(back.conn, ConnStats::default(), "conn stats are v5-born");
-            }
-            other => panic!("v4 report decoded as {other:?}"),
-        }
-        match Response::decode(&v5).unwrap() {
-            Response::Done(back) => {
-                assert_eq!(back.conn, report().conn);
-                assert_eq!(back.trace, 0, "the trace echo is v6-born");
-            }
-            other => panic!("v5 report decoded as {other:?}"),
-        }
-        assert_eq!(Response::decode(&v6), Ok(reply));
-    }
-
-    #[test]
     fn codec_counter_ratios() {
         let mut c = CodecCounters::default();
         assert_eq!(c.tx_ratio(), 1.0);
@@ -1982,7 +1584,7 @@ mod tests {
         *resp.last_mut().unwrap() = 7;
         assert_eq!(Response::decode(&resp), Err(WireError::BadField("phase")));
         // tier byte sits just before the trailing 8-byte service time,
-        // the 48-byte v5 connection block, and the 8-byte v6 trace echo
+        // the 48-byte connection block, and the 8-byte trace echo
         let mut done = Response::Done(report()).encode();
         let at = done.len() - 65;
         done[at] = 9;
@@ -2004,111 +1606,20 @@ mod tests {
     }
 
     #[test]
-    fn trace_messages_are_v6_born() {
-        // TraceDump and Spans force their stamp up to v6 on encode and
-        // refuse to decode below v6 — an older build answers BadTag
-        let dump = Request::TraceDump { trace: 99 };
-        let payload = dump.encode_versioned(2);
-        assert_eq!(payload[0], 6, "TraceDump must be stamped v6");
-        assert_eq!(Request::decode(&payload), Ok(dump));
-        let mut downgraded = payload;
-        downgraded[0] = 5;
-        assert_eq!(
-            Request::decode(&downgraded),
-            Err(WireError::BadTag(TAG_TRACE_DUMP))
-        );
-
-        let spans = Response::Spans(SpanDump::default());
-        let payload = spans.encode_versioned(3);
-        assert_eq!(payload[0], 6, "Spans must be stamped v6");
-        assert_eq!(Response::decode(&payload), Ok(spans));
-        let mut downgraded = payload;
-        downgraded[0] = 5;
-        assert_eq!(
-            Response::decode(&downgraded),
-            Err(WireError::BadTag(TAG_SPANS))
-        );
-    }
-
-    #[test]
-    fn pre_v6_peers_negotiate_tracing_away() {
-        // the v6 spec is exactly the v5 one plus the trailing trace
-        // context — a v5 peer never sees it, and the trace comes back
-        // zeroed, which is the "tracing off" sentinel everywhere
-        let traced = Request::Submit(traced_spec());
-        let v5 = traced.encode_versioned(5);
-        let v6 = traced.encode_versioned(6);
-        assert_eq!(v6.len() - v5.len(), 8 + 8 + 4);
-        assert_eq!(v5[1..], v6[1..v5.len()]);
-        assert_eq!(Request::decode(&v5), Ok(Request::Submit(spec())));
-        assert_eq!(Request::decode(&v6), Ok(traced));
-
-        // same for the replicate push: the trace rides behind the bytes
-        let push = Request::Replicate {
-            epoch: 1,
-            key: 42,
-            bytes: vec![1, 2, 3],
-            trace: 0x1111_2222_3333_4444,
-        };
-        let v5 = push.encode_versioned(5);
-        let v6 = push.encode_versioned(6);
-        assert_eq!(v6.len() - v5.len(), 8);
-        assert_eq!(v5[1..], v6[1..v5.len()]);
-        match Request::decode(&v5).unwrap() {
-            Request::Replicate { trace, .. } => assert_eq!(trace, 0),
-            other => panic!("v5 replicate decoded as {other:?}"),
-        }
-        assert_eq!(Request::decode(&v6), Ok(push));
-
-        // a failure answered to a v5 peer ends at the message; the v6
-        // one carries the connection block
-        let failed = Response::Failed {
-            message: "boom".to_string(),
-            conn: ConnStats {
-                frames_sent: 1,
-                frames_received: 1,
-                raw_tx_bytes: 10,
-                wire_tx_bytes: 12,
-                raw_rx_bytes: 20,
-                wire_rx_bytes: 22,
-            },
-        };
-        let v5 = failed.encode_versioned(5);
-        let v6 = failed.encode_versioned(6);
-        assert_eq!(v6.len() - v5.len(), 6 * 8);
-        assert_eq!(v5[1..], v6[1..v5.len()]);
-        match Response::decode(&v5).unwrap() {
-            Response::Failed { message, conn } => {
-                assert_eq!(message, "boom");
-                assert_eq!(conn, ConnStats::default(), "failure conn stats are v6-born");
-            }
-            other => panic!("v5 failure decoded as {other:?}"),
-        }
-        assert_eq!(Response::decode(&v6), Ok(failed));
-
-        // a redirect answered to a v4/v5 peer ends at the address
-        let redirect = Response::Redirect {
-            addr: "127.0.0.1:7213".to_string(),
-            trace: 0x1111_2222_3333_4444,
-        };
-        let v5 = redirect.encode_versioned(5);
-        let v6 = redirect.encode_versioned(6);
-        assert_eq!(v6.len() - v5.len(), 8);
-        assert_eq!(v5[1..], v6[1..v5.len()]);
-        match Response::decode(&v5).unwrap() {
-            Response::Redirect { trace, .. } => assert_eq!(trace, 0),
-            other => panic!("v5 redirect decoded as {other:?}"),
-        }
-        assert_eq!(Response::decode(&v6), Ok(redirect));
-    }
-
-    #[test]
     fn histogram_buckets_are_log2_micros() {
         assert_eq!(PhaseHistogram::bucket_index(0), 0);
         assert_eq!(PhaseHistogram::bucket_index(1), 0);
         assert_eq!(PhaseHistogram::bucket_index(2), 1);
         assert_eq!(PhaseHistogram::bucket_index(3), 1);
         assert_eq!(PhaseHistogram::bucket_index(1024), 10);
+        // the slowest full-scale cold encode (395 s) lands in a finite
+        // bucket; only samples from 2^32 us (~71.6 min) up are open-ended
+        assert_eq!(PhaseHistogram::bucket_index(395_000_000), 28);
+        assert_eq!(
+            PhaseHistogram::bucket_index((1 << 32) - 1),
+            HISTOGRAM_BUCKETS - 2
+        );
+        assert_eq!(PhaseHistogram::bucket_index(1 << 32), HISTOGRAM_BUCKETS - 1);
         assert_eq!(
             PhaseHistogram::bucket_index(u64::MAX),
             HISTOGRAM_BUCKETS - 1
@@ -2193,6 +1704,9 @@ mod tests {
         // out-of-range fractions clamp to the extremes
         assert_eq!(h.percentile_micros(0.0), 127);
         assert_eq!(h.percentile_micros(2.0), 131_071);
+        // a 395 s cold encode reports a finite bound, not the open top
+        h.record(395_000_000);
+        assert_eq!(h.percentile_micros(1.0), (1 << 29) - 1);
     }
 
     #[test]

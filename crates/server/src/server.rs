@@ -13,7 +13,7 @@
 //!
 //! sharded only:
 //!   replicator ── drains the bounded write-behind queue, pushing
-//!                 cold artifacts to ring peers (v5 Replicate)
+//!                 cold artifacts to ring peers (Replicate)
 //!   prober     ── pings ring peers, feeds the health table, adopts
 //!                 higher ring epochs gossiped back in Pong
 //! ```
@@ -46,11 +46,11 @@ use ss_telemetry::{
 use ss_testdata::TestSet;
 
 use crate::cache::{cache_key, ArtifactCache, CachedArtifacts};
-use crate::codec::{Codec, CodecConfig, CodecError, Transport, WireStats};
+use crate::client::Client;
+use crate::codec::{Codec, CodecConfig, CodecError, WireStats, MAX_MESSAGE_BYTES};
 use crate::protocol::{
-    peek_version, read_frame, write_frame, CacheTier, CodecCounters, ConnStats, JobPhase,
-    JobReport, JobSpec, PhaseHistogram, Request, Response, ServerStats, TierStats, MAX_FRAME_BYTES,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    read_frame, write_frame, CacheTier, CodecCounters, ConnStats, JobPhase, JobReport, JobSpec,
+    PhaseHistogram, Request, Response, ServerStats, TierStats,
 };
 use crate::report_digest;
 use crate::shard::{ShardError, ShardRing, ShardSpec};
@@ -88,11 +88,12 @@ const REPLICATION_QUEUE_DEPTH: usize = 1024;
 /// How often the prober pings ring peers (health + epoch gossip).
 const PROBE_INTERVAL: Duration = Duration::from_millis(250);
 
-/// Connect timeout for shard-to-shard frames (probes and replica
+/// Connect timeout for shard-to-shard connections (probes and replica
 /// pushes); a dead peer costs at most this per attempt.
 const PEER_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// Read/write timeout once a peer connection is up.
+/// Read/write timeout once a peer connection is up, the `Hello`
+/// exchange included.
 const PEER_IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Tunables for [`Server::bind`]. `Default` is a loopback address on
@@ -247,8 +248,7 @@ struct PhaseTimes {
 /// snapshotted into [`CodecCounters`] for `Stats` replies.
 #[derive(Default)]
 struct CodecTelemetry {
-    connections_v2: AtomicU64,
-    connections_v3: AtomicU64,
+    connections: AtomicU64,
     frames_sent: AtomicU64,
     frames_received: AtomicU64,
     crc_rejects: AtomicU64,
@@ -259,8 +259,7 @@ struct CodecTelemetry {
 }
 
 impl CodecTelemetry {
-    /// Accounts one received message (framed connections only — the
-    /// counters describe codec traffic, not legacy frames).
+    /// Accounts one received message.
     fn add_rx(&self, stats: WireStats) {
         self.frames_received
             .fetch_add(stats.frames, Ordering::Relaxed);
@@ -270,7 +269,7 @@ impl CodecTelemetry {
             .fetch_add(stats.wire_bytes, Ordering::Relaxed);
     }
 
-    /// Accounts one sent message (framed connections only).
+    /// Accounts one sent message.
     fn add_tx(&self, stats: WireStats) {
         self.frames_sent.fetch_add(stats.frames, Ordering::Relaxed);
         self.raw_tx_bytes
@@ -281,8 +280,7 @@ impl CodecTelemetry {
 
     fn snapshot(&self) -> CodecCounters {
         CodecCounters {
-            connections_v2: self.connections_v2.load(Ordering::Relaxed),
-            connections_v3: self.connections_v3.load(Ordering::Relaxed),
+            connections: self.connections.load(Ordering::Relaxed),
             frames_sent: self.frames_sent.load(Ordering::Relaxed),
             frames_received: self.frames_received.load(Ordering::Relaxed),
             crc_rejects: self.crc_rejects.load(Ordering::Relaxed),
@@ -452,11 +450,9 @@ impl Shared {
     /// shard — answers the owner's address (`Redirect`). The error
     /// carries a client-facing message.
     ///
-    /// `direct` submissions (`SubmitDirect`, and every plain submit
-    /// from a pre-v4 peer, which could not parse a redirect) always
-    /// execute locally: that is the balancer's failover path onto a
-    /// non-owner, which must never be bounced back toward a dead
-    /// owner.
+    /// `direct` submissions (`SubmitDirect`) always execute locally:
+    /// that is the balancer's failover path onto a non-owner, which
+    /// must never be bounced back toward a dead owner.
     fn try_enqueue(&self, mut spec: JobSpec, direct: bool) -> Result<Enqueue, String> {
         let set = TestSet::from_text(&spec.set_text).map_err(|e| format!("cube file: {e}"))?;
         if set.is_empty() {
@@ -1202,24 +1198,13 @@ fn ingest_replica(shared: &Shared, key: u64, bytes: &[u8], trace: u64) -> Respon
     }
 }
 
-/// One plain-frame request/response exchange with a ring peer, under
-/// the peer timeouts. Shard-to-shard frames skip `Hello`: v5 messages
-/// are plain frames both ends of a fleet parse by construction.
+/// One request/response exchange with a ring peer, opened through the
+/// same `Hello` exchange as any client and bounded by the peer
+/// timeouts.
 fn send_peer_request(addr: &str, request: &Request) -> Result<Response, String> {
-    use std::net::ToSocketAddrs;
-    let sock = addr
-        .to_socket_addrs()
-        .map_err(|e| e.to_string())?
-        .next()
-        .ok_or_else(|| format!("{addr}: no usable address"))?;
-    let mut stream =
-        TcpStream::connect_timeout(&sock, PEER_CONNECT_TIMEOUT).map_err(|e| e.to_string())?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(PEER_IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(PEER_IO_TIMEOUT));
-    write_frame(&mut stream, &request.encode()).map_err(|e| e.to_string())?;
-    let payload = read_frame(&mut stream).map_err(|e| e.to_string())?;
-    Response::decode(&payload).map_err(|e| e.to_string())
+    Client::connect_peer(addr, PEER_CONNECT_TIMEOUT, PEER_IO_TIMEOUT)
+        .and_then(|mut peer| peer.call(request))
+        .map_err(|e| e.to_string())
 }
 
 /// Pushes one replication task to its targets: resolves the artifact
@@ -1248,9 +1233,9 @@ fn replicate_task(shared: &Shared, task: ReplicationTask) {
         },
     };
     let bytes = artifact.to_bytes(task.key);
-    // a Replicate travels as one frame; an envelope that cannot fit is
-    // dropped and counted, never split
-    if bytes.len() + 64 > MAX_FRAME_BYTES {
+    // a Replicate travels as one codec message; an envelope that
+    // cannot fit the message cap is dropped and counted, never split
+    if bytes.len() as u64 + 64 > MAX_MESSAGE_BYTES {
         shared.replica_drops.fetch_add(1, Ordering::Relaxed);
         return;
     }
@@ -1276,8 +1261,8 @@ fn replicate_task(shared: &Shared, task: ReplicationTask) {
                     || format!("key={:016x} -> {target}", task.key),
                 );
             }
-            // the peer answered but refused (verification, version):
-            // it is alive, just not a replica holder
+            // the peer answered but refused (verification): it is
+            // alive, just not a replica holder
             Ok(_) => shared.note_peer(target, true),
             Err(_) => shared.note_peer(target, false),
         }
@@ -1337,7 +1322,7 @@ fn prober_loop(shared: &Shared) {
                         let _ = apply_reconfigure(shared, peer_epoch, peer_list);
                     }
                 }
-                // a pre-v5 peer answers Error — alive, no gossip
+                // any answer at all means the peer is alive
                 Ok(_) => shared.note_peer(peer, true),
                 Err(_) => shared.note_peer(peer, false),
             }
@@ -1446,20 +1431,15 @@ fn request_trace(request: &Request) -> Option<TraceContext> {
 }
 
 /// Answers one decoded request. `Wait` blocks (with a stop check);
-/// everything else is immediate. `version` is the connection's agreed
-/// protocol generation: a pre-v4 peer cannot parse `Redirect`, so its
-/// plain submissions are served locally even on a non-owner shard
-/// (exactly-once cluster-wide is a property of v4/balancer traffic;
-/// legacy traffic degrades to at-least-once with bit-identical
-/// answers).
-fn respond(shared: &Shared, request: Request, version: u8) -> Response {
+/// everything else is immediate.
+fn respond(shared: &Shared, request: Request) -> Response {
     match request {
         // negotiation is handled at the connection layer; a second
         // Hello mid-connection is a protocol violation
         Request::Hello(_) => Response::Error("codec already negotiated".to_string()),
         Request::Submit(spec) => {
             let trace = spec.trace;
-            match shared.try_enqueue(spec, version < 4) {
+            match shared.try_enqueue(spec, false) {
                 Ok(Enqueue::Accepted(id)) => Response::Accepted(id),
                 Ok(Enqueue::Busy { queued, capacity }) => Response::Busy { queued, capacity },
                 Ok(Enqueue::Redirect(addr)) => {
@@ -1545,12 +1525,32 @@ fn respond(shared: &Shared, request: Request, version: u8) -> Response {
     }
 }
 
+/// The opening exchange of every connection: the first frame must be
+/// a `Hello` at this build's protocol version. It is answered with a
+/// plain-frame `HelloAck` and the agreed codec is returned. Anything
+/// else — another message, another version, garbage — is answered with
+/// one plain-frame [`Response::Error`], and `None` tells the caller to
+/// close.
+fn accept_hello(shared: &Shared, stream: &mut TcpStream) -> Option<Codec> {
+    let payload = read_frame(stream).ok()?;
+    let refusal = match Request::decode(&payload) {
+        Ok(Request::Hello(offer)) => {
+            let agreed = CodecConfig::negotiate(offer);
+            shared.codec.connections.fetch_add(1, Ordering::Relaxed);
+            let ack = Response::HelloAck(agreed).encode();
+            return write_frame(stream, &ack).ok().map(|()| Codec::new(agreed));
+        }
+        Ok(_) => "a connection must open with Hello".to_string(),
+        Err(e) => e.to_string(),
+    };
+    let _ = write_frame(stream, &Response::Error(refusal).encode());
+    None
+}
+
 /// Serves one connection until the peer closes, errors or idles out.
 ///
-/// The connection opens in legacy (plain-frame) mode; a v3 peer's
-/// `Hello` upgrades it to the negotiated codec chain for every
-/// subsequent message. Replies are stamped with the peer's own
-/// protocol generation, so a v2 client decodes every answer it gets.
+/// The connection opens with the `Hello` exchange ([`accept_hello`]);
+/// every later message travels through the agreed codec chain.
 ///
 /// A codec failure — CRC mismatch, reordered chunks, a lying length or
 /// total — is answered with one typed [`Response::Error`] and the
@@ -1560,22 +1560,26 @@ fn respond(shared: &Shared, request: Request, version: u8) -> Response {
 fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let mut transport = Transport::Legacy;
-    // reply generation: mirrors the peer until negotiation pins v3
-    let mut version = MIN_PROTOCOL_VERSION;
-    let mut counted = false;
-    // per-connection codec totals, echoed inside every v5 Done so a
-    // client sees its own wire costs without a Stats round-trip
+    let Some(codec) = accept_hello(shared, &mut stream) else {
+        return;
+    };
+    // per-connection codec totals, echoed inside every Done/Failed so
+    // a client sees its own wire costs without a Stats round-trip
     let mut conn = ConnStats::default();
     loop {
-        let (payload, rx) = match transport.read_message(&mut stream) {
+        // frames of a rejected message were still received: account
+        // them before looking at the outcome
+        let mut rx = WireStats::default();
+        let read = codec.read_message(&mut stream, &mut rx);
+        shared.codec.add_rx(rx);
+        let payload = match read {
             Ok(message) => message,
             Err(CodecError::Io(err)) => {
                 // a lying frame-length field is detected corruption and
                 // gets a typed answer; a vanished/idle peer just closes
-                if err.kind() == io::ErrorKind::InvalidData && transport.is_framed() {
-                    let reply = Response::Error(format!("codec: {err}")).encode_versioned(version);
-                    let _ = transport.write_message(&mut stream, &reply);
+                if err.kind() == io::ErrorKind::InvalidData {
+                    let reply = Response::Error(format!("codec: {err}")).encode();
+                    let _ = codec.write_message(&mut stream, &reply);
                 }
                 return;
             }
@@ -1583,54 +1587,17 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
                 if err.is_integrity() {
                     shared.codec.crc_rejects.fetch_add(1, Ordering::Relaxed);
                 }
-                let reply = Response::Error(format!("codec: {err}")).encode_versioned(version);
-                let _ = transport.write_message(&mut stream, &reply);
+                let reply = Response::Error(format!("codec: {err}")).encode();
+                let _ = codec.write_message(&mut stream, &reply);
                 return;
             }
         };
-        if transport.is_framed() {
-            shared.codec.add_rx(rx);
-            conn.frames_received += rx.frames;
-            conn.raw_rx_bytes += rx.raw_bytes;
-            conn.wire_rx_bytes += rx.wire_bytes;
-        }
+        conn.frames_received += rx.frames;
+        conn.raw_rx_bytes += rx.raw_bytes;
+        conn.wire_rx_bytes += rx.wire_bytes;
         let decode_start = shared.clock.now_micros();
         let mut response = match Request::decode(&payload) {
-            Ok(Request::Hello(offer)) if !transport.is_framed() => {
-                let agreed = CodecConfig::negotiate(offer);
-                // the connection runs at min(peer, us): the ack's
-                // version byte mirrors the agreement back, so a newer
-                // client downgrades itself instead of sending messages
-                // this build can't parse
-                version = match peek_version(&payload) {
-                    Some(v) if v < PROTOCOL_VERSION => v,
-                    _ => PROTOCOL_VERSION,
-                };
-                if !counted {
-                    counted = true;
-                    shared.codec.connections_v3.fetch_add(1, Ordering::Relaxed);
-                }
-                // the ack travels as a plain frame; the codec applies
-                // from the next message on
-                let ack = Response::HelloAck(agreed).encode_versioned(version);
-                if write_frame(&mut stream, &ack).is_err() {
-                    return;
-                }
-                transport = Transport::Framed(Codec::new(agreed));
-                continue;
-            }
             Ok(request) => {
-                if !counted {
-                    counted = true;
-                    shared.codec.connections_v2.fetch_add(1, Ordering::Relaxed);
-                }
-                // answer a legacy peer in its own generation
-                if !transport.is_framed() {
-                    version = match peek_version(&payload) {
-                        Some(v) if v < PROTOCOL_VERSION => v,
-                        _ => PROTOCOL_VERSION,
-                    };
-                }
                 if let Some(ctx) = request_trace(&request) {
                     let now = shared.clock.now_micros();
                     shared.record_span(
@@ -1642,19 +1609,18 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
                         || format!("hop={}", ctx.hop),
                     );
                 }
-                respond(shared, request, version)
+                respond(shared, request)
             }
             Err(e) => Response::Error(e.to_string()),
         };
         // the snapshot is taken at reply-build time: it covers every
         // frame up to and including this request, not the reply itself
         match response {
-            Response::Done(ref mut report) if version >= 5 => report.conn = conn,
-            // failures carry the same per-connection totals from v6 on
+            Response::Done(ref mut report) => report.conn = conn,
             Response::Failed {
                 conn: ref mut failed_conn,
                 ..
-            } if version >= 6 => *failed_conn = conn,
+            } => *failed_conn = conn,
             _ => {}
         }
         let reply_trace = match &response {
@@ -1662,14 +1628,12 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
             _ => 0,
         };
         let tx_start = shared.clock.now_micros();
-        match transport.write_message(&mut stream, &response.encode_versioned(version)) {
+        match codec.write_message(&mut stream, &response.encode()) {
             Ok(tx) => {
-                if transport.is_framed() {
-                    shared.codec.add_tx(tx);
-                    conn.frames_sent += tx.frames;
-                    conn.raw_tx_bytes += tx.raw_bytes;
-                    conn.wire_tx_bytes += tx.wire_bytes;
-                }
+                shared.codec.add_tx(tx);
+                conn.frames_sent += tx.frames;
+                conn.raw_tx_bytes += tx.raw_bytes;
+                conn.wire_tx_bytes += tx.wire_bytes;
                 shared.record_span(
                     reply_trace,
                     0,
@@ -1740,16 +1704,15 @@ fn dispatch_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         }
         None => {
             shared.conn_shed.fetch_add(1, Ordering::Relaxed);
-            // a plain v2-stamped frame every client generation parses:
-            // the codec never negotiated, and Busy's layout is
-            // version-invariant. Bounded write so a dead peer can't
-            // stall the accept loop.
+            // a plain frame in place of the HelloAck: the codec never
+            // opened. Bounded write so a dead peer can't stall the
+            // accept loop.
             let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
             let reply = Response::Busy {
                 queued: shared.conn_max as u32,
                 capacity: shared.conn_max as u32,
             }
-            .encode_versioned(MIN_PROTOCOL_VERSION);
+            .encode();
             let _ = write_frame(&mut stream, &reply);
         }
     }
@@ -2044,7 +2007,7 @@ mod tests {
         set_state(&shared, id, JobState::Failed("finished first".into()));
         // try_enqueue already returned: nothing may overwrite this
         assert!(matches!(
-            respond(&shared, Request::Poll(id), PROTOCOL_VERSION),
+            respond(&shared, Request::Poll(id)),
             Response::Failed { .. }
         ));
     }
@@ -2106,11 +2069,11 @@ mod tests {
     fn poll_and_wait_know_unknown_jobs() {
         let shared = Shared::new(1, 4, 1 << 20, 1, None, 256, 1);
         assert!(matches!(
-            respond(&shared, Request::Poll(99), PROTOCOL_VERSION),
+            respond(&shared, Request::Poll(99)),
             Response::Error(_)
         ));
         assert!(matches!(
-            respond(&shared, Request::Wait(99), PROTOCOL_VERSION),
+            respond(&shared, Request::Wait(99)),
             Response::Error(_)
         ));
     }
@@ -2210,8 +2173,8 @@ mod tests {
         shared
     }
 
-    /// A sharded server redirects a plain v4 submission it does not
-    /// own to the owner's address, serves the key it does own, and
+    /// A sharded server redirects a plain submission it does not own
+    /// to the owner's address, serves the key it does own, and
     /// always serves direct submissions — on the canonical key, so a
     /// non-canonical text variant redirects to the same owner.
     #[test]
@@ -2235,6 +2198,11 @@ mod tests {
         }
         assert_eq!(shared.stats().redirects, 1);
         assert_eq!(shared.queue.lock().unwrap().len(), 0, "nothing queued");
+        // the request path agrees: a plain Submit always redirects
+        match respond(&shared, Request::Submit(spec.clone())) {
+            Response::Redirect { addr, .. } => assert_eq!(addr, peers[owner]),
+            other => panic!("expected a redirect, got {other:?}"),
+        }
 
         // same workload, non-canonical text: same owner
         spec.set_text = format!("# comment\n{}", spec.set_text);
@@ -2258,33 +2226,6 @@ mod tests {
         let stats = shared.stats();
         assert_eq!(stats.redirects, 0);
         assert_eq!((stats.shard_id, stats.shard_count), (owner as u32, 3));
-    }
-
-    /// Legacy peers never see a Redirect they cannot parse: a plain
-    /// submission at a pre-v4 generation is served locally.
-    #[test]
-    fn legacy_submissions_are_served_locally_on_non_owners() {
-        let peers = ["10.0.0.1:7113", "10.0.0.2:7113"];
-        let spec = mini_spec();
-        let key = {
-            let set = TestSet::from_text(&spec.set_text).unwrap();
-            let mut c = spec.clone();
-            c.set_text = set.to_text();
-            cache_key(&c)
-        };
-        let ring = ShardRing::new(peers.iter().map(|s| (*s).to_string()).collect()).unwrap();
-        let non_owner = (ring.owner(key) + 1) % peers.len();
-        let shared = sharded(&peers, non_owner);
-        for version in [2, 3] {
-            assert!(matches!(
-                respond(&shared, Request::Submit(spec.clone()), version),
-                Response::Accepted(_)
-            ));
-        }
-        assert!(matches!(
-            respond(&shared, Request::Submit(spec), PROTOCOL_VERSION),
-            Response::Redirect { .. }
-        ));
     }
 
     /// The accept gate: permits are bounded, shed connections get a
@@ -2482,7 +2423,7 @@ mod tests {
     #[test]
     fn ping_answers_the_membership_view() {
         let shared = sharded(&["a:1", "b:1"], 1);
-        match respond(&shared, Request::Ping, PROTOCOL_VERSION) {
+        match respond(&shared, Request::Ping) {
             Response::Pong {
                 epoch,
                 shard_id,
@@ -2494,7 +2435,7 @@ mod tests {
             other => panic!("expected Pong, got {other:?}"),
         }
         let plain = Shared::new(1, 4, 1 << 20, 1, None, 256, 1);
-        match respond(&plain, Request::Ping, PROTOCOL_VERSION) {
+        match respond(&plain, Request::Ping) {
             Response::Pong {
                 epoch,
                 shard_id,

@@ -2,7 +2,7 @@
 //!
 //! A *trace* is the story of one submission: a 64-bit [`TraceId`]
 //! minted by the client (or balancer) at submit time and propagated
-//! through every protocol-v6 message the submission causes — the
+//! through every wire message the submission causes — the
 //! submit itself, any redirect, the write-behind replication pushes it
 //! triggers. Every process that touches the trace records [`Span`]s
 //! into its own bounded [`SpanRing`]; nothing is pushed anywhere at
@@ -33,8 +33,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// A trace identifier: one per submission, minted client-side. The
 /// zero id means "untraced" — every recording site treats it as a
-/// no-op, which is how tracing is disabled per-request and negotiated
-/// away entirely for pre-v6 peers (the context simply never travels).
+/// no-op, which is how tracing is disabled per-request.
 pub type TraceId = u64;
 
 /// A span identifier, unique within its trace (a [`mix64`] of the

@@ -104,7 +104,7 @@ is enough — epoch gossip converges the rest), --epoch must exceed the
 ring's current epoch, and --peers is the complete new address list.
 Shards re-replicate the keys whose placement changed.
 
-Every submission through a v6 client carries a trace id (printed on the
+Every submission carries a trace id (printed on the
 result; pin one with --trace-id, hex or decimal). Each server records
 spans — queue wait, cache lookups, pipeline phases, replication pushes —
 into a bounded ring; trace asks every listed shard for one trace's
@@ -633,8 +633,8 @@ fn submit(args: &[String]) -> Result<(), String> {
         report.service_micros as f64 / 1e3,
         report.digest
     );
-    // v5 servers stamp the reply with the connection's codec tallies
-    // (v4 and older leave them zero); tx/rx are the server's view
+    // the server stamps the reply with the connection's codec
+    // tallies; tx/rx are the server's view
     let conn = &report.conn;
     if conn.frames_sent + conn.frames_received > 0 {
         println!(
@@ -887,15 +887,15 @@ fn print_fleet_summary(fleet: &[ss_server::ServerStats]) {
 }
 
 /// A histogram percentile rendered in milliseconds: `-` with no
-/// samples, an overflow marker when the sample fell in the open-ended
-/// top bucket.
+/// samples, an overflow marker (the open top bucket's floor) when the
+/// sample fell in the open-ended top bucket.
 fn percentile_ms(h: &ss_server::PhaseHistogram, p: f64) -> String {
     if h.count == 0 {
         return "-".to_string();
     }
     let micros = h.percentile_micros(p);
     if micros == u64::MAX {
-        ">8388".to_string()
+        format!(">{}", (1u64 << (ss_server::HISTOGRAM_BUCKETS - 1)) / 1000)
     } else {
         format!("{:.2}", micros as f64 / 1e3)
     }
@@ -993,8 +993,8 @@ fn print_server_stats(addr: &str) -> Result<ss_server::ServerStats, String> {
 
     let c = &s.codec;
     println!(
-        "codec: connections v2 {}  v3 {}  frames out {}  in {}  crc rejects {}",
-        c.connections_v2, c.connections_v3, c.frames_sent, c.frames_received, c.crc_rejects
+        "codec: connections {}  frames out {}  in {}  crc rejects {}",
+        c.connections, c.frames_sent, c.frames_received, c.crc_rejects
     );
     println!(
         "codec tx: raw {} B -> wire {} B  (ratio {:.2}x, {} B saved)",
@@ -1070,7 +1070,7 @@ fn server_stats_json(s: &ss_server::ServerStats) -> String {
             "\"busy_rejections\":{},\"coalesced\":{},",
             "\"memory\":{},\"disk\":{},\"store_writes\":{},\"disk_corruptions\":{},",
             "\"phases\":{{\"synthesis\":{},\"encode\":{},\"embed\":{},\"segment\":{}}},",
-            "\"codec\":{{\"connections_v2\":{},\"connections_v3\":{},\"frames_sent\":{},",
+            "\"codec\":{{\"connections\":{},\"frames_sent\":{},",
             "\"frames_received\":{},\"crc_rejects\":{},\"raw_tx_bytes\":{},\"wire_tx_bytes\":{},",
             "\"raw_rx_bytes\":{},\"wire_rx_bytes\":{}}},",
             "\"connections_active\":{},\"connections_max\":{},\"connections_shed\":{},",
@@ -1093,8 +1093,7 @@ fn server_stats_json(s: &ss_server::ServerStats) -> String {
         histogram_json(&s.encode),
         histogram_json(&s.embed),
         histogram_json(&s.segment),
-        c.connections_v2,
-        c.connections_v3,
+        c.connections,
         c.frames_sent,
         c.frames_received,
         c.crc_rejects,

@@ -7,8 +7,7 @@
 //!
 //! Also pinned here, end to end over real sockets: exactly-once
 //! cluster-wide cold computation (the ring sends every key to one
-//! owner), the redirect contract for misrouted plain submissions, and
-//! the legacy local-serve fallback for pre-v4 peers.
+//! owner) and the redirect contract for misrouted plain submissions.
 
 use std::time::Duration;
 
@@ -64,8 +63,8 @@ fn spawn_fleet(n: usize) -> (Vec<String>, Vec<Option<ServerHandle>>) {
                 cache_bytes: 64 << 20,
                 queue_depth: 8,
                 // replication off: this test pins the *unreplicated*
-                // exactly-once arithmetic (a legacy fallback recomputes,
-                // a dead shard's keys recompute on the failover target);
+                // exactly-once arithmetic (a dead shard's keys recompute
+                // on the failover target);
                 // the replicated counterpart lives in fleet_chaos.rs
                 replicas: 1,
                 ..ServeOptions::default()
@@ -135,7 +134,7 @@ fn killing_a_shard_mid_workload_keeps_answers_bit_identical() {
     // across the whole fleet, no matter which shards served them
     assert_eq!(fleet_synthesis_count(&handles), 6);
 
-    // a plain v4 submission to a non-owner is redirected to the owner,
+    // a plain submission to a non-owner is redirected to the owner,
     // and nothing runs on the wrong shard
     let spec0 = &specs[0];
     let owner0 = owners[0];
@@ -146,17 +145,6 @@ fn killing_a_shard_mid_workload_keeps_answers_bit_identical() {
         other => panic!("non-owner answered {other:?} instead of a redirect"),
     }
     assert_eq!(fleet_synthesis_count(&handles), 6);
-
-    // a legacy (pre-v4) peer can't parse redirects: the non-owner
-    // serves it locally, bit-identically — at-least-once, never wrong
-    let mut legacy = Client::connect_legacy(peers[non_owner].as_str()).unwrap();
-    let (_, legacy_report) = legacy.run(spec0).unwrap();
-    assert_eq!(legacy_report.digest, goldens[0]);
-    assert_eq!(
-        fleet_synthesis_count(&handles),
-        7,
-        "the legacy fallback recomputes locally, once"
-    );
 
     // kill spec0's owner mid-workload
     handles[owner0].take().unwrap().shutdown();
@@ -180,6 +168,11 @@ fn killing_a_shard_mid_workload_keeps_answers_bit_identical() {
             "a job was served by the shard that was killed"
         );
     }
+    // still exactly once per key on the survivors: the dead owner's
+    // keys recomputed once on their failover targets, the 6 fresh keys
+    // once each, and the survivors' own keys hit their caches — 12
+    // distinct keys, 12 syntheses (the dead shard's counters are gone)
+    assert_eq!(fleet_synthesis_count(&handles), 12);
 
     for handle in handles.into_iter().flatten() {
         handle.shutdown();

@@ -1,4 +1,4 @@
-//! Adversarial noise-injection harness for the v3 wire codec: a live
+//! Adversarial noise-injection harness for the wire codec: a live
 //! server is attacked with deterministically corrupted chunk streams —
 //! bit flips, truncations, length-field lies, chunk reordering and
 //! mid-message disconnects — and must never panic, never serve a
@@ -11,7 +11,7 @@
 //! raises the rounds per (mode, workload) pair for soak runs (CI sets
 //! it explicitly; the default keeps the debug-build test quick).
 
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -22,7 +22,7 @@ use ss_core::Engine;
 use ss_server::protocol::{read_frame, write_frame};
 use ss_server::{
     report_digest, Client, Codec, CodecConfig, JobSpec, Request, Response, ServeOptions, Server,
-    MAX_CHUNK_BYTES, MAX_FRAME_BYTES, MIN_CHUNK_BYTES,
+    WireStats, MAX_CHUNK_BYTES, MAX_FRAME_BYTES, MIN_CHUNK_BYTES, PROTOCOL_VERSION,
 };
 use ss_testdata::{TestSet, WorkloadRegistry};
 
@@ -214,8 +214,8 @@ fn inject(addr: SocketAddr, spec: &JobSpec, mode: Mode, seed: u64) -> Outcome {
     // stream and closed — that's a valid detection, not a test error
     let wrote = stream.write_all(&wire).and_then(|()| stream.flush());
     let _ = stream.shutdown(Shutdown::Write);
-    match codec.read_message(&mut stream) {
-        Ok((reply, _)) => match Response::decode(&reply).expect("reply must be decodable") {
+    match codec.read_message(&mut stream, &mut WireStats::default()) {
+        Ok(reply) => match Response::decode(&reply).expect("reply must be decodable") {
             Response::Error(message) => Outcome::TypedError(message),
             other => panic!("corrupted submit ({mode:?}, seed {seed:#x}) answered {other:?}"),
         },
@@ -281,13 +281,13 @@ fn corrupted_streams_never_panic_and_never_change_answers() {
         stats.codec.crc_rejects > 0,
         "bit flips ran but the CRC reject counter never moved"
     );
-    assert!(stats.codec.connections_v3 > 0);
+    assert!(stats.codec.connections > 0);
     assert!(stats.codec.frames_received > stats.codec.crc_rejects);
     handle.shutdown();
 }
 
 /// Acceptance: a payload past the 64 MiB single-frame cap streams
-/// through the chunk codec bit-identically — and the legacy path
+/// through the chunk codec bit-identically — and a single plain frame
 /// really cannot carry it.
 #[test]
 fn payload_past_the_frame_cap_round_trips_chunked() {
@@ -302,12 +302,12 @@ fn payload_past_the_frame_cap_round_trips_chunked() {
         chunk.copy_from_slice(&bytes[..chunk.len()]);
     }
 
-    // the v2 scheme refuses it outright
+    // one plain frame refuses it outright
     let mut sink = Vec::new();
     let err = write_frame(&mut sink, &message).expect_err("one frame cannot carry 68 MiB");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 
-    // the v3 chunk codec streams it
+    // the chunk codec streams it
     let codec = Codec::new(CodecConfig {
         compress: false,
         chunk_bytes: MAX_CHUNK_BYTES,
@@ -322,17 +322,42 @@ fn payload_past_the_frame_cap_round_trips_chunked() {
         len.div_ceil(MAX_CHUNK_BYTES as usize)
     );
     let mut cursor = &wire[..];
-    let (back, read) = codec.read_message(&mut cursor).expect("chunked read");
+    let mut read = WireStats::default();
+    let back = codec
+        .read_message(&mut cursor, &mut read)
+        .expect("chunked read");
     assert!(cursor.is_empty());
     assert_eq!(read.frames, wrote.frames);
     assert!(back == message, "68 MiB round trip must be bit-identical");
 }
 
-/// Acceptance: a v2 peer (no Hello, plain frames, version-2 stamps)
-/// completes an uncorrupted job against the v3 server, and gets the
-/// stats layout its generation expects.
+/// Sends one plain frame as a connection's opening message and
+/// returns the typed error it must draw — after which the server must
+/// close the connection.
+fn refused_opener(addr: SocketAddr, payload: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    write_frame(&mut stream, payload).expect("opener");
+    let reply = read_frame(&mut stream).expect("one reply frame");
+    let message = match Response::decode(&reply).expect("reply decodes") {
+        Response::Error(message) => message,
+        other => panic!("refused opener answered {other:?}"),
+    };
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("clean close");
+    assert!(rest.is_empty(), "the server kept talking after refusing");
+    message
+}
+
+/// Every connection opens with a `Hello` at this build's version: a
+/// plain `Submit` frame without one, or a `Hello` stamped with another
+/// version byte, draws one typed `Error` and then EOF, and is never
+/// counted as a connection. Proper clients on two connections share
+/// the cache, over a compressing codec that nets a byte saving.
 #[test]
-fn legacy_v2_client_completes_against_v3_server() {
+fn only_a_hello_at_this_version_opens_a_connection() {
     let (_, spec, golden) = corpus().remove(0);
     let handle = Server::bind(&ServeOptions {
         workers: 1,
@@ -341,30 +366,38 @@ fn legacy_v2_client_completes_against_v3_server() {
     .expect("bind loopback")
     .spawn();
 
-    let mut legacy = Client::connect_legacy(handle.addr()).expect("legacy connect");
-    assert!(legacy.codec_config().is_none(), "legacy mode has no codec");
-    let (_, report) = legacy.run(&spec).expect("legacy run");
-    assert_eq!(
-        report.digest, golden,
-        "legacy client must get the golden answer"
-    );
-    // the v2 stats layout carries no codec counters
-    let stats = legacy.stats().expect("legacy stats");
-    assert_eq!(stats.codec, ss_server::CodecCounters::default());
-    assert_eq!(stats.jobs_done, 1);
+    let message = refused_opener(handle.addr(), &Request::Submit(spec.clone()).encode());
+    assert!(message.contains("Hello"), "refusal says why: {message}");
+    for other in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+        let mut hello = Request::Hello(CodecConfig::preferred()).encode();
+        hello[0] = other;
+        let message = refused_opener(handle.addr(), &hello);
+        assert!(
+            message.contains(&format!("version {other}")),
+            "refusal names the version: {message}"
+        );
+    }
 
-    // a negotiated client sees the legacy connection counted
-    let mut modern = Client::connect(handle.addr()).expect("negotiated connect");
-    assert!(modern.codec_config().is_some());
-    let (_, warm) = modern.run(&spec).expect("negotiated run");
+    let mut first = Client::connect(handle.addr()).expect("connect");
+    let (_, cold) = first.run(&spec).expect("cold run");
+    assert_eq!(cold.digest, golden);
+    assert!(!cold.cached());
+
+    // a second connection hits the cache the first one warmed
+    let mut second = Client::connect(handle.addr()).expect("connect");
+    assert!(second.codec_config().is_some());
+    let (_, warm) = second.run(&spec).expect("warm run");
     assert_eq!(warm.digest, golden);
     assert!(
         warm.cached(),
-        "same key must hit the cache across generations"
+        "same key must hit the cache across connections"
     );
-    let stats = modern.stats().expect("negotiated stats");
-    assert_eq!(stats.codec.connections_v2, 1);
-    assert_eq!(stats.codec.connections_v3, 1);
+
+    let stats = second.stats().expect("stats");
+    assert_eq!(
+        stats.codec.connections, 2,
+        "refused openers are not connections"
+    );
     assert!(stats.codec.frames_sent > 0 && stats.codec.frames_received > 0);
     assert!(
         stats.codec.raw_tx_bytes > stats.codec.wire_tx_bytes,
