@@ -9,7 +9,7 @@
 //!   ([`FaultSimulator::coverage_packed`] vs
 //!   [`FaultSimulator::coverage_scalar`]);
 //! * **expand** — seed-window expansion
-//!   ([`ss_core::try_expand_seed_packed`] vs
+//!   ([`ss_core::PackedWindowExpander::expand`] vs
 //!   [`ss_core::try_expand_seed`]);
 //! * **embed** — fortuitous-embedding detection
 //!   ([`ss_core::EmbeddingMap::build`] vs

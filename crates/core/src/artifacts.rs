@@ -27,9 +27,9 @@ use crate::cost::{DecompressorCost, DecompressorCostInputs};
 use crate::embedding::EmbeddingMap;
 use crate::encoder::{EncodingResult, WindowEncoder};
 use crate::error::SchemeError;
+use crate::expand::check_shifter;
 use crate::expr_table::ExprTable;
 use crate::modeselect::ModeSelect;
-use crate::pipeline::PipelineReport;
 use crate::segments::{SegmentPlan, TslReport};
 
 /// The synthesised hardware a scheme runs against: LFSR, phase
@@ -103,20 +103,7 @@ impl HardwareCtx {
         lfsr: Lfsr,
         shifter: PhaseShifter,
     ) -> Result<Self, SchemeError> {
-        if shifter.input_count() != lfsr.size() {
-            return Err(SchemeError::bad_config(format!(
-                "phase shifter reads {} LFSR bits but the LFSR has {}",
-                shifter.input_count(),
-                lfsr.size()
-            )));
-        }
-        if shifter.output_count() != scan.chains() {
-            return Err(SchemeError::bad_config(format!(
-                "phase shifter drives {} chains but the scan has {}",
-                shifter.output_count(),
-                scan.chains()
-            )));
-        }
+        check_shifter(lfsr.size(), &shifter, scan)?;
         if let Some(n) = config.lfsr_size {
             if n != lfsr.size() {
                 return Err(SchemeError::bad_config(format!(
@@ -441,8 +428,11 @@ impl Segmented<'_> {
     }
 
     /// Finishes the flow: Mode Select synthesis, hardware cost
-    /// estimation and the assembled [`PipelineReport`] (bit-identical
-    /// to the legacy `Pipeline::run`).
+    /// estimation and the assembled [`PipelineReport`]. The report's
+    /// segment size `S` (and the counter widths the cost model sizes
+    /// from it) is the one the plan was built with, so a
+    /// [`segment_with`](Embedded::segment_with) sweep reports its own
+    /// `S`.
     ///
     /// # Errors
     ///
@@ -450,6 +440,7 @@ impl Segmented<'_> {
     /// built for the configured speedup.
     pub fn finish(self) -> Result<PipelineReport, SchemeError> {
         let config = *self.ctx.config();
+        let segment = self.plan.segment();
         let r = self.set.config().depth();
         let tsl_report = self.tsl();
         let mode_select = ModeSelect::from_plan(&self.plan);
@@ -462,7 +453,7 @@ impl Segmented<'_> {
             ps_xor2: self.ctx.shifter().xor2_count(),
             skip_xor2: skip_net.gate_count(),
             scan_depth: r,
-            segment: config.segment,
+            segment,
             window: config.window,
             group_count: self.plan.groups().len(),
             max_group_size: self
@@ -481,7 +472,7 @@ impl Segmented<'_> {
         Ok(PipelineReport {
             lfsr_size: self.ctx.lfsr_size(),
             window: config.window,
-            segment: config.segment,
+            segment,
             speedup: config.speedup,
             seeds: self.encoding.seeds.len(),
             tdv: self.encoding.tdv(),
@@ -496,6 +487,66 @@ impl Segmented<'_> {
             mode_select,
             cost,
         })
+    }
+}
+
+/// Everything a full run produces: the [`Segmented::finish`] output,
+/// and what [`Engine::run`](crate::Engine::run) returns.
+#[derive(Debug, Clone)]
+pub struct PipelineReport {
+    /// LFSR size `n` used.
+    pub lfsr_size: usize,
+    /// Window length `L`.
+    pub window: usize,
+    /// Segment size `S`.
+    pub segment: usize,
+    /// Speedup factor `k`.
+    pub speedup: u64,
+    /// Number of seeds.
+    pub seeds: usize,
+    /// Test data volume in bits (`seeds * n`).
+    pub tdv: usize,
+    /// TSL of the plain window-based scheme (`seeds * L`).
+    pub tsl_original: u64,
+    /// TSL with truncation after the last useful segment but no State
+    /// Skip (the `[11]`-flavoured baseline).
+    pub tsl_truncated: u64,
+    /// TSL of the proposed State Skip scheme.
+    pub tsl_proposed: u64,
+    /// TSL improvement over the original window-based scheme, percent
+    /// (the paper's relation (2)).
+    pub improvement_percent: f64,
+    /// The raw encoding.
+    pub encoding: EncodingResult,
+    /// All cube embeddings.
+    pub embedding: EmbeddingMap,
+    /// The segment plan.
+    pub plan: SegmentPlan,
+    /// Detailed TSL accounting.
+    pub tsl_report: TslReport,
+    /// The Mode Select unit model.
+    pub mode_select: ModeSelect,
+    /// Hardware cost estimate.
+    pub cost: DecompressorCost,
+}
+
+impl PipelineReport {
+    /// One-paragraph human-readable summary.
+    pub fn summary(&self) -> String {
+        format!(
+            "n={} L={} S={} k={}: {} seeds, TDV {} bits, TSL {} -> {} vectors ({:.1}% shorter; truncation-only {}), decompressor {:.0} GE",
+            self.lfsr_size,
+            self.window,
+            self.segment,
+            self.speedup,
+            self.seeds,
+            self.tdv,
+            self.tsl_original,
+            self.tsl_proposed,
+            self.improvement_percent,
+            self.tsl_truncated,
+            self.cost.total_ge()
+        )
     }
 }
 
@@ -583,6 +634,51 @@ mod tests {
         assert!(matches!(
             Encoded::from_cached(&set, &wide_ctx, encoding),
             Err(SchemeError::BadConfig(_))
+        ));
+    }
+
+    #[test]
+    fn finish_reports_the_segment_size_the_plan_was_built_with() {
+        let set = generate_test_set(&CubeProfile::mini(), 1);
+        let configured = mini_engine().run(&set).unwrap();
+        let swept = mini_engine()
+            .encode(&set)
+            .unwrap()
+            .embed()
+            .segment_with(5)
+            .finish()
+            .unwrap();
+        let direct = Engine::builder()
+            .window(24)
+            .segment(5)
+            .speedup(6)
+            .build()
+            .unwrap()
+            .run(&set)
+            .unwrap();
+        assert_ne!(
+            direct.cost.counters, configured.cost.counters,
+            "S = 5 must size the counters differently from S = 4"
+        );
+        assert_eq!(swept.segment, 5);
+        assert_eq!(swept.segment, direct.segment);
+        assert_eq!(swept.plan, direct.plan);
+        assert_eq!(swept.tsl_proposed, direct.tsl_proposed);
+        assert_eq!(swept.cost.total_ge(), direct.cost.total_ge());
+    }
+
+    #[test]
+    fn synthesis_rejects_an_lfsr_below_smax() {
+        let set = generate_test_set(&CubeProfile::mini(), 1);
+        let engine = Engine::builder()
+            .window(24)
+            .segment(4)
+            .lfsr_size(set.smax() - 1)
+            .build()
+            .unwrap();
+        assert!(matches!(
+            engine.synthesize(&set),
+            Err(SchemeError::BadConfig(msg)) if msg.contains("smax")
         ));
     }
 

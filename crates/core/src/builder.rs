@@ -14,16 +14,15 @@ use std::thread;
 use ss_lfsr::LfsrKind;
 use ss_testdata::TestSet;
 
-use crate::artifacts::{Encoded, HardwareCtx};
+use crate::artifacts::{Encoded, HardwareCtx, PipelineReport};
 use crate::error::SchemeError;
-use crate::pipeline::PipelineReport;
 use crate::scheme::{CompressionScheme, SchemeReport};
 
 /// The validated knob set an [`Engine`] runs with.
 ///
 /// `#[non_exhaustive]`: new knobs can be added without breaking
-/// callers. Construct it through [`Engine::builder`] (or convert a
-/// legacy [`PipelineConfig`](crate::PipelineConfig) with `From`).
+/// callers. Construct it through [`Engine::builder`], or start from
+/// [`EngineConfig::default`] and validate with [`Engine::from_config`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct EngineConfig {
@@ -63,8 +62,8 @@ impl Default for EngineConfig {
             ps_taps: 3,
             // calibrated so the default phase shifter yields zero
             // intrinsically unencodable cubes across the standard
-            // synthetic workloads; keep in sync with
-            // PipelineConfig::default
+            // synthetic workloads (mini + scaled paper profiles and the
+            // tiny-circuit ATPG sets)
             hw_seed: 0x14A2_4108_A00E_3508,
             fill_seed: 1,
             threads: None,
@@ -249,8 +248,9 @@ impl Engine {
     }
 
     /// Runs all stages — encode, embed, segment, finish — and returns
-    /// the full report. Equivalent to the legacy
-    /// [`Pipeline::run`](crate::Pipeline::run), bit for bit.
+    /// the full report. Equivalent, bit for bit, to running the stages
+    /// on a borrowed context:
+    /// `Encoded::from_ctx_ref(set, &ctx)?.embed().segment().finish()`.
     ///
     /// # Errors
     ///
@@ -411,7 +411,26 @@ mod tests {
         let tsl = segmented.tsl();
         let report = segmented.finish().unwrap();
         assert_eq!(report.tsl_proposed, tsl.vectors);
+        assert_eq!(report.tdv, report.seeds * report.lfsr_size);
+        assert_eq!(report.tsl_original, (report.seeds * 24) as u64);
+        assert!(report.tsl_proposed <= report.tsl_truncated);
+        assert!(report.tsl_truncated <= report.tsl_original);
         assert!(report.tsl_proposed < report.tsl_original);
+        assert!(report.improvement_percent > 0.0);
+        assert!(!report.summary().is_empty());
+    }
+
+    #[test]
+    fn higher_k_shortens_proposed_tsl() {
+        let set = generate_test_set(&CubeProfile::mini(), 2);
+        let run = |k: u64| {
+            let engine = Engine::builder().window(24).segment(4).speedup(k);
+            engine.build().unwrap().run(&set).unwrap()
+        };
+        let (slow, fast) = (run(2), run(12));
+        // same seeds/plan (speedup affects traversal only)
+        assert_eq!(slow.seeds, fast.seeds);
+        assert!(fast.tsl_proposed <= slow.tsl_proposed);
     }
 
     #[test]

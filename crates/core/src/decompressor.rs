@@ -192,36 +192,44 @@ impl Decompressor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifacts::{Encoded, HardwareCtx, PipelineReport};
+    use crate::builder::Engine;
     use crate::embedding::EmbeddingMap;
     use crate::encoder::WindowEncoder;
+    use crate::expand::try_expand_seed;
     use crate::expr_table::ExprTable;
-    use crate::pipeline::{try_expand_seed, Pipeline, PipelineConfig};
     use ss_testdata::{generate_test_set, CubeProfile};
 
-    fn setup() -> (ss_testdata::TestSet, PipelineConfig) {
+    /// The mini workload's hardware at `L = 20, S = 4` and the given
+    /// speedup, with the full report run on that one context.
+    fn setup(speedup: u64) -> (TestSet, HardwareCtx, PipelineReport) {
         let set = generate_test_set(&CubeProfile::mini(), 4);
-        let config = PipelineConfig {
-            window: 20,
-            segment: 4,
-            speedup: 7,
-            ..PipelineConfig::default()
-        };
-        (set, config)
+        let engine = Engine::builder().window(20).segment(4).speedup(speedup);
+        let ctx = engine.build().unwrap().synthesize(&set).unwrap();
+        let report = Encoded::from_ctx_ref(&set, &ctx)
+            .unwrap()
+            .embed()
+            .segment()
+            .finish()
+            .unwrap();
+        (set, ctx, report)
+    }
+
+    fn replay(ctx: &HardwareCtx, report: &PipelineReport) -> DecompressorTrace {
+        let mut dec = Decompressor::new(
+            ctx.lfsr().clone(),
+            report.speedup,
+            ctx.shifter().clone(),
+            ctx.scan(),
+            report.mode_select.clone(),
+        );
+        dec.run(&report.encoding, &report.plan)
     }
 
     #[test]
     fn trace_matches_tsl_accounting_exactly() {
-        let (set, config) = setup();
-        let pipeline = Pipeline::new(&set, config).unwrap();
-        let report = pipeline.run().unwrap();
-        let mut dec = Decompressor::new(
-            pipeline.lfsr().clone(),
-            config.speedup,
-            pipeline.shifter().clone(),
-            set.config(),
-            report.mode_select.clone(),
-        );
-        let trace = dec.run(&report.encoding, &report.plan);
+        let (_, ctx, report) = setup(7);
+        let trace = replay(&ctx, &report);
         assert_eq!(trace.tsl(), report.tsl_proposed, "vector counts must agree");
         assert_eq!(
             trace.clocks, report.tsl_report.total_clocks,
@@ -235,17 +243,8 @@ mod tests {
 
     #[test]
     fn every_cube_is_applied_by_the_shortened_sequence() {
-        let (set, config) = setup();
-        let pipeline = Pipeline::new(&set, config).unwrap();
-        let report = pipeline.run().unwrap();
-        let mut dec = Decompressor::new(
-            pipeline.lfsr().clone(),
-            config.speedup,
-            pipeline.shifter().clone(),
-            set.config(),
-            report.mode_select.clone(),
-        );
-        let trace = dec.run(&report.encoding, &report.plan);
+        let (set, ctx, report) = setup(7);
+        let trace = replay(&ctx, &report);
         assert!(
             trace.covers(&set),
             "shortened sequence must apply every cube"
@@ -254,32 +253,23 @@ mod tests {
 
     #[test]
     fn useful_vectors_equal_window_content() {
-        let (set, config) = setup();
-        let pipeline = Pipeline::new(&set, config).unwrap();
-        let report = pipeline.run().unwrap();
-        let mut dec = Decompressor::new(
-            pipeline.lfsr().clone(),
-            config.speedup,
-            pipeline.shifter().clone(),
-            set.config(),
-            report.mode_select.clone(),
-        );
-        let trace = dec.run(&report.encoding, &report.plan);
+        let (set, ctx, report) = setup(7);
+        let trace = replay(&ctx, &report);
 
         // reconstruct the expected useful vectors from the plan
         let mut expected = Vec::new();
         for (_, seeds) in report.plan.groups() {
             for &seed_idx in seeds {
                 let window = try_expand_seed(
-                    pipeline.lfsr(),
-                    pipeline.shifter(),
+                    ctx.lfsr(),
+                    ctx.shifter(),
                     set.config(),
                     &report.encoding.seeds[seed_idx].seed,
-                    config.window,
+                    report.window,
                 )
                 .unwrap();
                 for &seg in report.plan.useful_segments(seed_idx) {
-                    let start = seg * config.segment;
+                    let start = seg * report.segment;
                     let len = report.plan.segment_len(seg);
                     expected.extend(window[start..start + len].iter().cloned());
                 }
@@ -293,44 +283,29 @@ mod tests {
 
     #[test]
     fn k_one_decompressor_equals_truncated_windows() {
-        let (set, mut config) = setup();
-        config.speedup = 1;
-        let pipeline = Pipeline::new(&set, config).unwrap();
-        let report = pipeline.run().unwrap();
-        let mut dec = Decompressor::new(
-            pipeline.lfsr().clone(),
-            1,
-            pipeline.shifter().clone(),
-            set.config(),
-            report.mode_select.clone(),
-        );
-        let trace = dec.run(&report.encoding, &report.plan);
+        let (set, ctx, report) = setup(1);
+        let trace = replay(&ctx, &report);
         assert_eq!(trace.tsl(), report.tsl_truncated);
         assert!(trace.covers(&set));
     }
 
     #[test]
-    fn encoder_products_feed_decompressor_without_pipeline() {
+    fn encoder_products_feed_decompressor_without_the_staged_flow() {
         // exercise the lower-level assembly path
-        let (set, config) = setup();
-        let pipeline = Pipeline::new(&set, config).unwrap();
-        let table = ExprTable::build(
-            pipeline.lfsr(),
-            pipeline.shifter(),
-            set.config(),
-            config.window,
-        );
+        let (set, ctx, _) = setup(7);
+        let config = ctx.config();
+        let table = ExprTable::build(ctx.lfsr(), ctx.shifter(), set.config(), config.window);
         let encoding = WindowEncoder::new(&set, &table)
             .unwrap()
             .encode(config.fill_seed)
             .unwrap();
-        let map = EmbeddingMap::build(&set, &encoding, pipeline.lfsr(), pipeline.shifter());
+        let map = EmbeddingMap::build(&set, &encoding, ctx.lfsr(), ctx.shifter());
         let plan = SegmentPlan::build(&map, config.segment);
         let ms = ModeSelect::from_plan(&plan);
         let mut dec = Decompressor::new(
-            pipeline.lfsr().clone(),
+            ctx.lfsr().clone(),
             config.speedup,
-            pipeline.shifter().clone(),
+            ctx.shifter().clone(),
             set.config(),
             ms,
         );

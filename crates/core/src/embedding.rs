@@ -13,15 +13,16 @@ use ss_lfsr::{Lfsr, PhaseShifter};
 use ss_testdata::TestSet;
 
 use crate::encoder::EncodingResult;
-use crate::pipeline::{try_expand_seed, PackedWindowExpander};
+use crate::expand::{try_expand_seed, PackedWindowExpander};
 
 /// For every cube, every `(seed, window position)` whose expanded
 /// vector embeds it — intentional and fortuitous matches alike.
 ///
 /// # Example
 ///
-/// See [`Pipeline`](crate::Pipeline) for the full flow; the map is
-/// exposed as [`PipelineReport::embedding`](crate::PipelineReport).
+/// Built by [`Encoded::embed`](crate::Encoded::embed) in the staged
+/// flow; the map is exposed as
+/// [`PipelineReport::embedding`](crate::PipelineReport::embedding).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EmbeddingMap {
     /// `matches[cube]` = sorted `(seed, position)` pairs.

@@ -1478,7 +1478,7 @@ mod tests {
                 .unwrap();
         for enc in &result.seeds {
             let vectors =
-                crate::pipeline::try_expand_seed(&lfsr, &shifter, set.config(), &enc.seed, 16)
+                crate::expand::try_expand_seed(&lfsr, &shifter, set.config(), &enc.seed, 16)
                     .unwrap();
             for p in &enc.placements {
                 assert!(
@@ -1739,7 +1739,7 @@ mod tests {
     }
 
     #[test]
-    fn window_one_degenerates_to_classical_reseeding() {
+    fn window_one_degenerates_to_the_classical_scheme() {
         let (set, _) = mini_setup(4);
         let profile = CubeProfile::mini();
         let table = build_table(profile.lfsr_size, set.config(), 1, 2);

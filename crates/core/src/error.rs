@@ -1,15 +1,13 @@
 //! The unified error hierarchy of the compression schemes.
 //!
-//! Every entry point of this crate — the staged [`Engine`], the
-//! [`CompressionScheme`] implementations and the legacy
-//! [`Pipeline`] shim — reports one error type, [`SchemeError`], which
-//! wraps the layer-specific errors ([`EncodeError`],
-//! [`ss_lfsr::LfsrError`], …) and chains them through
-//! [`std::error::Error::source`].
+//! Every entry point of this crate — the staged [`Engine`] and the
+//! [`CompressionScheme`] implementations — reports one error type,
+//! [`SchemeError`], which wraps the layer-specific errors
+//! ([`EncodeError`], [`ss_lfsr::LfsrError`], …) and chains them
+//! through [`std::error::Error::source`].
 //!
 //! [`Engine`]: crate::Engine
 //! [`CompressionScheme`]: crate::CompressionScheme
-//! [`Pipeline`]: crate::Pipeline
 //! [`EncodeError`]: crate::EncodeError
 
 use std::error::Error;

@@ -84,9 +84,7 @@
 //! ```
 //!
 //! Multi-core SoCs run all cores in parallel with
-//! [`SocPlan::run_batch`]. The legacy [`Pipeline`] API remains as a
-//! thin shim over the same stages (bit-identical results) for one
-//! release; see the `MIGRATION` section of `CHANGES.md`.
+//! [`SocPlan::run_batch`].
 //!
 //! # File workloads
 //!
@@ -103,43 +101,36 @@
 mod artifacts;
 mod baseline11;
 mod builder;
-mod classical;
 mod cost;
 mod decompressor;
 mod embedding;
 mod encoder;
 mod error;
+mod expand;
 mod expr_table;
 mod literature;
 mod modeselect;
-mod pipeline;
 mod report;
 mod rtl;
 mod scheme;
 mod soc;
 mod workload_io;
 
-pub use artifacts::{Embedded, Encoded, HardwareCtx, Segmented};
+pub use artifacts::{Embedded, Encoded, HardwareCtx, PipelineReport, Segmented};
 pub use baseline11::baseline11_tsl;
 pub use builder::{Engine, EngineBuilder, EngineConfig};
-pub use classical::{classical_reseeding, ClassicalResult};
 pub use cost::{DecompressorCost, DecompressorCostInputs};
 pub use decompressor::{Decompressor, DecompressorTrace};
 pub use embedding::EmbeddingMap;
 pub use encoder::{EncodeError, EncodedSeed, EncodingResult, Placement, WindowEncoder};
 pub use error::SchemeError;
+pub use expand::{try_expand_seed, PackedWindowExpander};
 pub use expr_table::ExprTable;
 pub use literature::{
     lit_table3, lit_table4, LitEmbeddingRow, LitMethod, LitTable4Row, Table1Row, Table2Row,
-    PAPER_TABLE1, PAPER_TABLE2, PAPER_TSL_TABLE2,
+    PAPER_TABLE1, PAPER_TABLE2,
 };
 pub use modeselect::ModeSelect;
-#[allow(deprecated)]
-pub use pipeline::expand_seed;
-pub use pipeline::{
-    try_expand_seed, try_expand_seed_packed, PackedWindowExpander, Pipeline, PipelineConfig,
-    PipelineError, PipelineReport,
-};
 pub use report::{improvement_percent, Table};
 pub use rtl::emit_decompressor_rtl;
 pub use scheme::{

@@ -306,9 +306,6 @@ pub const PAPER_TABLE2: &[Table2Row] = &[
     ),
 ];
 
-/// Alias kept for discoverability: Table 2's TSL triples.
-pub const PAPER_TSL_TABLE2: &[Table2Row] = PAPER_TABLE2;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,8 +29,8 @@ use crate::embedding::EmbeddingMap;
 ///
 /// # Example
 ///
-/// Built by [`Pipeline::run`](crate::Pipeline::run); see
-/// [`PipelineReport`](crate::PipelineReport).
+/// Built by [`Embedded::segment`](crate::Embedded::segment); see
+/// [`PipelineReport::plan`](crate::PipelineReport::plan).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentPlan {
     /// Segment size `S` in vectors.

@@ -10,9 +10,9 @@
 use ss_lfsr::CostModel;
 use ss_testdata::TestSet;
 
+use crate::artifacts::PipelineReport;
 use crate::builder::Engine;
 use crate::error::SchemeError;
-use crate::pipeline::PipelineReport;
 
 /// One core's contribution to the SoC plan.
 #[derive(Debug, Clone)]
@@ -180,23 +180,12 @@ pub fn estimated_core_area_ge(scan_cells: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Pipeline, PipelineConfig};
     use ss_testdata::{generate_test_set, CubeProfile};
 
     fn tiny_report() -> PipelineReport {
         let set = generate_test_set(&CubeProfile::mini(), 1);
-        Pipeline::new(
-            &set,
-            PipelineConfig {
-                window: 12,
-                segment: 3,
-                speedup: 4,
-                ..PipelineConfig::default()
-            },
-        )
-        .unwrap()
-        .run()
-        .unwrap()
+        let engine = Engine::builder().window(12).segment(3).speedup(4);
+        engine.build().unwrap().run(&set).unwrap()
     }
 
     #[test]

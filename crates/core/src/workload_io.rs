@@ -22,8 +22,8 @@ use ss_circuit::{parse_bench, BenchCircuit, BenchParseError, FaultList, FaultSim
 use ss_gf2::{BitVec, PackedPatterns};
 use ss_testdata::{ParseTestSetError, TestSet};
 
-use crate::artifacts::HardwareCtx;
-use crate::pipeline::{PackedWindowExpander, PipelineReport};
+use crate::artifacts::{HardwareCtx, PipelineReport};
+use crate::expand::PackedWindowExpander;
 use crate::SchemeError;
 
 /// Error ingesting a `.bench` + cube-file workload pair.

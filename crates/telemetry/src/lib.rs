@@ -84,13 +84,13 @@ pub enum SpanKind {
     CacheMemory = 2,
     /// Server side: disk-tier lookup (hit, miss or corruption).
     CacheDisk = 3,
-    /// Pipeline: LFSR + phase shifter + expression-table synthesis.
+    /// Engine stage: LFSR + phase shifter + expression-table synthesis.
     Synthesis = 4,
-    /// Pipeline: seed encoding.
+    /// Engine stage: seed encoding.
     Encode = 5,
-    /// Pipeline: seed embedding.
+    /// Engine stage: seed embedding.
     Embed = 6,
-    /// Pipeline: segmentation + finish.
+    /// Engine stage: segmentation + finish.
     Segment = 7,
     /// Server side: encoding and writing the reply through the codec.
     CodecTx = 8,

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use ss_core::{try_expand_seed, Pipeline, PipelineConfig};
+use ss_core::{try_expand_seed, Encoded, Engine};
 use ss_gf2::{berlekamp_massey, primitive_poly, BitVec};
 use ss_lfsr::{Lfsr, LfsrKind, PhaseShifter, SkipCircuit, StateSkipLfsr, XorNetwork};
 use ss_testdata::{ScanConfig, TestCube, TestSet};
@@ -100,23 +100,22 @@ proptest! {
         let cube = TestCube::random(scan.cells(), specified, &mut rng);
         let mut set = TestSet::new(scan);
         set.push(cube).unwrap();
-        let config = PipelineConfig {
-            window: 6,
-            segment: 2,
-            speedup: 3,
-            lfsr_size: Some(16),
-            ..PipelineConfig::default()
-        };
-        let pipeline = Pipeline::new(&set, config).unwrap();
+        let engine = Engine::builder().window(6).segment(2).speedup(3).lfsr_size(16);
+        let ctx = engine.build().unwrap().synthesize(&set).unwrap();
         // an intrinsically unencodable (LFSR, shifter, cube) triple is
         // possible (if astronomically rare) for random cubes; such
         // cases are outside the property and rejected
-        prop_assume!(pipeline.encodable_subset().1.is_empty());
-        let report = pipeline.run().unwrap();
+        prop_assume!(ctx.encodable_subset(&set).1.is_empty());
+        let report = Encoded::from_ctx_ref(&set, &ctx)
+            .unwrap()
+            .embed()
+            .segment()
+            .finish()
+            .unwrap();
         prop_assert_eq!(report.seeds, 1);
         let windows = try_expand_seed(
-            pipeline.lfsr(),
-            pipeline.shifter(),
+            ctx.lfsr(),
+            ctx.shifter(),
             scan,
             &report.encoding.seeds[0].seed,
             6,

@@ -9,7 +9,7 @@ use ss_circuit::{
     generate_uncompacted_test_set, random_circuit, AtpgConfig, CircuitSpec, FaultList,
     FaultSimulator,
 };
-use ss_core::{Decompressor, Pipeline, PipelineConfig};
+use ss_core::{Decompressor, Encoded, Engine};
 use ss_testdata::{ScanConfig, TestCube, TestSet};
 
 fn build_test_set(circuit: &ss_circuit::Netlist, chains: usize, seed: u64) -> TestSet {
@@ -33,18 +33,18 @@ fn shortened_sequence_preserves_fault_coverage() {
     let set = build_test_set(&circuit, 4, 21);
     assert!(!set.is_empty());
 
-    let config = PipelineConfig {
-        window: 30,
-        segment: 5,
-        speedup: 6,
-        ..PipelineConfig::default()
-    };
-    let pipeline = Pipeline::new(&set, config).unwrap();
-    let report = pipeline.run().unwrap();
+    let engine = Engine::builder().window(30).segment(5).speedup(6);
+    let ctx = engine.build().unwrap().synthesize(&set).unwrap();
+    let report = Encoded::from_ctx_ref(&set, &ctx)
+        .unwrap()
+        .embed()
+        .segment()
+        .finish()
+        .unwrap();
     let mut decompressor = Decompressor::new(
-        pipeline.lfsr().clone(),
-        config.speedup,
-        pipeline.shifter().clone(),
+        ctx.lfsr().clone(),
+        report.speedup,
+        ctx.shifter().clone(),
         set.config(),
         report.mode_select.clone(),
     );
@@ -86,29 +86,19 @@ fn tsl_improves_with_speedup() {
     // being strictly better than none.
     let circuit = random_circuit(&CircuitSpec::tiny(), 5);
     let set = build_test_set(&circuit, 4, 5);
-    let run = |k: u64| {
-        let config = PipelineConfig {
-            window: 24,
-            segment: 4,
-            speedup: k,
-            ..PipelineConfig::default()
-        };
-        // this workload can contain intrinsically unencodable cubes at
-        // the default LFSR size; drop them as the bench harness does,
-        // pinning the LFSR size so the filtered re-run keeps the exact
-        // hardware the filter was computed against
-        let probe = Pipeline::new(&set, config).unwrap();
-        let pinned = PipelineConfig {
-            lfsr_size: Some(probe.lfsr().size()),
-            ..config
-        };
-        let (encodable, _) = probe.encodable_subset();
-        Pipeline::new(&encodable, pinned)
-            .unwrap()
-            .run()
-            .unwrap()
-            .tsl_proposed
-    };
+    // this workload can contain intrinsically unencodable cubes at the
+    // default LFSR size; drop them as the bench harness does and run
+    // the filtered set on the very hardware the filter was computed
+    // against. Speedup affects traversal only, so one segmentation
+    // serves every k.
+    let engine = Engine::builder().window(24).segment(4).build().unwrap();
+    let ctx = engine.synthesize(&set).unwrap();
+    let (encodable, _) = ctx.encodable_subset(&set);
+    let segmented = Encoded::from_ctx_ref(&encodable, &ctx)
+        .unwrap()
+        .embed()
+        .segment();
+    let run = |k: u64| segmented.tsl_with(k).vectors;
     let baseline = run(1);
     for k in [2u64, 4, 8, 16] {
         assert!(
@@ -133,13 +123,8 @@ fn tdv_is_invariant_under_segment_and_speedup() {
     let set = build_test_set(&circuit, 4, 9);
     let mut tdv = None;
     for (s, k) in [(2usize, 3u64), (4, 6), (8, 12)] {
-        let config = PipelineConfig {
-            window: 24,
-            segment: s,
-            speedup: k,
-            ..PipelineConfig::default()
-        };
-        let report = Pipeline::new(&set, config).unwrap().run().unwrap();
+        let engine = Engine::builder().window(24).segment(s).speedup(k);
+        let report = engine.build().unwrap().run(&set).unwrap();
         match tdv {
             None => tdv = Some(report.tdv),
             Some(t) => assert_eq!(t, report.tdv, "TDV changed at S={s} k={k}"),

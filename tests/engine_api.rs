@@ -1,25 +1,26 @@
-//! The staged `Engine` / `CompressionScheme` API surface:
-//! bit-equivalence with the legacy `Pipeline`, trait-object dispatch,
-//! batch drivers and the unified error chain.
+//! The staged `Engine` / `CompressionScheme` API surface: the owned
+//! and borrowed-context flows agree bit for bit, trait-object
+//! dispatch, batch drivers and the unified error chain.
 
 use std::error::Error;
 
 use proptest::prelude::*;
 
 use ss_core::{
-    comparison_table, Baseline11, ClassicalReseeding, CompressionScheme, Engine, Pipeline,
-    PipelineConfig, SchemeError, SchemeReport, SocPlan, StateSkip,
+    comparison_table, Baseline11, ClassicalReseeding, CompressionScheme, Encoded, Engine,
+    SchemeError, SchemeReport, SocPlan, StateSkip,
 };
 use ss_testdata::{generate_test_set, CubeProfile, TestSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The new Engine reproduces the legacy `Pipeline::run()` exactly —
-    /// bit-identical seeds and identical TSL accounting — across
+    /// `Engine::run` (which owns its synthesised context) equals the
+    /// borrowed-context flow the schemes, the server and the benchmark
+    /// use — bit-identical seeds and identical TSL accounting — across
     /// window/segment/speedup/fill choices on `CubeProfile::mini()`.
     #[test]
-    fn engine_matches_legacy_pipeline_bit_for_bit(
+    fn engine_run_matches_the_borrowed_context_flow_bit_for_bit(
         set_seed in 1u64..6,
         window in 8usize..40,
         segment_raw in 1usize..8,
@@ -28,14 +29,6 @@ proptest! {
     ) {
         let segment = segment_raw.min(window);
         let set = generate_test_set(&CubeProfile::mini(), set_seed);
-        let config = PipelineConfig {
-            window,
-            segment,
-            speedup,
-            fill_seed,
-            ..PipelineConfig::default()
-        };
-        let legacy = Pipeline::new(&set, config).unwrap().run().unwrap();
         let engine = Engine::builder()
             .window(window)
             .segment(segment)
@@ -43,22 +36,29 @@ proptest! {
             .fill_seed(fill_seed)
             .build()
             .unwrap();
-        let staged = engine.run(&set).unwrap();
+        let owned = engine.run(&set).unwrap();
+        let ctx = engine.synthesize(&set).unwrap();
+        let borrowed = Encoded::from_ctx_ref(&set, &ctx)
+            .unwrap()
+            .embed()
+            .segment()
+            .finish()
+            .unwrap();
 
-        // bit-identical seeds (the strongest statement: the staged path
-        // and the monolithic path computed the very same encoding)
-        prop_assert_eq!(&staged.encoding, &legacy.encoding);
-        for (a, b) in staged.encoding.seeds.iter().zip(&legacy.encoding.seeds) {
+        // bit-identical seeds (the strongest statement: both flows
+        // computed the very same encoding)
+        prop_assert_eq!(&owned.encoding, &borrowed.encoding);
+        for (a, b) in owned.encoding.seeds.iter().zip(&borrowed.encoding.seeds) {
             prop_assert_eq!(&a.seed, &b.seed);
         }
         // identical TSL accounting and cost model inputs
-        prop_assert_eq!(staged.tsl_original, legacy.tsl_original);
-        prop_assert_eq!(staged.tsl_truncated, legacy.tsl_truncated);
-        prop_assert_eq!(staged.tsl_proposed, legacy.tsl_proposed);
-        prop_assert_eq!(staged.tdv, legacy.tdv);
-        prop_assert_eq!(staged.seeds, legacy.seeds);
-        prop_assert_eq!(&staged.plan, &legacy.plan);
-        prop_assert_eq!(&staged.tsl_report, &legacy.tsl_report);
+        prop_assert_eq!(owned.tsl_original, borrowed.tsl_original);
+        prop_assert_eq!(owned.tsl_truncated, borrowed.tsl_truncated);
+        prop_assert_eq!(owned.tsl_proposed, borrowed.tsl_proposed);
+        prop_assert_eq!(owned.tdv, borrowed.tdv);
+        prop_assert_eq!(owned.seeds, borrowed.seeds);
+        prop_assert_eq!(&owned.plan, &borrowed.plan);
+        prop_assert_eq!(&owned.tsl_report, &borrowed.tsl_report);
     }
 }
 
@@ -138,22 +138,6 @@ fn baseline11_scheme_agrees_with_the_legacy_function() {
     let report = engine.run_scheme(&Baseline11, &set).unwrap();
     let full = engine.run(&set).unwrap();
     assert_eq!(report.tsl, ss_core::baseline11_tsl(&full.embedding));
-}
-
-#[test]
-fn classical_scheme_agrees_with_the_legacy_function() {
-    let (set, engine) = mini_engine();
-    let report = engine.run_scheme(&ClassicalReseeding, &set).unwrap();
-    let legacy = ss_core::classical_reseeding(
-        &set,
-        None,
-        engine.config().hw_seed,
-        engine.config().fill_seed,
-    )
-    .unwrap();
-    assert_eq!(report.seeds, legacy.encoding.seeds.len());
-    assert_eq!(report.tdv, legacy.tdv());
-    assert_eq!(report.tsl, legacy.tsl() as u64);
 }
 
 #[test]

@@ -1,44 +1,45 @@
 //! Integration tests for the extension surface: scan power, SoC
 //! sharing, RTL emission and response compaction working together with
-//! the core pipeline.
+//! the staged engine.
 
 use ss_core::{
-    emit_decompressor_rtl, estimated_core_area_ge, Decompressor, Pipeline, PipelineConfig, SocPlan,
+    emit_decompressor_rtl, estimated_core_area_ge, Decompressor, DecompressorTrace, Encoded,
+    Engine, HardwareCtx, PipelineReport, SocPlan,
 };
 use ss_gf2::BitVec;
 use ss_lfsr::{Misr, SkipCircuit};
-use ss_testdata::{generate_test_set, max_wtm, sequence_power, CubeProfile};
+use ss_testdata::{generate_test_set, max_wtm, sequence_power, CubeProfile, TestSet};
 
-fn run_mini(
-    seed: u64,
-) -> (
-    ss_testdata::TestSet,
-    PipelineConfig,
-    ss_core::PipelineReport,
-) {
+/// The mini workload at `L = 30, S = 5, k = 6`: its hardware, and the
+/// full report run on that one context.
+fn run_mini(seed: u64) -> (TestSet, HardwareCtx, PipelineReport) {
     let set = generate_test_set(&CubeProfile::mini(), seed);
-    let config = PipelineConfig {
-        window: 30,
-        segment: 5,
-        speedup: 6,
-        ..PipelineConfig::default()
-    };
-    let report = Pipeline::new(&set, config).unwrap().run().unwrap();
-    (set, config, report)
+    let engine = Engine::builder().window(30).segment(5).speedup(6);
+    let ctx = engine.build().unwrap().synthesize(&set).unwrap();
+    let report = Encoded::from_ctx_ref(&set, &ctx)
+        .unwrap()
+        .embed()
+        .segment()
+        .finish()
+        .unwrap();
+    (set, ctx, report)
+}
+
+fn replay(ctx: &HardwareCtx, report: &PipelineReport) -> DecompressorTrace {
+    let mut dec = Decompressor::new(
+        ctx.lfsr().clone(),
+        report.speedup,
+        ctx.shifter().clone(),
+        ctx.scan(),
+        report.mode_select.clone(),
+    );
+    dec.run(&report.encoding, &report.plan)
 }
 
 #[test]
 fn applied_sequence_power_is_within_bounds() {
-    let (set, config, report) = run_mini(3);
-    let pipeline = Pipeline::new(&set, config).unwrap();
-    let mut dec = Decompressor::new(
-        pipeline.lfsr().clone(),
-        config.speedup,
-        pipeline.shifter().clone(),
-        set.config(),
-        report.mode_select.clone(),
-    );
-    let trace = dec.run(&report.encoding, &report.plan);
+    let (set, ctx, report) = run_mini(3);
+    let trace = replay(&ctx, &report);
     let power = sequence_power(&trace.vectors, set.config());
     assert_eq!(power.vectors as u64, trace.tsl());
     assert!(power.peak_wtm <= max_wtm(set.config()));
@@ -77,10 +78,9 @@ fn soc_plan_from_two_different_cores() {
 #[test]
 fn rtl_matches_the_simulated_hardware() {
     // the emitted RTL must reference exactly the synthesised gates
-    let (set, config, _) = run_mini(5);
-    let pipeline = Pipeline::new(&set, config).unwrap();
-    let skip = SkipCircuit::new(pipeline.lfsr(), config.speedup).unwrap();
-    let rtl = emit_decompressor_rtl(pipeline.lfsr(), &skip, pipeline.shifter());
+    let (_, ctx, report) = run_mini(5);
+    let skip = SkipCircuit::new(ctx.lfsr(), report.speedup).unwrap();
+    let rtl = emit_decompressor_rtl(ctx.lfsr(), &skip, ctx.shifter());
     let net = skip.synthesize();
     for g in 0..net.gate_count() {
         assert!(
@@ -88,7 +88,7 @@ fn rtl_matches_the_simulated_hardware() {
             "gate {g} missing from RTL"
         );
     }
-    for c in 0..pipeline.shifter().output_count() {
+    for c in 0..ctx.shifter().output_count() {
         assert!(
             rtl.contains(&format!("scan_in[{c}]")),
             "chain {c} missing from RTL"
@@ -101,16 +101,8 @@ fn rtl_matches_the_simulated_hardware() {
 fn misr_signature_distinguishes_fault_injection_end_to_end() {
     // compact the applied vectors as "responses" (identity CUT):
     // corrupting any single applied vector changes the signature
-    let (set, config, report) = run_mini(6);
-    let pipeline = Pipeline::new(&set, config).unwrap();
-    let mut dec = Decompressor::new(
-        pipeline.lfsr().clone(),
-        config.speedup,
-        pipeline.shifter().clone(),
-        set.config(),
-        report.mode_select.clone(),
-    );
-    let trace = dec.run(&report.encoding, &report.plan);
+    let (set, ctx, report) = run_mini(6);
+    let trace = replay(&ctx, &report);
     let width = 16.min(set.config().cells());
     let slice = |v: &BitVec| BitVec::from_bits((0..width).map(|i| v.get(i)));
 

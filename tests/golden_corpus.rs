@@ -26,7 +26,7 @@ use std::path::PathBuf;
 
 use ss_core::{
     comparison_table, parse_workload, sequence_coverage, Baseline11, ClassicalReseeding,
-    CompressionScheme, Engine, StateSkip,
+    CompressionScheme, Decompressor, Engine, StateSkip,
 };
 use ss_testdata::{TestSet, Workload, WorkloadRegistry};
 
@@ -88,7 +88,9 @@ fn workload_set(w: &Workload) -> TestSet {
 
 /// Runs one workload through the staged engine exactly like the CLI
 /// `run` path: synthesize once, drop intrinsically unencodable cubes
-/// against pinned hardware, run all stages.
+/// against pinned hardware, run all stages. The cycle-accurate
+/// decompressor then replays the report and must realise its TSL and
+/// clock count and apply every encodable cube.
 fn measure(w: &Workload) -> GoldenRow {
     let set = workload_set(w);
     let engine = engine_for(w);
@@ -115,12 +117,32 @@ fn measure(w: &Workload) -> GoldenRow {
         w.name
     );
 
+    let ctx = engine.synthesize(&encodable).expect("synthesis succeeds");
+    let trace = Decompressor::new(
+        ctx.lfsr().clone(),
+        report.speedup,
+        ctx.shifter().clone(),
+        ctx.scan(),
+        report.mode_select.clone(),
+    )
+    .run(&report.encoding, &report.plan);
+    assert_eq!(trace.tsl(), report.tsl_proposed, "{}: replayed TSL", w.name);
+    assert_eq!(
+        trace.clocks, report.tsl_report.total_clocks,
+        "{}: replayed clocks",
+        w.name
+    );
+    assert!(
+        trace.covers(&encodable),
+        "{}: a cube was never applied",
+        w.name
+    );
+
     let coverage_bp = match w.bench_text() {
         None => -1,
         Some(bench) => {
             let loaded = parse_workload(bench, w.cubes_text().unwrap())
                 .unwrap_or_else(|e| panic!("{}: corpus pair invalid: {e}", w.name));
-            let ctx = engine.synthesize(&encodable).expect("synthesis succeeds");
             let cov = sequence_coverage(&loaded.circuit.netlist, &ctx, &report)
                 .unwrap_or_else(|e| panic!("{}: coverage failed: {e}", w.name));
             (cov.applied_coverage * 10_000.0).round() as i64

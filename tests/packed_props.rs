@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use ss_circuit::{random_circuit, CircuitSpec, FaultList, FaultSimulator};
-use ss_core::{try_expand_seed, try_expand_seed_packed, EmbeddingMap, Engine, SegmentPlan};
+use ss_core::{try_expand_seed, EmbeddingMap, Engine, PackedWindowExpander, SegmentPlan};
 use ss_gf2::{BitVec, PackedPatterns};
 use ss_lfsr::LfsrKind;
 use ss_testdata::{generate_test_set, CubeProfile};
@@ -76,9 +76,10 @@ proptest! {
         let seed = BitVec::random(ctx.lfsr_size(), &mut rng);
         let scalar =
             try_expand_seed(ctx.lfsr(), ctx.shifter(), set.config(), &seed, window).unwrap();
-        let packed =
-            try_expand_seed_packed(ctx.lfsr(), ctx.shifter(), set.config(), &seed, window)
-                .unwrap();
+        let packed = PackedWindowExpander::new(ctx.lfsr(), ctx.shifter(), set.config(), window)
+            .unwrap()
+            .expand(&seed)
+            .unwrap();
         prop_assert_eq!(packed.count(), window);
         prop_assert_eq!(packed.to_vectors(), scalar);
     }

@@ -2,21 +2,19 @@
 //! workloads: the *shapes* of Fig. 4 and Tables 1-2 (monotonicity in
 //! k, S and L) that the full bench harness reproduces quantitatively.
 
-use ss_core::{improvement_percent, Pipeline, PipelineConfig};
+use ss_core::{improvement_percent, Engine, PipelineReport};
 use ss_testdata::{generate_test_set, CubeProfile, TestSet};
 
 fn mini_set() -> TestSet {
     generate_test_set(&CubeProfile::mini(), 40)
 }
 
-fn run(set: &TestSet, window: usize, segment: usize, speedup: u64) -> ss_core::PipelineReport {
-    let config = PipelineConfig {
-        window,
-        segment,
-        speedup,
-        ..PipelineConfig::default()
-    };
-    Pipeline::new(set, config).unwrap().run().unwrap()
+fn run(set: &TestSet, window: usize, segment: usize, speedup: u64) -> PipelineReport {
+    let engine = Engine::builder()
+        .window(window)
+        .segment(segment)
+        .speedup(speedup);
+    engine.build().unwrap().run(set).unwrap()
 }
 
 #[test]
