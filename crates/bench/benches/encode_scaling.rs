@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use ss_core::{EncodingResult, Engine, Table, WindowEncoder};
+use ss_telemetry::json::Json;
 use ss_testdata::{TestSet, Workload, WorkloadRegistry};
 
 const WINDOW: usize = 24;
@@ -142,38 +143,37 @@ fn measure(w: &Workload) -> Row {
 }
 
 fn write_json(rows: &[Row]) {
-    let mut entries = String::new();
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            entries.push_str(",\n");
-        }
-        entries.push_str(&format!(
-            "    {{\"name\": \"{}\", \"cubes\": {}, \"seeds\": {}, \"reference_s\": {:.6e}, \"cached_1t_s\": {:.6e}, \"cached_{}t_s\": {:.6e}, \"speedup_1t\": {:.2}, \"speedup_{}t\": {:.2}}}",
-            row.name,
-            row.cubes,
-            row.seeds,
-            row.reference_s,
-            row.cached_s,
-            PAR_THREADS,
-            row.cached_par_s,
-            row.speedup(),
-            PAR_THREADS,
-            row.speedup_par()
-        ));
-    }
-    let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let json = format!(
-        "{{\n  \"bench\": \"encode_scaling\",\n  \"command\": \"cargo bench -p ss-bench --bench encode_scaling\",\n  \"engine\": \"L={} S={} k={}\",\n  \"ss_scale\": {},\n  \"available_parallelism\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        WINDOW,
-        SEGMENT,
-        SPEEDUP,
-        ss_bench::scale(),
-        parallelism,
-        entries
+    let (cached_par, speedup_par) = (
+        format!("cached_{PAR_THREADS}t_s"),
+        format!("speedup_{PAR_THREADS}t"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_encode.json");
-    std::fs::write(path, json).expect("write BENCH_encode.json");
-    println!("\nwrote {path}");
+    let workloads = rows
+        .iter()
+        .map(|row| {
+            Json::object([
+                ("name", row.name.as_str().into()),
+                ("cubes", row.cubes.into()),
+                ("seeds", row.seeds.into()),
+                ("reference_s", Json::exp(row.reference_s, 6)),
+                ("cached_1t_s", Json::exp(row.cached_s, 6)),
+                (cached_par.as_str(), Json::exp(row.cached_par_s, 6)),
+                ("speedup_1t", Json::fixed(row.speedup(), 2)),
+                (speedup_par.as_str(), Json::fixed(row.speedup_par(), 2)),
+            ])
+        })
+        .collect();
+    let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let engine = Json::String(format!("L={WINDOW} S={SEGMENT} k={SPEEDUP}"));
+    ss_bench::write_bench_json(
+        "encode",
+        "encode_scaling",
+        vec![
+            ("engine", engine),
+            ("ss_scale", ss_bench::scale().into()),
+            ("available_parallelism", parallelism.into()),
+            ("workloads", Json::Array(workloads)),
+        ],
+    );
 }
 
 fn bench_encode_scaling(c: &mut Criterion) {

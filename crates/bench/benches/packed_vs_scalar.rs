@@ -29,6 +29,7 @@ use rand::{Rng, SeedableRng};
 use ss_circuit::{random_circuit, CircuitSpec, FaultList, FaultSimulator};
 use ss_core::{try_expand_seed, EmbeddingMap, Engine, PackedWindowExpander, Table};
 use ss_gf2::{BitVec, PackedPatterns};
+use ss_telemetry::json::Json;
 use ss_testdata::{generate_test_set, CubeProfile};
 
 /// Seconds per iteration: one warm-up call, then at least one measured
@@ -125,28 +126,26 @@ fn embed_rows(rows: &mut Vec<Row>) {
 }
 
 fn write_json(rows: &[Row]) {
-    let mut entries = String::new();
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            entries.push_str(",\n");
-        }
-        entries.push_str(&format!(
-            "    {{\"name\": \"{}\", \"work_items\": {}, \"scalar_s\": {:.6e}, \"packed_s\": {:.6e}, \"speedup\": {:.2}}}",
-            row.name,
-            row.work_items,
-            row.scalar_s,
-            row.packed_s,
-            row.speedup()
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"packed_vs_scalar\",\n  \"command\": \"cargo bench -p ss-bench --bench packed_vs_scalar\",\n  \"ss_scale\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        ss_bench::scale(),
-        entries
+    let workloads = rows
+        .iter()
+        .map(|row| {
+            Json::object([
+                ("name", Json::from(row.name.as_str())),
+                ("work_items", row.work_items.into()),
+                ("scalar_s", Json::exp(row.scalar_s, 6)),
+                ("packed_s", Json::exp(row.packed_s, 6)),
+                ("speedup", Json::fixed(row.speedup(), 2)),
+            ])
+        })
+        .collect();
+    ss_bench::write_bench_json(
+        "packed",
+        "packed_vs_scalar",
+        vec![
+            ("ss_scale", ss_bench::scale().into()),
+            ("workloads", Json::Array(workloads)),
+        ],
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_packed.json");
-    std::fs::write(path, json).expect("write BENCH_packed.json");
-    println!("\nwrote {path}");
 }
 
 fn bench_packed_vs_scalar(c: &mut Criterion) {

@@ -61,6 +61,7 @@ use ss_server::{
     Balancer, CacheTier, Client, CodecCounters, JobReport, JobSpec, RetryPolicy, ServeOptions,
     Server, ServerHandle, ShardSpec,
 };
+use ss_telemetry::json::Json;
 use ss_testdata::{generate_test_set, CubeProfile, Workload, WorkloadRegistry};
 
 const WINDOW: usize = 24;
@@ -726,107 +727,103 @@ fn write_json(
     failover: &FailoverRow,
     trace: &TraceOverheadRow,
 ) {
-    let mut workloads = String::new();
-    for (i, row) in latency.iter().enumerate() {
-        if i > 0 {
-            workloads.push_str(",\n");
-        }
-        workloads.push_str(&format!(
-            "    {{\"name\": \"{}\", \"cubes\": {}, \"cold_s\": {:.6e}, \"warm_disk_s\": {:.6e}, \"warm_mem_s\": {:.6e}, \"disk_speedup\": {:.2}, \"mem_speedup\": {:.2}}}",
-            row.name,
-            row.cubes,
-            row.cold_s,
-            row.warm_disk_s,
-            row.warm_mem_s,
-            row.disk_speedup(),
-            row.mem_speedup()
-        ));
-    }
-    let mut fanout = String::new();
-    for (i, row) in throughput.iter().enumerate() {
-        if i > 0 {
-            fanout.push_str(",\n");
-        }
-        fanout.push_str(&format!(
-            "    {{\"workers\": {}, \"clients\": {}, \"jobs\": {}, \"wall_s\": {:.6e}, \"jobs_per_s\": {:.1}, \"frames_sent\": {}, \"frames_received\": {}, \"tx_compression_ratio\": {:.2}, \"tx_bytes_saved\": {}, \"crc_rejects\": {}}}",
-            row.workers,
-            CLIENTS,
-            row.jobs,
-            row.wall_s,
-            row.jobs_per_s(),
-            row.codec.frames_sent,
-            row.codec.frames_received,
-            row.codec.tx_ratio(),
-            row.codec.tx_bytes_saved(),
-            row.codec.crc_rejects
-        ));
-    }
-    let mut fleet_rows = String::new();
+    let workloads = latency
+        .iter()
+        .map(|row| {
+            Json::object([
+                ("name", Json::from(row.name.as_str())),
+                ("cubes", row.cubes.into()),
+                ("cold_s", Json::exp(row.cold_s, 6)),
+                ("warm_disk_s", Json::exp(row.warm_disk_s, 6)),
+                ("warm_mem_s", Json::exp(row.warm_mem_s, 6)),
+                ("disk_speedup", Json::fixed(row.disk_speedup(), 2)),
+                ("mem_speedup", Json::fixed(row.mem_speedup(), 2)),
+            ])
+        })
+        .collect();
+    let fanout = throughput
+        .iter()
+        .map(|row| {
+            Json::object([
+                ("workers", row.workers.into()),
+                ("clients", CLIENTS.into()),
+                ("jobs", row.jobs.into()),
+                ("wall_s", Json::exp(row.wall_s, 6)),
+                ("jobs_per_s", Json::fixed(row.jobs_per_s(), 1)),
+                ("frames_sent", row.codec.frames_sent.into()),
+                ("frames_received", row.codec.frames_received.into()),
+                ("tx_compression_ratio", Json::fixed(row.codec.tx_ratio(), 2)),
+                ("tx_bytes_saved", row.codec.tx_bytes_saved().into()),
+                ("crc_rejects", row.codec.crc_rejects.into()),
+            ])
+        })
+        .collect();
     let single = fleet.first().map_or(0.0, FleetRow::jobs_per_s);
-    for (i, row) in fleet.iter().enumerate() {
-        if i > 0 {
-            fleet_rows.push_str(",\n");
-        }
-        fleet_rows.push_str(&format!(
-            "    {{\"shards\": {}, \"clients\": {}, \"keys\": {}, \"cache_bytes_per_shard\": {}, \"jobs\": {}, \"wall_s\": {:.6e}, \"jobs_per_s\": {:.1}, \"speedup_vs_single\": {:.2}, \"synthesis_runs\": {}, \"mem_hit_rate\": {:.3}, \"redirects\": {}, \"failovers\": {}}}",
-            row.shards,
-            FLEET_CLIENTS,
-            FLEET_KEYS,
-            row.cache_bytes,
-            row.jobs,
-            row.wall_s,
-            row.jobs_per_s(),
-            row.jobs_per_s() / single,
-            row.synthesis,
-            row.hit_rate(),
-            row.redirects,
-            row.failovers
-        ));
-    }
-    let failover_row = format!(
-        "    {{\"shards\": {}, \"replicas\": {}, \"jobs\": {}, \"healthy_wall_s\": {:.6e}, \"degraded_wall_s\": {:.6e}, \"degraded_slowdown\": {:.2}, \"replicas_pushed\": {}, \"failovers\": {}, \"resyntheses\": 0}}",
-        failover.shards,
-        failover.replicas,
-        failover.jobs,
-        failover.healthy_wall_s,
-        failover.degraded_wall_s,
-        failover.degraded_wall_s / failover.healthy_wall_s,
-        failover.replicas_pushed,
-        failover.failovers
-    );
-    let trace_row = format!(
-        "    {{\"jobs\": {}, \"rounds\": {}, \"traced_wall_s\": {:.6e}, \"untraced_wall_s\": {:.6e}, \"traced_jobs_per_s\": {:.1}, \"untraced_jobs_per_s\": {:.1}, \"overhead_ratio\": {:.4}, \"bound\": {:.2}, \"spans_recorded\": {}, \"spans_evicted\": {}}}",
-        trace.jobs,
-        TRACE_ROUNDS,
-        trace.traced_wall_s,
-        trace.untraced_wall_s,
-        trace.traced_jobs_per_s(),
-        trace.untraced_jobs_per_s(),
-        trace.overhead(),
-        TRACE_OVERHEAD_BOUND,
-        trace.spans_recorded,
-        trace.spans_evicted
-    );
+    let fleet_rows = fleet
+        .iter()
+        .map(|row| {
+            let speedup = row.jobs_per_s() / single;
+            Json::object([
+                ("shards", row.shards.into()),
+                ("clients", FLEET_CLIENTS.into()),
+                ("keys", FLEET_KEYS.into()),
+                ("cache_bytes_per_shard", row.cache_bytes.into()),
+                ("jobs", row.jobs.into()),
+                ("wall_s", Json::exp(row.wall_s, 6)),
+                ("jobs_per_s", Json::fixed(row.jobs_per_s(), 1)),
+                ("speedup_vs_single", Json::fixed(speedup, 2)),
+                ("synthesis_runs", row.synthesis.into()),
+                ("mem_hit_rate", Json::fixed(row.hit_rate(), 3)),
+                ("redirects", row.redirects.into()),
+                ("failovers", row.failovers.into()),
+            ])
+        })
+        .collect();
+    let slowdown = failover.degraded_wall_s / failover.healthy_wall_s;
+    let failover_row = Json::object([
+        ("shards", failover.shards.into()),
+        ("replicas", failover.replicas.into()),
+        ("jobs", failover.jobs.into()),
+        ("healthy_wall_s", Json::exp(failover.healthy_wall_s, 6)),
+        ("degraded_wall_s", Json::exp(failover.degraded_wall_s, 6)),
+        ("degraded_slowdown", Json::fixed(slowdown, 2)),
+        ("replicas_pushed", failover.replicas_pushed.into()),
+        ("failovers", failover.failovers.into()),
+        ("resyntheses", 0u64.into()),
+    ]);
+    let (traced, untraced) = (trace.traced_jobs_per_s(), trace.untraced_jobs_per_s());
+    let trace_row = Json::object([
+        ("jobs", trace.jobs.into()),
+        ("rounds", TRACE_ROUNDS.into()),
+        ("traced_wall_s", Json::exp(trace.traced_wall_s, 6)),
+        ("untraced_wall_s", Json::exp(trace.untraced_wall_s, 6)),
+        ("traced_jobs_per_s", Json::fixed(traced, 1)),
+        ("untraced_jobs_per_s", Json::fixed(untraced, 1)),
+        ("overhead_ratio", Json::fixed(trace.overhead(), 4)),
+        ("bound", Json::fixed(TRACE_OVERHEAD_BOUND, 2)),
+        ("spans_recorded", trace.spans_recorded.into()),
+        ("spans_evicted", trace.spans_evicted.into()),
+    ]);
     let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let json = format!(
-        "{{\n  \"bench\": \"server_stress\",\n  \"command\": \"cargo bench -p ss-bench --bench server_stress\",\n  \"engine\": \"L={} S={} k={}\",\n  \"ss_scale\": {},\n  \"throughput_profile_scale\": {},\n  \"fleet_cache_fraction\": {},\n  \"available_parallelism\": {},\n  \"disconnect_retries\": {},\n  \"workloads\": [\n{}\n  ],\n  \"throughput\": [\n{}\n  ],\n  \"fleet\": [\n{}\n  ],\n  \"replicated_failover\": [\n{}\n  ],\n  \"trace_overhead\": [\n{}\n  ]\n}}\n",
-        WINDOW,
-        SEGMENT,
-        SPEEDUP,
-        ss_bench::scale(),
-        THROUGHPUT_PROFILE_SCALE,
-        FLEET_CACHE_FRACTION,
-        parallelism,
-        DISCONNECT_RETRIES.load(Ordering::Relaxed),
-        workloads,
-        fanout,
-        fleet_rows,
-        failover_row,
-        trace_row
+    let engine = Json::String(format!("L={WINDOW} S={SEGMENT} k={SPEEDUP}"));
+    let retries = DISCONNECT_RETRIES.load(Ordering::Relaxed);
+    ss_bench::write_bench_json(
+        "server",
+        "server_stress",
+        vec![
+            ("engine", engine),
+            ("ss_scale", ss_bench::scale().into()),
+            ("throughput_profile_scale", THROUGHPUT_PROFILE_SCALE.into()),
+            ("fleet_cache_fraction", FLEET_CACHE_FRACTION.into()),
+            ("available_parallelism", parallelism.into()),
+            ("disconnect_retries", retries.into()),
+            ("workloads", Json::Array(workloads)),
+            ("throughput", Json::Array(fanout)),
+            ("fleet", Json::Array(fleet_rows)),
+            ("replicated_failover", Json::Array(vec![failover_row])),
+            ("trace_overhead", Json::Array(vec![trace_row])),
+        ],
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_server.json");
-    std::fs::write(path, json).expect("write BENCH_server.json");
-    println!("\nwrote {path}");
 }
 
 fn bench_server_stress(_c: &mut Criterion) {

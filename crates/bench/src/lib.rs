@@ -22,6 +22,7 @@
 use std::time::Instant;
 
 use ss_core::{Engine, PipelineReport};
+use ss_telemetry::json::Json;
 use ss_testdata::{generate_test_set, CubeProfile, TestSet, WorkloadRegistry, CORPUS_SEED};
 
 /// Workload scale factor from `SS_SCALE` (default 0.25, clamped to
@@ -32,6 +33,17 @@ pub fn scale() -> f64 {
         .and_then(|s| s.parse::<f64>().ok())
         .map(|s| s.clamp(0.01, 1.0))
         .unwrap_or(0.25)
+}
+
+/// Writes `BENCH_<file>.json` at the workspace root, one row per line:
+/// the bench's name and `cargo bench` command, then `members`.
+pub fn write_bench_json(file: &str, bench: &str, members: Vec<(&str, Json)>) {
+    let command = Json::String(format!("cargo bench -p ss-bench --bench {bench}"));
+    let head = [("bench", Json::from(bench)), ("command", command)];
+    let json = Json::object(head.into_iter().chain(members));
+    let path = format!("{}/../../BENCH_{file}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, format!("{json:#}\n")).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("\nwrote {path}");
 }
 
 /// Deterministic workload seed shared by all benches — the corpus

@@ -1094,22 +1094,6 @@ impl Balancer {
         Ok(epoch)
     }
 
-    /// Aggregate telemetry from every reachable shard, in ring order.
-    pub fn stats(&mut self) -> Vec<(String, Result<ServerStats, ClientError>)> {
-        (0..self.ring.len())
-            .map(|shard| {
-                let addr = self.ring.shards()[shard].clone();
-                let stats = self
-                    .ensure_conn(shard)
-                    .and_then(|_| self.conns[shard].as_mut().unwrap().stats());
-                if stats.is_err() {
-                    self.conns[shard] = None;
-                }
-                (addr, stats)
-            })
-            .collect()
-    }
-
     /// One trace's spans from every reachable shard, in ring order —
     /// the raw material for a stitched cross-shard timeline (append
     /// [`Balancer::local_dump`] under the label `"client"` to include

@@ -91,8 +91,8 @@ pub use codec::{
 };
 pub use protocol::{
     CacheTier, CodecCounters, ConnStats, JobPhase, JobReport, JobSpec, PhaseHistogram, Request,
-    Response, ServerStats, Span, SpanDump, SpanKind, TierStats, TraceContext, WireError,
-    HISTOGRAM_BUCKETS, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    Response, ServerStats, Span, SpanDump, SpanKind, StatField, StatKind, StatValue, TierStats,
+    TraceContext, WireError, HISTOGRAM_BUCKETS, MAX_FRAME_BYTES, PROTOCOL_VERSION, SHARD_REMOVED,
 };
 pub use server::{ServeOptions, Server, ServerHandle};
 pub use shard::{ShardError, ShardRing, ShardSpec};

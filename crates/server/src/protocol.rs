@@ -446,7 +446,8 @@ pub struct ServerStats {
     /// the owning shard.
     pub redirects: u64,
     /// This server's index into the fleet peer list (0 when unsharded
-    /// — check `shard_count` first).
+    /// — check `shard_count` first). [`SHARD_REMOVED`] (`u32::MAX`)
+    /// when a `Reconfigure` dropped this server from its own ring.
     pub shard_id: u32,
     /// Shards in the fleet this server belongs to (0 means the server
     /// is not sharded).
@@ -472,6 +473,139 @@ pub struct ServerStats {
     pub spans_recorded: u64,
     /// Spans overwritten in the trace ring under capacity pressure.
     pub spans_evicted: u64,
+}
+
+/// [`ServerStats::shard_id`] of a server that a `Reconfigure` removed
+/// from its own ring: it still serves, but owns no slot.
+pub const SHARD_REMOVED: u32 = u32::MAX;
+
+/// How a fleet combines one [`ServerStats`] field across its shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatKind {
+    /// A counter or gauge: the fleet value is the sum over shards.
+    Sum,
+    /// Where the server sits in its fleet (shard id, shard count, ring
+    /// epoch): a fleet has no single value, so it is never summed.
+    Label,
+    /// A latency histogram, merged bucket-wise with
+    /// [`PhaseHistogram::merge`].
+    Histogram,
+}
+
+/// One [`ServerStats`] field's value; the variant is its width on the
+/// wire.
+// A `StatValue` lives for one walk over a Stats snapshot, so the
+// histogram stays inline rather than boxed.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatValue {
+    /// A 32-bit counter, gauge or label.
+    U32(u32),
+    /// A 64-bit counter, gauge or label.
+    U64(u64),
+    /// A phase-latency histogram.
+    Histogram(PhaseHistogram),
+}
+
+/// One entry of [`ServerStats::fields`]: the field's dotted name (its
+/// path, like `memory.hits`, or `phase.<name>` for a histogram; the
+/// `stats --json` key), its kind and its value.
+pub type StatField = (&'static str, StatKind, StatValue);
+
+/// A mutable borrow of one [`ServerStats`] field.
+enum Slot<'a> {
+    U32(&'a mut u32),
+    U64(&'a mut u64),
+    Histogram(&'a mut PhaseHistogram),
+}
+
+impl ServerStats {
+    /// The one list of fields, in wire order: each field's dotted
+    /// name, kind and a borrow of it. The wire codec, [`Self::fields`]
+    /// and [`Self::merge`] all walk it, so a new metric is one line
+    /// here (plus the struct field and its value in the server).
+    #[rustfmt::skip] // one line per field, however long
+    fn slots(&mut self) -> Vec<(&'static str, StatKind, Slot<'_>)> {
+        use Slot::{Histogram as H, U32, U64};
+        use StatKind::{Histogram, Label, Sum};
+        let (m, d, c) = (&mut self.memory, &mut self.disk, &mut self.codec);
+        vec![
+            ("workers", Sum, U32(&mut self.workers)),
+            ("queue_capacity", Sum, U32(&mut self.queue_capacity)),
+            ("queued", Sum, U32(&mut self.queued)),
+            ("jobs_done", Sum, U64(&mut self.jobs_done)),
+            ("busy_rejections", Sum, U64(&mut self.busy_rejections)),
+            ("coalesced", Sum, U64(&mut self.coalesced)),
+            ("memory.hits", Sum, U64(&mut m.hits)),
+            ("memory.misses", Sum, U64(&mut m.misses)),
+            ("memory.entries", Sum, U64(&mut m.entries)),
+            ("memory.bytes", Sum, U64(&mut m.bytes)),
+            ("memory.capacity_bytes", Sum, U64(&mut m.capacity_bytes)),
+            ("memory.evictions", Sum, U64(&mut m.evictions)),
+            ("disk.hits", Sum, U64(&mut d.hits)),
+            ("disk.misses", Sum, U64(&mut d.misses)),
+            ("disk.entries", Sum, U64(&mut d.entries)),
+            ("disk.bytes", Sum, U64(&mut d.bytes)),
+            ("disk.capacity_bytes", Sum, U64(&mut d.capacity_bytes)),
+            ("disk.evictions", Sum, U64(&mut d.evictions)),
+            ("store_writes", Sum, U64(&mut self.store_writes)),
+            ("disk_corruptions", Sum, U64(&mut self.disk_corruptions)),
+            ("phase.synthesis", Histogram, H(&mut self.synthesis)),
+            ("phase.encode", Histogram, H(&mut self.encode)),
+            ("phase.embed", Histogram, H(&mut self.embed)),
+            ("phase.segment", Histogram, H(&mut self.segment)),
+            ("codec.connections", Sum, U64(&mut c.connections)),
+            ("codec.frames_sent", Sum, U64(&mut c.frames_sent)),
+            ("codec.frames_received", Sum, U64(&mut c.frames_received)),
+            ("codec.crc_rejects", Sum, U64(&mut c.crc_rejects)),
+            ("codec.raw_tx_bytes", Sum, U64(&mut c.raw_tx_bytes)),
+            ("codec.wire_tx_bytes", Sum, U64(&mut c.wire_tx_bytes)),
+            ("codec.raw_rx_bytes", Sum, U64(&mut c.raw_rx_bytes)),
+            ("codec.wire_rx_bytes", Sum, U64(&mut c.wire_rx_bytes)),
+            ("connections_active", Sum, U32(&mut self.connections_active)),
+            ("connections_max", Sum, U32(&mut self.connections_max)),
+            ("connections_shed", Sum, U64(&mut self.connections_shed)),
+            ("redirects", Sum, U64(&mut self.redirects)),
+            ("shard_id", Label, U32(&mut self.shard_id)),
+            ("shard_count", Label, U32(&mut self.shard_count)),
+            ("epoch", Label, U64(&mut self.epoch)),
+            ("replicas_sent", Sum, U64(&mut self.replicas_sent)),
+            ("replicas_received", Sum, U64(&mut self.replicas_received)),
+            ("replica_queue_drops", Sum, U64(&mut self.replica_queue_drops)),
+            ("reconfigures", Sum, U64(&mut self.reconfigures)),
+            ("peers_down", Sum, U32(&mut self.peers_down)),
+            ("spans_recorded", Sum, U64(&mut self.spans_recorded)),
+            ("spans_evicted", Sum, U64(&mut self.spans_evicted)),
+        ]
+    }
+
+    /// Every field in wire order.
+    pub fn fields(&self) -> Vec<StatField> {
+        let mut copy = *self;
+        let slots = copy.slots().into_iter();
+        slots
+            .map(|(name, kind, slot)| match slot {
+                Slot::U32(v) => (name, kind, StatValue::U32(*v)),
+                Slot::U64(v) => (name, kind, StatValue::U64(*v)),
+                Slot::Histogram(h) => (name, kind, StatValue::Histogram(*h)),
+            })
+            .collect()
+    }
+
+    /// Folds another shard's snapshot into this fleet aggregate:
+    /// counters and gauges add (saturating), histograms merge bucket by
+    /// bucket, and labels keep this side's value.
+    pub fn merge(&mut self, other: &ServerStats) {
+        for ((_, kind, mine), theirs) in self.slots().into_iter().zip(other.fields()) {
+            match (kind, mine, theirs.2) {
+                (StatKind::Label, ..) => {}
+                (_, Slot::U32(a), StatValue::U32(b)) => *a = a.saturating_add(b),
+                (_, Slot::U64(a), StatValue::U64(b)) => *a = a.saturating_add(b),
+                (_, Slot::Histogram(a), StatValue::Histogram(b)) => a.merge(&b),
+                _ => unreachable!("both sides walk the same field list"),
+            }
+        }
+    }
 }
 
 /// Client → server messages.
@@ -917,26 +1051,6 @@ fn read_report(r: &mut Reader<'_>) -> Result<JobReport, WireError> {
     })
 }
 
-fn put_tier_stats(buf: &mut Vec<u8>, t: &TierStats) {
-    put_u64(buf, t.hits);
-    put_u64(buf, t.misses);
-    put_u64(buf, t.entries);
-    put_u64(buf, t.bytes);
-    put_u64(buf, t.capacity_bytes);
-    put_u64(buf, t.evictions);
-}
-
-fn read_tier_stats(r: &mut Reader<'_>) -> Result<TierStats, WireError> {
-    Ok(TierStats {
-        hits: r.u64()?,
-        misses: r.u64()?,
-        entries: r.u64()?,
-        bytes: r.u64()?,
-        capacity_bytes: r.u64()?,
-        evictions: r.u64()?,
-    })
-}
-
 fn put_histogram(buf: &mut Vec<u8>, h: &PhaseHistogram) {
     put_u64(buf, h.count);
     put_u64(buf, h.total_micros);
@@ -976,94 +1090,26 @@ fn read_codec_config(r: &mut Reader<'_>) -> Result<CodecConfig, WireError> {
     })
 }
 
-fn put_codec_counters(buf: &mut Vec<u8>, c: &CodecCounters) {
-    put_u64(buf, c.connections);
-    put_u64(buf, c.frames_sent);
-    put_u64(buf, c.frames_received);
-    put_u64(buf, c.crc_rejects);
-    put_u64(buf, c.raw_tx_bytes);
-    put_u64(buf, c.wire_tx_bytes);
-    put_u64(buf, c.raw_rx_bytes);
-    put_u64(buf, c.wire_rx_bytes);
-}
-
-fn read_codec_counters(r: &mut Reader<'_>) -> Result<CodecCounters, WireError> {
-    Ok(CodecCounters {
-        connections: r.u64()?,
-        frames_sent: r.u64()?,
-        frames_received: r.u64()?,
-        crc_rejects: r.u64()?,
-        raw_tx_bytes: r.u64()?,
-        wire_tx_bytes: r.u64()?,
-        raw_rx_bytes: r.u64()?,
-        wire_rx_bytes: r.u64()?,
-    })
-}
-
-fn put_stats(buf: &mut Vec<u8>, s: &ServerStats) {
-    put_u32(buf, s.workers);
-    put_u32(buf, s.queue_capacity);
-    put_u32(buf, s.queued);
-    put_u64(buf, s.jobs_done);
-    put_u64(buf, s.busy_rejections);
-    put_u64(buf, s.coalesced);
-    put_tier_stats(buf, &s.memory);
-    put_tier_stats(buf, &s.disk);
-    put_u64(buf, s.store_writes);
-    put_u64(buf, s.disk_corruptions);
-    put_histogram(buf, &s.synthesis);
-    put_histogram(buf, &s.encode);
-    put_histogram(buf, &s.embed);
-    put_histogram(buf, &s.segment);
-    put_codec_counters(buf, &s.codec);
-    put_u32(buf, s.connections_active);
-    put_u32(buf, s.connections_max);
-    put_u64(buf, s.connections_shed);
-    put_u64(buf, s.redirects);
-    put_u32(buf, s.shard_id);
-    put_u32(buf, s.shard_count);
-    put_u64(buf, s.epoch);
-    put_u64(buf, s.replicas_sent);
-    put_u64(buf, s.replicas_received);
-    put_u64(buf, s.replica_queue_drops);
-    put_u64(buf, s.reconfigures);
-    put_u32(buf, s.peers_down);
-    put_u64(buf, s.spans_recorded);
-    put_u64(buf, s.spans_evicted);
+fn put_stats(buf: &mut Vec<u8>, stats: &ServerStats) {
+    for (_, _, value) in stats.fields() {
+        match value {
+            StatValue::U32(v) => put_u32(buf, v),
+            StatValue::U64(v) => put_u64(buf, v),
+            StatValue::Histogram(h) => put_histogram(buf, &h),
+        }
+    }
 }
 
 fn read_stats(r: &mut Reader<'_>) -> Result<ServerStats, WireError> {
-    Ok(ServerStats {
-        workers: r.u32()?,
-        queue_capacity: r.u32()?,
-        queued: r.u32()?,
-        jobs_done: r.u64()?,
-        busy_rejections: r.u64()?,
-        coalesced: r.u64()?,
-        memory: read_tier_stats(r)?,
-        disk: read_tier_stats(r)?,
-        store_writes: r.u64()?,
-        disk_corruptions: r.u64()?,
-        synthesis: read_histogram(r)?,
-        encode: read_histogram(r)?,
-        embed: read_histogram(r)?,
-        segment: read_histogram(r)?,
-        codec: read_codec_counters(r)?,
-        connections_active: r.u32()?,
-        connections_max: r.u32()?,
-        connections_shed: r.u64()?,
-        redirects: r.u64()?,
-        shard_id: r.u32()?,
-        shard_count: r.u32()?,
-        epoch: r.u64()?,
-        replicas_sent: r.u64()?,
-        replicas_received: r.u64()?,
-        replica_queue_drops: r.u64()?,
-        reconfigures: r.u64()?,
-        peers_down: r.u32()?,
-        spans_recorded: r.u64()?,
-        spans_evicted: r.u64()?,
-    })
+    let mut stats = ServerStats::default();
+    for (_, _, slot) in stats.slots() {
+        match slot {
+            Slot::U32(v) => *v = r.u32()?,
+            Slot::U64(v) => *v = r.u64()?,
+            Slot::Histogram(h) => *h = read_histogram(r)?,
+        }
+    }
+    Ok(stats)
 }
 
 /// Reads a payload's leading version byte, refusing any version but
@@ -1537,6 +1583,124 @@ mod tests {
         ];
         for response in responses {
             assert_eq!(Response::decode(&response.encode()), Ok(response));
+        }
+    }
+
+    /// A snapshot in which every field holds a distinct value, and
+    /// every u64 one a value wider than 32 bits, so a swapped, dropped
+    /// or narrowed field changes the encoded bytes.
+    fn pinned_stats() -> ServerStats {
+        let histogram = |samples: &[u64]| {
+            let mut h = PhaseHistogram::default();
+            for &micros in samples {
+                h.record(micros);
+            }
+            h
+        };
+        let wide = |n: u64| (n << 40) | n;
+        ServerStats {
+            workers: 1,
+            queue_capacity: 2,
+            queued: 3,
+            jobs_done: wide(4),
+            busy_rejections: wide(5),
+            coalesced: wide(6),
+            memory: TierStats {
+                hits: wide(7),
+                misses: wide(8),
+                entries: wide(9),
+                bytes: wide(10),
+                capacity_bytes: wide(11),
+                evictions: wide(12),
+            },
+            disk: TierStats {
+                hits: wide(13),
+                misses: wide(14),
+                entries: wide(15),
+                bytes: wide(16),
+                capacity_bytes: wide(17),
+                evictions: wide(18),
+            },
+            store_writes: wide(19),
+            disk_corruptions: wide(20),
+            synthesis: histogram(&[0, 3, 1 << 40]),
+            encode: histogram(&[5, 70, 900]),
+            embed: histogram(&[11_000]),
+            segment: histogram(&[130_000, 130_001]),
+            codec: CodecCounters {
+                connections: wide(21),
+                frames_sent: wide(22),
+                frames_received: wide(23),
+                crc_rejects: wide(24),
+                raw_tx_bytes: wide(25),
+                wire_tx_bytes: wide(26),
+                raw_rx_bytes: wide(27),
+                wire_rx_bytes: wide(28),
+            },
+            connections_active: 29,
+            connections_max: 30,
+            connections_shed: wide(31),
+            redirects: wide(32),
+            shard_id: 33,
+            shard_count: 34,
+            epoch: wide(35),
+            replicas_sent: wide(36),
+            replicas_received: wide(37),
+            replica_queue_drops: wide(38),
+            reconfigures: wide(39),
+            peers_down: 40,
+            spans_recorded: wide(41),
+            spans_evicted: wide(42),
+        }
+    }
+
+    /// The Stats reply's exact bytes, captured before its codec was
+    /// generated from the field list: length plus an FNV-1a digest.
+    #[test]
+    fn stats_reply_bytes_are_pinned() {
+        let bytes = Response::Stats(pinned_stats()).encode();
+        let mut digest = ss_store::Fnv64::new();
+        digest.write(&bytes);
+        assert_eq!(
+            (bytes.len(), digest.finish()),
+            (1426, 0x62DC_DE9D_0EF4_FBF7)
+        );
+        assert_eq!(
+            Response::decode(&bytes),
+            Ok(Response::Stats(pinned_stats()))
+        );
+    }
+
+    #[test]
+    fn field_names_are_unique_and_merge_follows_each_kind() {
+        let a = pinned_stats();
+        let names: std::collections::HashSet<_> = a.fields().iter().map(|f| f.0).collect();
+        assert_eq!(names.len(), a.fields().len());
+
+        // merging a snapshot into itself doubles every counter and
+        // histogram; a label keeps this side's value
+        let mut b = a;
+        b.shard_id = 7;
+        b.epoch = 9;
+        let mut merged = a;
+        merged.merge(&b);
+        let mut twice = a.synthesis;
+        twice.merge(&a.synthesis);
+        assert_eq!(merged.synthesis, twice);
+        for ((name, kind, got), (_, _, one)) in merged.fields().into_iter().zip(a.fields()) {
+            match (kind, got, one) {
+                (StatKind::Label, got, one) => assert_eq!(got, one, "{name}"),
+                (StatKind::Sum, StatValue::U32(got), StatValue::U32(one)) => {
+                    assert_eq!(got, 2 * one, "{name}")
+                }
+                (StatKind::Sum, StatValue::U64(got), StatValue::U64(one)) => {
+                    assert_eq!(got, 2 * one, "{name}")
+                }
+                (StatKind::Histogram, StatValue::Histogram(got), StatValue::Histogram(one)) => {
+                    assert_eq!(got.count, 2 * one.count, "{name}")
+                }
+                other => panic!("{name}: kind and width disagree: {other:?}"),
+            }
         }
     }
 

@@ -50,7 +50,7 @@ use crate::client::Client;
 use crate::codec::{Codec, CodecConfig, CodecError, WireStats, MAX_MESSAGE_BYTES};
 use crate::protocol::{
     read_frame, write_frame, CacheTier, CodecCounters, ConnStats, JobPhase, JobReport, JobSpec,
-    PhaseHistogram, Request, Response, ServerStats, TierStats,
+    PhaseHistogram, Request, Response, ServerStats, TierStats, SHARD_REMOVED,
 };
 use crate::report_digest;
 use crate::shard::{ShardError, ShardRing, ShardSpec};
@@ -527,7 +527,7 @@ impl Shared {
             match shards.as_ref() {
                 Some(s) => (
                     s.ring.epoch(),
-                    s.id.map_or(u32::MAX, |id| id as u32),
+                    s.id.map_or(SHARD_REMOVED, |id| id as u32),
                     s.ring.len() as u32,
                 ),
                 None => (0, 0, 0),

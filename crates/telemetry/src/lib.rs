@@ -22,10 +22,15 @@
 //! (`abs = wall_micros - mono_micros + span.start_micros`), which is
 //! exact up to the NTP skew between hosts and exact on a single host.
 //!
+//! The [`json`] module is the workspace's one JSON writer, shared by
+//! `state-skip stats --json` and the benches' `BENCH_*.json` files.
+//!
 //! Everything here is `std`-only, like the rest of the workspace.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+
+pub mod json;
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

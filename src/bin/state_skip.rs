@@ -40,7 +40,11 @@ use ss_core::{
     sequence_coverage, Baseline11, ClassicalReseeding, CompressionScheme, Engine, StateSkip, Table,
 };
 use ss_lfsr::SkipCircuit;
-use ss_server::{CacheTier, Client, JobSpec, ServeOptions, Server, TraceContext};
+use ss_server::{
+    CacheTier, Client, JobSpec, PhaseHistogram, ServeOptions, Server, ServerStats, StatField,
+    StatKind, StatValue, TraceContext, SHARD_REMOVED,
+};
+use ss_telemetry::json::Json;
 use ss_telemetry::{render_timeline, stitch, ShardDump};
 use ss_testdata::{generate_test_set, CubeProfile, TestSet, WorkloadRegistry};
 
@@ -763,8 +767,8 @@ fn tier_name(tier: CacheTier) -> &'static str {
     }
 }
 
-/// `stats` without a path: scrape and pretty-print the extended
-/// telemetry of a running server.
+/// `stats` without a path: scrape every `--addr` once, then print the
+/// snapshots as tables or, with `--json`, as one JSON document.
 fn server_stats(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     let addr = take_value_flag(&mut args, "--addr")?
@@ -773,31 +777,18 @@ fn server_stats(args: &[String]) -> Result<(), String> {
     if let Some(extra) = args.first() {
         return Err(format!("unexpected argument {extra:?}"));
     }
-    if json {
-        // machine-readable: the full snapshot of every shard plus the
-        // fleet aggregate, one JSON document on stdout
-        let mut fleet = Vec::new();
-        for a in addr.split(',') {
+    let fleet = addr
+        .split(',')
+        .map(|a| {
             let mut client = Client::connect(a).map_err(|e| e.to_string())?;
-            let s = client.stats().map_err(|e| e.to_string())?;
-            fleet.push((a.to_string(), s));
-        }
+            let stats = client.stats().map_err(|e| e.to_string())?;
+            Ok((a.to_string(), stats))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    if json {
         println!("{}", stats_json(&fleet));
-        return Ok(());
-    }
-    // a comma-separated --addr scrapes every shard of a fleet in turn,
-    // then rolls the per-shard counters into one fleet summary row
-    let mut first = true;
-    let mut fleet = Vec::new();
-    for addr in addr.split(',') {
-        if !std::mem::take(&mut first) {
-            println!();
-        }
-        fleet.push(print_server_stats(addr)?);
-    }
-    if fleet.len() > 1 {
-        println!();
-        print_fleet_summary(&fleet);
+    } else {
+        print!("{}", stats_tables(&fleet));
     }
     Ok(())
 }
@@ -813,83 +804,121 @@ fn take_bool_flag(args: &mut Vec<String>, name: &str) -> bool {
     }
 }
 
-/// The cross-shard rollup printed after a fleet scrape: total load,
-/// aggregate hit rates and the shed/redirect/replication tallies that
-/// tell an operator whether the fleet as a whole is healthy.
-fn print_fleet_summary(fleet: &[ss_server::ServerStats]) {
-    let sum = |f: fn(&ss_server::ServerStats) -> u64| fleet.iter().map(f).sum::<u64>();
-    let hit_rate = |hits: u64, misses: u64| {
-        if hits + misses == 0 {
-            "-".to_string()
-        } else {
-            format!("{:.1}%", hits as f64 * 100.0 / (hits + misses) as f64)
+/// The fleet aggregate: every shard's snapshot folded together.
+fn fleet_total(fleet: &[(String, ServerStats)]) -> ServerStats {
+    let mut total = ServerStats::default();
+    fleet.iter().for_each(|(_, stats)| total.merge(stats));
+    total
+}
+
+/// Whether a field is a label holding the removed-shard sentinel.
+fn is_removed(&(_, kind, value): &StatField) -> bool {
+    kind == StatKind::Label && value == StatValue::U32(SHARD_REMOVED)
+}
+
+/// A scalar field as table text.
+fn scalar_text(field: &StatField) -> String {
+    match field.2 {
+        _ if is_removed(field) => "removed".to_string(),
+        StatValue::U32(v) => v.to_string(),
+        StatValue::U64(v) => v.to_string(),
+        StatValue::Histogram(h) => h.count.to_string(),
+    }
+}
+
+/// For each server, then the fleet aggregate (when there is more than
+/// one server): a heading, its labels and its phase latencies. Then one
+/// name/value table of every counter and gauge, one column each.
+fn stats_tables(fleet: &[(String, ServerStats)]) -> String {
+    let mut columns = fleet.to_vec();
+    if fleet.len() > 1 {
+        columns.push(("fleet".to_string(), fleet_total(fleet)));
+    }
+    let fields: Vec<Vec<StatField>> = columns.iter().map(|(_, s)| s.fields()).collect();
+    let mut out = String::new();
+    for (c, (addr, _)) in fleet.iter().enumerate() {
+        out += &format!("server {addr}\n{}", labels_line("shard", &fields[c..=c]));
+        out += &phase_table(&fields[c]);
+    }
+    if let Some(total) = fields.get(fleet.len()) {
+        // the fleet's labels list every server's distinct values, so
+        // shards that disagree on the epoch show `epoch 2,3`
+        let labels = labels_line("fleet", &fields[..fleet.len()]);
+        out += &format!("fleet of {}\n{labels}", fleet.len());
+        out += &phase_table(total);
+    }
+    let names = columns.iter().map(|(name, _)| name.as_str());
+    let mut table = Table::new(std::iter::once("metric").chain(names));
+    for (i, &(name, kind, _)) in fields[0].iter().enumerate() {
+        if kind == StatKind::Sum {
+            let values = fields.iter().map(|f| scalar_text(&f[i]));
+            table.add_row(std::iter::once(name.to_string()).chain(values));
         }
-    };
-    let epochs: Vec<u64> = fleet.iter().map(|s| s.epoch).collect();
-    let converged = epochs.windows(2).all(|w| w[0] == w[1]);
-    println!(
-        "fleet of {}: epoch {}  jobs done {}  redirects {}  failbacks pending {}",
-        fleet.len(),
-        if converged {
-            epochs[0].to_string()
-        } else {
-            // a split epoch view is the one thing an operator must see
-            format!("SPLIT {epochs:?}")
-        },
-        sum(|s| s.jobs_done),
-        sum(|s| s.redirects),
-        sum(|s| u64::from(s.peers_down)),
-    );
-    println!(
-        "fleet conns: {} active / {} max  shed {}  busy rejections {}",
-        sum(|s| u64::from(s.connections_active)),
-        sum(|s| u64::from(s.connections_max)),
-        sum(|s| s.connections_shed),
-        sum(|s| s.busy_rejections),
-    );
-    println!(
-        "fleet cache: memory {} hits / {} misses ({})  disk {} hits / {} misses ({})",
-        sum(|s| s.memory.hits),
-        sum(|s| s.memory.misses),
-        hit_rate(sum(|s| s.memory.hits), sum(|s| s.memory.misses)),
-        sum(|s| s.disk.hits),
-        sum(|s| s.disk.misses),
-        hit_rate(sum(|s| s.disk.hits), sum(|s| s.disk.misses)),
-    );
-    println!(
-        "fleet replication: {} sent  {} received  {} dropped  {} reconfigures",
-        sum(|s| s.replicas_sent),
-        sum(|s| s.replicas_received),
-        sum(|s| s.replica_queue_drops),
-        sum(|s| s.reconfigures),
-    );
-    // merged per-phase latency: one histogram over the whole fleet
-    let merged = |f: fn(&ss_server::ServerStats) -> &ss_server::PhaseHistogram| {
-        let mut h = ss_server::PhaseHistogram::default();
-        for s in fleet {
-            h.merge(f(s));
+    }
+    out + &table.to_string()
+}
+
+/// `<heading> labels: shard_id 1  shard_count 3  epoch 2`, each label
+/// with its distinct values across `servers`; empty when every label
+/// is 0 (the servers are not sharded).
+fn labels_line(heading: &str, servers: &[Vec<StatField>]) -> String {
+    let mut parts = Vec::new();
+    let mut sharded = false;
+    for (i, &(name, kind, _)) in servers[0].iter().enumerate() {
+        if kind == StatKind::Label {
+            let mut values: Vec<String> = Vec::new();
+            for text in servers.iter().map(|f| scalar_text(&f[i])) {
+                sharded |= text != "0";
+                if !values.contains(&text) {
+                    values.push(text);
+                }
+            }
+            parts.push(format!("{name} {}", values.join(",")));
         }
-        h
-    };
-    let synthesis = merged(|s| &s.synthesis);
-    println!(
-        "fleet synthesis: {} samples  p50 {}  p95 {}  p99 {} ms",
-        synthesis.count,
-        percentile_ms(&synthesis, 0.50),
-        percentile_ms(&synthesis, 0.95),
-        percentile_ms(&synthesis, 0.99),
-    );
-    println!(
-        "fleet trace spans: {} recorded  {} evicted",
-        sum(|s| s.spans_recorded),
-        sum(|s| s.spans_evicted),
-    );
+    }
+    if sharded {
+        format!("{heading} labels: {}\n", parts.join("  "))
+    } else {
+        String::new()
+    }
+}
+
+/// The phase-latency table: one row per histogram, named by the last
+/// part of its dotted name.
+fn phase_table(fields: &[StatField]) -> String {
+    let mut phases = Table::new([
+        "phase",
+        "samples",
+        "mean ms",
+        "p50 ms",
+        "p95 ms",
+        "p99 ms",
+        "total ms",
+        "latency buckets",
+    ]);
+    for &(name, _, value) in fields {
+        if let StatValue::Histogram(h) = value {
+            phases.add_row([
+                name.rsplit('.').next().unwrap_or(name).to_string(),
+                h.count.to_string(),
+                format!("{:.2}", h.mean_micros() as f64 / 1e3),
+                percentile_ms(&h, 0.50),
+                percentile_ms(&h, 0.95),
+                percentile_ms(&h, 0.99),
+                format!("{:.2}", h.total_micros as f64 / 1e3),
+                histogram_sketch(&h),
+            ]);
+        }
+    }
+    format!(
+        "{phases}buckets are log2 microseconds: 2^i <= sample < 2^(i+1); percentiles are bucket upper bounds\n\n"
+    )
 }
 
 /// A histogram percentile rendered in milliseconds: `-` with no
 /// samples, an overflow marker (the open top bucket's floor) when the
 /// sample fell in the open-ended top bucket.
-fn percentile_ms(h: &ss_server::PhaseHistogram, p: f64) -> String {
+fn percentile_ms(h: &PhaseHistogram, p: f64) -> String {
     if h.count == 0 {
         return "-".to_string();
     }
@@ -901,278 +930,9 @@ fn percentile_ms(h: &ss_server::PhaseHistogram, p: f64) -> String {
     }
 }
 
-fn print_server_stats(addr: &str) -> Result<ss_server::ServerStats, String> {
-    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-    let s = client.stats().map_err(|e| e.to_string())?;
-
-    println!("server {addr}");
-    println!(
-        "workers {}  queue {}/{}  jobs done {}  busy rejections {}  coalesced {}",
-        s.workers, s.queued, s.queue_capacity, s.jobs_done, s.busy_rejections, s.coalesced
-    );
-    if s.shard_count > 0 {
-        println!(
-            "shard {}/{}  epoch {}  redirects {}",
-            s.shard_id, s.shard_count, s.epoch, s.redirects
-        );
-        println!(
-            "replication: {} sent  {} received  {} dropped  reconfigures {}  peers down {}",
-            s.replicas_sent,
-            s.replicas_received,
-            s.replica_queue_drops,
-            s.reconfigures,
-            s.peers_down
-        );
-    }
-    println!(
-        "connections {}/{} active  shed {}",
-        s.connections_active, s.connections_max, s.connections_shed
-    );
-    println!();
-
-    let mut tiers = Table::new([
-        "tier", "hits", "misses", "entries", "bytes", "cap", "evicted",
-    ]);
-    for (name, t) in [("memory", &s.memory), ("disk", &s.disk)] {
-        tiers.add_row([
-            name.to_string(),
-            t.hits.to_string(),
-            t.misses.to_string(),
-            t.entries.to_string(),
-            t.bytes.to_string(),
-            if t.capacity_bytes == 0 {
-                "-".to_string()
-            } else {
-                t.capacity_bytes.to_string()
-            },
-            t.evictions.to_string(),
-        ]);
-    }
-    println!("{tiers}");
-    println!(
-        "store writes {}  corrupt artifacts detected {}",
-        s.store_writes, s.disk_corruptions
-    );
-    println!();
-
-    let mut phases = Table::new([
-        "phase",
-        "samples",
-        "mean ms",
-        "p50 ms",
-        "p95 ms",
-        "p99 ms",
-        "total ms",
-        "latency buckets",
-    ]);
-    for (name, h) in [
-        ("synthesis", &s.synthesis),
-        ("encode", &s.encode),
-        ("embed", &s.embed),
-        ("segment", &s.segment),
-    ] {
-        phases.add_row([
-            name.to_string(),
-            h.count.to_string(),
-            format!("{:.2}", h.mean_micros() as f64 / 1e3),
-            percentile_ms(h, 0.50),
-            percentile_ms(h, 0.95),
-            percentile_ms(h, 0.99),
-            format!("{:.2}", h.total_micros as f64 / 1e3),
-            histogram_sketch(h),
-        ]);
-    }
-    println!("{phases}");
-    println!("buckets are log2 microseconds: 2^i <= sample < 2^(i+1); percentiles are bucket upper bounds");
-    println!();
-    println!(
-        "trace spans: {} recorded  {} evicted from the ring",
-        s.spans_recorded, s.spans_evicted
-    );
-    println!();
-
-    let c = &s.codec;
-    println!(
-        "codec: connections {}  frames out {}  in {}  crc rejects {}",
-        c.connections, c.frames_sent, c.frames_received, c.crc_rejects
-    );
-    println!(
-        "codec tx: raw {} B -> wire {} B  (ratio {:.2}x, {} B saved)",
-        c.raw_tx_bytes,
-        c.wire_tx_bytes,
-        c.tx_ratio(),
-        c.tx_bytes_saved()
-    );
-    println!(
-        "codec rx: raw {} B <- wire {} B",
-        c.raw_rx_bytes, c.wire_rx_bytes
-    );
-    Ok(s)
-}
-
-/// Minimal JSON string escape: the snapshot only carries addresses and
-/// counter names, but quoting must still be correct for any of them.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// One histogram as a JSON object, percentiles included (the open
-/// top bucket surfaces as the JSON `null` rather than a fake number).
-fn histogram_json(h: &ss_server::PhaseHistogram) -> String {
-    let pct = |p: f64| {
-        if h.count == 0 {
-            "null".to_string()
-        } else {
-            match h.percentile_micros(p) {
-                u64::MAX => "null".to_string(),
-                micros => micros.to_string(),
-            }
-        }
-    };
-    let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
-    format!(
-        "{{\"count\":{},\"total_micros\":{},\"mean_micros\":{},\"p50_micros\":{},\"p95_micros\":{},\"p99_micros\":{},\"buckets\":[{}]}}",
-        h.count,
-        h.total_micros,
-        h.mean_micros(),
-        pct(0.50),
-        pct(0.95),
-        pct(0.99),
-        buckets.join(","),
-    )
-}
-
-fn tier_json(t: &ss_server::TierStats) -> String {
-    format!(
-        "{{\"hits\":{},\"misses\":{},\"entries\":{},\"bytes\":{},\"capacity_bytes\":{},\"evictions\":{}}}",
-        t.hits, t.misses, t.entries, t.bytes, t.capacity_bytes, t.evictions,
-    )
-}
-
-/// One shard's full [`ss_server::ServerStats`] as a JSON object.
-fn server_stats_json(s: &ss_server::ServerStats) -> String {
-    let c = &s.codec;
-    format!(
-        concat!(
-            "{{\"workers\":{},\"queue_capacity\":{},\"queued\":{},\"jobs_done\":{},",
-            "\"busy_rejections\":{},\"coalesced\":{},",
-            "\"memory\":{},\"disk\":{},\"store_writes\":{},\"disk_corruptions\":{},",
-            "\"phases\":{{\"synthesis\":{},\"encode\":{},\"embed\":{},\"segment\":{}}},",
-            "\"codec\":{{\"connections\":{},\"frames_sent\":{},",
-            "\"frames_received\":{},\"crc_rejects\":{},\"raw_tx_bytes\":{},\"wire_tx_bytes\":{},",
-            "\"raw_rx_bytes\":{},\"wire_rx_bytes\":{}}},",
-            "\"connections_active\":{},\"connections_max\":{},\"connections_shed\":{},",
-            "\"redirects\":{},\"shard_id\":{},\"shard_count\":{},\"epoch\":{},",
-            "\"replicas_sent\":{},\"replicas_received\":{},\"replica_queue_drops\":{},",
-            "\"reconfigures\":{},\"peers_down\":{},",
-            "\"spans_recorded\":{},\"spans_evicted\":{}}}",
-        ),
-        s.workers,
-        s.queue_capacity,
-        s.queued,
-        s.jobs_done,
-        s.busy_rejections,
-        s.coalesced,
-        tier_json(&s.memory),
-        tier_json(&s.disk),
-        s.store_writes,
-        s.disk_corruptions,
-        histogram_json(&s.synthesis),
-        histogram_json(&s.encode),
-        histogram_json(&s.embed),
-        histogram_json(&s.segment),
-        c.connections,
-        c.frames_sent,
-        c.frames_received,
-        c.crc_rejects,
-        c.raw_tx_bytes,
-        c.wire_tx_bytes,
-        c.raw_rx_bytes,
-        c.wire_rx_bytes,
-        s.connections_active,
-        s.connections_max,
-        s.connections_shed,
-        s.redirects,
-        s.shard_id,
-        s.shard_count,
-        s.epoch,
-        s.replicas_sent,
-        s.replicas_received,
-        s.replica_queue_drops,
-        s.reconfigures,
-        s.peers_down,
-        s.spans_recorded,
-        s.spans_evicted,
-    )
-}
-
-/// The whole `stats --json` document: per-shard snapshots plus a fleet
-/// aggregate (sums, and per-phase histograms merged across shards).
-fn stats_json(fleet: &[(String, ss_server::ServerStats)]) -> String {
-    let shards: Vec<String> = fleet
-        .iter()
-        .map(|(addr, s)| {
-            format!(
-                "{{\"addr\":\"{}\",\"stats\":{}}}",
-                json_escape(addr),
-                server_stats_json(s)
-            )
-        })
-        .collect();
-    let sum = |f: fn(&ss_server::ServerStats) -> u64| fleet.iter().map(|(_, s)| f(s)).sum::<u64>();
-    let merged = |f: fn(&ss_server::ServerStats) -> &ss_server::PhaseHistogram| {
-        let mut h = ss_server::PhaseHistogram::default();
-        for (_, s) in fleet {
-            h.merge(f(s));
-        }
-        h
-    };
-    format!(
-        concat!(
-            "{{\"shards\":[{}],\"fleet\":{{\"shard_count\":{},\"jobs_done\":{},",
-            "\"busy_rejections\":{},\"redirects\":{},\"connections_shed\":{},",
-            "\"memory_hits\":{},\"memory_misses\":{},\"disk_hits\":{},\"disk_misses\":{},",
-            "\"replicas_sent\":{},\"replicas_received\":{},\"replica_queue_drops\":{},",
-            "\"spans_recorded\":{},\"spans_evicted\":{},",
-            "\"phases\":{{\"synthesis\":{},\"encode\":{},\"embed\":{},\"segment\":{}}}}}}}",
-        ),
-        shards.join(","),
-        fleet.len(),
-        sum(|s| s.jobs_done),
-        sum(|s| s.busy_rejections),
-        sum(|s| s.redirects),
-        sum(|s| s.connections_shed),
-        sum(|s| s.memory.hits),
-        sum(|s| s.memory.misses),
-        sum(|s| s.disk.hits),
-        sum(|s| s.disk.misses),
-        sum(|s| s.replicas_sent),
-        sum(|s| s.replicas_received),
-        sum(|s| s.replica_queue_drops),
-        sum(|s| s.spans_recorded),
-        sum(|s| s.spans_evicted),
-        histogram_json(&merged(|s| &s.synthesis)),
-        histogram_json(&merged(|s| &s.encode)),
-        histogram_json(&merged(|s| &s.embed)),
-        histogram_json(&merged(|s| &s.segment)),
-    )
-}
-
 /// Compact one-line rendering of the nonzero histogram buckets, e.g.
 /// `2^10:3 2^11:1` (3 samples in [1024, 2048) us, one in [2048, 4096)).
-fn histogram_sketch(h: &ss_server::PhaseHistogram) -> String {
+fn histogram_sketch(h: &PhaseHistogram) -> String {
     let parts: Vec<String> = h
         .buckets
         .iter()
@@ -1185,6 +945,59 @@ fn histogram_sketch(h: &ss_server::PhaseHistogram) -> String {
     } else {
         parts.join(" ")
     }
+}
+
+/// The whole `stats --json` document: each shard's snapshot under its
+/// address, and the fleet aggregate without labels (a fleet has no one
+/// shard id or epoch).
+fn stats_json(fleet: &[(String, ServerStats)]) -> Json {
+    let shards = fleet
+        .iter()
+        .map(|(addr, stats)| {
+            let stats = fields_json(stats.fields());
+            Json::object([("addr", addr.as_str().into()), ("stats", stats)])
+        })
+        .collect();
+    let mut total = fleet_total(fleet).fields();
+    total.retain(|&(_, kind, _)| kind != StatKind::Label);
+    Json::object([
+        ("shards", Json::Array(shards)),
+        ("fleet", fields_json(total)),
+    ])
+}
+
+/// Fields as one flat JSON object keyed by their dotted names (the
+/// removed-shard sentinel is `null`).
+fn fields_json(fields: Vec<StatField>) -> Json {
+    Json::object(fields.into_iter().map(|field| {
+        let value = match field.2 {
+            _ if is_removed(&field) => Json::Null,
+            StatValue::U32(v) => v.into(),
+            StatValue::U64(v) => v.into(),
+            StatValue::Histogram(h) => histogram_json(&h),
+        };
+        (field.0, value)
+    }))
+}
+
+/// One histogram as a JSON object, percentiles included (`null` with
+/// no samples, and for the open top bucket rather than a fake number).
+fn histogram_json(h: &PhaseHistogram) -> Json {
+    let pct = |p: f64| match h.percentile_micros(p) {
+        _ if h.count == 0 => Json::Null,
+        u64::MAX => Json::Null,
+        micros => micros.into(),
+    };
+    let buckets = h.buckets.iter().map(|&n| n.into()).collect();
+    Json::object([
+        ("count", h.count.into()),
+        ("total_micros", h.total_micros.into()),
+        ("mean_micros", h.mean_micros().into()),
+        ("p50_micros", pct(0.50)),
+        ("p95_micros", pct(0.95)),
+        ("p99_micros", pct(0.99)),
+        ("buckets", Json::Array(buckets)),
+    ])
 }
 
 fn sweep(path: &str, window: usize) -> Result<(), String> {
@@ -1242,4 +1055,171 @@ fn gen(profile_name: &str, seed: u64) -> Result<(), String> {
     };
     print!("{}", generate_test_set(&profile, seed).to_text());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn histogram(samples: &[u64]) -> PhaseHistogram {
+        let mut h = PhaseHistogram::default();
+        for &micros in samples {
+            h.record(micros);
+        }
+        h
+    }
+
+    /// Two shards of a three-shard fleet; the first address needs JSON
+    /// escaping.
+    fn two_shards() -> Vec<(String, ServerStats)> {
+        let mut a = ServerStats {
+            workers: 2,
+            jobs_done: 40,
+            connections_max: 256,
+            shard_id: 0,
+            shard_count: 3,
+            epoch: 4,
+            synthesis: histogram(&[900, 1500, 70_000]),
+            embed: histogram(&[40]),
+            ..ServerStats::default()
+        };
+        a.memory.hits = 30;
+        a.codec.crc_rejects = 1;
+        let mut b = ServerStats {
+            workers: 3,
+            jobs_done: 2,
+            connections_max: 128,
+            shard_id: 1,
+            epoch: 5,
+            synthesis: histogram(&[2_000_000]),
+            segment: histogram(&[7, 8]),
+            ..a
+        };
+        b.memory.hits = 5;
+        vec![
+            ("127.0.0.1:7211 \"a\\b\"".to_string(), a),
+            ("127.0.0.1:7212".to_string(), b),
+        ]
+    }
+
+    fn member<'a>(json: &'a Json, key: &str) -> &'a Json {
+        match json {
+            Json::Object(members) => &members.iter().find(|(k, _)| k == key).expect(key).1,
+            other => panic!("{key}: not an object: {other}"),
+        }
+    }
+
+    fn keys(json: &Json) -> Vec<&str> {
+        match json {
+            Json::Object(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other}"),
+        }
+    }
+
+    #[test]
+    fn every_shard_object_has_one_key_per_field() {
+        let fleet = two_shards();
+        let json = stats_json(&fleet);
+        let Json::Array(shards) = member(&json, "shards") else {
+            panic!("shards is not an array");
+        };
+        assert_eq!(shards.len(), fleet.len());
+        let names: Vec<&str> = fleet[0].1.fields().iter().map(|f| f.0).collect();
+        for (shard, (addr, _)) in shards.iter().zip(&fleet) {
+            assert_eq!(member(shard, "addr"), &Json::from(addr.as_str()));
+            assert_eq!(keys(member(shard, "stats")), names);
+        }
+        assert_eq!(
+            member(member(&shards[1], "stats"), "epoch"),
+            &Json::from(5u64)
+        );
+    }
+
+    #[test]
+    fn fleet_object_sums_counters_and_merges_histograms() {
+        let fleet = two_shards();
+        let json = stats_json(&fleet);
+        let stats = member(&json, "fleet");
+        let (a, b) = (&fleet[0].1, &fleet[1].1);
+        for ((name, kind, x), (_, _, y)) in a.fields().into_iter().zip(b.fields()) {
+            let want = match (kind, x, y) {
+                (StatKind::Label, ..) => {
+                    assert!(!keys(stats).contains(&name), "{name}");
+                    continue;
+                }
+                (_, StatValue::U32(x), StatValue::U32(y)) => Json::from(x + y),
+                (_, StatValue::U64(x), StatValue::U64(y)) => Json::from(x + y),
+                (_, StatValue::Histogram(mut x), StatValue::Histogram(y)) => {
+                    x.merge(&y);
+                    histogram_json(&x)
+                }
+                other => panic!("{name}: kind and width disagree: {other:?}"),
+            };
+            assert_eq!(member(stats, name), &want, "{name}");
+        }
+        assert_eq!(member(stats, "jobs_done"), &Json::from(42u64));
+        assert_eq!(member(stats, "memory.hits"), &Json::from(35u64));
+        assert_eq!(
+            member(member(stats, "phase.synthesis"), "count"),
+            &Json::from(4u64)
+        );
+    }
+
+    #[test]
+    fn addresses_are_escaped_in_json() {
+        let text = stats_json(&two_shards()).to_string();
+        assert!(
+            text.contains(r#"{"addr":"127.0.0.1:7211 \"a\\b\"","stats":{"workers":2,"#),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn table_keeps_the_lines_ci_parses() {
+        let fleet = two_shards();
+        let text = stats_tables(&fleet);
+        // warm-restart smoke: awk '$1 == "synthesis" {print $2; exit}'
+        let synthesis = text
+            .lines()
+            .map(|line| line.split_whitespace().collect::<Vec<_>>())
+            .find(|cols| cols.first() == Some(&"synthesis"))
+            .expect("a synthesis row");
+        assert_eq!(synthesis[1], "3");
+        // fleet smoke: one `shard ` line per sharded server
+        assert_eq!(text.lines().filter(|l| l.starts_with("shard ")).count(), 2);
+        assert!(text.contains("fleet labels: shard_id 0,1  shard_count 3  epoch 4,5"));
+        let jobs = text
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some("jobs_done"))
+            .expect("a jobs_done row");
+        assert_eq!(
+            jobs.split_whitespace().collect::<Vec<_>>(),
+            ["jobs_done", "40", "2", "42"]
+        );
+    }
+
+    #[test]
+    fn unsharded_server_prints_no_labels() {
+        let text = stats_tables(&[("127.0.0.1:7113".to_string(), ServerStats::default())]);
+        assert!(!text.contains("labels:"), "{text}");
+        assert!(!text.contains("fleet"), "{text}");
+    }
+
+    #[test]
+    fn removed_shard_renders_as_removed_and_null() {
+        let mut fleet = two_shards();
+        fleet[1].1.shard_id = SHARD_REMOVED;
+        let text = stats_tables(&fleet);
+        assert!(
+            text.contains("shard labels: shard_id removed  shard_count 3  epoch 5"),
+            "{text}"
+        );
+        assert!(!text.contains(&SHARD_REMOVED.to_string()), "{text}");
+        let json = stats_json(&fleet);
+        let Json::Array(shards) = member(&json, "shards") else {
+            panic!("shards is not an array");
+        };
+        assert_eq!(member(member(&shards[1], "stats"), "shard_id"), &Json::Null);
+        assert!(!json.to_string().contains(&SHARD_REMOVED.to_string()));
+    }
 }
