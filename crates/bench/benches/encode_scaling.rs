@@ -1,41 +1,35 @@
-//! `encode_scaling`: throughput of the residue-cached (and parallel)
-//! encoder search against the from-scratch reference search, on every
-//! registry workload.
+//! `encode_scaling`: throughput of the residue-cached encoder search
+//! against the from-scratch reference search, on every registry
+//! workload.
 //!
-//! Three measurements per workload, all over the same hardware context
+//! Two measurements per workload, both over the same hardware context
 //! at the golden-conformance knobs (`L=24, S=4, k=6`):
 //!
 //! * **reference** — [`WindowEncoder::encode_reference`], the
 //!   pre-overhaul search (re-eliminates every candidate system from
 //!   scratch each round);
 //! * **cached** — [`WindowEncoder::encode`], the incremental
-//!   residue-cached search on one thread;
-//! * **cached-4t** — [`WindowEncoder::encode_with_threads`] with four
-//!   probing workers.
+//!   residue-cached search (single-threaded, like the reference).
 //!
-//! Every run *asserts* the three searches return bit-identical
+//! Every run *asserts* the two searches return bit-identical
 //! encodings (seeds and placements) and that the cached single-thread
 //! search beats the reference (`speedup > 1`) on every workload large
 //! enough to time reliably — so a regression in either correctness or
 //! performance fails the bench loudly, which CI relies on. Measured
 //! ratios are recorded in `BENCH_encode.json` at the workspace root,
-//! next to `BENCH_packed.json`. The 4-thread column only scales on
-//! machines with free cores (the encoder clamps its workers to the
-//! available parallelism); the JSON records the machine's
-//! parallelism so the column can be read honestly.
+//! next to `BENCH_packed.json`.
 
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use ss_core::{EncodingResult, Engine, Table, WindowEncoder};
+use ss_core::{Engine, Table, WindowEncoder};
 use ss_telemetry::json::Json;
 use ss_testdata::{TestSet, Workload, WorkloadRegistry};
 
 const WINDOW: usize = 24;
 const SEGMENT: usize = 4;
 const SPEEDUP: u64 = 6;
-const PAR_THREADS: usize = 4;
 
 /// Seconds per call, adaptively: a single measured call when the
 /// closure is slow (the reference search on the big profiles), more
@@ -66,16 +60,11 @@ struct Row {
     seeds: usize,
     reference_s: f64,
     cached_s: f64,
-    cached_par_s: f64,
 }
 
 impl Row {
     fn speedup(&self) -> f64 {
         self.reference_s / self.cached_s
-    }
-
-    fn speedup_par(&self) -> f64 {
-        self.reference_s / self.cached_par_s
     }
 }
 
@@ -112,25 +101,15 @@ fn measure(w: &Workload) -> Row {
     let encoder = WindowEncoder::new(&set, ctx.table()).expect("one geometry");
 
     let reference = encoder.encode_reference(fill_seed).expect("encodes");
-    let check = |label: &str, result: &EncodingResult| {
-        assert_eq!(
-            result, &reference,
-            "{}: {label} encoding diverged from encode_reference",
-            w.name
-        );
-    };
-    check("cached", &encoder.encode(fill_seed).expect("encodes"));
-    check(
-        "parallel",
-        &encoder
-            .encode_with_threads(fill_seed, PAR_THREADS)
-            .expect("encodes"),
+    assert_eq!(
+        encoder.encode(fill_seed).expect("encodes"),
+        reference,
+        "{}: cached encoding diverged from encode_reference",
+        w.name
     );
 
     let reference_s = time_adaptive(|| encoder.encode_reference(fill_seed).unwrap());
     let cached_s = time_adaptive(|| encoder.encode(fill_seed).unwrap());
-    let cached_par_s =
-        time_adaptive(|| encoder.encode_with_threads(fill_seed, PAR_THREADS).unwrap());
 
     Row {
         name: w.name.to_string(),
@@ -138,15 +117,10 @@ fn measure(w: &Workload) -> Row {
         seeds: reference.seeds.len(),
         reference_s,
         cached_s,
-        cached_par_s,
     }
 }
 
 fn write_json(rows: &[Row]) {
-    let (cached_par, speedup_par) = (
-        format!("cached_{PAR_THREADS}t_s"),
-        format!("speedup_{PAR_THREADS}t"),
-    );
     let workloads = rows
         .iter()
         .map(|row| {
@@ -156,13 +130,10 @@ fn write_json(rows: &[Row]) {
                 ("seeds", row.seeds.into()),
                 ("reference_s", Json::exp(row.reference_s, 6)),
                 ("cached_1t_s", Json::exp(row.cached_s, 6)),
-                (cached_par.as_str(), Json::exp(row.cached_par_s, 6)),
                 ("speedup_1t", Json::fixed(row.speedup(), 2)),
-                (speedup_par.as_str(), Json::fixed(row.speedup_par(), 2)),
             ])
         })
         .collect();
-    let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let engine = Json::String(format!("L={WINDOW} S={SEGMENT} k={SPEEDUP}"));
     ss_bench::write_bench_json(
         "encode",
@@ -170,26 +141,23 @@ fn write_json(rows: &[Row]) {
         vec![
             ("engine", engine),
             ("ss_scale", ss_bench::scale().into()),
-            ("available_parallelism", parallelism.into()),
             ("workloads", Json::Array(workloads)),
         ],
     );
 }
 
 fn bench_encode_scaling(c: &mut Criterion) {
-    ss_bench::banner("encode scaling: residue-cached + parallel search vs reference");
+    ss_bench::banner("encode scaling: residue-cached search vs reference");
 
     let rows: Vec<Row> = WorkloadRegistry::all().iter().map(measure).collect();
 
     let mut table = Table::new([
-        "workload".to_string(),
-        "cubes".to_string(),
-        "seeds".to_string(),
-        "reference".to_string(),
-        "cached 1t".to_string(),
-        format!("cached {PAR_THREADS}t"),
-        "speedup 1t".to_string(),
-        format!("speedup {PAR_THREADS}t"),
+        "workload",
+        "cubes",
+        "seeds",
+        "reference",
+        "cached 1t",
+        "speedup 1t",
     ]);
     for row in &rows {
         table.add_row([
@@ -198,9 +166,7 @@ fn bench_encode_scaling(c: &mut Criterion) {
             row.seeds.to_string(),
             format!("{:.3} ms", row.reference_s * 1e3),
             format!("{:.3} ms", row.cached_s * 1e3),
-            format!("{:.3} ms", row.cached_par_s * 1e3),
             format!("{:.1}x", row.speedup()),
-            format!("{:.1}x", row.speedup_par()),
         ]);
     }
     println!("{table}");
@@ -235,9 +201,6 @@ fn bench_encode_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("encode_scaling");
     group.bench_function("cached_1t/mini-13", |b| {
         b.iter(|| encoder.encode(1).unwrap())
-    });
-    group.bench_function("cached_4t/mini-13", |b| {
-        b.iter(|| encoder.encode_with_threads(1, PAR_THREADS).unwrap())
     });
     group.finish();
 }

@@ -209,10 +209,7 @@ impl<'a> Encoded<'a> {
     ///
     /// [`SchemeError::Encode`] when a cube cannot be encoded.
     pub fn from_ctx(set: &'a TestSet, ctx: HardwareCtx) -> Result<Self, SchemeError> {
-        let encoding = WindowEncoder::new(set, ctx.table())?.encode_with_threads(
-            ctx.config().fill_seed,
-            resolve_threads(ctx.config().threads),
-        )?;
+        let encoding = WindowEncoder::new(set, ctx.table())?.encode(ctx.config().fill_seed)?;
         Ok(Encoded {
             set,
             ctx: Cow::Owned(ctx),
@@ -227,10 +224,7 @@ impl<'a> Encoded<'a> {
     ///
     /// [`SchemeError::Encode`] when a cube cannot be encoded.
     pub fn from_ctx_ref(set: &'a TestSet, ctx: &'a HardwareCtx) -> Result<Self, SchemeError> {
-        let encoding = WindowEncoder::new(set, ctx.table())?.encode_with_threads(
-            ctx.config().fill_seed,
-            resolve_threads(ctx.config().threads),
-        )?;
+        let encoding = WindowEncoder::new(set, ctx.table())?.encode(ctx.config().fill_seed)?;
         Ok(Encoded {
             set,
             ctx: Cow::Borrowed(ctx),

@@ -43,11 +43,13 @@ pub struct EngineConfig {
     pub hw_seed: u64,
     /// RNG seed for the pseudorandom fill of free seed variables.
     pub fill_seed: u64,
-    /// Worker-thread budget for the parallel stages (candidate
-    /// probing, embedding detection, [`Engine::run_all`],
+    /// Worker-thread cap for the parallel stages (embedding
+    /// detection, [`Engine::run_all`]'s scheme pool,
     /// [`SocPlan::run_batch`](crate::SocPlan::run_batch)); `None`
-    /// uses [`std::thread::available_parallelism`]. Results are
-    /// bit-identical at every thread count.
+    /// uses [`std::thread::available_parallelism`], and no pool starts
+    /// more workers than the machine has hardware threads. The encoder
+    /// itself runs on one thread. Results are bit-identical at every
+    /// thread count.
     pub threads: Option<usize>,
 }
 
@@ -152,9 +154,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Worker-thread budget for the parallel stages (default: the
-    /// machine's [`std::thread::available_parallelism`]). Must be at
-    /// least 1; results are bit-identical at every thread count.
+    /// Worker-thread cap for the parallel stages — embedding
+    /// detection, [`Engine::run_all`] and
+    /// [`SocPlan::run_batch`](crate::SocPlan::run_batch); the encoder
+    /// runs on one thread (default: the machine's
+    /// [`std::thread::available_parallelism`]). Must be at least 1;
+    /// results are bit-identical at every thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = Some(threads);
         self
@@ -316,15 +321,23 @@ impl Engine {
     }
 }
 
-/// Runs `count` independent jobs over a scoped worker pool of at most
-/// `threads` threads (inline when one suffices), returning results in
-/// job order. Panics in workers are propagated.
+/// How many workers a pool for `count` jobs starts under a `threads`
+/// cap: never more than the jobs, nor than the machine's hardware
+/// threads (extra workers would only time-slice), and at least one.
+pub(crate) fn pool_width(threads: usize, count: usize) -> usize {
+    let hw = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    threads.min(count).min(hw).max(1)
+}
+
+/// Runs `count` independent jobs over a scoped worker pool of
+/// [`pool_width`] threads (inline when one suffices), returning
+/// results in job order. Panics in workers are propagated.
 pub(crate) fn run_pool<T, F>(threads: usize, count: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = threads.clamp(1, count.max(1));
+    let threads = pool_width(threads, count);
     if threads <= 1 || count <= 1 {
         return (0..count).map(job).collect();
     }
@@ -392,6 +405,17 @@ mod tests {
             assert_eq!(results, (0..23).map(|i| i * i).collect::<Vec<_>>());
         }
         assert!(crate::builder::run_pool(4, 0, |i| i).is_empty());
+    }
+
+    #[test]
+    fn pool_width_caps_at_jobs_and_hardware_threads() {
+        let hw = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(pool_width(5000, 600), hw.min(600));
+        assert_eq!(pool_width(usize::MAX, usize::MAX), hw);
+        assert_eq!(pool_width(3, 2), 2.min(hw));
+        assert_eq!(pool_width(1, 600), 1);
+        assert_eq!(pool_width(0, 0), 1);
+        assert_eq!(pool_width(4, 0), 1);
     }
 
     #[test]

@@ -59,27 +59,22 @@
 //!   a word-AND against the satisfying-seed mask computed from the
 //!   row's projection, and resuming a residue is one intersection with
 //!   the global constraint mask.
-//! * **Parallel candidate probing.** Probing is read-only against the
-//!   shared per-seed engine, so first-visit candidates are initialised
-//!   across a [`std::thread::scope`] worker pool, in level batches
-//!   sized to the thread count (deeper levels are probed
-//!   speculatively — their caches would be needed later in the seed
-//!   anyway, and probe outcomes are invariants, so speculation can
-//!   never change the result). The winning placement is the minimum
-//!   of the strict total order `(rank, count, position, cube)` within
-//!   the shallowest level that has one, making the result
-//!   **bit-identical at every thread count**.
+//! * **Lazy, serial level probing.** Each round probes the remaining
+//!   cubes level by level, most specified bits first, and stops at
+//!   the shallowest level that has a solvable candidate — the
+//!   reference search's early exit — so a deeper cube's first visit
+//!   happens only in the round that needs it. The winning placement is
+//!   the minimum of the strict total order `(rank, count, position,
+//!   cube)` within that level, exactly as the reference picks it.
 //!
 //! The pre-overhaul search survives as
 //! [`WindowEncoder::encode_reference`]; property tests and the
-//! `encode_scaling` bench pin the cached and parallel paths to it,
-//! placement for placement and seed bit for seed bit.
+//! `encode_scaling` bench pin the cached search to it, placement for
+//! placement and seed bit for seed bit.
 
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::panic;
-use std::thread;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -180,16 +175,6 @@ impl Error for EncodeError {}
 /// `(added rank, viable positions, position, cube)`.
 type Key = (usize, usize, usize, usize);
 
-/// One parallel probing work item: `(batch index, cube, its cache)`.
-type WorkItem<'a> = (usize, usize, &'a mut CubeCache);
-
-/// Serial levels before a parallel descent sweep is considered.
-const DESCENT_LEVELS: usize = 4;
-
-/// Estimated first-visit equation volume that justifies a worker-pool
-/// dispatch.
-const PAR_EQS: usize = 100_000;
-
 /// The cached residue of one candidate `(cube, position)` system, in
 /// the representation of the seed's probing tier:
 ///
@@ -216,10 +201,8 @@ struct PosResidue {
 struct CubeCache {
     init: bool,
     entries: Vec<PosResidue>,
-    /// Retired entries whose buffers are reused by later seeds — each
-    /// cube is probed by one worker at a time, so the pool never
-    /// contends across threads (and steady-state probing never hits
-    /// the allocator).
+    /// Retired entries whose buffers are reused by later seeds, so
+    /// steady-state probing never hits the allocator.
     spare: Vec<PosResidue>,
 }
 
@@ -231,6 +214,16 @@ impl CubeCache {
 
     fn take_entry(&mut self) -> PosResidue {
         self.spare.pop().unwrap_or_default()
+    }
+
+    /// The cached residue of the viable candidate at `position`.
+    fn residue(&self, position: usize) -> &[u64] {
+        &self
+            .entries
+            .iter()
+            .find(|e| e.position == position)
+            .expect("picked placement has a cached residue")
+            .rows
     }
 
     /// `retain_mut` that recycles dropped entries into the pool
@@ -248,8 +241,8 @@ impl CubeCache {
     }
 }
 
-/// Reusable per-worker buffers so steady-state probing allocates
-/// almost nothing.
+/// Reusable probing buffers, one set per encode, so steady-state
+/// probing allocates almost nothing.
 #[derive(Debug, Default)]
 struct ProbeScratch {
     /// Solution-mask target of the position being probed (truth-table
@@ -516,7 +509,9 @@ impl TtEngine {
     /// solution mask; `free_vars` is the solver's post-commit
     /// free-variable count (= `log2` of the new population).
     fn commit_update(&mut self, winner: &[u64], free_vars: usize) {
-        self.c_mask.copy_from_slice(winner);
+        for (c, &w) in self.c_mask.iter_mut().zip(winner) {
+            *c &= w;
+        }
         self.f_log = free_vars;
         debug_assert_eq!(
             self.c_mask
@@ -635,6 +630,245 @@ impl Prober {
     }
 }
 
+/// Per-encode state of the incremental search: each cube's equations
+/// and specified-bit count, the greedy order, what is left to encode,
+/// and the per-cube residue caches with the one probing scratch.
+struct Search<'a> {
+    enc: &'a WindowEncoder<'a>,
+    /// Per-cube equations as (position-independent row offset, bit),
+    /// sorted by offset: the scan-geometry arithmetic and care-bit
+    /// iteration are paid once per cube, and probing walks each
+    /// position's table block in ascending address order (equation
+    /// order cannot change probe outcomes).
+    cube_eqs: Vec<Vec<(u32, bool)>>,
+    specified: Vec<usize>,
+    /// Cube indices, most specified bits first.
+    order: Vec<usize>,
+    remaining: Vec<bool>,
+    remaining_count: usize,
+    caches: Vec<CubeCache>,
+    scratch: ProbeScratch,
+}
+
+/// Per-seed state of the incremental search: the basis being built,
+/// its probing tier and the placements so far.
+struct SeedSearch {
+    solver: IncrementalSolver,
+    /// `None` while the frame is wider than one word (`f > 63`, an LFSR
+    /// far larger than its cubes): those rounds run the reference
+    /// search's own probe over `viable`, exact by construction, until
+    /// commits shrink the frame into the word-sized tiers.
+    prober: Option<Prober>,
+    /// The reference search's still-viable positions per cube, for the
+    /// oversized rounds.
+    viable: HashMap<usize, Vec<usize>>,
+    placements: Vec<Placement>,
+}
+
+impl SeedSearch {
+    /// Commits `pick` — whose cached residue is `winner`, empty in an
+    /// oversized frame — and brings the probing tier up to date.
+    /// Returns whether a new frame was taken, which restarts every
+    /// cached residue: viability is an invariant of the basis, so the
+    /// re-probe reproduces the same sets.
+    fn commit(&mut self, enc: &WindowEncoder<'_>, pick: Placement, winner: &[u64]) -> bool {
+        let committed = enc.commit(&mut self.solver, pick.cube, pick.position);
+        debug_assert!(committed, "selected system must still be solvable");
+        let free = self.solver.free_vars();
+        if free == 0 {
+            return false;
+        }
+        let retier = match &mut self.prober {
+            None => {
+                self.viable.remove(&pick.cube);
+                free <= FixedEngine::MAX_DIM
+            }
+            // delta reduction in the fixed frame: cached masks simply
+            // intersect the new constraint
+            Some(Prober::Tt(engine)) => {
+                engine.commit_update(winner, free);
+                false
+            }
+            Some(Prober::Fixed(engine)) => {
+                engine.commit_update(winner);
+                debug_assert_eq!(engine.g.rank(), engine.dim - free);
+                free <= TtEngine::MAX_DIM
+            }
+        };
+        if retier {
+            self.prober = Some(Prober::for_space(&self.solver.affine_space()));
+        }
+        retier
+    }
+}
+
+impl<'a> Search<'a> {
+    fn new(enc: &'a WindowEncoder<'a>) -> Search<'a> {
+        let set = enc.set;
+        let cube_eqs = (0..set.len())
+            .map(|ci| {
+                let mut eqs: Vec<(u32, bool)> = set
+                    .cube(ci)
+                    .iter_specified()
+                    .map(|(cell, bit)| (enc.table.row_offset(cell) as u32, bit))
+                    .collect();
+                eqs.sort_unstable_by_key(|&(off, _)| off);
+                eqs
+            })
+            .collect();
+        Search {
+            enc,
+            cube_eqs,
+            specified: (0..set.len())
+                .map(|ci| set.cube(ci).specified_count())
+                .collect(),
+            order: set.indices_by_specified_desc(),
+            remaining: vec![true; set.len()],
+            remaining_count: set.len(),
+            caches: (0..set.len()).map(|_| CubeCache::default()).collect(),
+            scratch: ProbeScratch::default(),
+        }
+    }
+
+    fn place(&mut self, seed: &mut SeedSearch, pick: Placement) {
+        seed.placements.push(pick);
+        self.remaining[pick.cube] = false;
+        self.remaining_count -= 1;
+    }
+
+    /// Step 1: opens a seed with the biggest remaining cube at window
+    /// position 0 (position choice is irrelevant for solvability; see
+    /// [`WindowEncoder::encode_reference`]).
+    fn first_cube(&mut self) -> Result<SeedSearch, EncodeError> {
+        let n = self.enc.table.vars();
+        let first = self
+            .order
+            .iter()
+            .copied()
+            .find(|&ci| self.remaining[ci])
+            .expect("a cube remains");
+        let mut solver = IncrementalSolver::new(n);
+        if !self.enc.commit(&mut solver, first, 0) {
+            return Err(EncodeError::CubeUnencodable {
+                cube: first,
+                specified: self.specified[first],
+                lfsr_size: n,
+            });
+        }
+        for cache in &mut self.caches {
+            cache.reset();
+        }
+        let mut seed = SeedSearch {
+            prober: (solver.free_vars() <= FixedEngine::MAX_DIM)
+                .then(|| Prober::for_space(&solver.affine_space())),
+            solver,
+            viable: HashMap::new(),
+            placements: Vec::new(),
+        };
+        self.place(
+            &mut seed,
+            Placement {
+                cube: first,
+                position: 0,
+            },
+        );
+        Ok(seed)
+    }
+
+    /// Step 2: commits the best candidate round after round until the
+    /// basis is full or no remaining cube is solvable anywhere.
+    fn greedy_fill(&mut self, seed: &mut SeedSearch) {
+        while seed.solver.rank() < self.enc.table.vars() {
+            let pick = match &seed.prober {
+                None => self.enc.select_next(
+                    &mut seed.viable,
+                    &self.remaining,
+                    &self.order,
+                    &mut seed.solver,
+                ),
+                Some(prober) => self.select_cached(prober),
+            };
+            let Some(pick) = pick else {
+                return;
+            };
+            // the winner's cached residue is consumed by the commit,
+            // before its cache is cleared
+            let winner = match seed.prober {
+                None => &[][..],
+                Some(_) => self.caches[pick.cube].residue(pick.position),
+            };
+            let retier = seed.commit(self.enc, pick, winner);
+            self.place(seed, pick);
+            self.caches[pick.cube].reset();
+            if retier {
+                for cache in &mut self.caches {
+                    if cache.init {
+                        cache.reset();
+                    }
+                }
+            }
+        }
+    }
+
+    /// The paper's selection criteria over the remaining cubes, on the
+    /// cached residues: probe level by level, most specified bits
+    /// first, and hand back the best candidate of the shallowest level
+    /// that has one — the reference search's early exit, so deeper
+    /// cubes are first visited only in the round that needs them.
+    fn select_cached(&mut self, prober: &Prober) -> Option<Placement> {
+        let Search {
+            enc,
+            cube_eqs,
+            specified,
+            order,
+            remaining,
+            caches,
+            scratch,
+            ..
+        } = self;
+        let mut level = usize::MAX;
+        let mut best: Option<Key> = None;
+        for &ci in order.iter().filter(|&&ci| remaining[ci]) {
+            if best.is_some() && specified[ci] < level {
+                break;
+            }
+            level = specified[ci];
+            let key = enc.probe_cube(ci, &mut caches[ci], &cube_eqs[ci], prober, scratch);
+            if let Some(key) = key {
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                }
+            }
+        }
+        best.map(|(_, _, position, cube)| Placement { cube, position })
+    }
+
+    /// Step 3, the full-rank fast path: the window is *uniquely*
+    /// determined, so "solvable" degenerates to "already embedded" —
+    /// each remaining cube takes the first position whose cells all
+    /// evaluate to its bits under the seed (checked cell by cell, with
+    /// early exit).
+    fn place_embedded(&mut self, seed: &mut SeedSearch, bits: &BitVec) {
+        let table = self.enc.table;
+        let per_position = table.rows_per_position();
+        for i in 0..self.order.len() {
+            let ci = self.order[i];
+            if !self.remaining[ci] {
+                continue;
+            }
+            let embedded = (0..table.window()).find(|&v| {
+                self.cube_eqs[ci].iter().all(|&(off, bit)| {
+                    let row = table.row_words(v * per_position + off as usize);
+                    words::dot(row, bits.as_words()) == bit
+                })
+            });
+            if let Some(position) = embedded {
+                self.place(seed, Placement { cube: ci, position });
+            }
+        }
+    }
+}
+
 /// The window-based reseeding encoder.
 ///
 /// # Example
@@ -683,411 +917,40 @@ impl<'a> WindowEncoder<'a> {
     /// free seed variables (and nothing else), so results are fully
     /// deterministic.
     ///
-    /// This is the incremental projected-residue search on a single
-    /// thread — bit-identical to
-    /// [`encode_reference`](Self::encode_reference) and to
-    /// [`encode_with_threads`](Self::encode_with_threads) at any
-    /// thread count.
+    /// This is the incremental projected-residue search, run on the
+    /// calling thread — bit-identical to
+    /// [`encode_reference`](Self::encode_reference), seed for seed and
+    /// placement for placement. Each seed follows the module docs'
+    /// three steps: the first cube, the greedy fill, and the
+    /// full-rank fast path.
     ///
     /// # Errors
     ///
     /// Returns [`EncodeError::CubeUnencodable`] if some cube cannot be
     /// encoded even alone in an empty window.
     pub fn encode(&self, fill_seed: u64) -> Result<EncodingResult, EncodeError> {
-        self.encode_with_threads(fill_seed, 1)
-    }
-
-    /// [`encode`](Self::encode) with candidate probing parallelised
-    /// across up to `threads` scoped worker threads (clamped to at
-    /// least 1). The winning placement each round is the minimum of
-    /// the strict total order `(added rank, viable-position count,
-    /// position, cube index)` within the shallowest solvable level,
-    /// so the output is **bit-identical for every thread count** — a
-    /// contract the workspace property tests pin.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EncodeError::CubeUnencodable`] if some cube cannot be
-    /// encoded even alone in an empty window.
-    pub fn encode_with_threads(
-        &self,
-        fill_seed: u64,
-        threads: usize,
-    ) -> Result<EncodingResult, EncodeError> {
-        // more workers than hardware threads cannot help (the
-        // speculative descent sweep only pays off when it really runs
-        // concurrently), so excess requests take the cheaper lazy path;
-        // results are identical either way
-        let hw = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        self.encode_tuned(fill_seed, threads.clamp(1, hw), DESCENT_LEVELS, PAR_EQS)
-    }
-
-    /// [`encode_with_threads`](Self::encode_with_threads) with the
-    /// dispatch thresholds exposed: tests force tiny thresholds so the
-    /// parallel machinery is exercised (and pinned bit-identical) even
-    /// on small workloads and single-CPU machines.
-    fn encode_tuned(
-        &self,
-        fill_seed: u64,
-        threads: usize,
-        descent_levels: usize,
-        par_eqs: usize,
-    ) -> Result<EncodingResult, EncodeError> {
-        let n = self.table.vars();
-        let window = self.table.window();
-        let threads = threads.max(1);
         let mut rng = SmallRng::seed_from_u64(fill_seed ^ 0x454e_434f_4445_5253); // "ENCODERS"
-        let mut remaining: Vec<bool> = vec![true; self.set.len()];
-        let mut remaining_count = self.set.len();
-        let order = self.set.indices_by_specified_desc();
-        let specified: Vec<usize> = (0..self.set.len())
-            .map(|ci| self.set.cube(ci).specified_count())
-            .collect();
-        let mut caches: Vec<CubeCache> =
-            (0..self.set.len()).map(|_| CubeCache::default()).collect();
-        let mut level_order: Vec<usize> = Vec::with_capacity(self.set.len());
-        // per-cube equations as (position-independent row offset, bit),
-        // sorted by offset: the scan-geometry arithmetic and care-bit
-        // iteration are paid once per cube, and probing walks each
-        // position's table block in ascending address order
-        // (equation order cannot change probe outcomes)
-        let cube_eqs: Vec<Vec<(u32, bool)>> = (0..self.set.len())
-            .map(|ci| {
-                let mut eqs: Vec<(u32, bool)> = self
-                    .set
-                    .cube(ci)
-                    .iter_specified()
-                    .map(|(cell, bit)| (self.table.row_offset(cell) as u32, bit))
-                    .collect();
-                eqs.sort_unstable_by_key(|&(off, _)| off);
-                eqs
-            })
-            .collect();
-        let cube_eqs = &cube_eqs;
-        let mut scratch = ProbeScratch::default();
-        let per_position = self.table.rows_per_position();
+        let mut search = Search::new(self);
         let mut seeds = Vec::new();
-
-        while remaining_count > 0 {
-            let mut solver = IncrementalSolver::new(n);
-            let mut placements = Vec::new();
-            for cache in &mut caches {
-                cache.reset();
+        while search.remaining_count > 0 {
+            let mut seed = search.first_cube()?;
+            search.greedy_fill(&mut seed);
+            let bits = seed.solver.solve_with(|_| rng.gen());
+            debug_assert!(seed.solver.check(&bits));
+            if seed.solver.rank() == self.table.vars() {
+                search.place_embedded(&mut seed, &bits);
             }
-
-            // 1. seed the window with the biggest remaining cube at
-            //    position 0 (position choice is irrelevant for
-            //    solvability; see encode_reference).
-            let first = order
-                .iter()
-                .copied()
-                .find(|&ci| remaining[ci])
-                .expect("remaining_count > 0");
-            if !self.commit(&mut solver, first, 0) {
-                return Err(EncodeError::CubeUnencodable {
-                    cube: first,
-                    specified: specified[first],
-                    lfsr_size: n,
-                });
-            }
-            placements.push(Placement {
-                cube: first,
-                position: 0,
+            seeds.push(EncodedSeed {
+                seed: bits,
+                placements: seed.placements,
             });
-            remaining[first] = false;
-            remaining_count -= 1;
-
-            // 2. greedy fill. A frame wider than one word (f > 63, an
-            //    LFSR far larger than its cubes) runs the reference
-            //    search's own rounds — exact by construction — until
-            //    commits shrink it into the word-sized tiers.
-            'fill: {
-                let mut viable: HashMap<usize, Vec<usize>> = HashMap::new();
-                while solver.free_vars() > FixedEngine::MAX_DIM {
-                    let Some(pick) = self.select_next(&mut viable, &remaining, &order, &mut solver)
-                    else {
-                        break 'fill;
-                    };
-                    let committed = self.commit(&mut solver, pick.cube, pick.position);
-                    debug_assert!(committed, "selected system must still be solvable");
-                    placements.push(pick);
-                    remaining[pick.cube] = false;
-                    remaining_count -= 1;
-                    viable.remove(&pick.cube);
-                }
-
-                // cached residues, tier picked by the free dimension
-                let mut prober = Prober::for_space(&solver.affine_space());
-                while solver.rank() < n {
-                    level_order.clear();
-                    level_order.extend(order.iter().copied().filter(|&ci| remaining[ci]));
-                    let Some(pick) = self.select_cached(
-                        &mut caches,
-                        &level_order,
-                        &specified,
-                        cube_eqs,
-                        &prober,
-                        threads,
-                        descent_levels,
-                        par_eqs,
-                        &mut scratch,
-                    ) else {
-                        break;
-                    };
-                    // the winner's cached residue is consumed at commit
-                    // time, before its cache is cleared
-                    let mut winner = caches[pick.cube]
-                        .entries
-                        .iter()
-                        .find(|e| e.position == pick.position)
-                        .expect("picked placement has a cached residue")
-                        .rows
-                        .clone();
-                    if let Prober::Tt(engine) = &prober {
-                        for (w, &c) in winner.iter_mut().zip(&engine.c_mask) {
-                            *w &= c;
-                        }
-                    }
-                    let committed = self.commit(&mut solver, pick.cube, pick.position);
-                    debug_assert!(committed, "selected system must still be solvable");
-                    placements.push(pick);
-                    remaining[pick.cube] = false;
-                    remaining_count -= 1;
-                    caches[pick.cube].reset();
-                    if solver.rank() == n {
-                        break;
-                    }
-                    match &mut prober {
-                        Prober::Tt(engine) => {
-                            // delta reduction in the fixed frame: cached
-                            // masks simply intersect the new constraint
-                            engine.commit_update(&winner, solver.free_vars());
-                        }
-                        Prober::Fixed(engine) => {
-                            engine.commit_update(&winner);
-                            debug_assert_eq!(engine.g.rank(), engine.dim - solver.free_vars());
-                            // hand over to the truth-table tier once the
-                            // space shrinks into its range. Caches restart:
-                            // viability is an invariant of the basis, so
-                            // the re-probe reproduces the same sets.
-                            if solver.free_vars() <= TtEngine::MAX_DIM {
-                                prober = Prober::for_space(&solver.affine_space());
-                                for cache in &mut caches {
-                                    if cache.init {
-                                        cache.reset();
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-
-            // 3. fast path: at full rank the window is *uniquely*
-            //    determined, so "solvable" degenerates to "already
-            //    embedded" — each remaining cube takes the first
-            //    position whose cells all evaluate to its bits under
-            //    the seed (checked cell by cell, with early exit).
-            let seed = solver.solve_with(|_| rng.gen());
-            debug_assert!(solver.check(&seed));
-            if solver.rank() == n {
-                for &ci in &order {
-                    if !remaining[ci] {
-                        continue;
-                    }
-                    let embedded = (0..window).find(|&v| {
-                        cube_eqs[ci].iter().all(|&(off, bit)| {
-                            let row = self.table.row_words(v * per_position + off as usize);
-                            words::dot(row, seed.as_words()) == bit
-                        })
-                    });
-                    if let Some(v) = embedded {
-                        placements.push(Placement {
-                            cube: ci,
-                            position: v,
-                        });
-                        remaining[ci] = false;
-                        remaining_count -= 1;
-                    }
-                }
-            }
-            seeds.push(EncodedSeed { seed, placements });
         }
-
         Ok(EncodingResult {
             seeds,
-            window,
-            lfsr_size: n,
+            window: self.table.window(),
+            lfsr_size: self.table.vars(),
             encoded_cubes: self.set.len(),
         })
-    }
-
-    /// Applies the selection criteria over the remaining cubes
-    /// (`level_order`: remaining cubes, most specified bits first):
-    /// probe level by level and hand back the best candidate of the
-    /// shallowest level that has one — exactly the reference search's
-    /// early-exit structure. The first levels are probed serially
-    /// (lazy probing against the most-constrained basis is cheapest);
-    /// once a round descends past them without finding a candidate it
-    /// is almost always a full sweep of every remaining cube, so with
-    /// threads available the whole remainder is probed as one
-    /// parallel batch. Deeper-than-needed probes are cached and
-    /// reused by the seed's later rounds, and probe outcomes are
-    /// invariants of the basis, so neither batching nor scheduling
-    /// can change the selected placement.
-    #[allow(clippy::too_many_arguments)] // internal hot path, all context-bound
-    fn select_cached(
-        &self,
-        caches: &mut [CubeCache],
-        level_order: &[usize],
-        specified: &[usize],
-        cube_eqs: &[Vec<(u32, bool)>],
-        prober: &Prober,
-        threads: usize,
-        descent_levels: usize,
-        par_eqs: usize,
-        scratch: &mut ProbeScratch,
-    ) -> Option<Placement> {
-        let window = self.table.window();
-        let mut i = 0;
-        let mut levels_done = 0usize;
-        while i < level_order.len() {
-            if threads > 1 && levels_done >= descent_levels {
-                // deep descent: sweep everything left in one batch
-                let batch = &level_order[i..];
-                let fresh_eqs: usize = batch
-                    .iter()
-                    .filter(|&&ci| !caches[ci].init)
-                    .map(|&ci| specified[ci] * window)
-                    .sum();
-                if fresh_eqs >= par_eqs {
-                    let keys =
-                        self.probe_batch(batch, caches, cube_eqs, prober, threads, true, scratch);
-                    let mut k = 0;
-                    while k < batch.len() {
-                        let level = specified[batch[k]];
-                        let mut best: Option<Key> = None;
-                        while k < batch.len() && specified[batch[k]] == level {
-                            if let Some(key) = keys[k] {
-                                if best.is_none_or(|b| key < b) {
-                                    best = Some(key);
-                                }
-                            }
-                            k += 1;
-                        }
-                        if let Some((_, _, position, cube)) = best {
-                            return Some(Placement { cube, position });
-                        }
-                    }
-                    return None;
-                }
-            }
-            let mut j = i;
-            let level = specified[level_order[i]];
-            while j < level_order.len() && specified[level_order[j]] == level {
-                j += 1;
-            }
-            let batch = &level_order[i..j];
-            let keys = self.probe_batch(batch, caches, cube_eqs, prober, threads, false, scratch);
-            let mut best: Option<Key> = None;
-            for key in keys.into_iter().flatten() {
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-            if let Some((_, _, position, cube)) = best {
-                return Some(Placement { cube, position });
-            }
-            i = j;
-            levels_done += 1;
-        }
-        None
-    }
-
-    /// Probes one batch of cubes (initialising first-visit caches, in
-    /// parallel when the caller judged the first-visit equation volume
-    /// worth a dispatch) and returns each cube's candidate key,
-    /// aligned with `batch`. Serial probing reuses the per-encode
-    /// scratch; parallel workers carry their own.
-    #[allow(clippy::too_many_arguments)] // internal hot path, all context-bound
-    fn probe_batch(
-        &self,
-        batch: &[usize],
-        caches: &mut [CubeCache],
-        cube_eqs: &[Vec<(u32, bool)>],
-        prober: &Prober,
-        threads: usize,
-        parallel: bool,
-        scratch: &mut ProbeScratch,
-    ) -> Vec<Option<Key>> {
-        if !parallel {
-            return batch
-                .iter()
-                .map(|&ci| self.probe_cube(ci, &mut caches[ci], cube_eqs, prober, scratch))
-                .collect();
-        }
-        // hand each worker a disjoint set of (cube, cache) pairs;
-        // workers only read the shared engine and mutate their own
-        // caches, and results are merged back by batch index, so
-        // scheduling cannot influence the outcome
-        let mut sorted: Vec<(usize, usize)> = batch.iter().copied().enumerate().collect();
-        sorted.sort_unstable_by_key(|&(_, ci)| ci);
-        let mut work: Vec<WorkItem<'_>> = Vec::with_capacity(sorted.len());
-        let mut next = sorted.iter().copied().peekable();
-        for (ci, cache) in caches.iter_mut().enumerate() {
-            if next.peek().map(|&(_, c)| c) == Some(ci) {
-                let (bi, _) = next.next().expect("peeked");
-                work.push((bi, ci, cache));
-            }
-        }
-        // many small chunks claimed through an atomic index: the
-        // per-cube probing cost is wildly uneven (fresh vs cached,
-        // conflict depth), so static chunking leaves workers idle
-        let n_chunks = (threads * 8).clamp(1, work.len().max(1));
-        let chunk_size = work.len().div_ceil(n_chunks);
-        let chunks: Vec<std::sync::Mutex<&mut [WorkItem<'_>]>> = work
-            .chunks_mut(chunk_size)
-            .map(std::sync::Mutex::new)
-            .collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut keys: Vec<Option<Key>> = vec![None; batch.len()];
-        thread::scope(|scope| {
-            let chunks = &chunks;
-            let next = &next;
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut scratch = ProbeScratch::default();
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= chunks.len() {
-                                break;
-                            }
-                            let mut chunk = chunks[i].lock().expect("chunk claimed once");
-                            for (bi, ci, cache) in chunk.iter_mut() {
-                                out.push((
-                                    *bi,
-                                    self.probe_cube(*ci, cache, cube_eqs, prober, &mut scratch),
-                                ));
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(done) => {
-                        for (bi, key) in done {
-                            keys[bi] = key;
-                        }
-                    }
-                    Err(payload) => panic::resume_unwind(payload),
-                }
-            }
-        });
-        keys
     }
 
     /// Initialises one cube's residue caches on first visit, resumes
@@ -1097,7 +960,7 @@ impl<'a> WindowEncoder<'a> {
         &self,
         ci: usize,
         cache: &mut CubeCache,
-        cube_eqs: &[Vec<(u32, bool)>],
+        eqs: &[(u32, bool)],
         prober: &Prober,
         scratch: &mut ProbeScratch,
     ) -> Option<Key> {
@@ -1105,7 +968,7 @@ impl<'a> WindowEncoder<'a> {
             Prober::Tt(engine) => {
                 if !cache.init {
                     cache.init = true;
-                    self.init_cube_tt(cache, &cube_eqs[ci], engine, scratch);
+                    self.init_cube_tt(cache, eqs, engine, scratch);
                 } else {
                     // delta reduction: intersect every cached mask
                     // with the constraint accumulated since the last
@@ -1135,7 +998,7 @@ impl<'a> WindowEncoder<'a> {
             Prober::Fixed(engine) => {
                 if !cache.init {
                     cache.init = true;
-                    self.init_cube_fixed(cache, &cube_eqs[ci], engine);
+                    self.init_cube_fixed(cache, eqs, engine);
                 } else {
                     // high-water-mark resumption against the committed
                     // row log
@@ -1237,9 +1100,8 @@ impl<'a> WindowEncoder<'a> {
     /// oracle: it re-eliminates every candidate system from scratch
     /// each round (O(candidates x specified bits x rank) per round) and
     /// materialises a [`BitVec`] per probed equation. Property tests
-    /// and the `encode_scaling` bench pin [`encode`](Self::encode) and
-    /// [`encode_with_threads`](Self::encode_with_threads) bit-identical
-    /// to this.
+    /// and the `encode_scaling` bench pin [`encode`](Self::encode)
+    /// bit-identical to this.
     ///
     /// # Errors
     ///
@@ -1493,50 +1355,16 @@ mod tests {
 
     #[test]
     fn cached_search_matches_the_reference_bit_for_bit() {
-        for window in [1usize, 4, 12, 20] {
+        let cases = [(1usize, 7u64), (4, 7), (12, 7), (20, 7), (6, 11), (16, 11)];
+        for (window, fill_seed) in cases {
             let (set, table) = mini_setup(window);
             let enc = WindowEncoder::new(&set, &table).unwrap();
-            let reference = enc.encode_reference(7).unwrap();
             assert_eq!(
-                enc.encode(7).unwrap(),
-                reference,
-                "cached search diverged at L={window}"
+                enc.encode(fill_seed).unwrap(),
+                enc.encode_reference(fill_seed).unwrap(),
+                "cached search diverged at L={window}, fill seed {fill_seed}"
             );
-            for threads in [2usize, 4, 8] {
-                assert_eq!(
-                    enc.encode_with_threads(7, threads).unwrap(),
-                    reference,
-                    "parallel search diverged at L={window}, {threads} threads"
-                );
-            }
         }
-    }
-
-    #[test]
-    fn forced_parallel_dispatch_matches_the_reference() {
-        // tiny thresholds force the worker-pool and descent-sweep
-        // paths even on small workloads and single-CPU machines
-        for window in [6usize, 16] {
-            let (set, table) = mini_setup(window);
-            let enc = WindowEncoder::new(&set, &table).unwrap();
-            let reference = enc.encode_reference(11).unwrap();
-            for threads in [2usize, 4] {
-                assert_eq!(
-                    enc.encode_tuned(11, threads, 0, 0).unwrap(),
-                    reference,
-                    "forced parallel diverged at L={window}, {threads} threads"
-                );
-            }
-        }
-        // and for the fixed-frame tier
-        let profile = CubeProfile::mini();
-        let set = generate_test_set(&profile, 5);
-        let table = build_table(30, set.config(), 8, 2);
-        let enc = WindowEncoder::new(&set, &table).unwrap();
-        assert_eq!(
-            enc.encode_tuned(3, 4, 0, 0).unwrap(),
-            enc.encode_reference(3).unwrap()
-        );
     }
 
     #[test]
@@ -1551,7 +1379,6 @@ mod tests {
             let enc = WindowEncoder::new(&set, &table).unwrap();
             let reference = enc.encode_reference(3).unwrap();
             assert_eq!(enc.encode(3).unwrap(), reference, "n={n}");
-            assert_eq!(enc.encode_with_threads(3, 4).unwrap(), reference, "n={n}");
         }
     }
 
@@ -1597,8 +1424,6 @@ mod tests {
                 "n={n} never reaches {label}"
             );
             assert_eq!(enc.encode(3).unwrap(), reference, "{label}");
-            assert_eq!(enc.encode_with_threads(3, 4).unwrap(), reference, "{label}");
-            assert_eq!(enc.encode_tuned(3, 4, 0, 0).unwrap(), reference, "{label}");
         }
     }
 
@@ -1710,8 +1535,6 @@ mod tests {
             "no seed hands over from f > 63 to the word-sized tiers"
         );
         assert_eq!(enc.encode(3).unwrap(), reference);
-        assert_eq!(enc.encode_with_threads(3, 4).unwrap(), reference);
-        assert_eq!(enc.encode_tuned(3, 4, 0, 0).unwrap(), reference);
     }
 
     #[test]

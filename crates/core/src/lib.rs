@@ -96,6 +96,7 @@
 //! same path as `run --bench <f> --cubes <f>` and `workloads`.
 
 #![forbid(unsafe_code)]
+#![forbid(clippy::too_many_arguments)]
 #![deny(missing_docs)]
 
 mod artifacts;

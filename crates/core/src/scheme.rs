@@ -157,10 +157,7 @@ impl CompressionScheme for ClassicalReseeding {
 
     fn compress(&self, set: &TestSet, ctx: &HardwareCtx) -> Result<SchemeReport, SchemeError> {
         let table = ExprTable::build(ctx.lfsr(), ctx.shifter(), set.config(), 1);
-        let encoding = WindowEncoder::new(set, &table)?.encode_with_threads(
-            ctx.config().fill_seed,
-            crate::builder::resolve_threads(ctx.config().threads),
-        )?;
+        let encoding = WindowEncoder::new(set, &table)?.encode(ctx.config().fill_seed)?;
         let tsl = encoding.seeds.len() as u64;
         Ok(SchemeReport::new(
             self.name(),

@@ -77,8 +77,9 @@ const USAGE: &str = "usage:
   state-skip reconfigure [--addr A1,A2,..] --epoch E --peers P1,P2,..   # swap the fleet's ring live
   state-skip trace     <trace-id> [--addr A1,A2,..]    # stitch one job's spans into a timeline
 
---threads N caps the engine's worker threads (default: all hardware
-threads); results are bit-identical at every thread count.
+--threads N caps the worker threads of embedding detection and of
+compare's scheme pool (default and ceiling: all hardware threads; the
+encoder runs on one); results are bit-identical at every thread count.
 
 serve answers repeated submissions of the same workload/config from a
 content-addressed artifact cache (bit-identical results, synthesis and

@@ -1,14 +1,14 @@
 //! Property tests pinning the overhauled encoder search — incremental
-//! residue caching plus parallel candidate probing — **bit-identical**
-//! to the pre-overhaul reference search (`encode_reference`): same
-//! seeds, same placements, for random workloads across window sizes,
-//! fill seeds and thread counts, plus an exhaustive registry check.
+//! residue caching over free-space projections — **bit-identical** to
+//! the pre-overhaul reference search (`encode_reference`): same seeds,
+//! same placements, for random workloads across window sizes, fill
+//! seeds and LFSR sizes, plus an exhaustive registry check.
 //!
 //! The cached search replaces the reference's probing engine but not
 //! its greedy decisions; since probe outcomes (conflict / added rank)
 //! are invariants of the equation sets, any divergence here is a bug
-//! in the residue cache, the free-space projection, the truth-table
-//! tier or the parallel merge — exactly the machinery this suite
+//! in the residue cache, the free-space projection, the fixed-frame
+//! tier or the truth-table tier — exactly the machinery this suite
 //! exists to guard.
 
 use proptest::prelude::*;
@@ -29,11 +29,11 @@ fn table_for(set: &ss_testdata::TestSet, n: usize, window: usize, hw_seed: u64) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Cached and parallel searches reproduce the reference encoding
-    /// exactly for random workloads x window in {1, 8, 24} x threads
-    /// in {1, 4} x one LFSR size band per probing path.
+    /// The cached search reproduces the reference encoding exactly for
+    /// random workloads x window in {1, 8, 24} x one LFSR size band per
+    /// probing path.
     #[test]
-    fn cached_and_parallel_encoders_match_reference_exactly(
+    fn cached_encoder_matches_reference_exactly(
         set_seed in any::<u64>(),
         fill_seed in any::<u64>(),
         window_idx in 0usize..3,
@@ -62,26 +62,20 @@ proptest! {
                 prop_assert_eq!(encoder.encode(fill_seed).unwrap_err(), err);
             }
             Ok(reference) => {
-                for threads in [1usize, 4] {
-                    let cached = encoder
-                        .encode_with_threads(fill_seed, threads)
-                        .expect("reference encoded, cached must too");
-                    prop_assert_eq!(
-                        &cached, &reference,
-                        "threads={} window={} n={}", threads, window, n
-                    );
-                }
+                let cached = encoder
+                    .encode(fill_seed)
+                    .expect("reference encoded, cached must too");
+                prop_assert_eq!(&cached, &reference, "window={} n={}", window, n);
             }
         }
     }
 }
 
 /// Every registry workload encodes bit-identically to the reference at
-/// the golden knobs, at 1 and 4 threads (profiles are scaled down to
-/// keep the reference affordable; the `encode_scaling` bench covers
-/// the full bench scale).
+/// the golden knobs (profiles are scaled down to keep the reference
+/// affordable; the `encode_scaling` bench covers the full bench scale).
 #[test]
-fn registry_workloads_encode_bit_identically_at_any_thread_count() {
+fn registry_workloads_encode_bit_identically() {
     for workload in WorkloadRegistry::all() {
         let set = if workload.profile().is_some() {
             workload.test_set_scaled(0.05)
@@ -99,17 +93,14 @@ fn registry_workloads_encode_bit_identically_at_any_thread_count() {
         let reference = encoder
             .encode_reference(engine.config().fill_seed)
             .expect("registry workloads encode");
-        for threads in [1usize, 4] {
-            assert_eq!(
-                encoder
-                    .encode_with_threads(engine.config().fill_seed, threads)
-                    .expect("registry workloads encode"),
-                reference,
-                "{}: diverged at {} threads",
-                workload.name,
-                threads
-            );
-        }
+        assert_eq!(
+            encoder
+                .encode(engine.config().fill_seed)
+                .expect("registry workloads encode"),
+            reference,
+            "{}: diverged from the reference",
+            workload.name
+        );
     }
 }
 
