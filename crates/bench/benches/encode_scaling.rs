@@ -15,9 +15,10 @@
 //! encodings (seeds and placements) and that the cached single-thread
 //! search beats the reference (`speedup > 1`) on every workload large
 //! enough to time reliably — so a regression in either correctness or
-//! performance fails the bench loudly, which CI relies on. Measured
-//! ratios are recorded in `BENCH_encode.json` at the workspace root,
-//! next to `BENCH_packed.json`.
+//! performance fails the bench loudly, which CI relies on. Each time
+//! is the median of three samples, so one noisy sample cannot move a
+//! row; the times and ratios are recorded in `BENCH_encode.json` at
+//! the workspace root, next to `BENCH_packed.json`.
 
 use std::time::{Duration, Instant};
 
@@ -31,27 +32,37 @@ const WINDOW: usize = 24;
 const SEGMENT: usize = 4;
 const SPEEDUP: u64 = 6;
 
-/// Seconds per call, adaptively: a single measured call when the
-/// closure is slow (the reference search on the big profiles), more
-/// samples within a ~300 ms budget when it is fast.
-fn time_adaptive<T>(mut f: impl FnMut() -> T) -> f64 {
-    let budget = Duration::from_millis(300);
+/// Timed samples per row; the row records their median.
+const SAMPLES: usize = 3;
+
+/// Target length of one sample: a fast closure is called in a batch
+/// of about this long, so the three samples of a fast row cost about
+/// what the single 300 ms mean they replaced did.
+const SAMPLE_BUDGET: Duration = Duration::from_millis(100);
+
+/// The closure's last result and its seconds per call: the median of
+/// [`SAMPLES`] samples. A sample is a single call when the closure is
+/// slow (the reference search on the big profiles; the calibration
+/// call then counts as the first sample), or the mean of a batch sized
+/// to fill [`SAMPLE_BUDGET`] when it is fast.
+fn time_median<T>(mut f: impl FnMut() -> T) -> (T, f64) {
     let start = Instant::now();
-    std::hint::black_box(f());
-    let first = start.elapsed();
-    if first >= budget {
-        return first.as_secs_f64();
+    let mut out = std::hint::black_box(f());
+    let first = start.elapsed().as_secs_f64();
+    let batch = (SAMPLE_BUDGET.as_secs_f64() / first).clamp(1.0, 200.0) as u32;
+    let mut samples = Vec::with_capacity(SAMPLES);
+    if batch == 1 {
+        samples.push(first);
     }
-    let start = Instant::now();
-    let mut iters = 0u32;
-    loop {
-        std::hint::black_box(f());
-        iters += 1;
-        if start.elapsed() >= budget || iters >= 200 {
-            break;
+    while samples.len() < SAMPLES {
+        let start = Instant::now();
+        for _ in 0..batch {
+            out = std::hint::black_box(f());
         }
+        samples.push(start.elapsed().as_secs_f64() / f64::from(batch));
     }
-    start.elapsed().as_secs_f64() / f64::from(iters)
+    samples.sort_by(f64::total_cmp);
+    (out, samples[SAMPLES / 2])
 }
 
 struct Row {
@@ -100,16 +111,14 @@ fn measure(w: &Workload) -> Row {
     let fill_seed = engine.config().fill_seed;
     let encoder = WindowEncoder::new(&set, ctx.table()).expect("one geometry");
 
-    let reference = encoder.encode_reference(fill_seed).expect("encodes");
+    let (reference, reference_s) =
+        time_median(|| encoder.encode_reference(fill_seed).expect("encodes"));
+    let (cached, cached_s) = time_median(|| encoder.encode(fill_seed).expect("encodes"));
     assert_eq!(
-        encoder.encode(fill_seed).expect("encodes"),
-        reference,
+        cached, reference,
         "{}: cached encoding diverged from encode_reference",
         w.name
     );
-
-    let reference_s = time_adaptive(|| encoder.encode_reference(fill_seed).unwrap());
-    let cached_s = time_adaptive(|| encoder.encode(fill_seed).unwrap());
 
     Row {
         name: w.name.to_string(),
@@ -141,6 +150,7 @@ fn write_json(rows: &[Row]) {
         vec![
             ("engine", engine),
             ("ss_scale", ss_bench::scale().into()),
+            ("samples_per_row", SAMPLES.into()),
             ("workloads", Json::Array(workloads)),
         ],
     );

@@ -36,15 +36,15 @@ use rand::{Rng, SeedableRng};
 use crate::cache::cache_key;
 use crate::codec::{Codec, CodecConfig, CodecError, WireStats};
 use crate::protocol::{
-    read_frame, write_frame, JobPhase, JobReport, JobSpec, Request, Response, ServerStats, Span,
-    SpanDump, SpanKind, TraceContext, WireError,
+    read_frame, write_frame, JobReport, JobSpec, Request, Response, ServerStats, Span, SpanDump,
+    SpanKind, TraceContext, WireError,
 };
 use crate::shard::{ShardError, ShardRing};
 use ss_telemetry::{fresh_trace_id, span_id, wall_micros, TraceClock};
 
 /// Deadline on each read and write of the opening `Hello`/`HelloAck`
 /// exchange in [`Client::connect`]. It is cleared once the codec is
-/// agreed: a `Wait` on a full-scale cold encode legitimately blocks
+/// agreed: a `Submit` on a full-scale cold encode legitimately blocks
 /// for minutes.
 pub const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -64,8 +64,8 @@ pub enum ClientError {
     Codec(CodecError),
     /// The peer sent a frame this build cannot decode.
     Wire(WireError),
-    /// The server answered a protocol-level error (unknown job,
-    /// malformed request, shutdown).
+    /// The server answered a protocol-level error (malformed request,
+    /// a submission rejected at the door, shutdown).
     Server(String),
     /// The job itself ran and failed (bad workload, engine error).
     Job(String),
@@ -181,33 +181,6 @@ impl From<WireError> for ClientError {
     fn from(e: WireError) -> Self {
         ClientError::Wire(e)
     }
-}
-
-/// Outcome of a single submission attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitOutcome {
-    /// Queued under this job id.
-    Accepted(u64),
-    /// The bounded queue was full; retry later.
-    Busy {
-        /// Jobs queued at rejection time.
-        queued: u32,
-        /// Queue capacity.
-        capacity: u32,
-    },
-}
-
-/// A polled job's state.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobStatus {
-    /// Still in the bounded queue.
-    Queued,
-    /// A worker is executing it.
-    Running,
-    /// Finished successfully.
-    Done(JobReport),
-    /// Ran and failed.
-    Failed(String),
 }
 
 /// Backoff pacing for `Busy` rejections: decorrelated jitter with an
@@ -474,75 +447,6 @@ impl Client {
         spec
     }
 
-    /// Submits a job once; the caller decides what `Busy` means.
-    ///
-    /// # Errors
-    ///
-    /// I/O or wire failures, [`ClientError::Server`] when the
-    /// submission itself was rejected (malformed workload or config),
-    /// or [`ClientError::Redirected`] when a sharded server says
-    /// another shard owns this key.
-    pub fn submit(&mut self, spec: &JobSpec) -> Result<SubmitOutcome, ClientError> {
-        let spec = self.stamp(spec);
-        self.submit_request(&Request::Submit(spec))
-    }
-
-    /// Submits bypassing shard ownership: a sharded server executes a
-    /// `SubmitDirect` locally instead of redirecting, which is how the
-    /// balancer lands work on a non-owner when the owner is down
-    /// (redirect-following could otherwise loop).
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::submit`].
-    pub fn submit_direct(&mut self, spec: &JobSpec) -> Result<SubmitOutcome, ClientError> {
-        let spec = self.stamp(spec);
-        self.submit_request(&Request::SubmitDirect(spec))
-    }
-
-    fn submit_request(&mut self, request: &Request) -> Result<SubmitOutcome, ClientError> {
-        match self.call(request)? {
-            Response::Accepted(id) => Ok(SubmitOutcome::Accepted(id)),
-            Response::Busy { queued, capacity } => Ok(SubmitOutcome::Busy { queued, capacity }),
-            Response::Redirect { addr, .. } => Err(ClientError::Redirected(addr)),
-            Response::Error(m) => Err(ClientError::Server(m)),
-            _ => Err(ClientError::Unexpected("submit answered oddly")),
-        }
-    }
-
-    /// Non-blocking job status.
-    ///
-    /// # Errors
-    ///
-    /// I/O or wire failures, or [`ClientError::Server`] for an
-    /// unknown job id.
-    pub fn poll(&mut self, job: u64) -> Result<JobStatus, ClientError> {
-        match self.call(&Request::Poll(job))? {
-            Response::Phase(JobPhase::Queued) => Ok(JobStatus::Queued),
-            Response::Phase(JobPhase::Running) => Ok(JobStatus::Running),
-            Response::Done(report) => Ok(JobStatus::Done(report)),
-            Response::Failed { message, .. } => Ok(JobStatus::Failed(message)),
-            Response::Error(m) => Err(ClientError::Server(m)),
-            _ => Err(ClientError::Unexpected("poll answered oddly")),
-        }
-    }
-
-    /// Blocks until the job finishes.
-    ///
-    /// # Errors
-    ///
-    /// I/O or wire failures, [`ClientError::Job`] when the job ran
-    /// and failed, [`ClientError::Server`] for an unknown id or server
-    /// shutdown.
-    pub fn wait(&mut self, job: u64) -> Result<JobReport, ClientError> {
-        match self.call(&Request::Wait(job))? {
-            Response::Done(report) => Ok(report),
-            Response::Failed { message, .. } => Err(ClientError::Job(message)),
-            Response::Error(m) => Err(ClientError::Server(m)),
-            _ => Err(ClientError::Unexpected("wait answered oddly")),
-        }
-    }
-
     /// Probes the server's membership view: `(epoch, shard id, peer
     /// list)`; the shard id is `u32::MAX` when the server is unsharded
     /// or was reconfigured out of its ring.
@@ -609,26 +513,30 @@ impl Client {
         }
     }
 
-    /// Submit-and-wait with default backpressure handling: `Busy`
-    /// retries pace themselves with fresh [`RetryPolicy`] jitter and
-    /// no overall deadline — the queue bound guarantees progress as
-    /// workers drain.
+    /// Runs a job: one `Submit`, answered with the job's id and
+    /// report once it has run. `Busy` retries pace themselves with
+    /// fresh [`RetryPolicy`] jitter and no overall deadline — the
+    /// queue bound guarantees progress as workers drain.
     ///
     /// # Errors
     ///
-    /// As [`Client::submit`] and [`Client::wait`].
+    /// I/O or wire failures, [`ClientError::Job`] when the job ran and
+    /// failed, [`ClientError::Server`] when the submission was rejected
+    /// (malformed workload or config) or the server is shutting down,
+    /// or [`ClientError::Redirected`] when a sharded server says
+    /// another shard owns this key.
     pub fn run(&mut self, spec: &JobSpec) -> Result<(u64, JobReport), ClientError> {
         self.run_with(spec, &mut RetryPolicy::new())
     }
 
-    /// Submit-and-wait pacing `Busy` retries with the caller's policy
+    /// [`Client::run`] pacing `Busy` retries with the caller's policy
     /// (its jitter seed makes tests deterministic; its deadline bounds
     /// the total wait).
     ///
     /// # Errors
     ///
-    /// As [`Client::submit`] and [`Client::wait`], plus
-    /// [`ClientError::DeadlineExceeded`] from the policy.
+    /// As [`Client::run`], plus [`ClientError::DeadlineExceeded`] from
+    /// the policy.
     pub fn run_with(
         &mut self,
         spec: &JobSpec,
@@ -637,8 +545,10 @@ impl Client {
         self.run_inner(spec, policy, false)
     }
 
-    /// [`Client::run_with`] submitting via [`Client::submit_direct`] —
-    /// the balancer's failover path onto a non-owner shard.
+    /// [`Client::run_with`] as a `SubmitDirect`, which a sharded server
+    /// runs itself instead of redirecting — the balancer's failover
+    /// path onto a non-owner shard (redirect-following could
+    /// otherwise loop).
     ///
     /// # Errors
     ///
@@ -660,18 +570,21 @@ impl Client {
         // stamp once up front so every `Busy` retry resubmits the same
         // trace instead of minting a fresh id per attempt
         let spec = self.stamp(spec);
-        let job = loop {
-            let outcome = if direct {
-                self.submit_direct(&spec)?
-            } else {
-                self.submit(&spec)?
-            };
-            match outcome {
-                SubmitOutcome::Accepted(id) => break id,
-                SubmitOutcome::Busy { .. } => policy.pause()?,
-            }
+        let request = if direct {
+            Request::SubmitDirect(spec)
+        } else {
+            Request::Submit(spec)
         };
-        Ok((job, self.wait(job)?))
+        loop {
+            match self.call(&request)? {
+                Response::Done(report) => return Ok((report.job, report)),
+                Response::Failed { message, .. } => return Err(ClientError::Job(message)),
+                Response::Busy { .. } => policy.pause()?,
+                Response::Redirect { addr, .. } => return Err(ClientError::Redirected(addr)),
+                Response::Error(m) => return Err(ClientError::Server(m)),
+                _ => return Err(ClientError::Unexpected("submit answered oddly")),
+            }
+        }
     }
 }
 
@@ -680,9 +593,7 @@ impl Client {
 pub struct BalancedRun {
     /// Ring index of the shard that served the job.
     pub shard: usize,
-    /// The job id on that shard.
-    pub job: u64,
-    /// The finished report.
+    /// The finished report (its `job` is the job id on that shard).
     pub report: JobReport,
     /// How many shards were skipped (down, saturated past the
     /// deadline, or dead mid-call) before one answered.
@@ -743,7 +654,7 @@ struct DownState {
 /// ])?
 /// .with_policy(RetryPolicy::new().with_deadline(Duration::from_secs(30)));
 /// let run = balancer.run(&spec)?;
-/// println!("shard {} served job {}", run.shard, run.job);
+/// println!("shard {} served job {}", run.shard, run.report.job);
 /// # Ok(())
 /// # }
 /// ```
@@ -891,11 +802,10 @@ impl Balancer {
         direct: bool,
     ) -> Result<BalancedRun, ClientError> {
         match self.run_on(shard, spec, direct) {
-            Ok((job, report)) => {
+            Ok(report) => {
                 self.down[shard] = None;
                 Ok(BalancedRun {
                     shard,
-                    job,
                     report,
                     failovers: 0,
                     trace: spec.trace.trace,
@@ -918,9 +828,10 @@ impl Balancer {
 
     /// Routes one submission: owner first, then rendezvous-ordered
     /// failover. Shards under a live down mark are skipped outright —
-    /// no connect timeout paid — unless every candidate is marked, in
-    /// which case the marked shards are tried anyway (a servable key
-    /// must never fail because the health table is pessimistic).
+    /// no connect timeout paid — and tried only after every unmarked
+    /// shard has failed (a servable key must never fail because the
+    /// health table is pessimistic). A skipped shard counts as one
+    /// failover; failing again on the second try adds none.
     ///
     /// # Errors
     ///
@@ -937,13 +848,22 @@ impl Balancer {
         let trace = spec.trace.trace;
         let started = self.clock.now_micros();
         let key = cache_key(&spec);
-        let ranked = self.ring.ranked(key);
+        // (rank, shard, second try): a marked shard is skipped in rank
+        // order and appended for a second try behind every unmarked one
+        let mut order: Vec<(usize, usize, bool)> = self
+            .ring
+            .ranked(key)
+            .into_iter()
+            .enumerate()
+            .map(|(attempt, shard)| (attempt, shard, false))
+            .collect();
         let mut failovers = 0u32;
         let mut last_err = None;
-        let mut skipped: Vec<(usize, usize)> = Vec::new();
-        for (attempt, &shard) in ranked.iter().enumerate() {
+        let mut next = 0;
+        while let Some(&(attempt, shard, retry)) = order.get(next) {
+            next += 1;
             let addr = self.ring.shards()[shard].clone();
-            if self.is_down(shard) {
+            if !retry && self.is_down(shard) {
                 let now = self.clock.now_micros();
                 self.record_local(
                     trace,
@@ -951,7 +871,7 @@ impl Balancer {
                     now,
                     format!("{addr} marked down"),
                 );
-                skipped.push((attempt, shard));
+                order.push((attempt, shard, true));
                 failovers += 1;
                 continue;
             }
@@ -966,7 +886,7 @@ impl Balancer {
                         trace,
                         SpanKind::ClientSubmit,
                         started,
-                        format!("job {} on {addr}", run.job),
+                        format!("job {} on {addr}", run.report.job),
                     );
                     return Ok(run);
                 }
@@ -977,36 +897,9 @@ impl Balancer {
                         hop_start,
                         format!("{addr}: {e}"),
                     );
-                    failovers += 1;
-                    last_err = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // second pass: every unmarked shard failed, so the marked ones
-        // are the only hope left — probe them despite their marks
-        for (attempt, shard) in skipped {
-            let addr = self.ring.shards()[shard].clone();
-            spec.trace.hop = attempt as u32;
-            let hop_start = self.clock.now_micros();
-            match self.try_shard(shard, &spec, attempt > 0) {
-                Ok(mut run) => {
-                    run.failovers += failovers;
-                    self.record_local(
-                        trace,
-                        SpanKind::ClientSubmit,
-                        started,
-                        format!("job {} on {addr}", run.job),
-                    );
-                    return Ok(run);
-                }
-                Err(e) if e.is_retryable() || matches!(e, ClientError::Io(_)) => {
-                    self.record_local(
-                        trace,
-                        SpanKind::FailoverHop,
-                        hop_start,
-                        format!("{addr}: {e}"),
-                    );
+                    if !retry {
+                        failovers += 1;
+                    }
                     last_err = Some(e);
                 }
                 Err(e) => return Err(e),
@@ -1128,7 +1021,7 @@ impl Balancer {
         shard: usize,
         spec: &JobSpec,
         direct: bool,
-    ) -> Result<(u64, JobReport), ClientError> {
+    ) -> Result<JobReport, ClientError> {
         for fresh in [false, true] {
             self.ensure_conn(shard)?;
             self.policy.reset();
@@ -1145,7 +1038,7 @@ impl Balancer {
                         return Err(e);
                     }
                 }
-                other => return other,
+                other => return other.map(|(_, report)| report),
             }
         }
         unreachable!("second pass always returns")
@@ -1155,10 +1048,9 @@ impl Balancer {
     /// a confused peer can't bounce us again.
     fn follow_redirect(&mut self, addr: &str, spec: &JobSpec) -> Result<BalancedRun, ClientError> {
         if let Some(shard) = self.ring.shards().iter().position(|a| a == addr) {
-            let (job, report) = self.run_on(shard, spec, true)?;
+            let report = self.run_on(shard, spec, true)?;
             return Ok(BalancedRun {
                 shard,
-                job,
                 report,
                 failovers: 0,
                 trace: spec.trace.trace,
@@ -1168,10 +1060,9 @@ impl Balancer {
         // honor it with a one-shot connection
         let mut client = Client::connect(addr)?;
         self.policy.reset();
-        let (job, report) = client.run_direct_with(spec, &mut self.policy)?;
+        let (_, report) = client.run_direct_with(spec, &mut self.policy)?;
         Ok(BalancedRun {
             shard: usize::MAX,
-            job,
             report,
             failovers: 0,
             trace: spec.trace.trace,
@@ -1318,7 +1209,7 @@ mod tests {
     }
 
     /// The `Hello` deadline is lifted once the codec is agreed: a
-    /// `Wait` on a long cold encode must not time out.
+    /// `Submit` on a long cold encode must not time out.
     #[test]
     fn connected_socket_has_no_read_timeout() {
         let (addr, server) = fake_server(|_| Response::Error("unused".into()));

@@ -81,18 +81,15 @@ mod server;
 pub mod shard;
 
 pub use cache::{cache_key, ArtifactCache, CacheStats, CachedArtifacts, Fnv64};
-pub use client::{
-    BalancedRun, Balancer, Client, ClientError, JobStatus, RetryPolicy, SubmitOutcome,
-    HELLO_TIMEOUT,
-};
+pub use client::{BalancedRun, Balancer, Client, ClientError, RetryPolicy, HELLO_TIMEOUT};
 pub use codec::{
     Codec, CodecConfig, CodecError, WireStats, DEFAULT_CHUNK_BYTES, MAX_CHUNK_BYTES,
     MAX_MESSAGE_BYTES, MIN_CHUNK_BYTES,
 };
 pub use protocol::{
-    CacheTier, CodecCounters, ConnStats, JobPhase, JobReport, JobSpec, PhaseHistogram, Request,
-    Response, ServerStats, Span, SpanDump, SpanKind, StatField, StatKind, StatValue, TierStats,
-    TraceContext, WireError, HISTOGRAM_BUCKETS, MAX_FRAME_BYTES, PROTOCOL_VERSION, SHARD_REMOVED,
+    CacheTier, CodecCounters, ConnStats, JobReport, JobSpec, PhaseHistogram, Request, Response,
+    ServerStats, Span, SpanDump, SpanKind, StatField, StatKind, StatValue, TierStats, TraceContext,
+    WireError, HISTOGRAM_BUCKETS, MAX_FRAME_BYTES, PROTOCOL_VERSION, SHARD_REMOVED,
 };
 pub use server::{ServeOptions, Server, ServerHandle};
 pub use shard::{ShardError, ShardRing, ShardSpec};
@@ -139,8 +136,8 @@ mod tests {
         assert_ne!(report_digest(&a), report_digest(&b));
     }
 
-    /// Full loopback round-trip: submit → wait → cached resubmit, plus
-    /// poll, stats, and error surfacing for a bad workload.
+    /// Full loopback round-trip: cold run → cached rerun, plus stats
+    /// and error surfacing for a bad workload.
     #[test]
     fn loopback_end_to_end() {
         let handle = Server::bind(&ServeOptions {
@@ -156,21 +153,8 @@ mod tests {
         assert_eq!(cold.tier, CacheTier::Cold);
         assert!(cold.seeds > 0 && cold.tsl_proposed < cold.tsl_original);
 
-        // the finished job stays pollable on a fresh connection; the
-        // reply's ConnStats stamp is per-connection by design, so it
-        // differs from the submitting connection's — everything else
-        // must be identical
-        let mut other = Client::connect(handle.addr()).unwrap();
-        match other.poll(job).unwrap() {
-            JobStatus::Done(mut report) => {
-                assert_ne!(report.conn, cold.conn);
-                report.conn = cold.conn;
-                assert_eq!(report, cold);
-            }
-            state => panic!("finished job polled as {state:?}"),
-        }
-
-        let (_, warm) = client.run(&spec).unwrap();
+        let (warm_job, warm) = client.run(&spec).unwrap();
+        assert!(warm_job > job, "every run is a new job");
         assert_eq!(
             warm.tier,
             CacheTier::Memory,
@@ -202,7 +186,7 @@ mod tests {
         // a malformed workload is rejected at submit time
         let mut bad = spec_for(1);
         bad.set_text = "garbage".to_string();
-        assert!(matches!(client.submit(&bad), Err(ClientError::Server(_))));
+        assert!(matches!(client.run(&bad), Err(ClientError::Server(_))));
 
         handle.shutdown();
     }

@@ -28,8 +28,8 @@ use ss_lfsr::LfsrKind;
 
 use crate::codec::{Codec, CodecConfig, CodecError, MIN_CHUNK_BYTES};
 use crate::protocol::{
-    CacheTier, CodecCounters, ConnStats, JobPhase, JobReport, JobSpec, PhaseHistogram, Request,
-    Response, ServerStats, Span, SpanDump, SpanKind, TierStats, TraceContext, WireError,
+    CacheTier, CodecCounters, ConnStats, JobReport, JobSpec, PhaseHistogram, Request, Response,
+    ServerStats, Span, SpanDump, SpanKind, TierStats, TraceContext, WireError,
 };
 use crate::shard::ShardRing;
 
@@ -96,6 +96,7 @@ fn report() -> JobReport {
             wire_rx_bytes: 300,
         },
         trace: 0x7AC3_0001_0002_0003,
+        job: 0x0000_0001_0000_002A,
     }
 }
 
@@ -157,8 +158,6 @@ fn requests() -> Vec<Request> {
         Request::Hello(CodecConfig::preferred()),
         Request::Submit(spec()),
         Request::SubmitDirect(spec()),
-        Request::Poll(7),
-        Request::Wait(u64::MAX),
         Request::Stats,
         Request::Replicate {
             epoch: 3,
@@ -180,13 +179,10 @@ fn requests() -> Vec<Request> {
 /// Every response variant.
 fn responses() -> Vec<Response> {
     vec![
-        Response::Accepted(42),
         Response::Busy {
             queued: 8,
             capacity: 8,
         },
-        Response::Phase(JobPhase::Queued),
-        Response::Phase(JobPhase::Running),
         Response::Done(report()),
         Response::Failed {
             message: "cube file: missing header line".to_string(),
@@ -200,7 +196,7 @@ fn responses() -> Vec<Response> {
             },
         },
         Response::Stats(stats()),
-        Response::Error("unknown job id 9".to_string()),
+        Response::Error("server shutting down".to_string()),
         Response::HelloAck(CodecConfig {
             compress: false,
             chunk_bytes: MIN_CHUNK_BYTES,

@@ -16,7 +16,9 @@
 //! `u32` byte length followed by UTF-8 bytes. Every request receives
 //! exactly one response on the same connection, so a connection is a
 //! simple synchronous request/response channel that can be reused for
-//! any number of requests.
+//! any number of requests. A [`Request::Submit`] is answered with the
+//! job's report, so one job is one round trip and a connection has at
+//! most one job in flight.
 //!
 //! Every connection — client or shard-to-shard — opens with one plain
 //! frame carrying [`Request::Hello`], answered by one plain frame
@@ -44,7 +46,7 @@ use crate::codec::{CodecConfig, MAX_MESSAGE_BYTES};
 
 /// Protocol version spoken by this build; a peer stamping any other
 /// value is refused.
-pub const PROTOCOL_VERSION: u8 = 7;
+pub const PROTOCOL_VERSION: u8 = 8;
 
 /// Hard ceiling on a single frame's payload, guarding both peers
 /// against unbounded allocation from a hostile or corrupt stream.
@@ -227,6 +229,9 @@ pub struct JobReport {
     /// untraced) — what a caller feeds `TraceDump` to reconstruct the
     /// timeline.
     pub trace: u64,
+    /// The id the server gave this job (unique per server process,
+    /// counting from 1).
+    pub job: u64,
 }
 
 impl JobReport {
@@ -235,15 +240,6 @@ impl JobReport {
     pub fn cached(&self) -> bool {
         !matches!(self.tier, CacheTier::Cold)
     }
-}
-
-/// Where a job currently is, as answered to [`Request::Poll`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobPhase {
-    /// In the bounded queue, not yet claimed by a worker.
-    Queued,
-    /// Claimed by a worker, executing.
-    Running,
 }
 
 /// Number of log₂-microsecond buckets in a [`PhaseHistogram`]. The
@@ -616,19 +612,16 @@ pub enum Request {
     /// configuration. Travels as a plain frame — the codec starts with
     /// the *next* message.
     Hello(CodecConfig),
-    /// Submit a job; answered with `Accepted` or `Busy` — or, on a
-    /// sharded server that does not own the job's content key,
-    /// `Redirect`.
+    /// Run a job. Answered once a worker has run it, with `Done` or
+    /// `Failed`; or straight away with `Busy` (queue full), `Error`
+    /// (rejected at the door, or shutdown) or — on a sharded server
+    /// that does not own the job's content key — `Redirect`.
     Submit(JobSpec),
-    /// Submit a job to *this* shard regardless of key ownership: the
+    /// Run a job on *this* shard regardless of key ownership: the
     /// balancer's failover path when the owning shard is down, and the
     /// reason a redirect chain can never loop.
-    /// Answered with `Accepted` or `Busy`, never `Redirect`.
+    /// Answered as `Submit`, but never with `Redirect`.
     SubmitDirect(JobSpec),
-    /// Ask where a job is; answered with `Phase`, `Done` or `Failed`.
-    Poll(u64),
-    /// Block until a job finishes; answered with `Done` or `Failed`.
-    Wait(u64),
     /// Fetch aggregate telemetry; answered with `Stats`.
     Stats,
     /// A ring peer pushing a finished artifact envelope for a key this
@@ -679,8 +672,6 @@ pub enum Request {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// The job was queued under this id.
-    Accepted(u64),
     /// The bounded queue is full — backpressure, retry later.
     Busy {
         /// Jobs currently queued.
@@ -688,8 +679,6 @@ pub enum Response {
         /// Queue capacity.
         capacity: u32,
     },
-    /// The job is still in flight.
-    Phase(JobPhase),
     /// The job finished.
     Done(JobReport),
     /// The job ran and failed (bad workload, engine error, ...).
@@ -703,8 +692,8 @@ pub enum Response {
     },
     /// Aggregate telemetry.
     Stats(ServerStats),
-    /// Protocol-level error (unknown job id, malformed frame, version
-    /// mismatch, missing `Hello`, shutdown).
+    /// Protocol-level error (malformed frame, version mismatch,
+    /// missing `Hello`, a submission rejected at the door, shutdown).
     Error(String),
     /// The agreed codec configuration (answer to [`Request::Hello`]).
     /// Travels as a plain frame — the codec starts with the *next*
@@ -748,9 +737,10 @@ pub enum Response {
 
 // ---------------------------------------------------------------- tags
 
+// Tags 2, 3, 101 and 103 were retired in version 8 and are never
+// reused, so a tag names one message in a capture of any version.
+
 const TAG_SUBMIT: u8 = 1;
-const TAG_POLL: u8 = 2;
-const TAG_WAIT: u8 = 3;
 const TAG_STATS: u8 = 4;
 const TAG_HELLO: u8 = 5;
 const TAG_SUBMIT_DIRECT: u8 = 6;
@@ -759,9 +749,7 @@ const TAG_RECONFIGURE: u8 = 8;
 const TAG_PING: u8 = 9;
 const TAG_TRACE_DUMP: u8 = 10;
 
-const TAG_ACCEPTED: u8 = 101;
 const TAG_BUSY: u8 = 102;
-const TAG_PHASE: u8 = 103;
 const TAG_DONE: u8 = 104;
 const TAG_FAILED: u8 = 105;
 const TAG_STATS_REPLY: u8 = 106;
@@ -1023,6 +1011,7 @@ fn put_report(buf: &mut Vec<u8>, report: &JobReport) {
     put_u64(buf, report.service_micros);
     put_conn_stats(buf, &report.conn);
     put_u64(buf, report.trace);
+    put_u64(buf, report.job);
 }
 
 fn read_report(r: &mut Reader<'_>) -> Result<JobReport, WireError> {
@@ -1048,6 +1037,7 @@ fn read_report(r: &mut Reader<'_>) -> Result<JobReport, WireError> {
         service_micros: r.u64()?,
         conn: read_conn_stats(r)?,
         trace: r.u64()?,
+        job: r.u64()?,
     })
 }
 
@@ -1138,14 +1128,6 @@ impl Request {
                 put_u8(&mut buf, TAG_SUBMIT_DIRECT);
                 put_spec(&mut buf, spec);
             }
-            Request::Poll(job) => {
-                put_u8(&mut buf, TAG_POLL);
-                put_u64(&mut buf, *job);
-            }
-            Request::Wait(job) => {
-                put_u8(&mut buf, TAG_WAIT);
-                put_u64(&mut buf, *job);
-            }
             Request::Stats => put_u8(&mut buf, TAG_STATS),
             Request::Replicate {
                 epoch,
@@ -1187,8 +1169,6 @@ impl Request {
             TAG_HELLO => Request::Hello(read_codec_config(&mut r)?),
             TAG_SUBMIT => Request::Submit(read_spec(&mut r)?),
             TAG_SUBMIT_DIRECT => Request::SubmitDirect(read_spec(&mut r)?),
-            TAG_POLL => Request::Poll(r.u64()?),
-            TAG_WAIT => Request::Wait(r.u64()?),
             TAG_STATS => Request::Stats,
             TAG_REPLICATE => Request::Replicate {
                 epoch: r.u64()?,
@@ -1214,24 +1194,10 @@ impl Response {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = vec![PROTOCOL_VERSION];
         match self {
-            Response::Accepted(job) => {
-                put_u8(&mut buf, TAG_ACCEPTED);
-                put_u64(&mut buf, *job);
-            }
             Response::Busy { queued, capacity } => {
                 put_u8(&mut buf, TAG_BUSY);
                 put_u32(&mut buf, *queued);
                 put_u32(&mut buf, *capacity);
-            }
-            Response::Phase(phase) => {
-                put_u8(&mut buf, TAG_PHASE);
-                put_u8(
-                    &mut buf,
-                    match phase {
-                        JobPhase::Queued => 0,
-                        JobPhase::Running => 1,
-                    },
-                );
             }
             Response::Done(report) => {
                 put_u8(&mut buf, TAG_DONE);
@@ -1290,16 +1256,10 @@ impl Response {
         let mut r = Reader::new(payload);
         read_version(&mut r)?;
         let response = match r.u8()? {
-            TAG_ACCEPTED => Response::Accepted(r.u64()?),
             TAG_BUSY => Response::Busy {
                 queued: r.u32()?,
                 capacity: r.u32()?,
             },
-            TAG_PHASE => Response::Phase(match r.u8()? {
-                0 => JobPhase::Queued,
-                1 => JobPhase::Running,
-                _ => return Err(WireError::BadField("phase")),
-            }),
             TAG_DONE => Response::Done(read_report(&mut r)?),
             TAG_FAILED => Response::Failed {
                 message: r.string()?,
@@ -1435,6 +1395,7 @@ mod tests {
                 wire_rx_bytes: 850,
             },
             trace: 0x1111_2222_3333_4444,
+            job: 0x0123_4567_89AB_CDEF,
         }
     }
 
@@ -1444,8 +1405,6 @@ mod tests {
             Request::Submit(spec()),
             Request::Submit(traced_spec()),
             Request::SubmitDirect(traced_spec()),
-            Request::Poll(7),
-            Request::Wait(u64::MAX),
             Request::Stats,
             Request::Replicate {
                 epoch: 3,
@@ -1467,13 +1426,10 @@ mod tests {
             assert_eq!(Request::decode(&request.encode()), Ok(request));
         }
         let responses = [
-            Response::Accepted(42),
             Response::Busy {
                 queued: 8,
                 capacity: 8,
             },
-            Response::Phase(JobPhase::Queued),
-            Response::Phase(JobPhase::Running),
             Response::Done(report()),
             Response::Failed {
                 message: "cube file: missing header line".to_string(),
@@ -1550,7 +1506,7 @@ mod tests {
                 spans_recorded: 300,
                 spans_evicted: 44,
             }),
-            Response::Error("unknown job id 9".to_string()),
+            Response::Error("server shutting down".to_string()),
             Response::HelloAck(CodecConfig {
                 compress: true,
                 chunk_bytes: 4096,
@@ -1654,21 +1610,26 @@ mod tests {
         }
     }
 
-    /// The Stats reply's exact bytes, captured before its codec was
-    /// generated from the field list: length plus an FNV-1a digest.
+    /// The Stats reply's exact bytes: length plus an FNV-1a digest.
+    /// Protocol version 8 changed only the leading version byte: set
+    /// back to 7, the reply hashes to the version-7 pin (captured
+    /// before the codec was generated from the field list), so the
+    /// Stats body is byte-identical.
     #[test]
     fn stats_reply_bytes_are_pinned() {
-        let bytes = Response::Stats(pinned_stats()).encode();
-        let mut digest = ss_store::Fnv64::new();
-        digest.write(&bytes);
-        assert_eq!(
-            (bytes.len(), digest.finish()),
-            (1426, 0x62DC_DE9D_0EF4_FBF7)
-        );
+        let fnv = |bytes: &[u8]| {
+            let mut digest = ss_store::Fnv64::new();
+            digest.write(bytes);
+            digest.finish()
+        };
+        let mut bytes = Response::Stats(pinned_stats()).encode();
+        assert_eq!((bytes.len(), fnv(&bytes)), (1426, 0x3C87_1AF4_2A5B_05E4));
         assert_eq!(
             Response::decode(&bytes),
             Ok(Response::Stats(pinned_stats()))
         );
+        bytes[0] = 7;
+        assert_eq!((bytes.len(), fnv(&bytes)), (1426, 0x62DC_DE9D_0EF4_FBF7));
     }
 
     #[test]
@@ -1720,7 +1681,7 @@ mod tests {
     #[test]
     fn malformed_payloads_are_rejected_not_panicked() {
         // version mismatch
-        let mut bad = Request::Poll(1).encode();
+        let mut bad = Request::Stats.encode();
         bad[0] = 9;
         assert_eq!(Request::decode(&bad), Err(WireError::Version(9)));
         // unknown tag
@@ -1737,20 +1698,22 @@ mod tests {
             );
         }
         // trailing garbage
-        let mut long = Request::Poll(1).encode();
+        let mut long = Request::Stats.encode();
         long.push(0);
         assert_eq!(
             Request::decode(&long),
             Err(WireError::BadField("trailing bytes"))
         );
-        // bad enum discriminants
-        let mut resp = Response::Phase(JobPhase::Queued).encode();
-        *resp.last_mut().unwrap() = 7;
-        assert_eq!(Response::decode(&resp), Err(WireError::BadField("phase")));
+        // bad enum discriminants: the compress flag follows the
+        // version and tag bytes
+        let mut ack = Response::HelloAck(CodecConfig::preferred()).encode();
+        ack[2] = 7;
+        assert_eq!(Response::decode(&ack), Err(WireError::BadField("compress")));
         // tier byte sits just before the trailing 8-byte service time,
-        // the 48-byte connection block, and the 8-byte trace echo
+        // the 48-byte connection block, the 8-byte trace echo and the
+        // 8-byte job id
         let mut done = Response::Done(report()).encode();
-        let at = done.len() - 65;
+        let at = done.len() - 73;
         done[at] = 9;
         assert_eq!(Response::decode(&done), Err(WireError::BadField("tier")));
         // span kind byte is validated too

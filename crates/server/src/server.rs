@@ -6,9 +6,10 @@
 //!
 //! ```text
 //! accept loop ── one handler thread per connection ──┐
-//!                                                    │ try_enqueue (bounded; Busy when full)
-//!                  worker pool (N threads) ◀─────────┘
-//!                  │  pop → Running → execute → Done/Failed
+//!                       ▲                            │ try_enqueue (bounded; Busy when full)
+//!                       │ reply channel              ▼
+//!                  worker pool (N threads) ◀── bounded queue
+//!                  │  pop → execute → send Done/Failed
 //!                  └─ artifact cache (Mutex<ArtifactCache>)
 //!
 //! sharded only:
@@ -20,8 +21,10 @@
 //!
 //! Backpressure is explicit: the queue never grows past its capacity —
 //! a submission that would overflow is answered [`Response::Busy`] and
-//! nothing is buffered. Waiters block on a condvar with a stop check,
-//! so shutdown cannot deadlock a connection.
+//! nothing is buffered. A `Submit` is answered with its job's report,
+//! so a connection has at most one job in flight; its handler waits
+//! for the worker's reply with a stop check, so shutdown cannot
+//! deadlock a connection.
 //!
 //! Each job runs with `total parallelism / workers` engine threads, so
 //! the pool saturates the machine without oversubscribing it; results
@@ -33,6 +36,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -49,7 +53,7 @@ use crate::cache::{cache_key, ArtifactCache, CachedArtifacts};
 use crate::client::Client;
 use crate::codec::{Codec, CodecConfig, CodecError, WireStats, MAX_MESSAGE_BYTES};
 use crate::protocol::{
-    read_frame, write_frame, CacheTier, CodecCounters, ConnStats, JobPhase, JobReport, JobSpec,
+    read_frame, write_frame, CacheTier, CodecCounters, ConnStats, JobReport, JobSpec,
     PhaseHistogram, Request, Response, ServerStats, TierStats, SHARD_REMOVED,
 };
 use crate::report_digest;
@@ -61,14 +65,6 @@ const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// How often blocked waiters re-check the stop flag.
 const WAIT_TICK: Duration = Duration::from_millis(100);
-
-/// How many finished jobs stay pollable. The server is long-lived, so
-/// completed states cannot accumulate forever; the oldest finished
-/// entries are dropped past this bound (polling one afterwards answers
-/// "unknown job id"). 4096 is orders of magnitude above any queue
-/// depth, so a client that submitted a job always has ample time to
-/// collect it.
-const FINISHED_RETENTION: usize = 4096;
 
 /// Concurrent-connection bound when [`ServeOptions::max_connections`]
 /// is 0. Far above any sane client fleet, far below the OS thread
@@ -146,6 +142,10 @@ impl Default for ServeOptions {
     }
 }
 
+/// A finished job as a worker sends it back: the report, or the
+/// failure message.
+type JobOutcome = Result<JobReport, String>;
+
 /// A job sitting in the bounded queue: pre-parsed and pre-validated,
 /// so workers only ever do compression work.
 struct QueuedJob {
@@ -156,39 +156,9 @@ struct QueuedJob {
     /// When the job entered the queue (monotonic µs) — the queue-wait
     /// span runs from here to the worker pop.
     enqueued_micros: u64,
-}
-
-/// Lifecycle of a submitted job.
-enum JobState {
-    Queued,
-    Running,
-    Done(JobReport),
-    Failed(String),
-}
-
-/// Every submitted job's state, with bounded retention of finished
-/// entries so a long-lived server cannot grow without bound.
-#[derive(Default)]
-struct JobTable {
-    states: HashMap<u64, JobState>,
-    /// Finished ids in completion order — the eviction queue.
-    finished: VecDeque<u64>,
-}
-
-impl JobTable {
-    /// Records a state; finishing a job enters it into the bounded
-    /// retention window, evicting the oldest finished entries.
-    fn set(&mut self, id: u64, state: JobState) {
-        let finished = matches!(state, JobState::Done(_) | JobState::Failed(_));
-        self.states.insert(id, state);
-        if finished {
-            self.finished.push_back(id);
-            while self.finished.len() > FINISHED_RETENTION {
-                let oldest = self.finished.pop_front().expect("non-empty by len check");
-                self.states.remove(&oldest);
-            }
-        }
-    }
+    /// One-slot channel to the connection handler waiting for this
+    /// job; the worker's send never blocks.
+    reply: SyncSender<JobOutcome>,
 }
 
 /// The persistent tier: the on-disk store plus an in-memory index of
@@ -326,8 +296,6 @@ struct ReplicationTask {
 struct Shared {
     queue: Mutex<VecDeque<QueuedJob>>,
     queue_cv: Condvar,
-    jobs: Mutex<JobTable>,
-    jobs_cv: Condvar,
     cache: Mutex<ArtifactCache>,
     /// The persistent second tier, when `--store-dir` is configured.
     disk: Option<DiskTier>,
@@ -387,7 +355,8 @@ struct Shared {
 /// What a submission attempt produced.
 #[derive(Debug)]
 enum Enqueue {
-    Accepted(u64),
+    /// Queued; the worker that runs it answers on this channel.
+    Queued(Receiver<JobOutcome>),
     Busy {
         queued: u32,
         capacity: u32,
@@ -409,8 +378,6 @@ impl Shared {
         Shared {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
-            jobs: Mutex::new(JobTable::default()),
-            jobs_cv: Condvar::new(),
             cache: Mutex::new(ArtifactCache::new(cache_bytes)),
             disk,
             pending: Mutex::new(HashSet::new()),
@@ -445,7 +412,7 @@ impl Shared {
     }
 
     /// Validates a spec, canonicalises its workload text and either
-    /// queues it (`Accepted`), applies backpressure (`Busy`), or —
+    /// queues it (`Queued`), applies backpressure (`Busy`), or —
     /// sharded, non-`direct`, and the canonical key belongs to another
     /// shard — answers the owner's address (`Redirect`). The error
     /// carries a client-facing message.
@@ -486,26 +453,18 @@ impl Shared {
                 capacity: self.queue_capacity as u32,
             });
         }
-        let id = self.next_job.fetch_add(1, Ordering::Relaxed);
-        // the Queued state must land in the jobs table *before* the
-        // job becomes poppable: a worker finishing it concurrently
-        // would otherwise have its Done state clobbered by this insert
-        // and the job would look queued forever (lock order is always
-        // queue → jobs, never the reverse)
-        self.jobs
-            .lock()
-            .expect("jobs mutex")
-            .set(id, JobState::Queued);
+        let (reply, outcome) = mpsc::sync_channel(1);
         queue.push_back(QueuedJob {
-            id,
+            id: self.next_job.fetch_add(1, Ordering::Relaxed),
             key,
             set,
             spec,
             enqueued_micros: self.clock.now_micros(),
+            reply,
         });
         drop(queue);
         self.queue_cv.notify_one();
-        Ok(Enqueue::Accepted(id))
+        Ok(Enqueue::Queued(outcome))
     }
 
     fn stats(&self) -> ServerStats {
@@ -975,14 +934,7 @@ fn execute(shared: &Shared, job: &QueuedJob) -> Result<JobReport, String> {
             }
         }
     };
-    Ok(job_report(
-        &report,
-        job.set.len(),
-        dropped,
-        tier,
-        start.elapsed(),
-        trace.trace,
-    ))
+    Ok(job_report(job, &report, dropped, tier, start.elapsed()))
 }
 
 /// Persists a cold run's artifacts. Failures are logged and absorbed —
@@ -1337,21 +1289,20 @@ fn prober_loop(shared: &Shared) {
 }
 
 /// Projects a full [`PipelineReport`] onto the wire-sized
-/// [`JobReport`].
+/// [`JobReport`] of `job`.
 fn job_report(
+    job: &QueuedJob,
     report: &PipelineReport,
-    cubes: usize,
     dropped: usize,
     tier: CacheTier,
     service: Duration,
-    trace: u64,
 ) -> JobReport {
     JobReport {
         lfsr_size: report.lfsr_size as u32,
         window: report.window as u32,
         segment: report.segment as u32,
         speedup: report.speedup,
-        cubes: cubes as u64,
+        cubes: job.set.len() as u64,
         dropped: dropped as u64,
         seeds: report.seeds as u64,
         tdv: report.tdv as u64,
@@ -1364,7 +1315,8 @@ fn job_report(
         // stamped by the connection handler at reply time; a worker
         // has no wire context
         conn: ConnStats::default(),
-        trace,
+        trace: job.spec.trace.trace,
+        job: job.id,
     }
 }
 
@@ -1389,7 +1341,6 @@ fn worker_loop(shared: &Shared) {
                 queue = q;
             }
         };
-        set_state(shared, job.id, JobState::Running);
         let popped = shared.clock.now_micros();
         shared.record_span(
             job.spec.trace.trace,
@@ -1399,24 +1350,65 @@ fn worker_loop(shared: &Shared) {
             popped.saturating_sub(job.enqueued_micros),
             String::new,
         );
-        let state = match execute(shared, &job) {
-            Ok(report) => JobState::Done(report),
-            Err(message) => JobState::Failed(message),
-        };
-        {
-            // the counter must be bumped before the final state is
-            // observable (same critical section), or a client that
-            // sees Done could still read a stale jobs_done
-            let mut jobs = shared.jobs.lock().expect("jobs mutex");
-            jobs.set(job.id, state);
-            shared.jobs_done.fetch_add(1, Ordering::Relaxed);
-        }
-        shared.jobs_cv.notify_all();
+        let outcome = execute(shared, &job);
+        // counted before the reply goes out, so a client that has its
+        // report never reads a stale jobs_done
+        shared.jobs_done.fetch_add(1, Ordering::Relaxed);
+        // a client that hung up drops its receiver: the send fails and
+        // the job's artifacts are still cached
+        let _ = job.reply.send(outcome);
     }
 }
 
-fn set_state(shared: &Shared, id: u64, state: JobState) {
-    shared.jobs.lock().expect("jobs mutex").set(id, state);
+/// Blocks a connection handler until the worker running its job
+/// answers, re-checking the stop flag every [`WAIT_TICK`] so shutdown
+/// never strands a connection.
+fn await_outcome(shared: &Shared, outcome: &Receiver<JobOutcome>) -> Response {
+    loop {
+        match outcome.recv_timeout(WAIT_TICK) {
+            Ok(Ok(report)) => return Response::Done(report),
+            Ok(Err(message)) => {
+                return Response::Failed {
+                    message,
+                    conn: ConnStats::default(),
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                if shared.stop.load(Ordering::Relaxed) {
+                    return Response::Error("server shutting down".to_string());
+                }
+            }
+            // only a panicking worker drops a job without answering
+            Err(RecvTimeoutError::Disconnected) => {
+                return Response::Error("the worker running this job died".to_string())
+            }
+        }
+    }
+}
+
+/// Answers a submission: with the job's outcome once a worker has run
+/// it, or straight away with `Busy`, `Redirect` or `Error`.
+fn submit(shared: &Shared, spec: JobSpec, direct: bool) -> Response {
+    let trace = spec.trace;
+    match shared.try_enqueue(spec, direct) {
+        Ok(Enqueue::Queued(outcome)) => await_outcome(shared, &outcome),
+        Ok(Enqueue::Busy { queued, capacity }) => Response::Busy { queued, capacity },
+        Ok(Enqueue::Redirect(addr)) => {
+            shared.record_span(
+                trace.trace,
+                trace.parent,
+                SpanKind::Redirect,
+                shared.clock.now_micros(),
+                0,
+                || format!("-> {addr}"),
+            );
+            Response::Redirect {
+                addr,
+                trace: trace.trace,
+            }
+        }
+        Err(message) => Response::Error(message),
+    }
 }
 
 /// The active trace context a request carries, if any — what the
@@ -1430,81 +1422,16 @@ fn request_trace(request: &Request) -> Option<TraceContext> {
     }
 }
 
-/// Answers one decoded request. `Wait` blocks (with a stop check);
-/// everything else is immediate.
+/// Answers one decoded request. A submission blocks until its job
+/// has run (with a stop check); everything else is immediate.
 fn respond(shared: &Shared, request: Request) -> Response {
     match request {
         // negotiation is handled at the connection layer; a second
         // Hello mid-connection is a protocol violation
         Request::Hello(_) => Response::Error("codec already negotiated".to_string()),
-        Request::Submit(spec) => {
-            let trace = spec.trace;
-            match shared.try_enqueue(spec, false) {
-                Ok(Enqueue::Accepted(id)) => Response::Accepted(id),
-                Ok(Enqueue::Busy { queued, capacity }) => Response::Busy { queued, capacity },
-                Ok(Enqueue::Redirect(addr)) => {
-                    shared.record_span(
-                        trace.trace,
-                        trace.parent,
-                        SpanKind::Redirect,
-                        shared.clock.now_micros(),
-                        0,
-                        || format!("-> {addr}"),
-                    );
-                    Response::Redirect {
-                        addr,
-                        trace: trace.trace,
-                    }
-                }
-                Err(message) => Response::Error(message),
-            }
-        }
-        Request::SubmitDirect(spec) => match shared.try_enqueue(spec, true) {
-            Ok(Enqueue::Accepted(id)) => Response::Accepted(id),
-            Ok(Enqueue::Busy { queued, capacity }) => Response::Busy { queued, capacity },
-            Ok(Enqueue::Redirect(_)) => {
-                unreachable!("direct submissions are never redirected")
-            }
-            Err(message) => Response::Error(message),
-        },
-        Request::Poll(id) => {
-            let jobs = shared.jobs.lock().expect("jobs mutex");
-            match jobs.states.get(&id) {
-                None => Response::Error(format!("unknown job id {id}")),
-                Some(JobState::Queued) => Response::Phase(JobPhase::Queued),
-                Some(JobState::Running) => Response::Phase(JobPhase::Running),
-                Some(JobState::Done(report)) => Response::Done(*report),
-                Some(JobState::Failed(message)) => Response::Failed {
-                    message: message.clone(),
-                    conn: ConnStats::default(),
-                },
-            }
-        }
-        Request::Wait(id) => {
-            let mut jobs = shared.jobs.lock().expect("jobs mutex");
-            loop {
-                match jobs.states.get(&id) {
-                    None => return Response::Error(format!("unknown job id {id}")),
-                    Some(JobState::Done(report)) => return Response::Done(*report),
-                    Some(JobState::Failed(message)) => {
-                        return Response::Failed {
-                            message: message.clone(),
-                            conn: ConnStats::default(),
-                        }
-                    }
-                    Some(JobState::Queued | JobState::Running) => {
-                        if shared.stop.load(Ordering::Relaxed) {
-                            return Response::Error("server shutting down".to_string());
-                        }
-                        let (j, _) = shared
-                            .jobs_cv
-                            .wait_timeout(jobs, WAIT_TICK)
-                            .expect("jobs mutex");
-                        jobs = j;
-                    }
-                }
-            }
-        }
+        Request::Submit(spec) => submit(shared, spec, false),
+        // a direct submission is never redirected
+        Request::SubmitDirect(spec) => submit(shared, spec, true),
         Request::Stats => Response::Stats(shared.stats()),
         Request::Replicate {
             key, bytes, trace, ..
@@ -1595,6 +1522,11 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         conn.frames_received += rx.frames;
         conn.raw_rx_bytes += rx.raw_bytes;
         conn.wire_rx_bytes += rx.wire_bytes;
+        // a stopping server takes no new request: closing unanswered
+        // surfaces as a retryable disconnect, so a balancer fails over
+        if shared.stop.load(Ordering::Relaxed) {
+            return;
+        }
         let decode_start = shared.clock.now_micros();
         let mut response = match Request::decode(&payload) {
             Ok(request) => {
@@ -1644,9 +1576,6 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
                 );
             }
             Err(_) => return,
-        }
-        if shared.stop.load(Ordering::Relaxed) {
-            return;
         }
     }
 }
@@ -1928,7 +1857,6 @@ impl ServerHandle {
         // unblock accept with a throwaway connection
         let _ = TcpStream::connect(self.addr);
         self.shared.queue_cv.notify_all();
-        self.shared.jobs_cv.notify_all();
         self.shared.repl_cv.notify_all();
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
@@ -1976,7 +1904,7 @@ mod tests {
         for _ in 0..2 {
             assert!(matches!(
                 shared.try_enqueue(spec.clone(), false),
-                Ok(Enqueue::Accepted(_))
+                Ok(Enqueue::Queued(_))
             ));
         }
         match shared.try_enqueue(spec.clone(), false).unwrap() {
@@ -1988,46 +1916,84 @@ mod tests {
         assert_eq!(shared.queue.lock().unwrap().len(), 2);
         assert_eq!(shared.stats().busy_rejections, 1);
         // ids are distinct and monotone
-        assert_eq!(shared.jobs.lock().unwrap().states.len(), 2);
+        let ids: Vec<u64> = shared.queue.lock().unwrap().iter().map(|j| j.id).collect();
+        assert_eq!(ids, [1, 2]);
     }
 
+    /// A submission blocked on a job no worker runs answers "server
+    /// shutting down" within a few ticks of the stop flag — and not
+    /// before it.
     #[test]
-    fn queued_state_is_visible_before_the_job_is_poppable() {
-        // regression: the Queued insert must precede queue visibility,
-        // or a fast worker's finished state gets clobbered by the
-        // submitter and the job hangs as Queued forever
-        let shared = Shared::new(1, 4, 1 << 20, 1, None, 256, 1);
-        let Enqueue::Accepted(id) = shared.try_enqueue(mini_spec(), false).unwrap() else {
-            panic!("queue has room");
-        };
-        // simulate the fast worker: pop and finish before the
-        // submitting thread does anything else
-        let job = shared.queue.lock().unwrap().pop_front().unwrap();
-        assert_eq!(job.id, id);
-        set_state(&shared, id, JobState::Failed("finished first".into()));
-        // try_enqueue already returned: nothing may overwrite this
-        assert!(matches!(
-            respond(&shared, Request::Poll(id)),
-            Response::Failed { .. }
-        ));
-    }
-
-    #[test]
-    fn finished_retention_is_bounded_and_evicts_oldest() {
-        let shared = Shared::new(1, 4, 1 << 20, 1, None, 256, 1);
-        let overflow = 50u64;
-        for id in 0..(FINISHED_RETENTION as u64 + overflow) {
-            set_state(&shared, id, JobState::Failed("x".into()));
+    fn a_blocked_submit_answers_shutdown_within_a_few_ticks() {
+        let shared = Arc::new(Shared::new(1, 4, 1 << 20, 1, None, 256, 1));
+        let handler = Arc::clone(&shared);
+        let blocked = thread::spawn(move || respond(&handler, Request::Submit(mini_spec())));
+        while shared.queue.lock().unwrap().is_empty() {
+            thread::sleep(Duration::from_millis(1));
         }
-        let jobs = shared.jobs.lock().unwrap();
-        assert_eq!(jobs.states.len(), FINISHED_RETENTION);
-        assert!(
-            !jobs.states.contains_key(&0),
-            "oldest finished entry must be evicted"
+        thread::sleep(2 * WAIT_TICK);
+        assert!(!blocked.is_finished(), "answered before its job ran");
+        let stopped = Instant::now();
+        shared.stop.store(true, Ordering::Relaxed);
+        let response = blocked.join().unwrap();
+        let waited = stopped.elapsed();
+        assert!(waited < 3 * WAIT_TICK, "shutdown took {waited:?}");
+        assert_eq!(
+            response,
+            Response::Error("server shutting down".to_string())
         );
-        assert!(jobs
-            .states
-            .contains_key(&(FINISHED_RETENTION as u64 + overflow - 1)));
+    }
+
+    /// A connection has at most one job in flight: three submissions
+    /// written back to back before any reply is read, against one
+    /// worker and a one-job queue, are all served, in order, and none
+    /// is turned away `Busy`.
+    #[test]
+    fn a_connection_has_at_most_one_job_in_flight() {
+        let handle = Server::bind(&ServeOptions {
+            workers: 1,
+            queue_depth: 1,
+            ..ServeOptions::default()
+        })
+        .unwrap()
+        .spawn();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        write_frame(
+            &mut stream,
+            &Request::Hello(CodecConfig::preferred()).encode(),
+        )
+        .unwrap();
+        let Ok(Response::HelloAck(agreed)) = Response::decode(&read_frame(&mut stream).unwrap())
+        else {
+            panic!("the Hello was refused");
+        };
+        let codec = Codec::new(agreed);
+        let windows = [16, 20, 24];
+        for window in windows {
+            let spec = JobSpec {
+                window,
+                ..mini_spec()
+            };
+            let submit = Request::Submit(spec).encode();
+            codec.write_message(&mut stream, &submit).unwrap();
+        }
+        let mut last_job = 0;
+        for window in windows {
+            let reply = codec
+                .read_message(&mut stream, &mut WireStats::default())
+                .unwrap();
+            match Response::decode(&reply).unwrap() {
+                Response::Done(report) => {
+                    assert_eq!(report.window, window, "replies out of submission order");
+                    assert!(report.job > last_job);
+                    last_job = report.job;
+                }
+                other => panic!("submission at L={window} answered {other:?}"),
+            }
+        }
+        let stats = handle.stats();
+        assert_eq!((stats.jobs_done, stats.busy_rejections), (3, 0));
+        handle.shutdown();
     }
 
     #[test]
@@ -2063,19 +2029,6 @@ mod tests {
         empty.set_text = "chains 2 depth 3\n".to_string();
         assert!(shared.try_enqueue(empty, false).is_err());
         assert_eq!(shared.queue.lock().unwrap().len(), 0);
-    }
-
-    #[test]
-    fn poll_and_wait_know_unknown_jobs() {
-        let shared = Shared::new(1, 4, 1 << 20, 1, None, 256, 1);
-        assert!(matches!(
-            respond(&shared, Request::Poll(99)),
-            Response::Error(_)
-        ));
-        assert!(matches!(
-            respond(&shared, Request::Wait(99)),
-            Response::Error(_)
-        ));
     }
 
     /// A worker executing a queued job twice hits the cache the second
@@ -2214,14 +2167,14 @@ mod tests {
         // direct lands locally even on the non-owner (failover path)
         assert!(matches!(
             shared.try_enqueue(spec.clone(), true).unwrap(),
-            Enqueue::Accepted(_)
+            Enqueue::Queued(_)
         ));
 
         // the owner serves its own key
         let shared = sharded(&peers, owner);
         assert!(matches!(
             shared.try_enqueue(spec, false).unwrap(),
-            Enqueue::Accepted(_)
+            Enqueue::Queued(_)
         ));
         let stats = shared.stats();
         assert_eq!(stats.redirects, 0);

@@ -599,7 +599,7 @@ fn submit(args: &[String]) -> Result<(), String> {
         if run.failovers > 0 {
             eprintln!("note: {} shard(s) failed over", run.failovers);
         }
-        (run.job, run.report, served_by, run.trace)
+        (run.report.job, run.report, served_by, run.trace)
     } else {
         let mut client = Client::connect(&*addr).map_err(|e| e.to_string())?;
         let (job, report) = client.run(&spec).map_err(|e| e.to_string())?;

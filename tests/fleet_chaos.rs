@@ -144,7 +144,7 @@ fn replicas_received_sum<'a, I: IntoIterator<Item = &'a ServerHandle>>(handles: 
         .sum()
 }
 
-/// Polls `probe` until it answers true, failing the test with
+/// Re-asks `probe` until it answers true, failing the test with
 /// `what` after the convergence deadline.
 fn poll_until(what: &str, mut probe: impl FnMut() -> bool) {
     let start = Instant::now();

@@ -140,7 +140,7 @@ fn killing_a_shard_mid_workload_keeps_answers_bit_identical() {
     let owner0 = owners[0];
     let non_owner = (0..3).find(|&s| s != owner0).unwrap();
     let mut direct_client = Client::connect(peers[non_owner].as_str()).unwrap();
-    match direct_client.submit(spec0) {
+    match direct_client.run(spec0) {
         Err(ClientError::Redirected(addr)) => assert_eq!(addr, peers[owner0]),
         other => panic!("non-owner answered {other:?} instead of a redirect"),
     }
