@@ -19,12 +19,21 @@
 //! is the median of three samples, so one noisy sample cannot move a
 //! row; the times and ratios are recorded in `BENCH_encode.json` at
 //! the workspace root, next to `BENCH_packed.json`.
+//!
+//! At `L = 24` every expression table fits in L2, so those rows cannot
+//! show how the first-visit probe scales with the table. A second set
+//! of **window rows** times the cached search alone on the two largest
+//! profiles at the paper's `L = 50` and `L = 200` (scale 0.1, the
+//! paper's LFSR sizes, as in perfbench's `paper-encode` jobs). The
+//! reference search takes minutes at `L = 200`, so these rows skip it;
+//! the cached search is pinned to the reference by
+//! `tests/encoder_props.rs` and the golden corpus.
 
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use ss_core::{Engine, Table, WindowEncoder};
+use ss_core::{Engine, HardwareCtx, Table, WindowEncoder};
 use ss_telemetry::json::Json;
 use ss_testdata::{TestSet, Workload, WorkloadRegistry};
 
@@ -34,6 +43,16 @@ const SPEEDUP: u64 = 6;
 
 /// Timed samples per row; the row records their median.
 const SAMPLES: usize = 3;
+
+/// Workloads of the cached-only window rows.
+const WINDOW_ROW_WORKLOADS: [&str; 2] = ["s38417", "s38584"];
+
+/// Windows of the cached-only rows: the short and long ends of the
+/// paper's Table 2 sweep.
+const WINDOW_ROW_WINDOWS: [usize; 2] = [50, 200];
+
+/// Cube-set scale of the cached-only rows, whatever `SS_SCALE` says.
+const WINDOW_ROW_SCALE: f64 = 0.1;
 
 /// Target length of one sample: a fast closure is called in a batch
 /// of about this long, so the three samples of a fast row cost about
@@ -89,18 +108,29 @@ fn bench_set(w: &Workload) -> TestSet {
     }
 }
 
-fn measure(w: &Workload) -> Row {
-    let set = bench_set(w);
+/// One cached-only row: the residue-cached search at a paper window.
+struct WindowRow {
+    name: String,
+    window: usize,
+    lfsr_size: usize,
+    cubes: usize,
+    seeds: usize,
+    cached_s: f64,
+}
+
+/// The encodable part of `set` and its hardware context at window
+/// `window`, with the profile's paper LFSR size when it has one.
+fn encodable(w: &Workload, set: &TestSet, window: usize) -> (Engine, HardwareCtx, TestSet) {
     let mut builder = Engine::builder()
-        .window(WINDOW)
+        .window(window)
         .segment(SEGMENT)
         .speedup(SPEEDUP);
     if let Some(profile) = w.profile() {
         builder = builder.lfsr_size(profile.lfsr_size);
     }
     let engine = builder.build().expect("bench knobs are valid");
-    let ctx = engine.synthesize(&set).expect("synthesis succeeds");
-    let (set, dropped) = ctx.encodable_subset(&set);
+    let ctx = engine.synthesize(set).expect("synthesis succeeds");
+    let (set, dropped) = ctx.encodable_subset(set);
     if !dropped.is_empty() {
         eprintln!(
             "note: {}: dropped {} unencodable cube(s)",
@@ -108,6 +138,11 @@ fn measure(w: &Workload) -> Row {
             dropped.len()
         );
     }
+    (engine, ctx, set)
+}
+
+fn measure(w: &Workload) -> Row {
+    let (engine, ctx, set) = encodable(w, &bench_set(w), WINDOW);
     let fill_seed = engine.config().fill_seed;
     let encoder = WindowEncoder::new(&set, ctx.table()).expect("one geometry");
 
@@ -129,7 +164,22 @@ fn measure(w: &Workload) -> Row {
     }
 }
 
-fn write_json(rows: &[Row]) {
+fn measure_window(w: &Workload, window: usize) -> WindowRow {
+    let (engine, ctx, set) = encodable(w, &w.test_set_scaled(WINDOW_ROW_SCALE), window);
+    let encoder = WindowEncoder::new(&set, ctx.table()).expect("one geometry");
+    let (cached, cached_s) =
+        time_median(|| encoder.encode(engine.config().fill_seed).expect("encodes"));
+    WindowRow {
+        name: w.name.to_string(),
+        window,
+        lfsr_size: ctx.table().vars(),
+        cubes: set.len(),
+        seeds: cached.seeds.len(),
+        cached_s,
+    }
+}
+
+fn write_json(rows: &[Row], window_rows: &[WindowRow]) {
     let workloads = rows
         .iter()
         .map(|row| {
@@ -143,6 +193,19 @@ fn write_json(rows: &[Row]) {
             ])
         })
         .collect();
+    let windows = window_rows
+        .iter()
+        .map(|row| {
+            Json::object([
+                ("name", row.name.as_str().into()),
+                ("window", row.window.into()),
+                ("lfsr_size", row.lfsr_size.into()),
+                ("cubes", row.cubes.into()),
+                ("seeds", row.seeds.into()),
+                ("cached_1t_s", Json::exp(row.cached_s, 6)),
+            ])
+        })
+        .collect();
     let engine = Json::String(format!("L={WINDOW} S={SEGMENT} k={SPEEDUP}"));
     ss_bench::write_bench_json(
         "encode",
@@ -152,6 +215,8 @@ fn write_json(rows: &[Row]) {
             ("ss_scale", ss_bench::scale().into()),
             ("samples_per_row", SAMPLES.into()),
             ("workloads", Json::Array(workloads)),
+            ("window_rows_scale", WINDOW_ROW_SCALE.into()),
+            ("window_rows", Json::Array(windows)),
         ],
     );
 }
@@ -180,7 +245,27 @@ fn bench_encode_scaling(c: &mut Criterion) {
         ]);
     }
     println!("{table}");
-    write_json(&rows);
+
+    let window_rows: Vec<WindowRow> = WINDOW_ROW_WORKLOADS
+        .iter()
+        .flat_map(|&name| {
+            let w = WorkloadRegistry::find(name).expect("registry entry");
+            WINDOW_ROW_WINDOWS.map(|window| measure_window(w, window))
+        })
+        .collect();
+    let mut table = Table::new(["workload", "L", "n", "cubes", "seeds", "cached 1t"]);
+    for row in &window_rows {
+        table.add_row([
+            format!("{}@{WINDOW_ROW_SCALE}", row.name),
+            row.window.to_string(),
+            row.lfsr_size.to_string(),
+            row.cubes.to_string(),
+            row.seeds.to_string(),
+            format!("{:.3} ms", row.cached_s * 1e3),
+        ]);
+    }
+    println!("{table}");
+    write_json(&rows, &window_rows);
 
     // smoke contract: the cached search must never regress below the
     // reference on any workload large enough to time reliably

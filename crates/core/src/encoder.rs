@@ -47,6 +47,17 @@
 //!   of Four Russians). Projecting a probed row costs one lookup per
 //!   row byte, so probing costs time in proportion to the rows it
 //!   reads — nothing of size `L x cells` is built per seed.
+//! * **Equation-outer first visits.** A cube's first visit in a seed
+//!   probes all `L` positions. It takes the cube's equations in
+//!   ascending table offset and folds each one into every still-live
+//!   position of a block of 64 positions before the next equation
+//!   starts; a position drops out at its first conflict.
+//!   The [`ExprTable`] is cell-major, so one equation's rows for the
+//!   block are one contiguous run, and the block's per-position
+//!   eliminators (or masks) stay cache-resident. Each position still
+//!   folds the same equations in the same order, so viability, added
+//!   rank and the cached residue are exactly those of a
+//!   position-at-a-time probe.
 //! * **Residue caching with a high-water mark.** Each viable
 //!   `(cube, position)` candidate caches its locally-eliminated
 //!   projected system. Later rounds do not re-eliminate it: committed
@@ -241,13 +252,79 @@ impl CubeCache {
     }
 }
 
+/// Window positions a first visit probes at once: one bit each in a
+/// `u64` live mask. Each equation folds into every live position of a
+/// block before the next equation starts, so the block's per-position
+/// states stay cache-resident while the equation's rows stream from
+/// one contiguous table run.
+const POSITION_BLOCK: usize = u64::BITS as usize;
+
+/// Words of the largest truth-table mask (`2^TtEngine::MAX_DIM / 64`).
+const MAX_MASK_WORDS: usize = 16;
+
 /// Reusable probing buffers, one set per encode, so steady-state
 /// probing allocates almost nothing.
 #[derive(Debug, Default)]
 struct ProbeScratch {
-    /// Solution-mask target of the position being probed (truth-table
-    /// tier).
-    tmp: Vec<u64>,
+    /// Per-position eliminators of a block (fixed-frame tier).
+    elims: Vec<FastElim>,
+    /// Per-position solution masks of a block (truth-table tier).
+    masks: Vec<[u64; MAX_MASK_WORDS]>,
+}
+
+/// Equation-outer probe of the window positions
+/// `start..start + states.len()` (at most [`POSITION_BLOCK`]): folds
+/// each equation into every still-live position before the next
+/// equation starts, reading its rows from the offset's contiguous
+/// position run, and drops a position at its first failed fold.
+/// `states[i]` is position `start + i`'s state. Returns the survivors
+/// as a mask, bit `i` for position `start + i`. Each position still
+/// folds the equations in their given order, so outcomes match a
+/// position-at-a-time probe exactly.
+fn probe_block<S>(
+    table: &ExprTable,
+    start: usize,
+    states: &mut [S],
+    eqs: &[(u32, bool)],
+    mut fold: impl FnMut(&mut S, &[u64], bool) -> bool,
+) -> u64 {
+    debug_assert!((1..=POSITION_BLOCK).contains(&states.len()));
+    let stride = table.stride();
+    let len = states.len();
+    let mut live = u64::MAX >> (POSITION_BLOCK - len);
+    for &(off, bit) in eqs {
+        let rows = &table.position_run(off as usize)[start * stride..(start + len) * stride];
+        let mut m = live;
+        while m != 0 {
+            let i = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if !fold(&mut states[i], &rows[i * stride..(i + 1) * stride], bit) {
+                live &= !(1u64 << i);
+            }
+        }
+        if live == 0 {
+            break;
+        }
+    }
+    live
+}
+
+/// The window's position blocks as `(start, len)`.
+fn position_blocks(window: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..window)
+        .step_by(POSITION_BLOCK)
+        .map(move |start| (start, POSITION_BLOCK.min(window - start)))
+}
+
+/// The positions of a [`probe_block`] survivor mask, ascending.
+fn survivors(start: usize, mut live: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (live != 0).then(|| {
+            let i = live.trailing_zeros() as usize;
+            live &= live - 1;
+            start + i
+        })
+    })
 }
 
 /// Single-word Gauss-Jordan eliminator for free spaces of dimension
@@ -255,7 +332,7 @@ struct ProbeScratch {
 /// into bit 63, rows are indexed by their pivot bit and kept mutually
 /// reduced, so folding an equation is a couple of register XORs (the
 /// rhs bit rides along in the same XORs).
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 struct FastElim {
     rows: [u64; 64],
     pivot_mask: u64,
@@ -274,6 +351,11 @@ impl FastElim {
 
     fn rank(&self) -> usize {
         self.pivot_mask.count_ones() as usize
+    }
+
+    /// Empties the eliminator: rows are only read under `pivot_mask`.
+    fn clear(&mut self) {
+        self.pivot_mask = 0;
     }
 
     /// Forward-reduces a row against the eliminated rows without
@@ -635,11 +717,11 @@ impl Prober {
 /// and the per-cube residue caches with the one probing scratch.
 struct Search<'a> {
     enc: &'a WindowEncoder<'a>,
-    /// Per-cube equations as (position-independent row offset, bit),
-    /// sorted by offset: the scan-geometry arithmetic and care-bit
-    /// iteration are paid once per cube, and probing walks each
-    /// position's table block in ascending address order (equation
-    /// order cannot change probe outcomes).
+    /// Per-cube equations as (the cell's table offset, bit), sorted by
+    /// offset: the scan-geometry arithmetic and care-bit iteration are
+    /// paid once per cube, and a first visit streams the equations'
+    /// position runs in ascending address order (equation order cannot
+    /// change probe outcomes).
     cube_eqs: Vec<Vec<(u32, bool)>>,
     specified: Vec<usize>,
     /// Cube indices, most specified bits first.
@@ -846,21 +928,27 @@ impl<'a> Search<'a> {
     /// Step 3, the full-rank fast path: the window is *uniquely*
     /// determined, so "solvable" degenerates to "already embedded" —
     /// each remaining cube takes the first position whose cells all
-    /// evaluate to its bits under the seed (checked cell by cell, with
-    /// early exit).
+    /// evaluate to its bits under the seed (checked equation-outer over
+    /// blocks of positions, like a first visit).
     fn place_embedded(&mut self, seed: &mut SeedSearch, bits: &BitVec) {
         let table = self.enc.table;
-        let per_position = table.rows_per_position();
+        let mut none = [(); POSITION_BLOCK];
         for i in 0..self.order.len() {
             let ci = self.order[i];
             if !self.remaining[ci] {
                 continue;
             }
-            let embedded = (0..table.window()).find(|&v| {
-                self.cube_eqs[ci].iter().all(|&(off, bit)| {
-                    let row = table.row_words(v * per_position + off as usize);
-                    words::dot(row, bits.as_words()) == bit
-                })
+            // equation-outer over each block's live positions; the
+            // first block with a survivor holds the first match
+            let embedded = position_blocks(table.window()).find_map(|(start, len)| {
+                let live = probe_block(
+                    table,
+                    start,
+                    &mut none[..len],
+                    &self.cube_eqs[ci],
+                    |_, row, bit| words::dot(row, bits.as_words()) == bit,
+                );
+                survivors(start, live).next()
             });
             if let Some(position) = embedded {
                 self.place(seed, Placement { cube: ci, position });
@@ -998,7 +1086,7 @@ impl<'a> WindowEncoder<'a> {
             Prober::Fixed(engine) => {
                 if !cache.init {
                     cache.init = true;
-                    self.init_cube_fixed(cache, eqs, engine);
+                    self.init_cube_fixed(cache, eqs, engine, scratch);
                 } else {
                     // high-water-mark resumption against the committed
                     // row log
@@ -1018,9 +1106,9 @@ impl<'a> WindowEncoder<'a> {
     }
 
     /// First-visit probe of every window position, truth-table tier:
-    /// start from the current constraint mask and AND in each
-    /// equation's satisfying-seed mask; surviving masks are the cached
-    /// residues.
+    /// start each position from the current constraint mask and AND in
+    /// each equation's satisfying-seed mask, equation-outer over a
+    /// block of positions; surviving masks are the cached residues.
     fn init_cube_tt(
         &self,
         cache: &mut CubeCache,
@@ -1028,21 +1116,28 @@ impl<'a> WindowEncoder<'a> {
         engine: &TtEngine,
         scratch: &mut ProbeScratch,
     ) {
-        let per_position = self.table.rows_per_position();
-        for position in 0..self.table.window() {
-            let pos_base = position * per_position;
-            scratch.tmp.clear();
-            scratch.tmp.extend_from_slice(&engine.c_mask);
-            let live = eqs.iter().all(|&(off, bit)| {
-                let row = self.table.row_words(pos_base + off as usize);
-                engine.and_equation(&mut scratch.tmp, row, bit)
-            });
-            if live {
+        let words = engine.c_mask.len();
+        let masks = &mut scratch.masks;
+        masks.resize(POSITION_BLOCK, [0; MAX_MASK_WORDS]);
+        for (start, len) in position_blocks(self.table.window()) {
+            for mask in &mut masks[..len] {
+                mask[..words].copy_from_slice(&engine.c_mask);
+            }
+            let live = probe_block(
+                self.table,
+                start,
+                &mut masks[..len],
+                eqs,
+                |mask, row, bit| engine.and_equation(&mut mask[..words], row, bit),
+            );
+            for position in survivors(start, live) {
                 let mut entry = cache.take_entry();
                 entry.position = position;
                 entry.watermark = 0;
                 entry.rows.clear();
-                entry.rows.extend_from_slice(&scratch.tmp);
+                entry
+                    .rows
+                    .extend_from_slice(&masks[position - start][..words]);
                 cache.entries.push(entry);
             }
         }
@@ -1050,30 +1145,39 @@ impl<'a> WindowEncoder<'a> {
 
     /// First-visit probe of every window position, fixed-frame tier:
     /// fold each equation's packed, committed-row-reduced projection
-    /// into a local elimination — the surviving rows are exactly the
-    /// rank the candidate would add, and equations inconsistent with
-    /// the committed basis alone conflict on a single load.
-    fn init_cube_fixed(&self, cache: &mut CubeCache, eqs: &[(u32, bool)], engine: &FixedEngine) {
-        let per_position = self.table.rows_per_position();
-        for position in 0..self.table.window() {
-            let pos_base = position * per_position;
-            let mut elim = FastElim::new();
-            let mut viable = true;
-            for &(off, bit) in eqs {
-                // projected bit 63 is the x0 offset; the equation's rhs
-                // is that offset xor the cube bit
-                let row = self.table.row_words(pos_base + off as usize);
-                let packed = engine.frame.project(row) ^ (u64::from(bit) << 63);
-                if !elim.fold_packed(packed) {
-                    viable = false;
-                    break;
-                }
+    /// into each position's local elimination, equation-outer over a
+    /// block of positions — the surviving rows are exactly the rank the
+    /// candidate would add, and equations inconsistent with the
+    /// committed basis alone conflict on a single load.
+    fn init_cube_fixed(
+        &self,
+        cache: &mut CubeCache,
+        eqs: &[(u32, bool)],
+        engine: &FixedEngine,
+        scratch: &mut ProbeScratch,
+    ) {
+        let elims = &mut scratch.elims;
+        elims.resize(POSITION_BLOCK, FastElim::new());
+        for (start, len) in position_blocks(self.table.window()) {
+            for elim in &mut elims[..len] {
+                elim.clear();
             }
-            if viable {
+            // projected bit 63 is the x0 offset; the equation's rhs is
+            // that offset xor the cube bit
+            let live = probe_block(
+                self.table,
+                start,
+                &mut elims[..len],
+                eqs,
+                |elim, row, bit| {
+                    elim.fold_packed(engine.frame.project(row) ^ (u64::from(bit) << 63))
+                },
+            );
+            for position in survivors(start, live) {
                 let mut entry = cache.take_entry();
                 entry.position = position;
                 entry.watermark = engine.g_log.len();
-                elim.store_packed(&mut entry.rows);
+                elims[position - start].store_packed(&mut entry.rows);
                 cache.entries.push(entry);
             }
         }
@@ -1379,6 +1483,46 @@ mod tests {
             let enc = WindowEncoder::new(&set, &table).unwrap();
             let reference = enc.encode_reference(3).unwrap();
             assert_eq!(enc.encode(3).unwrap(), reference, "n={n}");
+        }
+    }
+
+    #[test]
+    fn first_visits_agree_with_the_reference_probe_at_every_position() {
+        // L = 70 spans a full block of positions and a partial one;
+        // n = 16 and n = 30 open the seed in the truth-table and the
+        // fixed-frame tier
+        let profile = CubeProfile::mini();
+        let set = generate_test_set(&profile, 5);
+        for n in [16usize, 30] {
+            let table = build_table(n, set.config(), 70, 2);
+            let enc = WindowEncoder::new(&set, &table).unwrap();
+            let mut search = Search::new(&enc);
+            let SeedSearch { solver, prober, .. } = &mut search.first_cube().unwrap();
+            let prober = prober.as_ref().expect("a word-sized frame");
+            let mut viable = 0;
+            for ci in (0..set.len()).filter(|&ci| search.remaining[ci]) {
+                let mut cache = CubeCache::default();
+                let eqs = &search.cube_eqs[ci];
+                enc.probe_cube(ci, &mut cache, eqs, prober, &mut search.scratch);
+                let mut got: Vec<(usize, usize)> = cache
+                    .entries
+                    .iter()
+                    .map(|e| match prober {
+                        Prober::Tt(engine) => {
+                            let pop: u32 = e.rows.iter().map(|w| w.count_ones()).sum();
+                            (e.position, engine.f_log - pop.trailing_zeros() as usize)
+                        }
+                        Prober::Fixed(_) => (e.position, e.rows.len()),
+                    })
+                    .collect();
+                got.sort_unstable();
+                let want: Vec<(usize, usize)> = (0..70)
+                    .filter_map(|v| enc.probe_rank(solver, ci, v).map(|rank| (v, rank)))
+                    .collect();
+                assert_eq!(got, want, "n={n} cube {ci}");
+                viable += want.len();
+            }
+            assert!(viable > 0, "n={n}: no viable candidate probed");
         }
     }
 

@@ -5,15 +5,32 @@
 //! particular clock cycle. Those expressions depend only on the LFSR,
 //! the phase shifter and the cycle — not on the solver state — so they
 //! are computed once per `(LFSR, shifter, L)` configuration and shared
-//! by every seed. Rows are stored in one flat word array to keep the
-//! table cache-friendly (an s38417-sized table is ~13 MB).
+//! by every seed.
+//!
+//! # Layout
+//!
+//! Rows live in one flat word array, **cell-major**: a scan cell's
+//! load slot — its *offset*, `load_cycle * chains + chain` — names a
+//! run of `L` rows, one per window position, side by side. The encoder
+//! probes one equation (one offset) at every window position before it
+//! moves to the next, so each equation streams one contiguous run of
+//! `L * stride` words instead of touching one cache line in each of
+//! `L` position blocks. [`ExprTable::build`] steps the LFSR once
+//! through all `L * r` cycles and writes each row straight into its
+//! slot. Table size is `L * cells * stride` words: an s38417-sized
+//! table (`n = 85`, 1664 cells) is ~5.3 MB at `L = 200` and ~13 MB at
+//! `L = 500`.
 
 use ss_gf2::BitVec;
 use ss_lfsr::{ExpressionStream, Lfsr, PhaseShifter};
 use ss_testdata::ScanConfig;
 
 /// The expression table: for each cycle `t < L*r` and chain `c`, the
-/// GF(2) row `ps_c * T^t` over the seed variables.
+/// GF(2) row `ps_c * T^t` over the seed variables, stored cell-major:
+/// the row for window position `v` and scan-cell offset `o`
+/// ([`row_offset`](Self::row_offset)) is row `o * L + v`, so one
+/// offset's rows for every position form one
+/// [`position_run`](Self::position_run).
 ///
 /// # Example
 ///
@@ -31,6 +48,9 @@ use ss_testdata::ScanConfig;
 /// assert_eq!(table.cycles(), 12);
 /// // cycle 0: cell expressions are the unit vectors
 /// assert_eq!(table.expr(0, 5), ss_gf2::BitVec::unit(8, 5));
+/// // one offset's rows for all three window positions, side by side
+/// let run = table.position_run(table.row_offset(3));
+/// assert_eq!(&run[2..3], table.cell_expr_words(2, 3));
 /// # Ok(())
 /// # }
 /// ```
@@ -46,7 +66,8 @@ pub struct ExprTable {
 }
 
 impl ExprTable {
-    /// Builds the table for `window` vectors of scan geometry `scan`.
+    /// Builds the table for `window` vectors of scan geometry `scan`,
+    /// writing each cycle's rows straight into their cell-major slots.
     ///
     /// # Panics
     ///
@@ -66,16 +87,24 @@ impl ExprTable {
         let vars = lfsr.size();
         let stride = vars.div_ceil(64);
         let chains = scan.chains();
-        let cycles = window * scan.depth();
+        let depth = scan.depth();
+        let cycles = window * depth;
         let mut words = vec![0u64; cycles * chains * stride];
+        let taps: Vec<Vec<usize>> = (0..chains).map(|c| shifter.taps(c)).collect();
         let mut stream = ExpressionStream::new(lfsr);
-        for t in 0..cycles {
-            for c in 0..chains {
-                let expr = stream.output_expr(shifter, c);
-                let base = (t * chains + c) * stride;
-                words[base..base + stride].copy_from_slice(expr.as_words());
+        for position in 0..window {
+            for load_cycle in 0..depth {
+                // each row is the XOR of its chain's tapped cell
+                // expressions (`output_expr`), written in place
+                for (c, taps) in taps.iter().enumerate() {
+                    let base = ((load_cycle * chains + c) * window + position) * stride;
+                    let row = &mut words[base..base + stride];
+                    for &cell in taps {
+                        ss_gf2::words::xor_in(row, stream.cell_expr(cell).as_words());
+                    }
+                }
+                stream.step();
             }
-            stream.step();
         }
         ExprTable {
             words,
@@ -93,30 +122,10 @@ impl ExprTable {
         self.chains
     }
 
-    /// Flat row index of the expression feeding scan cell `cell` of
-    /// the vector at window position `position` — the same row
-    /// [`cell_expr_words`](Self::cell_expr_words) returns, as an index
-    /// `cycle * chains() + chain` into any per-row side table. Equal
-    /// to `position * rows_per_position() + row_offset(cell)`, which
-    /// is how hot loops amortise the scan-geometry arithmetic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `position >= window()` or `cell` is outside the scan
-    /// geometry.
-    pub fn row_index(&self, position: usize, cell: usize) -> usize {
-        assert!(position < self.window, "window position out of range");
-        position * self.rows_per_position() + self.row_offset(cell)
-    }
-
-    /// Table rows per window position (`depth * chains`).
-    pub fn rows_per_position(&self) -> usize {
-        self.scan.depth() * self.chains
-    }
-
-    /// The position-independent part of [`row_index`](Self::row_index)
-    /// for `cell`: precompute once per cube, add
-    /// `position * rows_per_position()` per probe.
+    /// The offset of scan cell `cell`: its load slot
+    /// `load_cycle * chains() + chain`, which names its
+    /// [`position_run`](Self::position_run). Precompute it once per
+    /// cube.
     ///
     /// # Panics
     ///
@@ -126,15 +135,20 @@ impl ExprTable {
         self.scan.load_cycle(pos) * self.chains + chain
     }
 
-    /// Raw words of table row `index` (as produced by
-    /// [`row_index`](Self::row_index)).
+    /// The rows of offset `offset` (from [`row_offset`](Self::row_offset))
+    /// for window positions `0..window()`, side by side: position `v`'s
+    /// row is `run[v * stride()..(v + 1) * stride()]`.
     ///
     /// # Panics
     ///
-    /// Panics if `index >= cycles() * chains()`.
-    pub fn row_words(&self, index: usize) -> &[u64] {
-        assert!(index < self.cycles * self.chains, "row index out of range");
-        &self.words[index * self.stride..(index + 1) * self.stride]
+    /// Panics if `offset >= depth * chains()`.
+    pub fn position_run(&self, offset: usize) -> &[u64] {
+        assert!(
+            offset < self.scan.depth() * self.chains,
+            "offset {offset} out of range"
+        );
+        let len = self.window * self.stride;
+        &self.words[offset * len..(offset + 1) * len]
     }
 
     /// Number of seed variables (LFSR size).
@@ -157,6 +171,13 @@ impl ExprTable {
         self.scan
     }
 
+    /// Raw words of the row at window position `position` and offset
+    /// `offset`.
+    fn row(&self, position: usize, offset: usize) -> &[u64] {
+        let base = (offset * self.window + position) * self.stride;
+        &self.words[base..base + self.stride]
+    }
+
     /// Raw words of the expression for `(cycle, chain)`.
     ///
     /// # Panics
@@ -165,8 +186,8 @@ impl ExprTable {
     pub fn expr_words(&self, cycle: usize, chain: usize) -> &[u64] {
         assert!(cycle < self.cycles, "cycle {cycle} out of range");
         assert!(chain < self.chains, "chain {chain} out of range");
-        let base = (cycle * self.chains + chain) * self.stride;
-        &self.words[base..base + self.stride]
+        let depth = self.scan.depth();
+        self.row(cycle / depth, cycle % depth * self.chains + chain)
     }
 
     /// The expression for `(cycle, chain)` as a [`BitVec`].
@@ -211,9 +232,7 @@ impl ExprTable {
     /// geometry.
     pub fn cell_expr_words(&self, position: usize, cell: usize) -> &[u64] {
         assert!(position < self.window, "window position out of range");
-        let (chain, pos) = self.scan.chain_of(cell);
-        let cycle = position * self.scan.depth() + self.scan.load_cycle(pos);
-        self.expr_words(cycle, chain)
+        self.row(position, self.row_offset(cell))
     }
 
     /// Evaluates the whole window for a concrete seed: the `L` test
@@ -343,6 +362,39 @@ mod tests {
                     table.cell_expr(position, cell),
                     "position {position} cell {cell}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn every_accessor_reads_the_stream_row_of_each_position_and_cell() {
+        // 70 seed variables make two-word rows; 23 cells on 4 chains
+        // pad the last chain with one cell
+        let mut rng = SmallRng::seed_from_u64(78);
+        let lfsr = Lfsr::fibonacci(primitive_poly(70).unwrap());
+        let shifter = PhaseShifter::synthesize(70, 4, 3, &mut rng).unwrap();
+        let scan = ScanConfig::for_cells(4, 23).unwrap();
+        assert_eq!(scan.cells(), 24);
+        let window = 5;
+        let table = ExprTable::build(&lfsr, &shifter, scan, window);
+        assert_eq!(table.stride(), 2);
+        let mut stream = ExpressionStream::new(&lfsr);
+        let mut rows = Vec::new(); // rows[cycle][chain]
+        for _ in 0..table.cycles() {
+            rows.push(stream.output_exprs(&shifter));
+            stream.step();
+        }
+        for cell in 0..scan.cells() {
+            let run = table.position_run(table.row_offset(cell));
+            assert_eq!(run.len(), window * 2);
+            let (chain, pos) = scan.chain_of(cell);
+            for position in 0..window {
+                let cycle = position * scan.depth() + scan.load_cycle(pos);
+                let want = rows[cycle][chain].as_words();
+                let at = format!("position {position} cell {cell}");
+                assert_eq!(&run[position * 2..position * 2 + 2], want, "{at}");
+                assert_eq!(table.cell_expr_words(position, cell), want, "{at}");
+                assert_eq!(table.expr_words(cycle, chain), want, "{at}");
             }
         }
     }

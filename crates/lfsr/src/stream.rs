@@ -48,6 +48,8 @@ pub struct ExpressionStream {
     /// previous-cycle expressions XOR into cell `i`'s next expression.
     sparse_t: Vec<Vec<usize>>,
     rows: Vec<BitVec>,
+    /// The previous cycle's rows, reused by the next [`step`](Self::step).
+    spare: Vec<BitVec>,
     cycle: u64,
     n: usize,
 }
@@ -62,6 +64,7 @@ impl ExpressionStream {
         ExpressionStream {
             sparse_t,
             rows: (0..n).map(|i| BitVec::unit(n, i)).collect(),
+            spare: Vec::new(),
             cycle: 0,
             n,
         }
@@ -78,16 +81,18 @@ impl ExpressionStream {
     }
 
     /// Advances one clock: rows become the expressions one cycle later.
+    /// The previous cycle's rows are recycled as the next buffer, so
+    /// stepping allocates nothing after the first call.
     pub fn step(&mut self) {
-        let mut next = Vec::with_capacity(self.n);
-        for taps in &self.sparse_t {
-            let mut row = BitVec::zeros(self.n);
+        let mut next = std::mem::take(&mut self.spare);
+        next.resize_with(self.n, || BitVec::zeros(self.n));
+        for (row, taps) in next.iter_mut().zip(&self.sparse_t) {
+            row.clear();
             for &j in taps {
                 row.xor_with(&self.rows[j]);
             }
-            next.push(row);
         }
-        self.rows = next;
+        self.spare = std::mem::replace(&mut self.rows, next);
         self.cycle += 1;
     }
 

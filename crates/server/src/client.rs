@@ -37,7 +37,7 @@ use crate::cache::cache_key;
 use crate::codec::{Codec, CodecConfig, CodecError, WireStats};
 use crate::protocol::{
     read_frame, write_frame, JobReport, JobSpec, Request, Response, ServerStats, Span, SpanDump,
-    SpanKind, TraceContext, WireError,
+    SpanKind, TraceContext, WireError, SHUTTING_DOWN,
 };
 use crate::shard::{ShardError, ShardRing};
 use ss_telemetry::{fresh_trace_id, span_id, wall_micros, TraceClock};
@@ -65,7 +65,7 @@ pub enum ClientError {
     /// The peer sent a frame this build cannot decode.
     Wire(WireError),
     /// The server answered a protocol-level error (malformed request,
-    /// a submission rejected at the door, shutdown).
+    /// a submission rejected at the door).
     Server(String),
     /// The job itself ran and failed (bad workload, engine error).
     Job(String),
@@ -87,6 +87,10 @@ pub enum ClientError {
         /// How many `Busy` rejections were absorbed.
         attempts: u32,
     },
+    /// The server stopped while the submission waited for its job.
+    /// Retryable: the request was fine, so [`Balancer`] fails over to
+    /// the next shard.
+    ShuttingDown,
     /// A sharded server declined the submission because another shard
     /// owns its content key; the payload is the owner's address.
     /// [`Balancer`] follows this transparently — it surfaces only when
@@ -107,6 +111,7 @@ impl ClientError {
             ClientError::Disconnected(_)
                 | ClientError::Overloaded { .. }
                 | ClientError::DeadlineExceeded { .. }
+                | ClientError::ShuttingDown
         )
     }
 }
@@ -127,6 +132,7 @@ impl fmt::Display for ClientError {
                 f,
                 "deadline exceeded after {attempts} busy rejections ({waited:?} waited)"
             ),
+            ClientError::ShuttingDown => write!(f, "server: {SHUTTING_DOWN}"),
             ClientError::Redirected(addr) => {
                 write!(f, "key owned by shard {addr}; resubmit there")
             }
@@ -522,8 +528,9 @@ impl Client {
     ///
     /// I/O or wire failures, [`ClientError::Job`] when the job ran and
     /// failed, [`ClientError::Server`] when the submission was rejected
-    /// (malformed workload or config) or the server is shutting down,
-    /// or [`ClientError::Redirected`] when a sharded server says
+    /// (malformed workload or config), [`ClientError::ShuttingDown`]
+    /// when the server stopped before the job's outcome was ready, or
+    /// [`ClientError::Redirected`] when a sharded server says
     /// another shard owns this key.
     pub fn run(&mut self, spec: &JobSpec) -> Result<(u64, JobReport), ClientError> {
         self.run_with(spec, &mut RetryPolicy::new())
@@ -581,6 +588,7 @@ impl Client {
                 Response::Failed { message, .. } => return Err(ClientError::Job(message)),
                 Response::Busy { .. } => policy.pause()?,
                 Response::Redirect { addr, .. } => return Err(ClientError::Redirected(addr)),
+                Response::Error(m) if m == SHUTTING_DOWN => return Err(ClientError::ShuttingDown),
                 Response::Error(m) => return Err(ClientError::Server(m)),
                 _ => return Err(ClientError::Unexpected("submit answered oddly")),
             }

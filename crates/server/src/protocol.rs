@@ -48,6 +48,11 @@ use crate::codec::{CodecConfig, MAX_MESSAGE_BYTES};
 /// value is refused.
 pub const PROTOCOL_VERSION: u8 = 8;
 
+/// The [`Response::Error`] text a submission gets when its server
+/// stops before the job's outcome is ready. The job itself was fine,
+/// so a client treats it as retryable on another shard.
+pub const SHUTTING_DOWN: &str = "server shutting down";
+
 /// Hard ceiling on a single frame's payload, guarding both peers
 /// against unbounded allocation from a hostile or corrupt stream.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;

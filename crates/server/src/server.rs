@@ -54,7 +54,7 @@ use crate::client::Client;
 use crate::codec::{Codec, CodecConfig, CodecError, WireStats, MAX_MESSAGE_BYTES};
 use crate::protocol::{
     read_frame, write_frame, CacheTier, CodecCounters, ConnStats, JobReport, JobSpec,
-    PhaseHistogram, Request, Response, ServerStats, TierStats, SHARD_REMOVED,
+    PhaseHistogram, Request, Response, ServerStats, TierStats, SHARD_REMOVED, SHUTTING_DOWN,
 };
 use crate::report_digest;
 use crate::shard::{ShardError, ShardRing, ShardSpec};
@@ -1375,7 +1375,7 @@ fn await_outcome(shared: &Shared, outcome: &Receiver<JobOutcome>) -> Response {
             }
             Err(RecvTimeoutError::Timeout) => {
                 if shared.stop.load(Ordering::Relaxed) {
-                    return Response::Error("server shutting down".to_string());
+                    return Response::Error(SHUTTING_DOWN.to_string());
                 }
             }
             // only a panicking worker drops a job without answering
@@ -1881,6 +1881,7 @@ impl Drop for ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Balancer;
     use ss_testdata::{generate_test_set, CubeProfile};
 
     fn mini_spec() -> JobSpec {
@@ -1938,10 +1939,59 @@ mod tests {
         let response = blocked.join().unwrap();
         let waited = stopped.elapsed();
         assert!(waited < 3 * WAIT_TICK, "shutdown took {waited:?}");
-        assert_eq!(
-            response,
-            Response::Error("server shutting down".to_string())
-        );
+        assert_eq!(response, Response::Error(SHUTTING_DOWN.to_string()));
+    }
+
+    /// A shard that stops while a balanced submission waits on it
+    /// answers "server shutting down", which the client treats as
+    /// retryable: the balancer fails over and the job completes on the
+    /// next shard.
+    #[test]
+    fn a_balanced_submit_blocked_on_a_stopping_shard_fails_over() {
+        let mut servers: Vec<Server> = (0..2)
+            .map(|_| {
+                Server::bind(&ServeOptions {
+                    workers: 1,
+                    replicas: 1,
+                    ..ServeOptions::default()
+                })
+                .unwrap()
+            })
+            .collect();
+        let peers: Vec<String> = servers
+            .iter()
+            .map(|s| s.local_addr().unwrap().to_string())
+            .collect();
+        for (id, server) in servers.iter_mut().enumerate() {
+            let peers = peers.clone();
+            server
+                .set_shards(ShardSpec {
+                    peers,
+                    id,
+                    epoch: 0,
+                })
+                .unwrap();
+        }
+        let spec = mini_spec();
+        let owner = ShardRing::new(peers.clone())
+            .unwrap()
+            .owner(cache_key(&spec));
+        // the owner runs no worker, so the job waits in its queue
+        Arc::get_mut(&mut servers[owner].shared).unwrap().workers = 0;
+        let mut handles: Vec<Option<ServerHandle>> =
+            servers.into_iter().map(|s| Some(s.spawn())).collect();
+        let balanced = {
+            let (peers, spec) = (peers.clone(), spec.clone());
+            thread::spawn(move || Balancer::new(peers).unwrap().run(&spec))
+        };
+        while handles[owner].as_ref().unwrap().stats().queued == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        handles[owner].take().unwrap().shutdown();
+        let run = balanced.join().unwrap().expect("the balancer fails over");
+        assert_ne!(run.shard, owner);
+        assert!(run.failovers >= 1, "failovers: {}", run.failovers);
+        assert_eq!(run.report.tier, CacheTier::Cold);
     }
 
     /// A connection has at most one job in flight: three submissions

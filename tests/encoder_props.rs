@@ -30,26 +30,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The cached search reproduces the reference encoding exactly for
-    /// random workloads x window in {1, 8, 24} x one LFSR size band per
-    /// probing path.
+    /// random workloads x window in {1, 8, 24, 70} x one LFSR size band
+    /// per probing path. A first visit probes positions in blocks of
+    /// 64, so L = 70 spans a full block and a partial one.
     #[test]
     fn cached_encoder_matches_reference_exactly(
         set_seed in any::<u64>(),
         fill_seed in any::<u64>(),
-        window_idx in 0usize..3,
-        band in 0usize..3,
+        window_idx in 0usize..4,
+        band in 0usize..4,
         offset in 0usize..21,
     ) {
-        let window = [1usize, 8, 24][window_idx];
+        let window = [1usize, 8, 24, 70][window_idx];
         let profile = CubeProfile::mini();
         let set = generate_test_set(&profile, set_seed);
         // bands by the free dimension f the seed's first cube leaves:
-        // truth-table (f <= 10), fixed-frame (11..=63) and oversized
-        // (f > 63, which runs the reference probe until f <= 63; the
-        // mini profile's smax is at most 12)
+        // truth-table (f <= 10), fixed-frame (11..=63) with one-word
+        // rows, fixed-frame with two-word rows (n > 64, f <= 63) and
+        // oversized (f > 63, which runs the reference probe until
+        // f <= 63; the mini profile's smax is at most 12)
         let n = match band {
             0 => set.smax() + 4 + offset % 7,
             1 => set.smax() + 11 + offset,
+            2 => set.smax() + 53 + offset % 11,
             _ => 80 + offset,
         };
         let table = table_for(&set, n, window, 2);
