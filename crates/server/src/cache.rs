@@ -21,7 +21,8 @@ use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use ss_core::{EncodingResult, HardwareCtx};
+use ss_core::{Encoded, EncodingResult, HardwareCtx};
+use ss_store::Artifact;
 use ss_testdata::TestSet;
 
 use crate::protocol::JobSpec;
@@ -92,6 +93,23 @@ impl CachedArtifacts {
         let seeds_bytes = self.encoding.seeds.len() * (seed_words * 8 + 48);
         let set_bytes = self.set.len() * (self.set.config().cells().div_ceil(4) + 48);
         table_bytes + seeds_bytes + set_bytes + 256
+    }
+
+    /// The store envelope of this entry.
+    pub(crate) fn to_artifact(&self) -> Artifact {
+        Artifact {
+            ctx: self.ctx.clone(),
+            set: self.set.clone(),
+            dropped: self.dropped as u64,
+            encoding: self.encoding.clone(),
+            report_digest: self.report_digest,
+        }
+    }
+
+    /// Re-enters the staged flow at the embed stage.
+    pub(crate) fn encoded(&self) -> Result<Encoded<'_>, String> {
+        Encoded::from_cached(&self.set, &self.ctx, self.encoding.clone())
+            .map_err(|e| format!("cache pairing: {e}"))
     }
 }
 

@@ -59,7 +59,7 @@ pub enum ClientError {
     /// are idempotent under the content-addressed cache, so a retry
     /// costs at most a cache hit.
     Disconnected(io::Error),
-    /// The codec chain rejected received frames (CRC mismatch,
+    /// The codec rejected received frames (CRC mismatch,
     /// reordered or truncated chunks, malformed compression).
     Codec(CodecError),
     /// The peer sent a frame this build cannot decode.

@@ -1,5 +1,5 @@
-//! Std-only LZSS compression — the optional transparent-compression
-//! stage of the wire codec.
+//! Std-only LZSS compression — the optional compression step of the
+//! wire codec.
 //!
 //! Cube payloads are sparse `01X` text with long runs and heavily
 //! repeated line shapes, so a plain dictionary coder with a small

@@ -1,25 +1,23 @@
-//! Composable streaming codec stack for the wire protocol.
+//! Streaming chunk codec for the wire protocol.
 //!
 //! A plain frame is all-or-nothing and capped at [`MAX_FRAME_BYTES`],
 //! so on its own it could neither carry a workload past 64 MiB nor
 //! notice a flipped bit before the payload parser trips. Every message
-//! after the opening `Hello`/`HelloAck` exchange therefore travels
-//! through a *codec chain*, in the style of composable
-//! `ContentEncoding` stages: each [`Stage`] maps a list of packets to a
-//! list of packets, the chain is applied left to right on encode and
-//! right to left on decode.
+//! after the opening `Hello`/`HelloAck` exchange therefore travels as
+//! a sequence of chunks:
 //!
-//! The chain is `[compress?] → chunk → crc32`:
+//! * the message body is optionally LZSS-compressed ([`compress`]):
+//!   cube payloads are sparse `01X` text and shrink severalfold;
+//! * the body is split into bounded chunks, so payloads far past the
+//!   per-frame cap stream through; the reassembled message is bounded
+//!   by [`MAX_MESSAGE_BYTES`];
+//! * every chunk carries a CRC-32 trailer ([`crc32`]).
 //!
-//! * **compress** — optional std-only LZSS ([`compress`]): cube
-//!   payloads are sparse `01X` text and shrink severalfold.
-//! * **chunk** — splits a message into bounded sub-frames so payloads
-//!   far past the per-frame cap stream through; the reassembled
-//!   message is bounded by [`MAX_MESSAGE_BYTES`].
-//! * **crc32** — a per-chunk CRC-32 trailer ([`crc32`]); any
-//!   single-bit corruption of a chunk is detected at the first
-//!   possible moment and surfaces as a typed [`CodecError`], never a
-//!   panic and never a silently wrong payload.
+//! The receiver runs one check on each chunk as it arrives: CRC first,
+//! then the header (flags, position, total) and the size caps. Any
+//! single-bit corruption of a chunk is detected at the first possible
+//! moment and surfaces as a typed [`CodecError`], never a panic and
+//! never a silently wrong payload.
 //!
 //! # Chunk frame grammar
 //!
@@ -77,7 +75,7 @@ pub const CHUNK_TRAILER_BYTES: usize = 4;
 /// compressed.
 pub const FLAG_COMPRESSED: u8 = 0b0000_0001;
 
-/// Typed failure anywhere in the codec chain.
+/// Typed failure anywhere in the codec.
 ///
 /// Every variant is a *graceful rejection*: adversarial bytes — bit
 /// flips, truncations, lying length fields, reordered or missing
@@ -122,7 +120,7 @@ pub enum CodecError {
     },
     /// A chunk is structurally malformed (too short for its header,
     /// unknown flag bits, zero `total`, flags disagreeing with the
-    /// negotiated chain, ...).
+    /// negotiated codec, ...).
     BadChunk(&'static str),
     /// The compressed body is malformed.
     Compression(&'static str),
@@ -179,219 +177,6 @@ impl CodecError {
     }
 }
 
-// -------------------------------------------------------------- stages
-
-/// One layer of the codec chain: a reversible mapping over packet
-/// lists.
-///
-/// `decode(encode(p)) == p` for any packet list a stage's own `encode`
-/// produced; for arbitrary adversarial packets, `decode` returns a
-/// typed [`CodecError`] — it never panics.
-pub trait Stage {
-    /// Stage name as it appears in negotiation and diagnostics.
-    fn name(&self) -> &'static str;
-    /// Forward direction (sender side).
-    fn encode(&self, packets: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, CodecError>;
-    /// Reverse direction (receiver side).
-    fn decode(&self, packets: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, CodecError>;
-}
-
-/// Transparent LZSS compression of each packet.
-pub struct CompressStage;
-
-impl Stage for CompressStage {
-    fn name(&self) -> &'static str {
-        "lzss"
-    }
-
-    fn encode(&self, packets: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, CodecError> {
-        Ok(packets.iter().map(|p| compress(p)).collect())
-    }
-
-    fn decode(&self, packets: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, CodecError> {
-        packets
-            .iter()
-            .map(|p| decompress(p, MAX_MESSAGE_BYTES))
-            .collect()
-    }
-}
-
-/// Splits each packet into header-framed chunks of at most
-/// `chunk_bytes` body bytes; reassembles and cross-checks on decode.
-pub struct ChunkStage {
-    /// Negotiated body size per chunk.
-    pub chunk_bytes: u32,
-    /// Flag byte stamped on (and required of) every chunk.
-    pub flags: u8,
-}
-
-impl ChunkStage {
-    fn header(seq: u32, total: u32, flags: u8) -> [u8; CHUNK_HEADER_BYTES] {
-        let mut h = [0u8; CHUNK_HEADER_BYTES];
-        h[0..4].copy_from_slice(&seq.to_be_bytes());
-        h[4..8].copy_from_slice(&total.to_be_bytes());
-        h[8] = flags;
-        h
-    }
-}
-
-/// Parsed view of one chunk packet (header fields + body slice).
-struct Chunk<'a> {
-    seq: u32,
-    total: u32,
-    flags: u8,
-    body: &'a [u8],
-}
-
-impl<'a> Chunk<'a> {
-    /// Splits a header-framed packet (no CRC trailer) into fields.
-    fn parse(packet: &'a [u8]) -> Result<Self, CodecError> {
-        if packet.len() < CHUNK_HEADER_BYTES {
-            return Err(CodecError::BadChunk("shorter than its header"));
-        }
-        let seq = u32::from_be_bytes(packet[0..4].try_into().expect("4-byte slice"));
-        let total = u32::from_be_bytes(packet[4..8].try_into().expect("4-byte slice"));
-        let flags = packet[8];
-        if flags & !FLAG_COMPRESSED != 0 {
-            return Err(CodecError::BadChunk("unknown flag bits"));
-        }
-        if total == 0 {
-            return Err(CodecError::BadChunk("zero chunk total"));
-        }
-        Ok(Chunk {
-            seq,
-            total,
-            flags,
-            body: &packet[CHUNK_HEADER_BYTES..],
-        })
-    }
-}
-
-impl Stage for ChunkStage {
-    fn name(&self) -> &'static str {
-        "chunk"
-    }
-
-    fn encode(&self, packets: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, CodecError> {
-        let chunk = self.chunk_bytes.max(1) as usize;
-        let mut out = Vec::new();
-        for packet in &packets {
-            if packet.len() as u64 > MAX_MESSAGE_BYTES {
-                return Err(CodecError::Oversize {
-                    bytes: packet.len() as u64,
-                    cap: MAX_MESSAGE_BYTES,
-                });
-            }
-            let total = packet.len().div_ceil(chunk).max(1) as u32;
-            if packet.is_empty() {
-                // an empty packet still travels as one empty-bodied chunk
-                out.push(Self::header(0, 1, self.flags).to_vec());
-                continue;
-            }
-            for (seq, body) in packet.chunks(chunk).enumerate() {
-                let mut framed = Vec::with_capacity(CHUNK_HEADER_BYTES + body.len());
-                framed.extend_from_slice(&Self::header(seq as u32, total, self.flags));
-                framed.extend_from_slice(body);
-                out.push(framed);
-            }
-        }
-        Ok(out)
-    }
-
-    fn decode(&self, packets: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, CodecError> {
-        let mut message = Vec::new();
-        let mut expected_total: Option<u32> = None;
-        for (at, packet) in packets.iter().enumerate() {
-            let chunk = Chunk::parse(packet)?;
-            if chunk.flags != self.flags {
-                return Err(CodecError::BadChunk("flags disagree with negotiation"));
-            }
-            let total = *expected_total.get_or_insert(chunk.total);
-            if chunk.total != total {
-                return Err(CodecError::TotalMismatch {
-                    expected: total,
-                    found: chunk.total,
-                });
-            }
-            if chunk.seq != at as u32 {
-                return Err(CodecError::OutOfOrder {
-                    expected: at as u32,
-                    found: chunk.seq,
-                });
-            }
-            if message.len() as u64 + chunk.body.len() as u64 > MAX_MESSAGE_BYTES {
-                return Err(CodecError::Oversize {
-                    bytes: message.len() as u64 + chunk.body.len() as u64,
-                    cap: MAX_MESSAGE_BYTES,
-                });
-            }
-            message.extend_from_slice(chunk.body);
-        }
-        let total = expected_total.ok_or(CodecError::BadChunk("empty chunk list"))?;
-        if total as usize != packets.len() {
-            return Err(CodecError::TotalMismatch {
-                expected: total,
-                found: packets.len() as u32,
-            });
-        }
-        Ok(vec![message])
-    }
-}
-
-/// Appends (encode) / verifies and strips (decode) a CRC-32 trailer on
-/// each packet.
-pub struct Crc32Stage;
-
-impl Crc32Stage {
-    /// Verifies a packet's trailer and returns the covered bytes.
-    fn check(packet: &[u8]) -> Result<&[u8], CodecError> {
-        if packet.len() < CHUNK_TRAILER_BYTES {
-            return Err(CodecError::BadChunk("shorter than its checksum"));
-        }
-        let (covered, trailer) = packet.split_at(packet.len() - CHUNK_TRAILER_BYTES);
-        let found = u32::from_be_bytes(trailer.try_into().expect("4-byte slice"));
-        let expected = crc32(covered);
-        if expected != found {
-            // best-effort seq for diagnostics: the covered bytes open
-            // with the chunk header when the chain is [chunk, crc32]
-            let seq = covered
-                .get(0..4)
-                .map(|b| u32::from_be_bytes(b.try_into().expect("4-byte slice")))
-                .unwrap_or(0);
-            return Err(CodecError::Crc {
-                seq,
-                expected,
-                found,
-            });
-        }
-        Ok(covered)
-    }
-}
-
-impl Stage for Crc32Stage {
-    fn name(&self) -> &'static str {
-        "crc32"
-    }
-
-    fn encode(&self, packets: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, CodecError> {
-        Ok(packets
-            .into_iter()
-            .map(|mut p| {
-                let crc = crc32(&p);
-                p.extend_from_slice(&crc.to_be_bytes());
-                p
-            })
-            .collect())
-    }
-
-    fn decode(&self, packets: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, CodecError> {
-        packets
-            .iter()
-            .map(|p| Self::check(p).map(<[u8]>::to_vec))
-            .collect()
-    }
-}
-
 // --------------------------------------------------------- negotiation
 
 /// The codec parameters agreed during the `Hello`/`HelloAck`
@@ -438,14 +223,14 @@ impl CodecConfig {
 pub struct WireStats {
     /// Chunk frames moved.
     pub frames: u64,
-    /// Message bytes before the codec chain (what the caller sees).
+    /// Message bytes before the codec (what the caller sees).
     pub raw_bytes: u64,
-    /// Bytes after the chain (compressed + chunk overhead + CRC), as
+    /// Bytes after the codec (compressed + chunk overhead + CRC), as
     /// carried in frame payloads on the wire.
     pub wire_bytes: u64,
 }
 
-/// A negotiated codec chain bound to one connection.
+/// A negotiated codec bound to one connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Codec {
     config: CodecConfig,
@@ -470,37 +255,52 @@ impl Codec {
         }
     }
 
-    /// The stage chain in encode order.
-    pub fn stages(&self) -> Vec<Box<dyn Stage>> {
-        let mut stages: Vec<Box<dyn Stage>> = Vec::with_capacity(3);
-        if self.config.compress {
-            stages.push(Box::new(CompressStage));
-        }
-        stages.push(Box::new(ChunkStage {
-            chunk_bytes: self.config.chunk_bytes,
-            flags: self.flags(),
-        }));
-        stages.push(Box::new(Crc32Stage));
-        stages
-    }
-
-    /// Runs a message through the chain, producing the frame payloads
-    /// to put on the wire (each within the per-frame cap).
+    /// Compresses (when negotiated) and chunks a message, producing the
+    /// frame payloads to put on the wire (each within the per-frame
+    /// cap).
     ///
     /// # Errors
     ///
-    /// [`CodecError::Oversize`] when the message exceeds
+    /// [`CodecError::Oversize`] when the message body exceeds
     /// [`MAX_MESSAGE_BYTES`].
     pub fn encode_frames(&self, message: &[u8]) -> Result<Vec<Vec<u8>>, CodecError> {
-        let mut packets = vec![message.to_vec()];
-        for stage in self.stages() {
-            packets = stage.encode(packets)?;
+        let compressed;
+        let body = if self.config.compress {
+            compressed = compress(message);
+            &compressed[..]
+        } else {
+            message
+        };
+        if body.len() as u64 > MAX_MESSAGE_BYTES {
+            return Err(CodecError::Oversize {
+                bytes: body.len() as u64,
+                cap: MAX_MESSAGE_BYTES,
+            });
         }
-        Ok(packets)
+        let mut bodies: Vec<&[u8]> = body
+            .chunks(self.config.chunk_bytes.max(1) as usize)
+            .collect();
+        if bodies.is_empty() {
+            // an empty body still travels as one empty-bodied chunk
+            bodies.push(&[]);
+        }
+        let total = bodies.len() as u32;
+        let frames = bodies.into_iter().enumerate().map(|(seq, body)| {
+            let mut frame =
+                Vec::with_capacity(CHUNK_HEADER_BYTES + body.len() + CHUNK_TRAILER_BYTES);
+            frame.extend_from_slice(&(seq as u32).to_be_bytes());
+            frame.extend_from_slice(&total.to_be_bytes());
+            frame.push(self.flags());
+            frame.extend_from_slice(body);
+            let crc = crc32(&frame);
+            frame.extend_from_slice(&crc.to_be_bytes());
+            frame
+        });
+        Ok(frames.collect())
     }
 
-    /// Runs received frame payloads back through the chain, yielding
-    /// the reassembled message.
+    /// Checks received frame payloads chunk by chunk and reassembles
+    /// the message.
     ///
     /// # Errors
     ///
@@ -508,14 +308,11 @@ impl Codec {
     /// reordered or missing chunks, lying totals, malformed
     /// compression. Never panics on adversarial input.
     pub fn decode_frames(&self, frames: Vec<Vec<u8>>) -> Result<Vec<u8>, CodecError> {
-        let mut packets = frames;
-        for stage in self.stages().iter().rev() {
-            packets = stage.decode(packets)?;
+        let mut message = Reassembly::new(self.flags());
+        for frame in &frames {
+            message.push(frame)?;
         }
-        match packets.len() {
-            1 => Ok(packets.pop().expect("length checked")),
-            _ => Err(CodecError::BadChunk("chain did not yield one message")),
-        }
+        message.finish()
     }
 
     /// Encodes and writes one message as a chunk-frame sequence.
@@ -546,9 +343,9 @@ impl Codec {
     /// message.
     ///
     /// The first chunk's header pins `total`; frames are read until
-    /// the message is complete, with each chunk's CRC verified as it
-    /// arrives so corruption is rejected at the earliest possible
-    /// moment instead of after buffering the rest of the stream.
+    /// the message is complete, with each chunk checked as it arrives
+    /// so corruption is rejected at the earliest possible moment
+    /// instead of after buffering the rest of the stream.
     ///
     /// Every frame read is added to `stats` as it arrives, so the
     /// frames and wire bytes of a rejected message are still
@@ -563,44 +360,118 @@ impl Codec {
         stream: &mut R,
         stats: &mut WireStats,
     ) -> Result<Vec<u8>, CodecError> {
-        let mut frames = Vec::new();
-        let mut body_bytes = 0u64;
-        let total = loop {
+        let mut message = Reassembly::new(self.flags());
+        loop {
             let frame = read_frame(stream)?;
             stats.frames += 1;
             stats.wire_bytes += frame.len() as u64;
-            // early per-chunk validation: CRC first (a lying header
-            // under a bad checksum is corruption, not structure), then
-            // enough header sanity to know when the message ends
-            let covered = Crc32Stage::check(&frame)?;
-            let chunk = Chunk::parse(covered)?;
-            if chunk.seq != frames.len() as u32 {
-                return Err(CodecError::OutOfOrder {
-                    expected: frames.len() as u32,
-                    found: chunk.seq,
-                });
+            if message.push(&frame)? {
+                break;
             }
-            let max_total = (MAX_MESSAGE_BYTES / u64::from(MIN_CHUNK_BYTES)) as u32;
-            if chunk.total > max_total {
-                return Err(CodecError::BadChunk("chunk total out of range"));
-            }
-            body_bytes += chunk.body.len() as u64;
-            if body_bytes > MAX_MESSAGE_BYTES {
-                return Err(CodecError::Oversize {
-                    bytes: body_bytes,
-                    cap: MAX_MESSAGE_BYTES,
-                });
-            }
-            let total = chunk.total;
-            frames.push(frame);
-            if frames.len() as u32 >= total {
-                break total;
-            }
-        };
-        debug_assert_eq!(frames.len() as u32, total);
-        let message = self.decode_frames(frames)?;
+        }
+        let message = message.finish()?;
         stats.raw_bytes += message.len() as u64;
         Ok(message)
+    }
+}
+
+/// A message being reassembled from its chunks, each checked once as
+/// it is added.
+struct Reassembly {
+    /// The flags byte every chunk must carry (the negotiated choice).
+    flags: u8,
+    body: Vec<u8>,
+    /// Chunks accepted so far, which is the next expected `seq`.
+    seen: u32,
+    /// The `total` pinned by the first chunk.
+    total: Option<u32>,
+}
+
+impl Reassembly {
+    fn new(flags: u8) -> Self {
+        Reassembly {
+            flags,
+            body: Vec::new(),
+            seen: 0,
+            total: None,
+        }
+    }
+
+    /// Checks one chunk frame and appends its body; `true` once the
+    /// chunks the message declared have all arrived. The CRC goes first
+    /// (a lying header under a bad checksum is corruption, not
+    /// structure), then the header fields, then the size caps.
+    fn push(&mut self, frame: &[u8]) -> Result<bool, CodecError> {
+        let be32 = |at: usize| u32::from_be_bytes(frame[at..at + 4].try_into().expect("4 bytes"));
+        let Some(covered) = frame.len().checked_sub(CHUNK_TRAILER_BYTES) else {
+            return Err(CodecError::BadChunk("shorter than its checksum"));
+        };
+        let (expected, found) = (crc32(&frame[..covered]), be32(covered));
+        if expected != found {
+            // best-effort seq for diagnostics
+            let seq = if covered >= 4 { be32(0) } else { 0 };
+            return Err(CodecError::Crc {
+                seq,
+                expected,
+                found,
+            });
+        }
+        if covered < CHUNK_HEADER_BYTES {
+            return Err(CodecError::BadChunk("shorter than its header"));
+        }
+        let (seq, total, flags) = (be32(0), be32(4), frame[8]);
+        if flags & !FLAG_COMPRESSED != 0 {
+            return Err(CodecError::BadChunk("unknown flag bits"));
+        }
+        if total == 0 {
+            return Err(CodecError::BadChunk("zero chunk total"));
+        }
+        if flags != self.flags {
+            return Err(CodecError::BadChunk("flags disagree with negotiation"));
+        }
+        let pinned = *self.total.get_or_insert(total);
+        if total != pinned {
+            return Err(CodecError::TotalMismatch {
+                expected: pinned,
+                found: total,
+            });
+        }
+        if seq != self.seen {
+            return Err(CodecError::OutOfOrder {
+                expected: self.seen,
+                found: seq,
+            });
+        }
+        if u64::from(total) > MAX_MESSAGE_BYTES / u64::from(MIN_CHUNK_BYTES) {
+            return Err(CodecError::BadChunk("chunk total out of range"));
+        }
+        let body = &frame[CHUNK_HEADER_BYTES..covered];
+        let bytes = (self.body.len() + body.len()) as u64;
+        if bytes > MAX_MESSAGE_BYTES {
+            return Err(CodecError::Oversize {
+                bytes,
+                cap: MAX_MESSAGE_BYTES,
+            });
+        }
+        self.body.extend_from_slice(body);
+        self.seen += 1;
+        Ok(self.seen == pinned)
+    }
+
+    /// The complete message, decompressed when its chunks say so.
+    fn finish(self) -> Result<Vec<u8>, CodecError> {
+        let total = self.total.ok_or(CodecError::BadChunk("empty chunk list"))?;
+        if self.seen != total {
+            return Err(CodecError::TotalMismatch {
+                expected: total,
+                found: self.seen,
+            });
+        }
+        if self.flags & FLAG_COMPRESSED != 0 {
+            decompress(&self.body, MAX_MESSAGE_BYTES)
+        } else {
+            Ok(self.body)
+        }
     }
 }
 
@@ -822,21 +693,5 @@ mod tests {
         assert!(!agreed.compress);
         let offer = CodecConfig::preferred();
         assert_eq!(CodecConfig::negotiate(offer), offer, "defaults self-agree");
-    }
-
-    #[test]
-    fn stage_names_describe_the_chain() {
-        let names: Vec<_> = codec(true, DEFAULT_CHUNK_BYTES)
-            .stages()
-            .iter()
-            .map(|s| s.name())
-            .collect();
-        assert_eq!(names, ["lzss", "chunk", "crc32"]);
-        let names: Vec<_> = codec(false, DEFAULT_CHUNK_BYTES)
-            .stages()
-            .iter()
-            .map(|s| s.name())
-            .collect();
-        assert_eq!(names, ["chunk", "crc32"]);
     }
 }

@@ -168,6 +168,16 @@ mod tests {
         assert!(!fresh.cached());
         assert_ne!(fresh.digest, cold.digest);
 
+        // one connection carried everything: the server's rx tallies
+        // equal what the last reply echoed; its tx tally may still lack
+        // that reply, which is counted after the write
+        let codec = handle.stats().codec;
+        assert_eq!(codec.connections, 1);
+        assert_eq!(codec.frames_received, fresh.conn.frames_received);
+        assert_eq!(codec.raw_rx_bytes, fresh.conn.raw_rx_bytes);
+        assert_eq!(codec.wire_rx_bytes, fresh.conn.wire_rx_bytes);
+        assert!(codec.raw_tx_bytes >= fresh.conn.raw_tx_bytes);
+
         let stats = client.stats().unwrap();
         assert_eq!(stats.jobs_done, 3);
         assert_eq!(stats.memory.hits, 1);

@@ -1,6 +1,6 @@
 //! Property-based tests for the wire protocol: every message, under
 //! adversarial bytes, through both the plain payload codecs and the
-//! chunked codec chain.
+//! chunk codec.
 //!
 //! This extends the artifact-format properties pinned in
 //! `crates/store/src/proptests.rs` to the protocol layer. The
@@ -15,7 +15,7 @@
 //!   at the payload layer without being a well-formed message itself,
 //!   and a flipped version byte is always refused as a version
 //!   mismatch;
-//! * through the codec chain, every single-bit flip of any wire frame
+//! * through the chunk codec, every single-bit flip of any wire frame
 //!   is caught by the per-chunk CRC — the flip never reaches the
 //!   payload parser at all;
 //! * arbitrary random bytes never panic any decoder.
@@ -286,7 +286,7 @@ fn every_single_bit_flip_decodes_canonically_or_not_at_all() {
     }
 }
 
-/// Through the codec chain no flipped bit reaches the payload parser
+/// Through the chunk codec no flipped bit reaches the payload parser
 /// at all: the per-chunk CRC rejects every one, in every frame, for
 /// every message, with and without compression.
 #[test]
@@ -322,7 +322,7 @@ proptest! {
         let _ = Response::decode(&bytes);
     }
 
-    /// Arbitrary frame lists never panic the codec chain.
+    /// Arbitrary frame lists never panic the chunk codec.
     #[test]
     fn random_frames_never_panic_the_codec(
         frames in proptest::collection::vec(

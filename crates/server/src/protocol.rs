@@ -524,7 +524,7 @@ impl ServerStats {
     /// The one list of fields, in wire order: each field's dotted
     /// name, kind and a borrow of it. The wire codec, [`Self::fields`]
     /// and [`Self::merge`] all walk it, so a new metric is one line
-    /// here (plus the struct field and its value in the server).
+    /// here (plus the struct field and the server's bump of it).
     #[rustfmt::skip] // one line per field, however long
     fn slots(&mut self) -> Vec<(&'static str, StatKind, Slot<'_>)> {
         use Slot::{Histogram as H, U32, U64};

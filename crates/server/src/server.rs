@@ -26,6 +26,14 @@
 //! for the worker's reply with a stop check, so shutdown cannot
 //! deadlock a connection.
 //!
+//! Every message after a connection's `Hello` exchange travels through
+//! the agreed [`Codec`], which checks each chunk once as it arrives.
+//!
+//! Telemetry is counted straight into a [`ServerStats`]: one tally
+//! mutex holds every counter and histogram, and a `Stats` reply copies
+//! it and adds the gauges and labels read where they live. The tally is
+//! a leaf lock — nothing else is locked while it is held.
+//!
 //! Each job runs with `total parallelism / workers` engine threads, so
 //! the pool saturates the machine without oversubscribing it; results
 //! are bit-identical at every thread count, so this knob never changes
@@ -53,8 +61,8 @@ use crate::cache::{cache_key, ArtifactCache, CachedArtifacts};
 use crate::client::Client;
 use crate::codec::{Codec, CodecConfig, CodecError, WireStats, MAX_MESSAGE_BYTES};
 use crate::protocol::{
-    read_frame, write_frame, CacheTier, CodecCounters, ConnStats, JobReport, JobSpec,
-    PhaseHistogram, Request, Response, ServerStats, TierStats, SHARD_REMOVED, SHUTTING_DOWN,
+    read_frame, write_frame, CacheTier, ConnStats, JobReport, JobSpec, Request, Response,
+    ServerStats, TierStats, SHARD_REMOVED, SHUTTING_DOWN,
 };
 use crate::report_digest;
 use crate::shard::{ShardError, ShardRing, ShardSpec};
@@ -163,16 +171,12 @@ struct QueuedJob {
 
 /// The persistent tier: the on-disk store plus an in-memory index of
 /// the keys known to be present (warm-started by a boot-time scan, so
-/// a miss never touches the filesystem) and its counters.
+/// a miss never touches the filesystem).
 struct DiskTier {
     store: ArtifactStore,
     /// key → stored file size; the warm-start index and the occupancy
     /// accounting in one map.
     index: Mutex<HashMap<u64, u64>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    corruptions: AtomicU64,
-    writes: AtomicU64,
 }
 
 impl DiskTier {
@@ -184,81 +188,7 @@ impl DiskTier {
         Ok(DiskTier {
             store,
             index: Mutex::new(index),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            corruptions: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
         })
-    }
-
-    /// Counts a corruption and evicts the offending file + index
-    /// entry, so the key recomputes cold (now and after restarts).
-    fn evict_corrupt(&self, key: u64, why: &str) {
-        eprintln!("ss-server: evicting corrupt artifact {key:016x}: {why}");
-        self.corruptions.fetch_add(1, Ordering::Relaxed);
-        self.index.lock().expect("disk index mutex").remove(&key);
-        if let Err(e) = self.store.remove(key) {
-            eprintln!("ss-server: removing corrupt artifact {key:016x}: {e}");
-        }
-    }
-}
-
-/// Per-phase latency histograms, one mutex for all four (recording is
-/// a few adds — contention is irrelevant next to the phases
-/// themselves).
-#[derive(Default)]
-struct PhaseTimes {
-    synthesis: PhaseHistogram,
-    encode: PhaseHistogram,
-    embed: PhaseHistogram,
-    segment: PhaseHistogram,
-}
-
-/// Lock-free wire-codec telemetry, bumped by connection handlers and
-/// snapshotted into [`CodecCounters`] for `Stats` replies.
-#[derive(Default)]
-struct CodecTelemetry {
-    connections: AtomicU64,
-    frames_sent: AtomicU64,
-    frames_received: AtomicU64,
-    crc_rejects: AtomicU64,
-    raw_tx_bytes: AtomicU64,
-    wire_tx_bytes: AtomicU64,
-    raw_rx_bytes: AtomicU64,
-    wire_rx_bytes: AtomicU64,
-}
-
-impl CodecTelemetry {
-    /// Accounts one received message.
-    fn add_rx(&self, stats: WireStats) {
-        self.frames_received
-            .fetch_add(stats.frames, Ordering::Relaxed);
-        self.raw_rx_bytes
-            .fetch_add(stats.raw_bytes, Ordering::Relaxed);
-        self.wire_rx_bytes
-            .fetch_add(stats.wire_bytes, Ordering::Relaxed);
-    }
-
-    /// Accounts one sent message.
-    fn add_tx(&self, stats: WireStats) {
-        self.frames_sent.fetch_add(stats.frames, Ordering::Relaxed);
-        self.raw_tx_bytes
-            .fetch_add(stats.raw_bytes, Ordering::Relaxed);
-        self.wire_tx_bytes
-            .fetch_add(stats.wire_bytes, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> CodecCounters {
-        CodecCounters {
-            connections: self.connections.load(Ordering::Relaxed),
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            frames_received: self.frames_received.load(Ordering::Relaxed),
-            crc_rejects: self.crc_rejects.load(Ordering::Relaxed),
-            raw_tx_bytes: self.raw_tx_bytes.load(Ordering::Relaxed),
-            wire_tx_bytes: self.wire_tx_bytes.load(Ordering::Relaxed),
-            raw_rx_bytes: self.raw_rx_bytes.load(Ordering::Relaxed),
-            wire_rx_bytes: self.wire_rx_bytes.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -304,12 +234,12 @@ struct Shared {
     /// computer instead of re-running synthesis + encode in parallel.
     pending: Mutex<HashSet<u64>>,
     pending_cv: Condvar,
-    phases: Mutex<PhaseTimes>,
-    codec: CodecTelemetry,
+    /// Every counter and histogram the server accumulates, kept in
+    /// the shape it reports them; [`Shared::stats`] adds the gauges
+    /// and labels. A leaf lock: nothing else is locked while it is
+    /// held (see [`Shared::bump`]).
+    tally: Mutex<ServerStats>,
     next_job: AtomicU64,
-    jobs_done: AtomicU64,
-    busy_rejections: AtomicU64,
-    coalesced: AtomicU64,
     /// Fleet placement; `None` in single-node mode. Behind a mutex so
     /// `Reconfigure` can swap the ring live, without restarting.
     shards: Mutex<Option<ShardState>>,
@@ -318,14 +248,6 @@ struct Shared {
     /// The bounded write-behind replication queue.
     repl_queue: Mutex<VecDeque<ReplicationTask>>,
     repl_cv: Condvar,
-    /// Replica pushes acknowledged by a peer.
-    replicas_sent: AtomicU64,
-    /// Replica pushes accepted from peers after verification.
-    replicas_received: AtomicU64,
-    /// Replication work dropped (full queue or oversize envelope).
-    replica_drops: AtomicU64,
-    /// Reconfigurations that actually advanced the epoch.
-    reconfigures: AtomicU64,
     /// Ring peers the prober (or a failed push) currently considers
     /// unreachable.
     peers_down: Mutex<HashSet<String>>,
@@ -333,10 +255,6 @@ struct Shared {
     conn_active: AtomicUsize,
     /// The accept gate's bound.
     conn_max: usize,
-    /// Connections shed at the gate.
-    conn_shed: AtomicU64,
-    /// Plain submissions answered with the owner's address.
-    redirects: AtomicU64,
     /// Monotonic origin every span timestamp is measured from;
     /// `TraceDump` samples it against the wall clock so readers can
     /// normalise timestamps across processes.
@@ -382,25 +300,15 @@ impl Shared {
             disk,
             pending: Mutex::new(HashSet::new()),
             pending_cv: Condvar::new(),
-            phases: Mutex::new(PhaseTimes::default()),
-            codec: CodecTelemetry::default(),
+            tally: Mutex::new(ServerStats::default()),
             next_job: AtomicU64::new(1),
-            jobs_done: AtomicU64::new(0),
-            busy_rejections: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
             shards: Mutex::new(None),
             replicas: replicas.max(1),
             repl_queue: Mutex::new(VecDeque::new()),
             repl_cv: Condvar::new(),
-            replicas_sent: AtomicU64::new(0),
-            replicas_received: AtomicU64::new(0),
-            replica_drops: AtomicU64::new(0),
-            reconfigures: AtomicU64::new(0),
             peers_down: Mutex::new(HashSet::new()),
             conn_active: AtomicUsize::new(0),
             conn_max,
-            conn_shed: AtomicU64::new(0),
-            redirects: AtomicU64::new(0),
             clock: TraceClock::new(),
             spans: Mutex::new(SpanRing::new(DEFAULT_RING_CAPACITY, span_ring_seed())),
             span_seq: AtomicU64::new(0),
@@ -439,7 +347,7 @@ impl Shared {
             if let Some(state) = shards.as_ref() {
                 let owner = state.ring.owner(key);
                 if state.id != Some(owner) {
-                    self.redirects.fetch_add(1, Ordering::Relaxed);
+                    self.bump(|s| s.redirects += 1);
                     return Ok(Enqueue::Redirect(state.ring.shards()[owner].clone()));
                 }
             }
@@ -447,7 +355,7 @@ impl Shared {
 
         let mut queue = self.queue.lock().expect("queue mutex");
         if queue.len() >= self.queue_capacity {
-            self.busy_rejections.fetch_add(1, Ordering::Relaxed);
+            self.bump(|s| s.busy_rejections += 1);
             return Ok(Enqueue::Busy {
                 queued: queue.len() as u32,
                 capacity: self.queue_capacity as u32,
@@ -467,80 +375,59 @@ impl Shared {
         Ok(Enqueue::Queued(outcome))
     }
 
+    /// Applies one update to the tally. The tally mutex is a leaf
+    /// lock: `update` only writes counters, so no other lock is ever
+    /// taken while it is held.
+    fn bump(&self, update: impl FnOnce(&mut ServerStats)) {
+        update(&mut self.tally.lock().expect("tally mutex"));
+    }
+
+    /// A copy of the tally plus the gauges and labels, each read from
+    /// where it lives.
     fn stats(&self) -> ServerStats {
-        let queued = self.queue.lock().expect("queue mutex").len() as u32;
+        let mut s = *self.tally.lock().expect("tally mutex");
+        s.workers = self.workers as u32;
+        s.queue_capacity = self.queue_capacity as u32;
+        s.queued = self.queue.lock().expect("queue mutex").len() as u32;
         let cache = self.cache.lock().expect("cache mutex").stats();
-        let disk = self.disk.as_ref().map_or_else(TierStats::default, |d| {
-            let index = d.index.lock().expect("disk index mutex");
-            TierStats {
-                hits: d.hits.load(Ordering::Relaxed),
-                misses: d.misses.load(Ordering::Relaxed),
-                entries: index.len() as u64,
-                bytes: index.values().sum(),
-                capacity_bytes: 0, // unbounded
-                evictions: d.corruptions.load(Ordering::Relaxed),
-            }
+        s.memory = TierStats {
+            hits: cache.hits,
+            misses: cache.misses,
+            entries: cache.entries as u64,
+            bytes: cache.bytes as u64,
+            capacity_bytes: cache.capacity_bytes as u64,
+            evictions: cache.evictions,
+        };
+        if let Some(disk) = &self.disk {
+            let index = disk.index.lock().expect("disk index mutex");
+            s.disk.entries = index.len() as u64;
+            s.disk.bytes = index.values().sum();
+        }
+        s.connections_active = self.conn_active.load(Ordering::Relaxed) as u32;
+        s.connections_max = self.conn_max as u32;
+        // a single-node server leaves the shard labels at 0
+        if let Some(shards) = self.shards.lock().expect("shards mutex").as_ref() {
+            s.shard_id = shards.id.map_or(SHARD_REMOVED, |id| id as u32);
+            s.shard_count = shards.ring.len() as u32;
+            s.epoch = shards.ring.epoch();
+        }
+        s.peers_down = self.peers_down.lock().expect("peers_down mutex").len() as u32;
+        let spans = self.spans.lock().expect("spans mutex");
+        (s.spans_recorded, s.spans_evicted) = (spans.recorded(), spans.evicted());
+        s
+    }
+
+    /// Counts a corrupt disk artifact and evicts its file and index
+    /// entry, so the key recomputes cold (now and after restarts).
+    fn evict_corrupt(&self, disk: &DiskTier, key: u64, why: &str) {
+        eprintln!("ss-server: evicting corrupt artifact {key:016x}: {why}");
+        self.bump(|s| {
+            s.disk.evictions += 1;
+            s.disk_corruptions += 1;
         });
-        let (epoch, shard_id, shard_count) = {
-            let shards = self.shards.lock().expect("shards mutex");
-            match shards.as_ref() {
-                Some(s) => (
-                    s.ring.epoch(),
-                    s.id.map_or(SHARD_REMOVED, |id| id as u32),
-                    s.ring.len() as u32,
-                ),
-                None => (0, 0, 0),
-            }
-        };
-        let (spans_recorded, spans_evicted) = {
-            let spans = self.spans.lock().expect("spans mutex");
-            (spans.recorded(), spans.evicted())
-        };
-        let phases = self.phases.lock().expect("phases mutex");
-        ServerStats {
-            workers: self.workers as u32,
-            queue_capacity: self.queue_capacity as u32,
-            queued,
-            jobs_done: self.jobs_done.load(Ordering::Relaxed),
-            busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            memory: TierStats {
-                hits: cache.hits,
-                misses: cache.misses,
-                entries: cache.entries as u64,
-                bytes: cache.bytes as u64,
-                capacity_bytes: cache.capacity_bytes as u64,
-                evictions: cache.evictions,
-            },
-            disk,
-            store_writes: self
-                .disk
-                .as_ref()
-                .map_or(0, |d| d.writes.load(Ordering::Relaxed)),
-            disk_corruptions: self
-                .disk
-                .as_ref()
-                .map_or(0, |d| d.corruptions.load(Ordering::Relaxed)),
-            synthesis: phases.synthesis,
-            encode: phases.encode,
-            embed: phases.embed,
-            segment: phases.segment,
-            codec: self.codec.snapshot(),
-            connections_active: self.conn_active.load(Ordering::Relaxed) as u32,
-            connections_max: self.conn_max as u32,
-            connections_shed: self.conn_shed.load(Ordering::Relaxed),
-            redirects: self.redirects.load(Ordering::Relaxed),
-            shard_id,
-            // 0 = single-node; a sharded server reports its fleet size
-            shard_count,
-            epoch,
-            replicas_sent: self.replicas_sent.load(Ordering::Relaxed),
-            replicas_received: self.replicas_received.load(Ordering::Relaxed),
-            replica_queue_drops: self.replica_drops.load(Ordering::Relaxed),
-            reconfigures: self.reconfigures.load(Ordering::Relaxed),
-            peers_down: self.peers_down.lock().expect("peers_down mutex").len() as u32,
-            spans_recorded,
-            spans_evicted,
+        disk.index.lock().expect("disk index mutex").remove(&key);
+        if let Err(e) = disk.store.remove(key) {
+            eprintln!("ss-server: removing corrupt artifact {key:016x}: {e}");
         }
     }
 
@@ -615,7 +502,7 @@ impl Shared {
     fn push_replication(&self, task: ReplicationTask) {
         let mut queue = self.repl_queue.lock().expect("repl queue mutex");
         if queue.len() >= REPLICATION_QUEUE_DEPTH {
-            self.replica_drops.fetch_add(1, Ordering::Relaxed);
+            self.bump(|s| s.replica_queue_drops += 1);
             return;
         }
         queue.push_back(task);
@@ -700,7 +587,7 @@ fn lookup_or_claim<'a>(
         // once per wakeup.
         if !waited {
             waited = true;
-            shared.coalesced.fetch_add(1, Ordering::Relaxed);
+            shared.bump(|s| s.coalesced += 1);
         }
         let (p, _) = shared
             .pending_cv
@@ -710,26 +597,52 @@ fn lookup_or_claim<'a>(
     }
 }
 
-/// Re-enters the staged flow at the embed stage from cached
-/// artifacts, returning the report plus the embed/segment timings in
-/// microseconds (the caller records them — a run later discarded by a
-/// digest check must not pollute the histograms).
-fn finish_stages(entry: &CachedArtifacts) -> Result<(PipelineReport, u64, u64), String> {
-    let encoded = Encoded::from_cached(&entry.set, &entry.ctx, entry.encoding.clone())
-        .map_err(|e| format!("cache pairing: {e}"))?;
+/// Runs embed → segment → finish on an encoding, returning the report
+/// plus the embed/segment timings in microseconds (the caller records
+/// them — a run later discarded by a digest check must not pollute the
+/// histograms).
+fn finish_stages(encoded: Encoded<'_>) -> Result<(PipelineReport, u64, u64), String> {
     let t = Instant::now();
     let embedded = encoded.embed();
     let embed_micros = t.elapsed().as_micros() as u64;
     let t = Instant::now();
     let report = embedded.segment().finish().map_err(|e| e.to_string())?;
-    let segment_micros = t.elapsed().as_micros() as u64;
-    Ok((report, embed_micros, segment_micros))
+    Ok((report, embed_micros, t.elapsed().as_micros() as u64))
 }
 
-fn record_finish_phases(shared: &Shared, embed_micros: u64, segment_micros: u64) {
-    let mut phases = shared.phases.lock().expect("phases mutex");
-    phases.embed.record(embed_micros);
-    phases.segment.record(segment_micros);
+/// Admits an artifact loaded from disk or pushed by a peer: rebuilds
+/// the cache entry, re-runs the finish stages and inserts the entry
+/// into the memory tier only when the report it reproduces matches the
+/// digest it claims — nothing stored or received is trusted. Returns
+/// the entry with its report and embed/segment timings.
+fn verify_and_admit(
+    shared: &Shared,
+    key: u64,
+    artifact: Artifact,
+    trace: u64,
+) -> Result<(Arc<CachedArtifacts>, PipelineReport, u64, u64), String> {
+    let entry = Arc::new(CachedArtifacts {
+        ctx: artifact.ctx,
+        set: artifact.set,
+        dropped: artifact.dropped as usize,
+        encoding: artifact.encoding,
+        report_digest: artifact.report_digest,
+        trace: AtomicU64::new(trace),
+    });
+    let (report, embed_micros, segment_micros) = finish_stages(entry.encoded()?)?;
+    let digest = report_digest(&report);
+    if digest != entry.report_digest {
+        return Err(format!(
+            "claims digest {:016x}, artifacts reproduce {digest:016x}",
+            entry.report_digest
+        ));
+    }
+    shared
+        .cache
+        .lock()
+        .expect("cache mutex")
+        .insert(key, Arc::clone(&entry));
+    Ok((entry, report, embed_micros, segment_micros))
 }
 
 /// Disk-tier lookup: loads, re-verifies and promotes the artifact
@@ -737,25 +650,25 @@ fn record_finish_phases(shared: &Shared, embed_micros: u64, segment_micros: u64)
 /// success; `None` is a miss (absent key, or a corrupt file that was
 /// counted, evicted and left for the caller to recompute). Never
 /// panics and never returns an unverified result: the envelope
-/// checksum guards the bytes, and the stored report digest is checked
-/// against the digest of the report the rehydrated artifacts actually
-/// reproduce.
+/// checksum guards the bytes, and [`verify_and_admit`] checks the
+/// stored report digest.
 fn disk_lookup(shared: &Shared, job: &QueuedJob) -> Option<(PipelineReport, usize)> {
     let disk = shared.disk.as_ref()?;
-    if !disk
+    let indexed = disk
         .index
         .lock()
         .expect("disk index mutex")
-        .contains_key(&job.key)
-    {
-        disk.misses.fetch_add(1, Ordering::Relaxed);
-        return None;
-    }
-    let artifact = match disk.store.get(job.key, Some(shared.job_threads)) {
+        .contains_key(&job.key);
+    let loaded = if indexed {
+        disk.store.get(job.key, Some(shared.job_threads))
+    } else {
+        Ok(None)
+    };
+    let artifact = match loaded {
         Ok(Some(artifact)) => artifact,
         Ok(None) => {
-            // index said present, file is gone (external deletion)
-            disk.misses.fetch_add(1, Ordering::Relaxed);
+            // absent, or indexed but gone (external deletion)
+            shared.bump(|s| s.disk.misses += 1);
             disk.index
                 .lock()
                 .expect("disk index mutex")
@@ -763,45 +676,21 @@ fn disk_lookup(shared: &Shared, job: &QueuedJob) -> Option<(PipelineReport, usiz
             return None;
         }
         Err(e) => {
-            disk.evict_corrupt(job.key, &e.to_string());
+            shared.evict_corrupt(disk, job.key, &e.to_string());
             return None;
         }
     };
-    let entry = Arc::new(CachedArtifacts {
-        ctx: artifact.ctx,
-        set: artifact.set,
-        dropped: artifact.dropped as usize,
-        encoding: artifact.encoding,
-        report_digest: artifact.report_digest,
-        trace: AtomicU64::new(job.spec.trace.trace),
-    });
-    match finish_stages(&entry) {
-        Ok((report, embed_micros, segment_micros))
-            if report_digest(&report) == artifact.report_digest =>
-        {
-            disk.hits.fetch_add(1, Ordering::Relaxed);
-            record_finish_phases(shared, embed_micros, segment_micros);
-            // promote to the memory tier for the next lookup
-            shared
-                .cache
-                .lock()
-                .expect("cache mutex")
-                .insert(job.key, Arc::clone(&entry));
+    match verify_and_admit(shared, job.key, artifact, job.spec.trace.trace) {
+        Ok((entry, report, embed_micros, segment_micros)) => {
+            shared.bump(|s| {
+                s.disk.hits += 1;
+                s.embed.record(embed_micros);
+                s.segment.record(segment_micros);
+            });
             Some((report, entry.dropped))
         }
-        Ok((report, ..)) => {
-            disk.evict_corrupt(
-                job.key,
-                &format!(
-                    "stored digest {:016x} but artifacts reproduce {:016x}",
-                    artifact.report_digest,
-                    report_digest(&report)
-                ),
-            );
-            None
-        }
         Err(e) => {
-            disk.evict_corrupt(job.key, &e);
+            shared.evict_corrupt(disk, job.key, &e);
             None
         }
     }
@@ -815,11 +704,19 @@ fn disk_lookup(shared: &Shared, job: &QueuedJob) -> Option<(PipelineReport, usiz
 fn execute(shared: &Shared, job: &QueuedJob) -> Result<JobReport, String> {
     let start = Instant::now();
     let trace = job.spec.trace;
+    let record_spans = |spans: &[(SpanKind, u64, u64)]| {
+        for &(kind, at, micros) in spans {
+            shared.record_span(trace.trace, trace.parent, kind, at, micros, String::new);
+        }
+    };
     let (report, dropped, tier) = match lookup_or_claim(shared, job.key) {
         Ok(entry) => {
             let t0 = shared.clock.now_micros();
-            let (report, embed_micros, segment_micros) = finish_stages(&entry)?;
-            record_finish_phases(shared, embed_micros, segment_micros);
+            let (report, embed_micros, segment_micros) = finish_stages(entry.encoded()?)?;
+            shared.bump(|s| {
+                s.embed.record(embed_micros);
+                s.segment.record(segment_micros);
+            });
             if trace.trace != 0 {
                 // telemetry only: the entry remembers the last trace
                 // that served it, so a later re-replication push can
@@ -834,22 +731,10 @@ fn execute(shared: &Shared, job: &QueuedJob) -> Result<JobReport, String> {
                 shared.clock.now_micros().saturating_sub(t0),
                 || format!("key={:016x} hit", job.key),
             );
-            shared.record_span(
-                trace.trace,
-                trace.parent,
-                SpanKind::Embed,
-                t0,
-                embed_micros,
-                String::new,
-            );
-            shared.record_span(
-                trace.trace,
-                trace.parent,
-                SpanKind::Segment,
-                t0 + embed_micros,
-                segment_micros,
-                String::new,
-            );
+            record_spans(&[
+                (SpanKind::Embed, t0, embed_micros),
+                (SpanKind::Segment, t0 + embed_micros, segment_micros),
+            ]);
             (report, entry.dropped, CacheTier::Memory)
         }
         // holding the guard: this worker is the (sole) computer for
@@ -875,42 +760,26 @@ fn execute(shared: &Shared, job: &QueuedJob) -> Result<JobReport, String> {
                     let ctx = engine.synthesize(&job.set).map_err(|e| e.to_string())?;
                     let (encodable, dropped_idx) = ctx.encodable_subset(&job.set);
                     let synthesis_micros = t.elapsed().as_micros() as u64;
-                    let t1 = shared.clock.now_micros();
                     let t = Instant::now();
                     let encoded =
                         Encoded::from_ctx_ref(&encodable, &ctx).map_err(|e| e.to_string())?;
                     let encode_micros = t.elapsed().as_micros() as u64;
                     let encoding = encoded.encoding().clone();
-                    let t2 = shared.clock.now_micros();
-                    let t = Instant::now();
-                    let embedded = encoded.embed();
-                    let embed_micros = t.elapsed().as_micros() as u64;
-                    let t3 = shared.clock.now_micros();
-                    let t = Instant::now();
-                    let report = embedded.segment().finish().map_err(|e| e.to_string())?;
-                    let segment_micros = t.elapsed().as_micros() as u64;
-                    {
-                        let mut phases = shared.phases.lock().expect("phases mutex");
-                        phases.synthesis.record(synthesis_micros);
-                        phases.encode.record(encode_micros);
-                        phases.embed.record(embed_micros);
-                        phases.segment.record(segment_micros);
-                    }
-                    for (kind, at, micros) in [
+                    let (report, embed_micros, segment_micros) = finish_stages(encoded)?;
+                    shared.bump(|s| {
+                        s.synthesis.record(synthesis_micros);
+                        s.encode.record(encode_micros);
+                        s.embed.record(embed_micros);
+                        s.segment.record(segment_micros);
+                    });
+                    let t1 = t0 + synthesis_micros;
+                    let t2 = t1 + encode_micros;
+                    record_spans(&[
                         (SpanKind::Synthesis, t0, synthesis_micros),
                         (SpanKind::Encode, t1, encode_micros),
                         (SpanKind::Embed, t2, embed_micros),
-                        (SpanKind::Segment, t3, segment_micros),
-                    ] {
-                        shared.record_span(
-                            trace.trace,
-                            trace.parent,
-                            kind,
-                            at,
-                            micros,
-                            String::new,
-                        );
-                    }
+                        (SpanKind::Segment, t2 + embed_micros, segment_micros),
+                    ]);
                     let dropped = dropped_idx.len();
                     let entry = Arc::new(CachedArtifacts {
                         ctx,
@@ -920,7 +789,7 @@ fn execute(shared: &Shared, job: &QueuedJob) -> Result<JobReport, String> {
                         report_digest: report_digest(&report),
                         trace: AtomicU64::new(trace.trace),
                     });
-                    store_write_through(shared, job.key, &entry, entry.report_digest);
+                    store_write_through(shared, job.key, &entry);
                     shared
                         .cache
                         .lock()
@@ -939,20 +808,13 @@ fn execute(shared: &Shared, job: &QueuedJob) -> Result<JobReport, String> {
 
 /// Persists a cold run's artifacts. Failures are logged and absorbed —
 /// a full disk must degrade the cache, never the answer.
-fn store_write_through(shared: &Shared, key: u64, entry: &CachedArtifacts, digest: u64) {
+fn store_write_through(shared: &Shared, key: u64, entry: &CachedArtifacts) {
     let Some(disk) = shared.disk.as_ref() else {
         return;
     };
-    let artifact = Artifact {
-        ctx: entry.ctx.clone(),
-        set: entry.set.clone(),
-        dropped: entry.dropped as u64,
-        encoding: entry.encoding.clone(),
-        report_digest: digest,
-    };
-    match disk.store.put(key, &artifact) {
+    match disk.store.put(key, &entry.to_artifact()) {
         Ok(size) => {
-            disk.writes.fetch_add(1, Ordering::Relaxed);
+            shared.bump(|s| s.store_writes += 1);
             disk.index
                 .lock()
                 .expect("disk index mutex")
@@ -1101,7 +963,7 @@ fn apply_reconfigure(shared: &Shared, epoch: u64, peers: Vec<String>) -> Result<
             .expect("peers_down mutex")
             .retain(|peer| members.contains(peer));
     }
-    shared.reconfigures.fetch_add(1, Ordering::Relaxed);
+    shared.bump(|s| s.reconfigures += 1);
     Ok(epoch)
 }
 
@@ -1112,41 +974,25 @@ fn apply_reconfigure(shared: &Shared, epoch: u64, peers: Vec<String>) -> Result<
 /// timings and no cache miss — ingestion is not service traffic.
 fn ingest_replica(shared: &Shared, key: u64, bytes: &[u8], trace: u64) -> Response {
     let t0 = shared.clock.now_micros();
-    let artifact = match Artifact::from_bytes(bytes, key, Some(shared.job_threads)) {
-        Ok(artifact) => artifact,
+    let admitted = Artifact::from_bytes(bytes, key, Some(shared.job_threads))
+        .map_err(|e| e.to_string())
+        .and_then(|artifact| verify_and_admit(shared, key, artifact, trace));
+    let entry = match admitted {
+        Ok((entry, ..)) => entry,
         Err(e) => return Response::Error(format!("replica {key:016x}: {e}")),
     };
-    let entry = Arc::new(CachedArtifacts {
-        ctx: artifact.ctx,
-        set: artifact.set,
-        dropped: artifact.dropped as usize,
-        encoding: artifact.encoding,
-        report_digest: artifact.report_digest,
-        trace: AtomicU64::new(trace),
-    });
-    match finish_stages(&entry) {
-        Ok((report, ..)) if report_digest(&report) == entry.report_digest => {
-            store_write_through(shared, key, &entry, entry.report_digest);
-            shared.cache.lock().expect("cache mutex").insert(key, entry);
-            shared.replicas_received.fetch_add(1, Ordering::Relaxed);
-            shared.record_span(
-                trace,
-                0,
-                SpanKind::ReplicaIngest,
-                t0,
-                shared.clock.now_micros().saturating_sub(t0),
-                || format!("key={key:016x}"),
-            );
-            Response::Ack {
-                epoch: shared.membership().0,
-            }
-        }
-        Ok((report, ..)) => Response::Error(format!(
-            "replica {key:016x}: claims digest {:016x}, artifacts reproduce {:016x}",
-            entry.report_digest,
-            report_digest(&report)
-        )),
-        Err(e) => Response::Error(format!("replica {key:016x}: {e}")),
+    store_write_through(shared, key, &entry);
+    shared.bump(|s| s.replicas_received += 1);
+    shared.record_span(
+        trace,
+        0,
+        SpanKind::ReplicaIngest,
+        t0,
+        shared.clock.now_micros().saturating_sub(t0),
+        || format!("key={key:016x}"),
+    );
+    Response::Ack {
+        epoch: shared.membership().0,
     }
 }
 
@@ -1166,13 +1012,7 @@ fn send_peer_request(addr: &str, request: &Request) -> Result<Response, String> 
 /// round brings it back.
 fn replicate_task(shared: &Shared, task: ReplicationTask) {
     let artifact = match task.entry {
-        Some(entry) => Artifact {
-            ctx: entry.ctx.clone(),
-            set: entry.set.clone(),
-            dropped: entry.dropped as u64,
-            encoding: entry.encoding.clone(),
-            report_digest: entry.report_digest,
-        },
+        Some(entry) => entry.to_artifact(),
         None => match shared
             .disk
             .as_ref()
@@ -1188,7 +1028,7 @@ fn replicate_task(shared: &Shared, task: ReplicationTask) {
     // a Replicate travels as one codec message; an envelope that
     // cannot fit the message cap is dropped and counted, never split
     if bytes.len() as u64 + 64 > MAX_MESSAGE_BYTES {
-        shared.replica_drops.fetch_add(1, Ordering::Relaxed);
+        shared.bump(|s| s.replica_queue_drops += 1);
         return;
     }
     let epoch = shared.membership().0;
@@ -1202,7 +1042,7 @@ fn replicate_task(shared: &Shared, task: ReplicationTask) {
         let t0 = shared.clock.now_micros();
         match send_peer_request(target, &request) {
             Ok(Response::Ack { .. }) => {
-                shared.replicas_sent.fetch_add(1, Ordering::Relaxed);
+                shared.bump(|s| s.replicas_sent += 1);
                 shared.note_peer(target, true);
                 shared.record_span(
                     task.trace,
@@ -1353,7 +1193,7 @@ fn worker_loop(shared: &Shared) {
         let outcome = execute(shared, &job);
         // counted before the reply goes out, so a client that has its
         // report never reads a stale jobs_done
-        shared.jobs_done.fetch_add(1, Ordering::Relaxed);
+        shared.bump(|s| s.jobs_done += 1);
         // a client that hung up drops its receiver: the send fails and
         // the job's artifacts are still cached
         let _ = job.reply.send(outcome);
@@ -1463,7 +1303,7 @@ fn accept_hello(shared: &Shared, stream: &mut TcpStream) -> Option<Codec> {
     let refusal = match Request::decode(&payload) {
         Ok(Request::Hello(offer)) => {
             let agreed = CodecConfig::negotiate(offer);
-            shared.codec.connections.fetch_add(1, Ordering::Relaxed);
+            shared.bump(|s| s.codec.connections += 1);
             let ack = Response::HelloAck(agreed).encode();
             return write_frame(stream, &ack).ok().map(|()| Codec::new(agreed));
         }
@@ -1477,7 +1317,7 @@ fn accept_hello(shared: &Shared, stream: &mut TcpStream) -> Option<Codec> {
 /// Serves one connection until the peer closes, errors or idles out.
 ///
 /// The connection opens with the `Hello` exchange ([`accept_hello`]);
-/// every later message travels through the agreed codec chain.
+/// every later message travels as checked chunks of the agreed codec.
 ///
 /// A codec failure — CRC mismatch, reordered chunks, a lying length or
 /// total — is answered with one typed [`Response::Error`] and the
@@ -1498,7 +1338,12 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         // them before looking at the outcome
         let mut rx = WireStats::default();
         let read = codec.read_message(&mut stream, &mut rx);
-        shared.codec.add_rx(rx);
+        shared.bump(|s| {
+            s.codec.frames_received += rx.frames;
+            s.codec.raw_rx_bytes += rx.raw_bytes;
+            s.codec.wire_rx_bytes += rx.wire_bytes;
+            s.codec.crc_rejects += u64::from(matches!(&read, Err(e) if e.is_integrity()));
+        });
         let payload = match read {
             Ok(message) => message,
             Err(CodecError::Io(err)) => {
@@ -1511,9 +1356,6 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
                 return;
             }
             Err(err) => {
-                if err.is_integrity() {
-                    shared.codec.crc_rejects.fetch_add(1, Ordering::Relaxed);
-                }
                 let reply = Response::Error(format!("codec: {err}")).encode();
                 let _ = codec.write_message(&mut stream, &reply);
                 return;
@@ -1562,7 +1404,11 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         let tx_start = shared.clock.now_micros();
         match codec.write_message(&mut stream, &response.encode()) {
             Ok(tx) => {
-                shared.codec.add_tx(tx);
+                shared.bump(|s| {
+                    s.codec.frames_sent += tx.frames;
+                    s.codec.raw_tx_bytes += tx.raw_bytes;
+                    s.codec.wire_tx_bytes += tx.wire_bytes;
+                });
                 conn.frames_sent += tx.frames;
                 conn.raw_tx_bytes += tx.raw_bytes;
                 conn.wire_tx_bytes += tx.wire_bytes;
@@ -1632,7 +1478,7 @@ fn dispatch_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             });
         }
         None => {
-            shared.conn_shed.fetch_add(1, Ordering::Relaxed);
+            shared.bump(|s| s.connections_shed += 1);
             // a plain frame in place of the HelloAck: the codec never
             // opened. Bounded write so a dead peer can't stall the
             // accept loop.
@@ -2060,7 +1906,7 @@ mod tests {
             1,
             "stop abandons queued jobs instead of draining them"
         );
-        assert_eq!(shared.jobs_done.load(Ordering::Relaxed), 0);
+        assert_eq!(shared.stats().jobs_done, 0);
     }
 
     #[test]
@@ -2131,6 +1977,7 @@ mod tests {
         let cold = execute(&shared, &job).unwrap();
         assert_eq!(cold.tier, CacheTier::Cold);
         assert_eq!(shared.stats().store_writes, 1);
+        assert_eq!(shared.stats().disk.misses, 1);
         drop(shared);
 
         // restart: fresh memory cache, same directory
@@ -2151,6 +1998,9 @@ mod tests {
         assert_eq!(warm.digest, cold.digest);
         let stats = shared.stats();
         assert_eq!(stats.disk.hits, 1);
+        assert_eq!(stats.disk.misses, 0);
+        // the disk hit re-ran (and timed) the finish stages
+        assert_eq!((stats.embed.count, stats.segment.count), (1, 1));
         assert_eq!(stats.synthesis.count, 0, "no synthesis after restart");
         assert_eq!(stats.disk_corruptions, 0);
 

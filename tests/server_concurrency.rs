@@ -148,6 +148,19 @@ fn hammered_cache_is_bit_identical_to_uncached_runs_at_every_worker_count() {
             stats.jobs_done, total,
             "workers={workers}: the server lost jobs under concurrent load"
         );
+        // every job looked the memory tier up exactly once, and a
+        // coalesced job is served by the hit it waited for
+        assert_eq!(
+            stats.memory.hits + stats.memory.misses,
+            stats.jobs_done,
+            "workers={workers}: memory-tier lookups disagree with jobs"
+        );
+        assert!(
+            stats.coalesced <= stats.memory.hits,
+            "workers={workers}: {} coalesced jobs but {} hits",
+            stats.coalesced,
+            stats.memory.hits
+        );
         // every workload is submitted more than once, so the cache
         // must have served a hit for each (coalesced jobs included)
         let cached_seen = cached_seen.into_inner().expect("cache counter");
