@@ -12,7 +12,9 @@
 //!   artifact store); the server is then *restarted* on the same store
 //!   directory and the workload resubmitted, so the first answer comes
 //!   from the persistent tier (disk read + table rebuild + embed +
-//!   segment); repeats on the live server hit the in-memory LRU. The
+//!   segment to verify the stored digest); repeats on the live server
+//!   hit the in-memory LRU, a lookup that answers from the slot's
+//!   report summary and runs no pipeline stage. The
 //!   bench *asserts* each warm tier is flagged, digests are equal to
 //!   the cold run, and warm-disk is strictly faster than cold on every
 //!   workload — so a regression in either cache tier fails CI loudly.

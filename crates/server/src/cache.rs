@@ -3,12 +3,15 @@
 //!
 //! A cache entry stores everything the encode stage produced —
 //! synthesised [`HardwareCtx`], the filtered (encodable) [`TestSet`]
-//! and the [`EncodingResult`] — so a repeated submission of the same
-//! workload/config re-enters the staged flow at
-//! [`Encoded::from_cached`](ss_core::Encoded::from_cached) and pays
-//! only for the cheap later stages (embed → segment → finish), which
-//! are bit-deterministic: a cache hit returns byte-identical results
-//! to a cold run.
+//! and the [`EncodingResult`] — plus a [`ReportSummary`] of the report
+//! those artifacts finish into. The flow is bit-deterministic, so the
+//! report is fixed by the key: a memory hit answers from the summary
+//! alone and runs no pipeline stage, yet returns byte-identical
+//! results to a cold run. The artifacts are what the disk tier stores
+//! and replication pushes; a copy loaded from either re-enters the
+//! staged flow at [`Encoded::from_cached`](ss_core::Encoded::from_cached)
+//! and re-runs the cheap later stages (embed → segment → finish) to
+//! verify its digest before it is admitted.
 //!
 //! Keys are 64-bit FNV-1a hashes over the canonical workload text and
 //! every result-shaping engine knob (the `threads` knob is excluded —
@@ -21,8 +24,8 @@ use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use ss_core::{Encoded, EncodingResult, HardwareCtx};
-use ss_store::Artifact;
+use ss_core::{Encoded, EncodingResult, HardwareCtx, PipelineReport};
+use ss_store::{report_digest, Artifact};
 use ss_testdata::TestSet;
 
 use crate::protocol::JobSpec;
@@ -70,9 +73,9 @@ pub struct CachedArtifacts {
     /// The window-based seed encoding.
     pub encoding: EncodingResult,
     /// Digest of the finished report these artifacts deterministically
-    /// produce (see [`report_digest`](crate::report_digest)) — carried
-    /// so replication can build a verifiable store envelope without
-    /// re-running the finish stages.
+    /// produce (see [`report_digest`]) — carried so replication can
+    /// build a verifiable store envelope without re-running the finish
+    /// stages.
     pub report_digest: u64,
     /// The last trace that produced or served this entry (0 when every
     /// toucher was untraced). Carried so reconfigure-driven
@@ -113,6 +116,43 @@ impl CachedArtifacts {
     }
 }
 
+/// The numbers a reply reads off a finished [`PipelineReport`]: the
+/// geometry, seeds, TDV, the three TSLs and the report digest. Every
+/// path into the cache — a cold run, a verified disk load, a verified
+/// replica — holds the report when it inserts, so the summary is filled
+/// there and a memory hit never re-runs the finish stages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReportSummary {
+    pub(crate) lfsr_size: u32,
+    pub(crate) window: u32,
+    pub(crate) segment: u32,
+    pub(crate) speedup: u64,
+    pub(crate) seeds: u64,
+    pub(crate) tdv: u64,
+    pub(crate) tsl_original: u64,
+    pub(crate) tsl_truncated: u64,
+    pub(crate) tsl_proposed: u64,
+    pub(crate) digest: u64,
+}
+
+impl ReportSummary {
+    /// Summarises a finished report, digest included.
+    pub fn of(report: &PipelineReport) -> Self {
+        ReportSummary {
+            lfsr_size: report.lfsr_size as u32,
+            window: report.window as u32,
+            segment: report.segment as u32,
+            speedup: report.speedup,
+            seeds: report.seeds as u64,
+            tdv: report.tdv as u64,
+            tsl_original: report.tsl_original,
+            tsl_truncated: report.tsl_truncated,
+            tsl_proposed: report.tsl_proposed,
+            digest: report_digest(report),
+        }
+    }
+}
+
 /// Counters a cache exposes for telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -136,6 +176,8 @@ pub struct CacheStats {
 
 struct Slot {
     artifacts: Arc<CachedArtifacts>,
+    /// What the artifacts finish into; evicted and refreshed with them.
+    summary: ReportSummary,
     bytes: usize,
     last_used: u64,
 }
@@ -173,8 +215,9 @@ impl ArtifactCache {
     }
 
     /// Looks a key up, marking the entry most-recently-used and
-    /// counting a hit when found; an absent key counts a miss.
-    pub fn get(&mut self, key: u64) -> Option<Arc<CachedArtifacts>> {
+    /// counting a hit when found; an absent key counts a miss. A hit
+    /// answers the entry with the summary it was inserted with.
+    pub fn get(&mut self, key: u64) -> Option<(Arc<CachedArtifacts>, ReportSummary)> {
         let found = self.lookup(key);
         if found.is_none() {
             self.record_miss();
@@ -189,16 +232,12 @@ impl ArtifactCache {
     /// that actually claims the cold path records the miss (via
     /// [`record_miss`](ArtifactCache::record_miss)), so the telemetry
     /// counts jobs, not polls.
-    pub fn lookup(&mut self, key: u64) -> Option<Arc<CachedArtifacts>> {
+    pub fn lookup(&mut self, key: u64) -> Option<(Arc<CachedArtifacts>, ReportSummary)> {
         self.clock += 1;
-        match self.map.get_mut(&key) {
-            Some(slot) => {
-                slot.last_used = self.clock;
-                self.hits += 1;
-                Some(Arc::clone(&slot.artifacts))
-            }
-            None => None,
-        }
+        let slot = self.map.get_mut(&key)?;
+        slot.last_used = self.clock;
+        self.hits += 1;
+        Some((Arc::clone(&slot.artifacts), slot.summary))
     }
 
     /// Counts one miss — the accounting half split off
@@ -211,8 +250,9 @@ impl ArtifactCache {
     /// fits. An entry larger than the whole budget is not cached —
     /// the attempt is counted and changes *nothing* else: no eviction
     /// of resident entries, no byte-bound violation, no retry loop.
-    /// Re-inserting an existing key refreshes the entry.
-    pub fn insert(&mut self, key: u64, artifacts: Arc<CachedArtifacts>) {
+    /// Re-inserting an existing key refreshes the entry and its
+    /// summary.
+    pub fn insert(&mut self, key: u64, artifacts: Arc<CachedArtifacts>, summary: ReportSummary) {
         let bytes = artifacts.approx_bytes();
         if bytes > self.capacity_bytes {
             self.oversize_skips += 1;
@@ -235,6 +275,7 @@ impl ArtifactCache {
             key,
             Slot {
                 artifacts,
+                summary,
                 bytes,
                 last_used: self.clock,
             },
@@ -293,6 +334,23 @@ mod tests {
             report_digest: seed,
             trace: AtomicU64::new(0),
         })
+    }
+
+    /// Inserts with the summary the artifacts really finish into.
+    fn insert(cache: &mut ArtifactCache, key: u64, artifacts: Arc<CachedArtifacts>) {
+        let summary = summary_of(&artifacts);
+        cache.insert(key, artifacts, summary);
+    }
+
+    fn summary_of(artifacts: &CachedArtifacts) -> ReportSummary {
+        let report = artifacts
+            .encoded()
+            .unwrap()
+            .embed()
+            .segment()
+            .finish()
+            .unwrap();
+        ReportSummary::of(&report)
     }
 
     fn spec_with(window: u32, text: &str) -> JobSpec {
@@ -363,10 +421,10 @@ mod tests {
         let per_entry = a.approx_bytes();
         // room for exactly two entries
         let mut cache = ArtifactCache::new(per_entry * 2 + per_entry / 2);
-        cache.insert(1, Arc::clone(&a));
-        cache.insert(2, artifacts_for(2));
+        insert(&mut cache, 1, Arc::clone(&a));
+        insert(&mut cache, 2, artifacts_for(2));
         assert!(cache.get(1).is_some(), "touch 1 so 2 is the LRU");
-        cache.insert(3, artifacts_for(3));
+        insert(&mut cache, 3, artifacts_for(3));
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
@@ -379,16 +437,16 @@ mod tests {
     fn oversize_entries_are_skipped_and_hits_share_ownership() {
         let a = artifacts_for(1);
         let mut cache = ArtifactCache::new(a.approx_bytes() - 1);
-        cache.insert(1, Arc::clone(&a));
+        insert(&mut cache, 1, Arc::clone(&a));
         assert_eq!(cache.stats().entries, 0, "too big to cache");
         assert!(cache.get(1).is_none());
 
         let mut cache = ArtifactCache::new(a.approx_bytes() * 4);
-        cache.insert(1, Arc::clone(&a));
-        let hit = cache.get(1).unwrap();
+        insert(&mut cache, 1, Arc::clone(&a));
+        let (hit, _) = cache.get(1).unwrap();
         assert!(Arc::ptr_eq(&hit, &a), "hit shares, never clones");
         // refresh with the same key does not double-count bytes
-        cache.insert(1, Arc::clone(&a));
+        insert(&mut cache, 1, Arc::clone(&a));
         assert_eq!(cache.stats().entries, 1);
         assert_eq!(cache.stats().bytes, a.approx_bytes());
     }
@@ -404,13 +462,13 @@ mod tests {
 
         // the boundary itself is cacheable: == capacity fits
         let mut exact = ArtifactCache::new(per_entry);
-        exact.insert(1, Arc::clone(&a));
+        insert(&mut exact, 1, Arc::clone(&a));
         assert_eq!(exact.stats().entries, 1, "== capacity must cache");
         assert_eq!(exact.stats().oversize_skips, 0);
 
         // one byte over is not, even into an empty cache
         let mut small = ArtifactCache::new(per_entry - 1);
-        small.insert(1, Arc::clone(&a));
+        insert(&mut small, 1, Arc::clone(&a));
         let s = small.stats();
         assert_eq!((s.entries, s.bytes), (0, 0));
         assert_eq!(s.evictions, 0);
@@ -448,12 +506,12 @@ mod tests {
             big.approx_bytes() > cache.stats().capacity_bytes,
             "window-64 artifacts must exceed the 2.5-entry budget"
         );
-        cache.insert(1, Arc::clone(&a));
-        cache.insert(2, artifacts_for(2));
+        insert(&mut cache, 1, Arc::clone(&a));
+        insert(&mut cache, 2, artifacts_for(2));
         let before = cache.stats();
         assert_eq!(before.entries, 2);
 
-        cache.insert(3, big);
+        insert(&mut cache, 3, big);
         let after = cache.stats();
         assert_eq!(after.entries, before.entries, "residents were evicted");
         assert_eq!(after.bytes, before.bytes);
@@ -462,5 +520,35 @@ mod tests {
         assert!(after.bytes <= after.capacity_bytes);
         assert!(cache.get(3).is_none());
         assert!(cache.get(1).is_some() && cache.get(2).is_some());
+    }
+
+    /// The summary lives and dies with its slot: an evicted key's
+    /// summary goes with it, and a re-insert — after eviction or over
+    /// a resident entry — answers the new summary, never a stale one.
+    #[test]
+    fn summaries_are_evicted_and_refreshed_with_their_slot() {
+        let (a, b) = (artifacts_for(1), artifacts_for(2));
+        let (sa, sb) = (summary_of(&a), summary_of(&b));
+        assert_ne!(sa, sb, "different workloads finish differently");
+        let per_entry = a.approx_bytes().max(b.approx_bytes());
+        let mut cache = ArtifactCache::new(per_entry + per_entry / 2);
+
+        cache.insert(1, Arc::clone(&a), sa);
+        assert_eq!(cache.get(1).unwrap().1, sa);
+        // room for one entry: inserting key 2 evicts key 1 and its summary
+        cache.insert(2, Arc::clone(&b), sb);
+        assert_eq!(cache.stats().evictions, 1);
+        assert!(cache.get(1).is_none(), "the summary left with its slot");
+        assert_eq!(cache.get(2).unwrap().1, sb);
+
+        // re-admitting key 1 answers the summary it was re-inserted with
+        cache.insert(1, Arc::clone(&b), sb);
+        assert_eq!(cache.get(1).unwrap().1, sb);
+        // and a refresh over a resident slot replaces it
+        cache.insert(1, Arc::clone(&a), sa);
+        let (entry, summary) = cache.get(1).unwrap();
+        assert!(Arc::ptr_eq(&entry, &a));
+        assert_eq!(summary, sa);
+        assert_eq!(cache.stats().entries, 1);
     }
 }

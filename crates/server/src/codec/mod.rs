@@ -39,7 +39,7 @@
 use std::fmt;
 use std::io::{Read, Write};
 
-use crate::protocol::{read_frame, write_frame, MAX_FRAME_BYTES};
+use crate::protocol::{push_frame, read_frame, MAX_FRAME_BYTES};
 
 mod compress;
 mod crc32;
@@ -315,7 +315,9 @@ impl Codec {
         message.finish()
     }
 
-    /// Encodes and writes one message as a chunk-frame sequence.
+    /// Encodes and writes one message as a chunk-frame sequence: every
+    /// length-prefixed frame goes out in one write, so a multi-chunk
+    /// message is not split into a segment per frame.
     ///
     /// # Errors
     ///
@@ -327,16 +329,18 @@ impl Codec {
         message: &[u8],
     ) -> Result<WireStats, CodecError> {
         let frames = self.encode_frames(message)?;
-        let mut stats = WireStats {
+        let payload_bytes: usize = frames.iter().map(Vec::len).sum();
+        let mut wire = Vec::with_capacity(payload_bytes + 4 * frames.len());
+        for frame in &frames {
+            push_frame(&mut wire, frame)?;
+        }
+        stream.write_all(&wire)?;
+        stream.flush()?;
+        Ok(WireStats {
             frames: frames.len() as u64,
             raw_bytes: message.len() as u64,
-            wire_bytes: 0,
-        };
-        for frame in &frames {
-            stats.wire_bytes += frame.len() as u64;
-            write_frame(stream, frame)?;
-        }
-        Ok(stats)
+            wire_bytes: payload_bytes as u64,
+        })
     }
 
     /// Reads one chunk-frame sequence and decodes it back to the
@@ -483,6 +487,7 @@ const _: () =
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::write_frame;
 
     fn codec(compress: bool, chunk_bytes: u32) -> Codec {
         Codec::new(CodecConfig {
@@ -544,6 +549,50 @@ mod tests {
         assert_eq!(back, message);
         assert_eq!(read, wrote);
         assert!(cursor.is_empty(), "reader must consume exactly the message");
+    }
+
+    /// A `Write` that counts the calls it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A message leaves in one write call however many frames it
+    /// spans, and the bytes are the length-prefixed frames in order —
+    /// the wire format is unchanged. A single frame is one write too.
+    #[test]
+    fn a_message_is_one_write_call() {
+        for (len, want_frames) in [(10, 1), (1000, 16)] {
+            let c = codec(false, MIN_CHUNK_BYTES);
+            let message = payload(len);
+            let mut out = CountingWriter::default();
+            let wrote = c.write_message(&mut out, &message).unwrap();
+            assert_eq!(wrote.frames, want_frames);
+            assert_eq!(out.writes, 1, "{want_frames}-frame message");
+            let mut expected = Vec::new();
+            for frame in c.encode_frames(&message).unwrap() {
+                expected.extend_from_slice(&(frame.len() as u32).to_be_bytes());
+                expected.extend_from_slice(&frame);
+            }
+            assert_eq!(out.bytes, expected);
+        }
+        let mut out = CountingWriter::default();
+        write_frame(&mut out, b"frame").unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(out.bytes, b"\0\0\0\x05frame");
     }
 
     #[test]

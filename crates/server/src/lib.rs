@@ -186,12 +186,12 @@ mod tests {
         // no --store-dir: the disk tier is inert
         assert_eq!(stats.disk, TierStats::default());
         assert_eq!(stats.store_writes, 0);
-        // two cold jobs timed every phase; the warm hit skipped the
-        // expensive ones
+        // two cold jobs timed every phase; the warm hit answered from
+        // its slot's summary and computed nothing
         assert_eq!(stats.synthesis.count, 2);
         assert_eq!(stats.encode.count, 2);
-        assert_eq!(stats.embed.count, 3);
-        assert_eq!(stats.segment.count, 3);
+        assert_eq!(stats.embed.count, 2);
+        assert_eq!(stats.segment.count, 2);
 
         // a malformed workload is rejected at submit time
         let mut bad = spec_for(1);

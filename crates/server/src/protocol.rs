@@ -430,9 +430,13 @@ pub struct ServerStats {
     pub synthesis: PhaseHistogram,
     /// Latency of the seed-encoding phase, cold jobs only.
     pub encode: PhaseHistogram,
-    /// Latency of the embedding phase (every job).
+    /// Latency of the embedding phase, counted only for runs that
+    /// compute: cold jobs, and the verification of a disk load or a
+    /// replica push. A memory hit answers from its cache slot and runs
+    /// no phase.
     pub embed: PhaseHistogram,
-    /// Latency of the segmentation + finish phase (every job).
+    /// Latency of the segmentation + finish phase, counted for the
+    /// same runs as [`embed`](Self::embed).
     pub segment: PhaseHistogram,
     /// Wire-codec telemetry.
     pub codec: CodecCounters,
@@ -553,6 +557,7 @@ impl ServerStats {
             ("disk_corruptions", Sum, U64(&mut self.disk_corruptions)),
             ("phase.synthesis", Histogram, H(&mut self.synthesis)),
             ("phase.encode", Histogram, H(&mut self.encode)),
+            // embed and segment count cold runs and disk/replica verification, never memory hits
             ("phase.embed", Histogram, H(&mut self.embed)),
             ("phase.segment", Histogram, H(&mut self.segment)),
             ("codec.connections", Sum, U64(&mut c.connections)),
@@ -1293,22 +1298,36 @@ impl Response {
 
 // -------------------------------------------------------------- frame
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame, prefix and payload in one write.
 ///
 /// # Errors
 ///
 /// I/O errors from the stream; `InvalidData` if the payload exceeds
 /// [`MAX_FRAME_BYTES`].
 pub fn write_frame<W: Write>(stream: &mut W, payload: &[u8]) -> std::io::Result<()> {
+    let mut wire = Vec::with_capacity(4 + payload.len());
+    push_frame(&mut wire, payload)?;
+    stream.write_all(&wire)?;
+    stream.flush()
+}
+
+/// Appends one length-prefixed frame to `wire` — the framing
+/// [`write_frame`] sends, for callers that batch several frames into
+/// one write.
+///
+/// # Errors
+///
+/// `InvalidData` if the payload exceeds [`MAX_FRAME_BYTES`].
+pub(crate) fn push_frame(wire: &mut Vec<u8>, payload: &[u8]) -> std::io::Result<()> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             WireError::Oversize(payload.len()).to_string(),
         ));
     }
-    stream.write_all(&(payload.len() as u32).to_be_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()
+    wire.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    wire.extend_from_slice(payload);
+    Ok(())
 }
 
 /// Reads one length-prefixed frame.

@@ -57,14 +57,13 @@ use ss_telemetry::{
 };
 use ss_testdata::TestSet;
 
-use crate::cache::{cache_key, ArtifactCache, CachedArtifacts};
+use crate::cache::{cache_key, ArtifactCache, CachedArtifacts, ReportSummary};
 use crate::client::Client;
 use crate::codec::{Codec, CodecConfig, CodecError, WireStats, MAX_MESSAGE_BYTES};
 use crate::protocol::{
     read_frame, write_frame, CacheTier, ConnStats, JobReport, JobSpec, Request, Response,
     ServerStats, TierStats, SHARD_REMOVED, SHUTTING_DOWN,
 };
-use crate::report_digest;
 use crate::shard::{ShardError, ShardRing, ShardSpec};
 
 /// How long a connection may sit idle between requests before the
@@ -458,6 +457,17 @@ impl Shared {
         });
     }
 
+    /// Records `phases` as back-to-back spans on `trace` from `start`
+    /// — how a run of pipeline stages, timed one by one, lands on the
+    /// timeline.
+    fn record_phases(&self, trace: TraceContext, start_micros: u64, phases: &[(SpanKind, u64)]) {
+        let mut at = start_micros;
+        for &(kind, micros) in phases {
+            self.record_span(trace.trace, trace.parent, kind, at, micros, String::new);
+            at += micros;
+        }
+    }
+
     /// A non-destructive dump of the span ring (`trace` 0 = every
     /// span), stamped with paired wall/monotonic clocks so a reader
     /// can place this process's spans on a shared timeline.
@@ -559,8 +569,8 @@ impl Drop for PendingGuard<'_> {
     }
 }
 
-/// Cache lookup with request coalescing: a hit returns the artifacts;
-/// a miss either claims the key (returning a guard — the caller is
+/// Cache lookup with request coalescing: a hit returns the artifacts
+/// and their report summary; a miss either claims the key (returning a guard — the caller is
 /// now the computer) or, when another worker is already computing the
 /// same key, blocks until that computation lands and retries. A
 /// computer that fails releases the key, so exactly one waiter
@@ -568,13 +578,13 @@ impl Drop for PendingGuard<'_> {
 fn lookup_or_claim<'a>(
     shared: &'a Shared,
     key: u64,
-) -> Result<Arc<CachedArtifacts>, PendingGuard<'a>> {
+) -> Result<(Arc<CachedArtifacts>, ReportSummary), PendingGuard<'a>> {
     let mut waited = false;
     loop {
         // lookup, not get: waiters re-poll this every tick, and only
         // the claimer below should record the (single) miss
-        if let Some(entry) = shared.cache.lock().expect("cache mutex").lookup(key) {
-            return Ok(entry);
+        if let Some(hit) = shared.cache.lock().expect("cache mutex").lookup(key) {
+            return Ok(hit);
         }
         let mut pending = shared.pending.lock().expect("pending mutex");
         if pending.insert(key) {
@@ -613,46 +623,61 @@ fn finish_stages(encoded: Encoded<'_>) -> Result<(PipelineReport, u64, u64), Str
 /// Admits an artifact loaded from disk or pushed by a peer: rebuilds
 /// the cache entry, re-runs the finish stages and inserts the entry
 /// into the memory tier only when the report it reproduces matches the
-/// digest it claims — nothing stored or received is trusted. Returns
-/// the entry with its report and embed/segment timings.
+/// digest it claims — nothing stored or received is trusted. A run
+/// that verifies is counted in the embed/segment histograms and
+/// recorded as `Embed`/`Segment` spans on `trace`. Returns the entry
+/// with the summary it was admitted under.
 fn verify_and_admit(
     shared: &Shared,
     key: u64,
     artifact: Artifact,
-    trace: u64,
-) -> Result<(Arc<CachedArtifacts>, PipelineReport, u64, u64), String> {
+    trace: TraceContext,
+) -> Result<(Arc<CachedArtifacts>, ReportSummary), String> {
     let entry = Arc::new(CachedArtifacts {
         ctx: artifact.ctx,
         set: artifact.set,
         dropped: artifact.dropped as usize,
         encoding: artifact.encoding,
         report_digest: artifact.report_digest,
-        trace: AtomicU64::new(trace),
+        trace: AtomicU64::new(trace.trace),
     });
+    let t0 = shared.clock.now_micros();
     let (report, embed_micros, segment_micros) = finish_stages(entry.encoded()?)?;
-    let digest = report_digest(&report);
-    if digest != entry.report_digest {
+    let summary = ReportSummary::of(&report);
+    if summary.digest != entry.report_digest {
         return Err(format!(
-            "claims digest {:016x}, artifacts reproduce {digest:016x}",
-            entry.report_digest
+            "claims digest {:016x}, artifacts reproduce {:016x}",
+            entry.report_digest, summary.digest
         ));
     }
+    shared.bump(|s| {
+        s.embed.record(embed_micros);
+        s.segment.record(segment_micros);
+    });
+    shared.record_phases(
+        trace,
+        t0,
+        &[
+            (SpanKind::Embed, embed_micros),
+            (SpanKind::Segment, segment_micros),
+        ],
+    );
     shared
         .cache
         .lock()
         .expect("cache mutex")
-        .insert(key, Arc::clone(&entry));
-    Ok((entry, report, embed_micros, segment_micros))
+        .insert(key, Arc::clone(&entry), summary);
+    Ok((entry, summary))
 }
 
 /// Disk-tier lookup: loads, re-verifies and promotes the artifact
-/// stored under the job's key. Returns the finished report on
-/// success; `None` is a miss (absent key, or a corrupt file that was
-/// counted, evicted and left for the caller to recompute). Never
-/// panics and never returns an unverified result: the envelope
-/// checksum guards the bytes, and [`verify_and_admit`] checks the
-/// stored report digest.
-fn disk_lookup(shared: &Shared, job: &QueuedJob) -> Option<(PipelineReport, usize)> {
+/// stored under the job's key. Returns the verified summary and the
+/// dropped-cube count on success; `None` is a miss (absent key, or a
+/// corrupt file that was counted, evicted and left for the caller to
+/// recompute). Never panics and never returns an unverified result:
+/// the envelope checksum guards the bytes, and [`verify_and_admit`]
+/// checks the stored report digest.
+fn disk_lookup(shared: &Shared, job: &QueuedJob) -> Option<(ReportSummary, usize)> {
     let disk = shared.disk.as_ref()?;
     let indexed = disk
         .index
@@ -680,14 +705,10 @@ fn disk_lookup(shared: &Shared, job: &QueuedJob) -> Option<(PipelineReport, usiz
             return None;
         }
     };
-    match verify_and_admit(shared, job.key, artifact, job.spec.trace.trace) {
-        Ok((entry, report, embed_micros, segment_micros)) => {
-            shared.bump(|s| {
-                s.disk.hits += 1;
-                s.embed.record(embed_micros);
-                s.segment.record(segment_micros);
-            });
-            Some((report, entry.dropped))
+    match verify_and_admit(shared, job.key, artifact, job.spec.trace) {
+        Ok((entry, summary)) => {
+            shared.bump(|s| s.disk.hits += 1);
+            Some((summary, entry.dropped))
         }
         Err(e) => {
             shared.evict_corrupt(disk, job.key, &e);
@@ -700,23 +721,14 @@ fn disk_lookup(shared: &Shared, job: &QueuedJob) -> Option<(PipelineReport, usiz
 /// coalesced wait on an identical in-flight job), then the persistent
 /// store, then a cold run of the full flow (the same synthesize →
 /// filter → encode path as the CLI `run` command) that populates both
-/// tiers.
+/// tiers. A memory hit answers from the slot's summary and runs no
+/// pipeline stage.
 fn execute(shared: &Shared, job: &QueuedJob) -> Result<JobReport, String> {
     let start = Instant::now();
     let trace = job.spec.trace;
-    let record_spans = |spans: &[(SpanKind, u64, u64)]| {
-        for &(kind, at, micros) in spans {
-            shared.record_span(trace.trace, trace.parent, kind, at, micros, String::new);
-        }
-    };
-    let (report, dropped, tier) = match lookup_or_claim(shared, job.key) {
-        Ok(entry) => {
-            let t0 = shared.clock.now_micros();
-            let (report, embed_micros, segment_micros) = finish_stages(entry.encoded()?)?;
-            shared.bump(|s| {
-                s.embed.record(embed_micros);
-                s.segment.record(segment_micros);
-            });
+    let t_lookup = shared.clock.now_micros();
+    let (summary, dropped, tier) = match lookup_or_claim(shared, job.key) {
+        Ok((entry, summary)) => {
             if trace.trace != 0 {
                 // telemetry only: the entry remembers the last trace
                 // that served it, so a later re-replication push can
@@ -727,22 +739,18 @@ fn execute(shared: &Shared, job: &QueuedJob) -> Result<JobReport, String> {
                 trace.trace,
                 trace.parent,
                 SpanKind::CacheMemory,
-                t0,
-                shared.clock.now_micros().saturating_sub(t0),
+                t_lookup,
+                shared.clock.now_micros().saturating_sub(t_lookup),
                 || format!("key={:016x} hit", job.key),
             );
-            record_spans(&[
-                (SpanKind::Embed, t0, embed_micros),
-                (SpanKind::Segment, t0 + embed_micros, segment_micros),
-            ]);
-            (report, entry.dropped, CacheTier::Memory)
+            (summary, entry.dropped, CacheTier::Memory)
         }
         // holding the guard: this worker is the (sole) computer for
         // the key, whether it comes off disk or runs cold
         Err(_pending_guard) => {
             let t_disk = shared.clock.now_micros();
             match disk_lookup(shared, job) {
-                Some((report, dropped)) => {
+                Some((summary, dropped)) => {
                     shared.record_span(
                         trace.trace,
                         trace.parent,
@@ -751,7 +759,7 @@ fn execute(shared: &Shared, job: &QueuedJob) -> Result<JobReport, String> {
                         shared.clock.now_micros().saturating_sub(t_disk),
                         || format!("key={:016x} hit", job.key),
                     );
-                    (report, dropped, CacheTier::Disk)
+                    (summary, dropped, CacheTier::Disk)
                 }
                 None => {
                     let engine = engine_from_spec(&job.spec, shared.job_threads)?;
@@ -772,38 +780,41 @@ fn execute(shared: &Shared, job: &QueuedJob) -> Result<JobReport, String> {
                         s.embed.record(embed_micros);
                         s.segment.record(segment_micros);
                     });
-                    let t1 = t0 + synthesis_micros;
-                    let t2 = t1 + encode_micros;
-                    record_spans(&[
-                        (SpanKind::Synthesis, t0, synthesis_micros),
-                        (SpanKind::Encode, t1, encode_micros),
-                        (SpanKind::Embed, t2, embed_micros),
-                        (SpanKind::Segment, t2 + embed_micros, segment_micros),
-                    ]);
+                    shared.record_phases(
+                        trace,
+                        t0,
+                        &[
+                            (SpanKind::Synthesis, synthesis_micros),
+                            (SpanKind::Encode, encode_micros),
+                            (SpanKind::Embed, embed_micros),
+                            (SpanKind::Segment, segment_micros),
+                        ],
+                    );
+                    let summary = ReportSummary::of(&report);
                     let dropped = dropped_idx.len();
                     let entry = Arc::new(CachedArtifacts {
                         ctx,
                         set: encodable,
                         dropped,
                         encoding,
-                        report_digest: report_digest(&report),
+                        report_digest: summary.digest,
                         trace: AtomicU64::new(trace.trace),
                     });
                     store_write_through(shared, job.key, &entry);
-                    shared
-                        .cache
-                        .lock()
-                        .expect("cache mutex")
-                        .insert(job.key, Arc::clone(&entry));
+                    shared.cache.lock().expect("cache mutex").insert(
+                        job.key,
+                        Arc::clone(&entry),
+                        summary,
+                    );
                     // write-behind: push warm copies to the key's replica
                     // set so losing this shard re-pays nothing
                     schedule_replication(shared, job.key, entry, trace.trace);
-                    (report, dropped, CacheTier::Cold)
+                    (summary, dropped, CacheTier::Cold)
                 }
             }
         }
     };
-    Ok(job_report(job, &report, dropped, tier, start.elapsed()))
+    Ok(job_report(job, &summary, dropped, tier, start.elapsed()))
 }
 
 /// Persists a cold run's artifacts. Failures are logged and absorbed —
@@ -970,13 +981,14 @@ fn apply_reconfigure(shared: &Shared, epoch: u64, peers: Vec<String>) -> Result<
 /// Accepts one `Replicate` push: decodes the artifact envelope,
 /// re-verifies that the artifacts reproduce the digest they claim
 /// (nothing off the wire is trusted), and lands the copy in the normal
-/// memory → disk tiers. Deliberately records no synthesis, no phase
-/// timings and no cache miss — ingestion is not service traffic.
+/// memory → disk tiers. Records the verifying embed/segment run like a
+/// disk load does, but no synthesis and no cache miss — ingestion is
+/// not service traffic.
 fn ingest_replica(shared: &Shared, key: u64, bytes: &[u8], trace: u64) -> Response {
     let t0 = shared.clock.now_micros();
     let admitted = Artifact::from_bytes(bytes, key, Some(shared.job_threads))
         .map_err(|e| e.to_string())
-        .and_then(|artifact| verify_and_admit(shared, key, artifact, trace));
+        .and_then(|artifact| verify_and_admit(shared, key, artifact, TraceContext::root(trace)));
     let entry = match admitted {
         Ok((entry, ..)) => entry,
         Err(e) => return Response::Error(format!("replica {key:016x}: {e}")),
@@ -1128,28 +1140,28 @@ fn prober_loop(shared: &Shared) {
     }
 }
 
-/// Projects a full [`PipelineReport`] onto the wire-sized
-/// [`JobReport`] of `job`.
+/// Projects a report summary onto the wire-sized [`JobReport`] of
+/// `job` — the one projection every tier answers through.
 fn job_report(
     job: &QueuedJob,
-    report: &PipelineReport,
+    summary: &ReportSummary,
     dropped: usize,
     tier: CacheTier,
     service: Duration,
 ) -> JobReport {
     JobReport {
-        lfsr_size: report.lfsr_size as u32,
-        window: report.window as u32,
-        segment: report.segment as u32,
-        speedup: report.speedup,
+        lfsr_size: summary.lfsr_size,
+        window: summary.window,
+        segment: summary.segment,
+        speedup: summary.speedup,
         cubes: job.set.len() as u64,
         dropped: dropped as u64,
-        seeds: report.seeds as u64,
-        tdv: report.tdv as u64,
-        tsl_original: report.tsl_original,
-        tsl_truncated: report.tsl_truncated,
-        tsl_proposed: report.tsl_proposed,
-        digest: report_digest(report),
+        seeds: summary.seeds,
+        tdv: summary.tdv,
+        tsl_original: summary.tsl_original,
+        tsl_truncated: summary.tsl_truncated,
+        tsl_proposed: summary.tsl_proposed,
+        digest: summary.digest,
         tier,
         service_micros: service.as_micros() as u64,
         // stamped by the connection handler at reply time; a worker
@@ -1953,6 +1965,25 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
 
+    /// Every result field of a report — what must not depend on the
+    /// tier that answered.
+    fn results(r: &JobReport) -> [u64; 12] {
+        [
+            r.lfsr_size.into(),
+            r.window.into(),
+            r.segment.into(),
+            r.speedup,
+            r.cubes,
+            r.dropped,
+            r.seeds,
+            r.tdv,
+            r.tsl_original,
+            r.tsl_truncated,
+            r.tsl_proposed,
+            r.digest,
+        ]
+    }
+
     /// With a store dir configured, the same two-execution sequence
     /// writes through on the cold run; a fresh `Shared` on the same
     /// directory (a simulated restart) serves the job from the disk
@@ -2003,6 +2034,17 @@ mod tests {
         assert_eq!((stats.embed.count, stats.segment.count), (1, 1));
         assert_eq!(stats.synthesis.count, 0, "no synthesis after restart");
         assert_eq!(stats.disk_corruptions, 0);
+
+        // the disk hit promoted the entry: the next run is a memory hit
+        // that answers every result field the verified run did, from
+        // the slot's summary, without running a stage
+        shared.try_enqueue(mini_spec(), false).unwrap();
+        let job = shared.queue.lock().unwrap().pop_front().unwrap();
+        let hot = execute(&shared, &job).unwrap();
+        assert_eq!(hot.tier, CacheTier::Memory);
+        assert_eq!(results(&hot), results(&warm));
+        let stats = shared.stats();
+        assert_eq!((stats.embed.count, stats.segment.count), (1, 1));
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2269,6 +2311,37 @@ mod tests {
             Response::Error(_)
         ));
         assert_eq!(shared.stats().replicas_received, 1);
+    }
+
+    /// The replica path end to end: an ingested artifact serves the
+    /// job as a memory hit equal to the producer's cold report, and
+    /// the hit adds no embed or segment run to the one verification
+    /// did.
+    #[test]
+    fn an_ingested_replica_answers_the_cold_report_without_computing() {
+        let producer = Shared::new(1, 4, 64 << 20, 1, None, 256, 1);
+        producer.try_enqueue(mini_spec(), false).unwrap();
+        let job = producer.queue.lock().unwrap().pop_front().unwrap();
+        let cold = execute(&producer, &job).unwrap();
+        let (key, entry) = producer.cache.lock().unwrap().entries().pop().unwrap();
+
+        let replica = Shared::new(1, 4, 64 << 20, 1, None, 256, 2);
+        let bytes = entry.to_artifact().to_bytes(key);
+        assert!(matches!(
+            ingest_replica(&replica, key, &bytes, 0),
+            Response::Ack { .. }
+        ));
+        let verified = replica.stats();
+        assert_eq!((verified.embed.count, verified.segment.count), (1, 1));
+
+        replica.try_enqueue(mini_spec(), true).unwrap();
+        let job = replica.queue.lock().unwrap().pop_front().unwrap();
+        let hit = execute(&replica, &job).unwrap();
+        assert_eq!(hit.tier, CacheTier::Memory);
+        assert_eq!(results(&hit), results(&cold));
+        let stats = replica.stats();
+        assert_eq!((stats.embed.count, stats.segment.count), (1, 1));
+        assert_eq!(stats.synthesis.count, 0);
     }
 
     /// `Ping` answers the membership view — and on an unsharded server

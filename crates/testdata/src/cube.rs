@@ -227,16 +227,42 @@ impl fmt::Debug for TestCube {
     }
 }
 
+impl TestCube {
+    /// Appends the cube's `01X` text to `out`, walking the care and
+    /// value planes a `u64` word at a time — the crate's one cube
+    /// formatter, behind both `Display` and
+    /// [`TestSet::to_text`](crate::TestSet::to_text).
+    pub(crate) fn write_text(&self, out: &mut Vec<u8>) {
+        /// Byte `j` of the result is bit `j` of `bits` (0 or 1).
+        fn spread(bits: u8) -> u64 {
+            let lanes = (u64::from(bits) * 0x0101_0101_0101_0101) & 0x8040_2010_0804_0201;
+            ((lanes + 0x7f7f_7f7f_7f7f_7f7f) >> 7) & 0x0101_0101_0101_0101
+        }
+        const ALL_X: u64 = u64::from_le_bytes([b'X'; 8]);
+        const CARE_STEP: u64 = (b'X' - b'0') as u64;
+
+        out.reserve(self.len());
+        let mut chunk = [0u8; 64];
+        let words = self.care.as_words().iter().zip(self.values.as_words());
+        for (w, (&care, &values)) in words.enumerate() {
+            // eight positions per lane: 'X' - care * ('X' - '0') +
+            // value, with no carry between bytes (values is zero
+            // outside care)
+            for (lane, bytes) in chunk.chunks_exact_mut(8).enumerate() {
+                let (c, v) = ((care >> (8 * lane)) as u8, (values >> (8 * lane)) as u8);
+                let text = ALL_X - spread(c) * CARE_STEP + spread(v);
+                bytes.copy_from_slice(&text.to_le_bytes());
+            }
+            out.extend_from_slice(&chunk[..(self.len() - w * 64).min(64)]);
+        }
+    }
+}
+
 impl fmt::Display for TestCube {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.len() {
-            match self.get(i) {
-                Some(true) => write!(f, "1")?,
-                Some(false) => write!(f, "0")?,
-                None => write!(f, "X")?,
-            }
-        }
-        Ok(())
+        let mut text = Vec::new();
+        self.write_text(&mut text);
+        f.write_str(std::str::from_utf8(&text).expect("cube text is ASCII"))
     }
 }
 

@@ -14,8 +14,68 @@ fn cube_string(len: usize) -> impl Strategy<Value = String> {
         .prop_map(|chars| chars.into_iter().collect())
 }
 
+/// The per-position cube formatter `to_text` used before it walked
+/// words — the oracle the word-wise writer must match byte for byte.
+fn per_position_text(set: &TestSet) -> String {
+    let mut out = format!(
+        "chains {} depth {}\n",
+        set.config().chains(),
+        set.config().depth()
+    );
+    for cube in set {
+        for i in 0..cube.len() {
+            out.push(match cube.get(i) {
+                Some(true) => '1',
+                Some(false) => '0',
+                None => 'X',
+            });
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Cube widths either side of each word boundary the writer crosses.
+const WORD_EDGE_WIDTHS: [usize; 6] = [1, 63, 64, 65, 128, 129];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `to_text` (and `Display`, which shares its writer) is
+    /// byte-identical to the per-position formatter at every width
+    /// around a word boundary, for random X/0/1 mixes — all-X and
+    /// fully specified cubes included — and for the empty set; and
+    /// the text still parses back to the same set.
+    #[test]
+    fn word_wise_text_matches_the_per_position_formatter(
+        rows in proptest::collection::vec(proptest::collection::vec(0u8..3, 129), 0..6),
+        modes in proptest::collection::vec(0u8..4, 6),
+    ) {
+        for width in WORD_EDGE_WIDTHS {
+            let mut set = TestSet::new(ScanConfig::new(1, width).unwrap());
+            prop_assert_eq!(set.to_text(), per_position_text(&set), "empty set");
+            for (row, mode) in rows.iter().zip(&modes) {
+                let text: String = row[..width]
+                    .iter()
+                    .map(|&draw| match (mode, draw) {
+                        (1, _) => 'X',
+                        (2, d) => if d == 0 { '0' } else { '1' },
+                        (3, 0) => '1',
+                        (3, _) => 'X',
+                        (_, 0) => '0',
+                        (_, 1) => '1',
+                        _ => 'X',
+                    })
+                    .collect();
+                let cube: TestCube = text.parse().unwrap();
+                prop_assert_eq!(cube.to_string(), text);
+                set.push(cube).unwrap();
+            }
+            let text = set.to_text();
+            prop_assert_eq!(&text, &per_position_text(&set));
+            prop_assert_eq!(TestSet::from_text(&text).unwrap(), set);
+        }
+    }
 
     /// Parse/display round-trip for arbitrary cubes.
     #[test]

@@ -219,17 +219,19 @@ impl TestSet {
     /// 01XX10...
     /// ```
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
+        let header = format!(
             "chains {} depth {}\n",
             self.config.chains(),
             self.config.depth()
-        ));
+        );
+        let line = self.config.cells() + 1;
+        let mut out = Vec::with_capacity(header.len() + self.cubes.len() * line);
+        out.extend_from_slice(header.as_bytes());
         for cube in &self.cubes {
-            out.push_str(&cube.to_string());
-            out.push('\n');
+            cube.write_text(&mut out);
+            out.push(b'\n');
         }
-        out
+        String::from_utf8(out).expect("cube text is ASCII")
     }
 
     /// Parses the text format produced by [`to_text`](TestSet::to_text).
