@@ -14,8 +14,9 @@
 //! Every run *asserts* the two searches return bit-identical
 //! encodings (seeds and placements) and that the cached single-thread
 //! search beats the reference (`speedup > 1`) on every workload large
-//! enough to time reliably — so a regression in either correctness or
-//! performance fails the bench loudly, which CI relies on. Each time
+//! enough to time reliably. CI's `test` job runs this bench (`cargo
+//! bench -p ss-bench --bench encode_scaling`) on every push and pull
+//! request, so a regression in either fails that step. Each time
 //! is the median of three samples, so one noisy sample cannot move a
 //! row; the times and ratios are recorded in `BENCH_encode.json` at
 //! the workspace root, next to `BENCH_packed.json`.
@@ -269,8 +270,7 @@ fn bench_encode_scaling(c: &mut Criterion) {
 
     // smoke contract: the cached search must never regress below the
     // reference on any workload large enough to time reliably
-    // (sub-millisecond encodes are timing noise) — CI runs this bench
-    // and a failed assert fails the workflow step
+    // (sub-millisecond encodes are timing noise)
     for row in rows.iter().filter(|r| r.reference_s > 1e-3) {
         assert!(
             row.speedup() > 1.0,

@@ -14,10 +14,12 @@
 //!   from the persistent tier (disk read + table rebuild + embed +
 //!   segment to verify the stored digest); repeats on the live server
 //!   hit the in-memory LRU, a lookup that answers from the slot's
-//!   report summary and runs no pipeline stage. The
-//!   bench *asserts* each warm tier is flagged, digests are equal to
-//!   the cold run, and warm-disk is strictly faster than cold on every
-//!   workload — so a regression in either cache tier fails CI loudly.
+//!   report summary and runs no pipeline stage. Each tier is timed on
+//!   the client's clock around its submission, which is what a client
+//!   waits for (a memory hit's whole-microsecond `service_micros` reads
+//!   0). The bench *asserts* each warm tier is flagged, digests are
+//!   equal to the cold run, and both warm tiers are strictly faster
+//!   than cold on every workload.
 //! * **throughput vs workers** — N concurrent clients each stream the
 //!   whole corpus through one server; wall-clock jobs/sec is recorded
 //!   per worker-pool width. Every job must come back `Done` with the
@@ -38,17 +40,18 @@
 //!   answer stays bit-identical and costs zero cold re-synthesis
 //!   (failover lands on warm replicas), with the healthy:degraded
 //!   wall-clock ratio recorded as the price of the death.
-//! * **trace overhead** — the warm-memory corpus is timed twice
-//!   against one server: once with per-job tracing (the default, every
-//!   job stamps a trace id and the server records spans into its ring)
-//!   and once with the client's tracing disabled (trace id 0, the
-//!   server's span path short-circuits before taking any lock). Both
-//!   passes run best-of-`TRACE_ROUNDS`; the bench *asserts* the traced
-//!   pass stays within 5% of the untraced one, pinning the
-//!   tracing-on-by-default overhead contract in CI.
+//! * **trace overhead** — the warm-memory corpus is timed against one
+//!   server with per-job tracing (the default, every job stamps a
+//!   trace id and the server records spans into its ring) and with
+//!   the client's tracing disabled (trace id 0, the server's span path
+//!   short-circuits before taking any lock), in `TRACE_ROUNDS`
+//!   interleaved pairs of passes; the bench *asserts* the traced
+//!   median stays within 5% of the untraced one.
 //!
-//! Results land in `BENCH_server.json` at the workspace root, next to
-//! `BENCH_packed.json` and `BENCH_encode.json`.
+//! CI's `test` job runs this bench (`cargo bench -p ss-bench --bench
+//! server_stress`) on every push and pull request, so a failed assert
+//! fails that step. Results land in `BENCH_server.json` at the
+//! workspace root, next to `BENCH_packed.json` and `BENCH_encode.json`.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -163,6 +166,13 @@ fn serve_with_store(dir: &std::path::Path) -> ServerHandle {
     .spawn()
 }
 
+/// `run_resilient` and the seconds the client waited for it.
+fn timed_run(client: &mut Client, addr: SocketAddr, spec: &JobSpec) -> (JobReport, f64) {
+    let start = Instant::now();
+    let (_, report) = run_resilient(client, addr, spec);
+    (report, start.elapsed().as_secs_f64())
+}
+
 /// Three-tier latency pass. Generation 1 runs every workload cold and
 /// writes the artifacts through to a fresh store directory. Each of
 /// `CACHED_REPEATS` further generations restarts the server on that
@@ -182,7 +192,7 @@ fn measure_latency() -> Vec<LatencyRow> {
     let mut digests = HashMap::new();
     for w in WorkloadRegistry::all() {
         let spec = spec_for(w, ss_bench::scale());
-        let (_, cold) = run_resilient(&mut client, handle.addr(), &spec);
+        let (cold, cold_s) = timed_run(&mut client, handle.addr(), &spec);
         assert_eq!(
             cold.tier,
             CacheTier::Cold,
@@ -193,7 +203,7 @@ fn measure_latency() -> Vec<LatencyRow> {
         rows.push(LatencyRow {
             name: w.name.to_string(),
             cubes: cold.cubes,
-            cold_s: cold.service_micros as f64 / 1e6,
+            cold_s,
             warm_disk_s: f64::MAX,
             warm_mem_s: f64::MAX,
         });
@@ -208,7 +218,7 @@ fn measure_latency() -> Vec<LatencyRow> {
         for row in &mut rows {
             let w = WorkloadRegistry::find(&row.name).expect("registry entry");
             let spec = spec_for(w, ss_bench::scale());
-            let (_, warm) = run_resilient(&mut client, handle.addr(), &spec);
+            let (warm, warm_s) = timed_run(&mut client, handle.addr(), &spec);
             assert_eq!(
                 warm.tier,
                 CacheTier::Disk,
@@ -220,7 +230,7 @@ fn measure_latency() -> Vec<LatencyRow> {
                 "{}: disk result diverged from cold",
                 row.name
             );
-            row.warm_disk_s = row.warm_disk_s.min(warm.service_micros as f64 / 1e6);
+            row.warm_disk_s = row.warm_disk_s.min(warm_s);
         }
         // last generation: repeats on the live server hit the LRU
         if round == CACHED_REPEATS - 1 {
@@ -228,7 +238,7 @@ fn measure_latency() -> Vec<LatencyRow> {
                 let w = WorkloadRegistry::find(&row.name).expect("registry entry");
                 let spec = spec_for(w, ss_bench::scale());
                 for _ in 0..CACHED_REPEATS {
-                    let (_, warm) = run_resilient(&mut client, handle.addr(), &spec);
+                    let (warm, warm_s) = timed_run(&mut client, handle.addr(), &spec);
                     assert_eq!(
                         warm.tier,
                         CacheTier::Memory,
@@ -240,7 +250,7 @@ fn measure_latency() -> Vec<LatencyRow> {
                         "{}: memory result diverged from cold",
                         row.name
                     );
-                    row.warm_mem_s = row.warm_mem_s.min(warm.service_micros as f64 / 1e6);
+                    row.warm_mem_s = row.warm_mem_s.min(warm_s);
                 }
             }
         }
@@ -330,14 +340,15 @@ fn measure_throughput(workers: usize) -> ThroughputRow {
     }
 }
 
-/// Best-of rounds for the trace-overhead pair; the minimum wall clock
-/// of each mode damps loopback noise so the 5% bound measures the
-/// span-recording cost, not scheduler jitter.
-const TRACE_ROUNDS: usize = 5;
+/// Interleaved pairs of trace-overhead passes. A pass of warm-memory
+/// hits takes tens of milliseconds, and on a shared host the spread of
+/// one mode's passes is wider than the 5% bound; the median of many
+/// passes, each untraced one next to a traced one, is not.
+const TRACE_ROUNDS: usize = 15;
 /// Corpus repeats per timed trace-overhead pass.
 const TRACE_REPEATS: usize = 3;
-/// The CI contract: traced warm-memory throughput must stay within
-/// this factor of untraced.
+/// The bench's contract: traced warm-memory throughput must stay
+/// within this factor of untraced.
 const TRACE_OVERHEAD_BOUND: f64 = 1.05;
 
 struct TraceOverheadRow {
@@ -366,8 +377,9 @@ impl TraceOverheadRow {
 /// Times the warm-memory corpus with tracing on (the default: every
 /// job carries a trace id, the server records spans) against the same
 /// corpus with the client's tracing off (trace id 0 on the wire, the
-/// server's span path no-ops). Alternating best-of-`TRACE_ROUNDS`
-/// passes on one live server, so both modes see identical cache state.
+/// server's span path no-ops). `TRACE_ROUNDS` interleaved pairs of
+/// passes on one live server, so both modes see identical cache state
+/// and the same drift of the host; each mode's time is its median.
 fn measure_trace_overhead() -> TraceOverheadRow {
     let handle = Server::bind(&ServeOptions {
         workers: 1,
@@ -418,11 +430,16 @@ fn measure_trace_overhead() -> TraceOverheadRow {
         start.elapsed().as_secs_f64()
     };
 
-    let (mut traced_wall_s, mut untraced_wall_s) = (f64::MAX, f64::MAX);
+    let (mut traced_walls, mut untraced_walls) = (Vec::new(), Vec::new());
     for _ in 0..TRACE_ROUNDS {
-        untraced_wall_s = untraced_wall_s.min(pass(&mut untraced, false));
-        traced_wall_s = traced_wall_s.min(pass(&mut traced, true));
+        untraced_walls.push(pass(&mut untraced, false));
+        traced_walls.push(pass(&mut traced, true));
     }
+    let median = |walls: &mut Vec<f64>| {
+        walls.sort_by(f64::total_cmp);
+        walls[walls.len() / 2]
+    };
+    let (traced_wall_s, untraced_wall_s) = (median(&mut traced_walls), median(&mut untraced_walls));
 
     let stats = handle.stats();
     assert!(
@@ -797,6 +814,7 @@ fn write_json(
     let trace_row = Json::object([
         ("jobs", trace.jobs.into()),
         ("rounds", TRACE_ROUNDS.into()),
+        ("statistic", "median".into()),
         ("traced_wall_s", Json::exp(trace.traced_wall_s, 6)),
         ("untraced_wall_s", Json::exp(trace.untraced_wall_s, 6)),
         ("traced_jobs_per_s", Json::fixed(traced, 1)),
@@ -942,7 +960,7 @@ fn bench_server_stress(_c: &mut Criterion) {
     println!("{table}");
     write_json(&latency, &throughput, &fleet, &failover, &trace);
 
-    // CI contract for tracing-on-by-default: stamping a trace id on
+    // contract for tracing-on-by-default: stamping a trace id on
     // every job and recording its spans may cost at most 5% of
     // warm-memory throughput — an untraced job's span path must stay
     // a no-op, and a traced one must stay cheap enough to leave on
@@ -955,7 +973,7 @@ fn bench_server_stress(_c: &mut Criterion) {
         trace.untraced_jobs_per_s()
     );
 
-    // CI contract for the fleet sweep. With each shard capped below
+    // contract for the fleet sweep. With each shard capped below
     // the working set, the widest fleet holds every key warm on its
     // owner (exactly-once cluster-wide: cold synthesis ran once per
     // key, total, across warm-up and 192 timed jobs) while the single
@@ -980,7 +998,7 @@ fn bench_server_stress(_c: &mut Criterion) {
         fleet[0].jobs_per_s()
     );
 
-    // CI contract: both warm tiers must beat the cold path on every
+    // contract: both warm tiers must beat the cold path on every
     // registry workload — a disk hit skips the dominant encode stage
     // (it re-pays only the file read, table rebuild and cheap stages)
     // and a memory hit skips synthesis too, so losing either race

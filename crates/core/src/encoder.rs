@@ -54,10 +54,14 @@
 //!   starts; a position drops out at its first conflict.
 //!   The [`ExprTable`] is cell-major, so one equation's rows for the
 //!   block are one contiguous run, and the block's per-position
-//!   eliminators (or masks) stay cache-resident. Each position still
-//!   folds the same equations in the same order, so viability, added
-//!   rank and the cached residue are exactly those of a
-//!   position-at-a-time probe.
+//!   states stay cache-resident. In the fixed-frame tier the fold is
+//!   bit-sliced: the block's projected rows are transposed into
+//!   bit-planes and one pass over the free columns folds the equation
+//!   into every position's echelon system at once; the last few live
+//!   positions finish on per-position eliminators. Viability and added
+//!   rank are invariants of each position's equations, so they are
+//!   exactly those of a position-at-a-time probe, and the cached
+//!   residue spans the same rows.
 //! * **Residue caching with a high-water mark.** Each viable
 //!   `(cube, position)` candidate caches its locally-eliminated
 //!   projected system. Later rounds do not re-eliminate it: committed
@@ -94,6 +98,10 @@ use ss_gf2::{words, AffineSpace, BitVec, IncrementalSolver, SolveOutcome};
 use ss_testdata::TestSet;
 
 use crate::expr_table::ExprTable;
+
+mod sliced;
+
+use sliced::SlicedElim;
 
 /// One intentional cube placement inside a seed's window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,6 +267,20 @@ impl CubeCache {
 /// one contiguous table run.
 const POSITION_BLOCK: usize = u64::BITS as usize;
 
+/// Live positions below which a first visit leaves the bit-sliced fold
+/// for per-position eliminators. The sliced fold costs about the same
+/// for any number of live positions, the per-position fold one
+/// position's worth each. Encoding s38417 at scale 0.25 and L = 200
+/// took a median 3.6-3.8 s with this at 12 to 25, 3.9 s at 8 and
+/// 4.1 s at 32 (six runs each on a host drifting by about 15%).
+const SLICED_TAIL_LANES: u32 = 16;
+
+/// Shortest block a first visit slices. A short block stays sliced for
+/// only a few equations before it drops to the tail, which does not
+/// repay moving its rows back out: on s38417 at L = 24 (one 24-position
+/// block) slicing was slower than folding position by position.
+const SLICED_MIN_BLOCK: usize = 32;
+
 /// Words of the largest truth-table mask (`2^TtEngine::MAX_DIM / 64`).
 const MAX_MASK_WORDS: usize = 16;
 
@@ -270,6 +292,8 @@ struct ProbeScratch {
     elims: Vec<FastElim>,
     /// Per-position solution masks of a block (truth-table tier).
     masks: Vec<[u64; MAX_MASK_WORDS]>,
+    /// Bit-sliced eliminators of a block (fixed-frame tier).
+    sliced: SlicedElim,
 }
 
 /// Equation-outer probe of the window positions
@@ -277,22 +301,26 @@ struct ProbeScratch {
 /// each equation into every still-live position before the next
 /// equation starts, reading its rows from the offset's contiguous
 /// position run, and drops a position at its first failed fold.
-/// `states[i]` is position `start + i`'s state. Returns the survivors
-/// as a mask, bit `i` for position `start + i`. Each position still
-/// folds the equations in their given order, so outcomes match a
+/// `states[i]` is position `start + i`'s state, and `live` holds the
+/// positions still to probe, bit `i` for position `start + i`. Returns
+/// the survivors in the same form. Each position still folds the
+/// equations in their given order, so outcomes match a
 /// position-at-a-time probe exactly.
 fn probe_block<S>(
     table: &ExprTable,
     start: usize,
     states: &mut [S],
     eqs: &[(u32, bool)],
+    mut live: u64,
     mut fold: impl FnMut(&mut S, &[u64], bool) -> bool,
 ) -> u64 {
     debug_assert!((1..=POSITION_BLOCK).contains(&states.len()));
     let stride = table.stride();
     let len = states.len();
-    let mut live = u64::MAX >> (POSITION_BLOCK - len);
     for &(off, bit) in eqs {
+        if live == 0 {
+            break;
+        }
         let rows = &table.position_run(off as usize)[start * stride..(start + len) * stride];
         let mut m = live;
         while m != 0 {
@@ -302,11 +330,13 @@ fn probe_block<S>(
                 live &= !(1u64 << i);
             }
         }
-        if live == 0 {
-            break;
-        }
     }
     live
+}
+
+/// Every position of a block of `len`, as a [`probe_block`] mask.
+fn all_lanes(len: usize) -> u64 {
+    u64::MAX >> (POSITION_BLOCK - len)
 }
 
 /// The window's position blocks as `(start, len)`.
@@ -400,6 +430,18 @@ impl FastElim {
         self.pivot_mask |= 1 << p;
     }
 
+    /// Inserts an echelon row whose pivot (lowest coordinate bit) lies
+    /// below every pivot held. No held row carries a bit that low, so
+    /// reducing the row keeps the Jordan invariant without touching
+    /// the held rows.
+    #[inline]
+    fn push_below(&mut self, packed: u64) {
+        let p = packed.trailing_zeros();
+        debug_assert!(p < 63 && self.pivot_mask & ((2u64 << p) - 1) == 0);
+        self.rows[p as usize] = self.reduce_packed(packed);
+        self.pivot_mask |= 1 << p;
+    }
+
     /// Folds a packed row in; returns `false` on a conflict (the row
     /// reduces to `0 = 1`), leaving the eliminator unchanged.
     #[inline]
@@ -456,7 +498,11 @@ const PARITY6: [u64; 64] = {
 /// bit 63 is `x0[i]` — and a row projects to the XOR of the images of
 /// its ones. A byte-sliced lookup table (the Method of Four Russians)
 /// holds the XOR of every subset of eight consecutive images, so one
-/// projection costs one lookup per row byte.
+/// projection costs one lookup per row byte. The table has eight
+/// byte tables per row word, the ones past the last variable all
+/// zero, so a word's eight lookups unroll with constant shifts: on
+/// s38417 (`n = 85`) that took a first visit's projection from about
+/// 19 to 14 ns per row, against a loop over the ragged last word.
 struct Frame {
     /// Packed image of each seed variable.
     img: Vec<u64>,
@@ -482,14 +528,15 @@ impl Frame {
         }
         scatter(space.x0_words(), 1u64 << 63);
         let mut frame = Frame {
-            lut: vec![[0u64; 256]; img.len().div_ceil(8)],
+            lut: vec![[0u64; 256]; img.len().div_ceil(64) * 8],
             img,
         };
         frame.rebuild();
         frame
     }
 
-    /// Recomputes the lookup table from the images (256 XORs per byte).
+    /// Recomputes the lookup table from the images (256 XORs per byte;
+    /// the tables past the last variable stay zero).
     fn rebuild(&mut self) {
         for (table, img) in self.lut.iter_mut().zip(self.img.chunks(8)) {
             for v in 1..256usize {
@@ -504,9 +551,9 @@ impl Frame {
     #[inline]
     fn project(&self, row: &[u64]) -> u64 {
         let mut acc = 0u64;
-        for (&w, tables) in row.iter().zip(self.lut.chunks(8)) {
-            for (k, table) in tables.iter().enumerate() {
-                acc ^= table[usize::from((w >> (8 * k)) as u8)];
+        for (&w, tables) in row.iter().zip(self.lut.chunks_exact(8)) {
+            for (b, table) in w.to_le_bytes().into_iter().zip(tables) {
+                acc ^= table[usize::from(b)];
             }
         }
         acc
@@ -946,6 +993,7 @@ impl<'a> Search<'a> {
                     start,
                     &mut none[..len],
                     &self.cube_eqs[ci],
+                    all_lanes(len),
                     |_, row, bit| words::dot(row, bits.as_words()) == bit,
                 );
                 survivors(start, live).next()
@@ -1128,6 +1176,7 @@ impl<'a> WindowEncoder<'a> {
                 start,
                 &mut masks[..len],
                 eqs,
+                all_lanes(len),
                 |mask, row, bit| engine.and_equation(&mut mask[..words], row, bit),
             );
             for position in survivors(start, live) {
@@ -1149,6 +1198,13 @@ impl<'a> WindowEncoder<'a> {
     /// block of positions — the surviving rows are exactly the rank the
     /// candidate would add, and equations inconsistent with the
     /// committed basis alone conflict on a single load.
+    ///
+    /// In a block of at least [`SLICED_MIN_BLOCK`] positions, while at
+    /// least [`SLICED_TAIL_LANES`] of them are live, an equation folds
+    /// into all of them at once through the bit-sliced echelon fold;
+    /// the positions left then carry their rows into per-position
+    /// eliminators and finish the cube's equations one position at a
+    /// time, as every position of a shorter block does.
     fn init_cube_fixed(
         &self,
         cache: &mut CubeCache,
@@ -1156,22 +1212,37 @@ impl<'a> WindowEncoder<'a> {
         engine: &FixedEngine,
         scratch: &mut ProbeScratch,
     ) {
-        let elims = &mut scratch.elims;
+        let ProbeScratch { elims, sliced, .. } = scratch;
         elims.resize(POSITION_BLOCK, FastElim::new());
+        sliced.set_frame(engine.dim, engine.g.pivot_mask);
+        let stride = self.table.stride();
+        // projected bit 63 is the x0 offset; the equation's rhs is
+        // that offset xor the cube bit
+        let project = |row: &[u64], bit: bool| engine.frame.project(row) ^ (u64::from(bit) << 63);
         for (start, len) in position_blocks(self.table.window()) {
-            for elim in &mut elims[..len] {
-                elim.clear();
+            sliced.clear();
+            let mut live = all_lanes(len);
+            let mut folded = 0;
+            for &(off, bit) in eqs {
+                if len < SLICED_MIN_BLOCK || live.count_ones() < SLICED_TAIL_LANES {
+                    break;
+                }
+                let rows = &self.table.position_run(off as usize)[start * stride..];
+                let lanes = sliced.lanes_mut();
+                for i in survivors(0, live) {
+                    lanes[i] = project(&rows[i * stride..(i + 1) * stride], bit);
+                }
+                live &= !sliced.fold(live);
+                folded += 1;
             }
-            // projected bit 63 is the x0 offset; the equation's rhs is
-            // that offset xor the cube bit
+            sliced.export(live, elims);
             let live = probe_block(
                 self.table,
                 start,
                 &mut elims[..len],
-                eqs,
-                |elim, row, bit| {
-                    elim.fold_packed(engine.frame.project(row) ^ (u64::from(bit) << 63))
-                },
+                &eqs[folded..],
+                live,
+                |elim, row, bit| elim.fold_packed(project(row, bit)),
             );
             for position in survivors(start, live) {
                 let mut entry = cache.take_entry();

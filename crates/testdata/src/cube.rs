@@ -269,8 +269,8 @@ impl fmt::Display for TestCube {
 /// Error parsing a [`TestCube`] from text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseCubeError {
-    position: usize,
-    found: char,
+    pub(crate) position: usize,
+    pub(crate) found: char,
 }
 
 impl fmt::Display for ParseCubeError {
@@ -288,20 +288,64 @@ impl Error for ParseCubeError {}
 impl FromStr for TestCube {
     type Err = ParseCubeError;
 
+    /// Parses a `0`/`1`/`x`/`X` string in one pass, 64 positions per
+    /// care and value word, mirroring the word-wise writer behind
+    /// `Display`: each eight-byte lane is classified with carry-free
+    /// byte arithmetic and its per-byte flags gathered into one byte.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut cube = TestCube::all_x(s.chars().count());
-        for (i, c) in s.chars().enumerate() {
-            match c {
-                '0' => cube.set(i, false),
-                '1' => cube.set(i, true),
-                'x' | 'X' => {}
-                other => {
-                    return Err(ParseCubeError {
-                        position: i,
-                        found: other,
-                    })
+        const LOW: u64 = 0x0101_0101_0101_0101;
+        const HIGH: u64 = 0x8080_8080_8080_8080;
+        /// High bit of each byte set iff that byte of `x` is zero.
+        fn zero_bytes(x: u64) -> u64 {
+            !(((x & !HIGH) + !HIGH) | x) & HIGH
+        }
+        /// Bit `j` of the result is bit `8j` of `lsbs`, which has no
+        /// other bits set.
+        fn gather(lsbs: u64) -> u64 {
+            lsbs.wrapping_mul(0x0102_0408_1020_4080) >> 56
+        }
+        /// Eight positions of text as (care, value) bits, or the mask
+        /// of their bytes that are not cube characters.
+        fn lane(text: u64) -> Result<(u64, u64), u64> {
+            // '0'/'1' differ from '0' in bit 0 only; 'x'/'X' differ
+            // from 'x' in the case bit only
+            let specified = zero_bytes((text ^ (LOW * u64::from(b'0'))) & !LOW);
+            let dont_care = zero_bytes((text | (LOW * 0x20)) ^ (LOW * u64::from(b'x')));
+            match !(specified | dont_care) & HIGH {
+                0 => Ok((gather(specified >> 7), gather((specified >> 7) & text))),
+                bad => Err(bad),
+            }
+        }
+
+        let bytes = s.as_bytes();
+        let mut cube = TestCube::all_x(bytes.len());
+        for (w, chunk) in bytes.chunks(64).enumerate() {
+            let (mut care, mut values) = (0u64, 0u64);
+            for (k, eight) in chunk.chunks(8).enumerate() {
+                let text = match <[u8; 8]>::try_from(eight) {
+                    Ok(full) => u64::from_le_bytes(full),
+                    Err(_) => {
+                        let mut padded = [b'X'; 8];
+                        padded[..eight.len()].copy_from_slice(eight);
+                        u64::from_le_bytes(padded)
+                    }
+                };
+                match lane(text) {
+                    Ok((c, v)) => {
+                        care |= c << (8 * k);
+                        values |= v << (8 * k);
+                    }
+                    Err(bad) => {
+                        // every earlier byte is an ASCII position, so
+                        // the byte index is the char index
+                        let position = w * 64 + k * 8 + bad.trailing_zeros() as usize / 8;
+                        let found = s[position..].chars().next().expect("a char starts here");
+                        return Err(ParseCubeError { position, found });
+                    }
                 }
             }
+            cube.care.set_word(w, care);
+            cube.values.set_word(w, values);
         }
         Ok(cube)
     }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use ss_gf2::BitVec;
 
-use crate::{weighted_transitions, ScanConfig, TestCube, TestSet};
+use crate::{weighted_transitions, ParseCubeError, ScanConfig, TestCube, TestSet};
 
 /// A random cube as a `01X` string.
 fn cube_string(len: usize) -> impl Strategy<Value = String> {
@@ -35,11 +35,53 @@ fn per_position_text(set: &TestSet) -> String {
     out
 }
 
+/// The per-position parser `TestCube::from_str` used before it read
+/// words — the oracle the word-wise parser must match, errors included.
+fn per_position_parse(s: &str) -> Result<TestCube, ParseCubeError> {
+    let mut cube = TestCube::all_x(s.chars().count());
+    for (i, c) in s.chars().enumerate() {
+        match c {
+            '0' => cube.set(i, false),
+            '1' => cube.set(i, true),
+            'x' | 'X' => {}
+            other => {
+                return Err(ParseCubeError {
+                    position: i,
+                    found: other,
+                })
+            }
+        }
+    }
+    Ok(cube)
+}
+
 /// Cube widths either side of each word boundary the writer crosses.
 const WORD_EDGE_WIDTHS: [usize; 6] = [1, 63, 64, 65, 128, 129];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The word-wise parser agrees with the per-position one on cube
+    /// text of every length either side of the first two word
+    /// boundaries: the same cube, or the same error at the same char
+    /// index, also past multi-byte chars. Most strings are valid
+    /// runs with at most a few bad chars dropped in.
+    #[test]
+    fn word_wise_parse_matches_the_per_position_parser(
+        len in 0usize..=130,
+        draws in proptest::collection::vec(0u8..4, 130),
+        bad_at in proptest::collection::vec(0usize..130, 0..3),
+        bad_char in proptest::collection::vec(0usize..6, 3),
+    ) {
+        let mut chars: Vec<char> = draws[..len].iter().map(|&d| ['0', '1', 'x', 'X'][usize::from(d)]).collect();
+        for (&at, &which) in bad_at.iter().zip(&bad_char) {
+            if at < chars.len() {
+                chars[at] = ['Z', '2', ' ', '\n', '\u{e9}', '\u{2713}'][which];
+            }
+        }
+        let text: String = chars.into_iter().collect();
+        prop_assert_eq!(text.parse::<TestCube>(), per_position_parse(&text), "{:?}", text);
+    }
 
     /// `to_text` (and `Display`, which shares its writer) is
     /// byte-identical to the per-position formatter at every width

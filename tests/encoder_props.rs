@@ -72,6 +72,46 @@ proptest! {
             }
         }
     }
+
+    /// The fixed-frame bands at windows that split into position
+    /// blocks of every kind. A first visit slices a block of at least
+    /// 32 positions until fewer than 16 are live, then finishes them
+    /// one at a time; a shorter block never slices. L = 24 is one
+    /// short block, L = 70 a sliced block and a short one, and L = 130
+    /// two sliced blocks and a short one. The cubes are s9234's, 20 to
+    /// 37 specified bits against a frame of 11 to 40 free dimensions,
+    /// so positions die at every point of a first visit and blocks
+    /// cross into the tail.
+    #[test]
+    fn sliced_first_visits_match_reference_exactly(
+        set_seed in any::<u64>(),
+        fill_seed in any::<u64>(),
+        window_idx in 0usize..3,
+        two_word_rows in any::<bool>(),
+        offset in 0usize..11,
+    ) {
+        let window = [24usize, 70, 130][window_idx];
+        let profile = CubeProfile { cube_count: 16, ..CubeProfile::s9234() };
+        let set = generate_test_set(&profile, set_seed);
+        let n = if two_word_rows {
+            set.smax() + 28 + offset
+        } else {
+            set.smax() + 11 + offset
+        };
+        let table = table_for(&set, n, window, 2);
+        let encoder = WindowEncoder::new(&set, &table).expect("one geometry");
+        match encoder.encode_reference(fill_seed) {
+            Err(err) => {
+                prop_assert_eq!(encoder.encode(fill_seed).unwrap_err(), err);
+            }
+            Ok(reference) => {
+                let cached = encoder
+                    .encode(fill_seed)
+                    .expect("reference encoded, cached must too");
+                prop_assert_eq!(&cached, &reference, "window={} n={}", window, n);
+            }
+        }
+    }
 }
 
 /// Every registry workload encodes bit-identically to the reference at
