@@ -32,8 +32,6 @@
 
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, Criterion};
-
 use ss_core::{Engine, HardwareCtx, Table, WindowEncoder};
 use ss_telemetry::json::Json;
 use ss_testdata::{TestSet, Workload, WorkloadRegistry};
@@ -222,7 +220,7 @@ fn write_json(rows: &[Row], window_rows: &[WindowRow]) {
     );
 }
 
-fn bench_encode_scaling(c: &mut Criterion) {
+fn main() {
     ss_bench::banner("encode scaling: residue-cached search vs reference");
 
     let rows: Vec<Row> = WorkloadRegistry::all().iter().map(measure).collect();
@@ -280,25 +278,4 @@ fn bench_encode_scaling(c: &mut Criterion) {
             row.reference_s * 1e3
         );
     }
-
-    // criterion samples of the cached search itself, for trending
-    let mini = WorkloadRegistry::find("mini-13").expect("registry entry");
-    let set = mini.test_set();
-    let engine = Engine::builder()
-        .window(WINDOW)
-        .segment(SEGMENT)
-        .speedup(SPEEDUP)
-        .build()
-        .unwrap();
-    let ctx = engine.synthesize(&set).unwrap();
-    let (set, _) = ctx.encodable_subset(&set);
-    let encoder = WindowEncoder::new(&set, ctx.table()).unwrap();
-    let mut group = c.benchmark_group("encode_scaling");
-    group.bench_function("cached_1t/mini-13", |b| {
-        b.iter(|| encoder.encode(1).unwrap())
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_encode_scaling);
-criterion_main!(benches);

@@ -15,14 +15,12 @@
 //!   ([`ss_core::EmbeddingMap::build`] vs
 //!   [`EmbeddingMap::build_scalar`](ss_core::EmbeddingMap::build_scalar)).
 //!
-//! Besides the criterion console output, the run records the measured
+//! Besides the console table, the run records the measured
 //! throughput ratios in `BENCH_packed.json` at the workspace root —
 //! the first entry of the repo's bench-baseline trajectory. CI uploads
 //! the file as an artifact.
 
 use std::time::{Duration, Instant};
-
-use criterion::{criterion_group, criterion_main, Criterion};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -148,7 +146,7 @@ fn write_json(rows: &[Row]) {
     );
 }
 
-fn bench_packed_vs_scalar(c: &mut Criterion) {
+fn main() {
     ss_bench::banner("packed vs scalar: 64-lane bit-parallel engine throughput");
 
     let mut rows = Vec::new();
@@ -168,25 +166,4 @@ fn bench_packed_vs_scalar(c: &mut Criterion) {
     }
     println!("{table}");
     write_json(&rows);
-
-    // criterion samples of the packed kernels themselves, for trending
-    let netlist = random_circuit(&CircuitSpec::mini(), ss_bench::WORKLOAD_SEED);
-    let faults = FaultList::collapsed(&netlist);
-    let fsim = FaultSimulator::new(&netlist);
-    let mut rng = SmallRng::seed_from_u64(ss_bench::WORKLOAD_SEED);
-    let list: Vec<Vec<bool>> = (0..1024)
-        .map(|_| (0..netlist.input_count()).map(|_| rng.gen()).collect())
-        .collect();
-    let packed = PackedPatterns::from_bools(netlist.input_count(), &list);
-    let mut group = c.benchmark_group("packed_vs_scalar");
-    group.bench_function("fsim_packed/mini_1024p", |b| {
-        b.iter(|| fsim.coverage_packed(&faults, &packed))
-    });
-    group.bench_function("pack_1024p/mini", |b| {
-        b.iter(|| PackedPatterns::from_bools(netlist.input_count(), &list))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_packed_vs_scalar);
-criterion_main!(benches);

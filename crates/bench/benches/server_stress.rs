@@ -59,8 +59,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
-
 use ss_core::{Engine, Table};
 use ss_server::{
     Balancer, CacheTier, Client, CodecCounters, JobReport, JobSpec, RetryPolicy, ServeOptions,
@@ -846,7 +844,7 @@ fn write_json(
     );
 }
 
-fn bench_server_stress(_c: &mut Criterion) {
+fn main() {
     ss_bench::banner("server stress: content-addressed cache + concurrent fan-out");
 
     let latency = measure_latency();
@@ -1020,6 +1018,3 @@ fn bench_server_stress(_c: &mut Criterion) {
         );
     }
 }
-
-criterion_group!(benches, bench_server_stress);
-criterion_main!(benches);

@@ -54,26 +54,22 @@
 //!   starts; a position drops out at its first conflict.
 //!   The [`ExprTable`] is cell-major, so one equation's rows for the
 //!   block are one contiguous run, and the block's per-position
-//!   states stay cache-resident. In the fixed-frame tier the fold is
-//!   bit-sliced: the block's projected rows are transposed into
-//!   bit-planes and one pass over the free columns folds the equation
-//!   into every position's echelon system at once; the last few live
-//!   positions finish on per-position eliminators. Viability and added
-//!   rank are invariants of each position's equations, so they are
-//!   exactly those of a position-at-a-time probe, and the cached
-//!   residue spans the same rows.
+//!   states stay cache-resident. The fold is bit-sliced: the block's
+//!   projected rows are transposed into bit-planes and one pass over
+//!   the free columns folds the equation into every position's
+//!   echelon system at once; the last few live positions finish on
+//!   per-position eliminators. Viability and added rank are invariants
+//!   of each position's equations, so they are exactly those of a
+//!   position-at-a-time probe, and the cached residue spans the same
+//!   rows.
 //! * **Residue caching with a high-water mark.** Each viable
 //!   `(cube, position)` candidate caches its locally-eliminated
 //!   projected system. Later rounds do not re-eliminate it: committed
 //!   rows accumulate in an append-only log, and a stale residue is
 //!   *resumed* by folding in only the log suffix past its high-water
 //!   mark — sound because the basis (and hence the log) only ever
-//!   grows, and conflicts are monotone. In the smallest spaces
-//!   (`f <= 10`) the residue degenerates to a bitmask of the `2^f`
-//!   candidate seeds that satisfy the system, probing one equation is
-//!   a word-AND against the satisfying-seed mask computed from the
-//!   row's projection, and resuming a residue is one intersection with
-//!   the global constraint mask.
+//!   grows, and conflicts are monotone. One frame serves the whole
+//!   seed once it fits a word, however small commits shrink it.
 //! * **Lazy, serial level probing.** Each round probes the remaining
 //!   cubes level by level, most specified bits first, and stops at
 //!   the shallowest level that has a solvable candidate — the
@@ -194,21 +190,18 @@ impl Error for EncodeError {}
 /// `(added rank, viable positions, position, cube)`.
 type Key = (usize, usize, usize, usize);
 
-/// The cached residue of one candidate `(cube, position)` system, in
-/// the representation of the seed's probing tier:
-///
-/// * truth-table tier — `rows` is the bitmask of candidate seeds that
-///   satisfy the system;
-/// * fixed-frame tier — `rows` is the Gauss-Jordan eliminated system
-///   *including* the committed-row log up to `watermark`, one packed
-///   `u64` per row (right-hand side in bit 63).
+/// The cached residue of one candidate `(cube, position)` system:
+/// `rows` is its Gauss-Jordan eliminated system *including* the
+/// committed-row log up to `watermark`, one packed `u64` per row
+/// (right-hand side in bit 63), so `rows.len()` is the rank the
+/// candidate would add.
 ///
 /// Rounds in a frame wider than 63 dimensions cache nothing here: they
 /// run the reference search's probe.
 #[derive(Debug, Default)]
 struct PosResidue {
     position: usize,
-    /// Committed-log rows already folded in (fixed-frame tier).
+    /// Committed-log rows already folded in.
     watermark: usize,
     rows: Vec<u64>,
 }
@@ -281,18 +274,13 @@ const SLICED_TAIL_LANES: u32 = 16;
 /// block) slicing was slower than folding position by position.
 const SLICED_MIN_BLOCK: usize = 32;
 
-/// Words of the largest truth-table mask (`2^TtEngine::MAX_DIM / 64`).
-const MAX_MASK_WORDS: usize = 16;
-
-/// Reusable probing buffers, one set per encode, so steady-state
+/// Reusable first-visit buffers, one set per encode, so steady-state
 /// probing allocates almost nothing.
 #[derive(Debug, Default)]
 struct ProbeScratch {
-    /// Per-position eliminators of a block (fixed-frame tier).
+    /// Per-position eliminators of a block.
     elims: Vec<FastElim>,
-    /// Per-position solution masks of a block (truth-table tier).
-    masks: Vec<[u64; MAX_MASK_WORDS]>,
-    /// Bit-sliced eliminators of a block (fixed-frame tier).
+    /// Bit-sliced eliminators of a block.
     sliced: SlicedElim,
 }
 
@@ -467,29 +455,6 @@ impl FastElim {
     }
 }
 
-/// Truth table of coordinate bit `y_j` (`j < 6`) over the 64 points of
-/// one mask word.
-const PAT: [u64; 6] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0xCCCC_CCCC_CCCC_CCCC,
-    0xF0F0_F0F0_F0F0_F0F0,
-    0xFF00_FF00_FF00_FF00,
-    0xFFFF_0000_FFFF_0000,
-    0xFFFF_FFFF_0000_0000,
-];
-
-/// `PARITY6[m]` bit `k` = parity of `m & k`: the truth table of the
-/// low six coordinates of a projected row over one mask word.
-const PARITY6: [u64; 64] = {
-    let mut t = [0u64; 64];
-    let mut m = 1;
-    while m < 64 {
-        t[m] = t[m & (m - 1)] ^ PAT[m.trailing_zeros() as usize];
-        m += 1;
-    }
-    t
-};
-
 /// One seed frame `x0 + span(N)` of dimension `<= 63`, ready to project
 /// expression-table rows on demand.
 ///
@@ -570,91 +535,8 @@ impl Frame {
     }
 }
 
-/// Truth-table probing engine for free spaces of dimension
-/// `<= MAX_DIM`: the space holds at most `2^10` candidate seeds, so a
-/// probed row's output over all of them is computed from its packed
-/// projection — the low six coordinates from [`PARITY6`], the rest as
-/// one parity per mask word. A candidate system's cached residue is
-/// simply the *mask of seeds that satisfy it*:
-///
-/// * probing one equation = one word-AND per mask word;
-/// * the committed basis is one global constraint mask `C` (each
-///   commit intersects it with the winner's cached mask);
-/// * resuming a cached residue after commits = `mask &= C` — the
-///   high-water-mark delta reduction collapses to an intersection,
-///   because masks live in one fixed per-seed frame;
-/// * added rank = `log2 |C| - log2 |mask|` (affine subspaces have
-///   power-of-two sizes), conflict = empty mask — exactly the
-///   invariants the reference search computes.
-struct TtEngine {
-    /// `log2` of the current constraint-mask population (the solver's
-    /// free-variable count).
-    f_log: usize,
-    frame: Frame,
-    /// Solution mask of everything committed since the frame was
-    /// taken (`2^dim / 64` words, at least 1).
-    c_mask: Vec<u64>,
-}
-
-impl TtEngine {
-    /// Largest free dimension the truth-table tier handles (16 words
-    /// per mask); larger spaces use the fixed-frame tier.
-    const MAX_DIM: usize = 10;
-
-    fn new(space: &AffineSpace) -> TtEngine {
-        let dim = space.dim();
-        debug_assert!(dim <= Self::MAX_DIM);
-        let mut c_mask = vec![!0u64; ((1usize << dim) / 64).max(1)];
-        if dim < 6 {
-            c_mask[0] = (1u64 << (1usize << dim)) - 1;
-        }
-        TtEngine {
-            f_log: dim,
-            frame: Frame::new(space),
-            c_mask,
-        }
-    }
-
-    /// Intersects `mask` with the seeds satisfying `row · x = bit`;
-    /// returns whether any survives. Seed `y` is bit `y % 64` of mask
-    /// word `y / 64`, and the row's output there is
-    /// `p63 ^ parity(p & y)` for its projection `p`.
-    #[inline]
-    fn and_equation(&self, mask: &mut [u64], row: &[u64], bit: bool) -> bool {
-        let p = self.frame.project(row);
-        let low = PARITY6[(p & 63) as usize];
-        let high = (p & FastElim::ROW_MASK) >> 6;
-        let flip = (p >> 63) ^ u64::from(!bit);
-        let mut any = 0u64;
-        for (wi, m) in mask.iter_mut().enumerate() {
-            let invert = (u64::from((high & wi as u64).count_ones()) ^ flip) & 1;
-            *m &= low ^ 0u64.wrapping_sub(invert);
-            any |= *m;
-        }
-        any != 0
-    }
-
-    /// Intersects the constraint mask with the committed winner's
-    /// solution mask; `free_vars` is the solver's post-commit
-    /// free-variable count (= `log2` of the new population).
-    fn commit_update(&mut self, winner: &[u64], free_vars: usize) {
-        for (c, &w) in self.c_mask.iter_mut().zip(winner) {
-            *c &= w;
-        }
-        self.f_log = free_vars;
-        debug_assert_eq!(
-            self.c_mask
-                .iter()
-                .map(|w| w.count_ones() as usize)
-                .sum::<usize>(),
-            1usize << free_vars,
-            "constraint mask population must match solver free vars"
-        );
-    }
-}
-
-/// Fixed-frame probing engine for free spaces of dimension
-/// `11..=63`: the frame is taken once per seed and rows are projected
+/// Fixed-frame probing engine for free spaces of dimension `<= 63`:
+/// the frame is taken once per seed and rows are projected
 /// on demand as `projection | rhs << 63`. The frame's images are kept
 /// **pre-reduced modulo the committed rows** — each commit reduces the
 /// `n` images and rebuilds the lookup table — so a probed equation
@@ -740,25 +622,6 @@ impl FixedEngine {
     }
 }
 
-/// The per-seed probing engine, picked (and later upgraded) by the
-/// free dimension of the solution space.
-#[allow(clippy::large_enum_variant)] // one prober exists per seed
-enum Prober {
-    Tt(TtEngine),
-    Fixed(FixedEngine),
-}
-
-impl Prober {
-    /// The cheapest tier that handles `space`'s dimension (`<= 63`).
-    fn for_space(space: &AffineSpace) -> Prober {
-        if space.dim() <= TtEngine::MAX_DIM {
-            Prober::Tt(TtEngine::new(space))
-        } else {
-            Prober::Fixed(FixedEngine::new(space))
-        }
-    }
-}
-
 /// Per-encode state of the incremental search: each cube's equations
 /// and specified-bit count, the greedy order, what is left to encode,
 /// and the per-cube residue caches with the one probing scratch.
@@ -780,14 +643,14 @@ struct Search<'a> {
 }
 
 /// Per-seed state of the incremental search: the basis being built,
-/// its probing tier and the placements so far.
+/// its probing frame and the placements so far.
 struct SeedSearch {
     solver: IncrementalSolver,
     /// `None` while the frame is wider than one word (`f > 63`, an LFSR
     /// far larger than its cubes): those rounds run the reference
     /// search's own probe over `viable`, exact by construction, until
-    /// commits shrink the frame into the word-sized tiers.
-    prober: Option<Prober>,
+    /// commits shrink the frame to a word.
+    prober: Option<FixedEngine>,
     /// The reference search's still-viable positions per cube, for the
     /// oversized rounds.
     viable: HashMap<usize, Vec<usize>>,
@@ -796,38 +659,29 @@ struct SeedSearch {
 
 impl SeedSearch {
     /// Commits `pick` — whose cached residue is `winner`, empty in an
-    /// oversized frame — and brings the probing tier up to date.
-    /// Returns whether a new frame was taken, which restarts every
-    /// cached residue: viability is an invariant of the basis, so the
-    /// re-probe reproduces the same sets.
-    fn commit(&mut self, enc: &WindowEncoder<'_>, pick: Placement, winner: &[u64]) -> bool {
+    /// oversized frame — and brings the probing frame up to date. The
+    /// commit that shrinks an oversized frame to a word takes the
+    /// seed's frame; no cube has a cached residue to restart then,
+    /// because the oversized rounds probe through `viable` alone.
+    fn commit(&mut self, enc: &WindowEncoder<'_>, pick: Placement, winner: &[u64]) {
         let committed = enc.commit(&mut self.solver, pick.cube, pick.position);
         debug_assert!(committed, "selected system must still be solvable");
         let free = self.solver.free_vars();
         if free == 0 {
-            return false;
+            return;
         }
-        let retier = match &mut self.prober {
-            None => {
-                self.viable.remove(&pick.cube);
-                free <= FixedEngine::MAX_DIM
-            }
-            // delta reduction in the fixed frame: cached masks simply
-            // intersect the new constraint
-            Some(Prober::Tt(engine)) => {
-                engine.commit_update(winner, free);
-                false
-            }
-            Some(Prober::Fixed(engine)) => {
+        match &mut self.prober {
+            Some(engine) => {
                 engine.commit_update(winner);
                 debug_assert_eq!(engine.g.rank(), engine.dim - free);
-                free <= TtEngine::MAX_DIM
             }
-        };
-        if retier {
-            self.prober = Some(Prober::for_space(&self.solver.affine_space()));
+            None => {
+                self.viable.remove(&pick.cube);
+                if free <= FixedEngine::MAX_DIM {
+                    self.prober = Some(FixedEngine::new(&self.solver.affine_space()));
+                }
+            }
         }
-        retier
     }
 }
 
@@ -889,7 +743,7 @@ impl<'a> Search<'a> {
         }
         let mut seed = SeedSearch {
             prober: (solver.free_vars() <= FixedEngine::MAX_DIM)
-                .then(|| Prober::for_space(&solver.affine_space())),
+                .then(|| FixedEngine::new(&solver.affine_space())),
             solver,
             viable: HashMap::new(),
             placements: Vec::new(),
@@ -915,7 +769,7 @@ impl<'a> Search<'a> {
                     &self.order,
                     &mut seed.solver,
                 ),
-                Some(prober) => self.select_cached(prober),
+                Some(engine) => self.select_cached(engine),
             };
             let Some(pick) = pick else {
                 return;
@@ -926,16 +780,9 @@ impl<'a> Search<'a> {
                 None => &[][..],
                 Some(_) => self.caches[pick.cube].residue(pick.position),
             };
-            let retier = seed.commit(self.enc, pick, winner);
+            seed.commit(self.enc, pick, winner);
             self.place(seed, pick);
             self.caches[pick.cube].reset();
-            if retier {
-                for cache in &mut self.caches {
-                    if cache.init {
-                        cache.reset();
-                    }
-                }
-            }
         }
     }
 
@@ -944,7 +791,7 @@ impl<'a> Search<'a> {
     /// first, and hand back the best candidate of the shallowest level
     /// that has one — the reference search's early exit, so deeper
     /// cubes are first visited only in the round that needs them.
-    fn select_cached(&mut self, prober: &Prober) -> Option<Placement> {
+    fn select_cached(&mut self, engine: &FixedEngine) -> Option<Placement> {
         let Search {
             enc,
             cube_eqs,
@@ -962,7 +809,7 @@ impl<'a> Search<'a> {
                 break;
             }
             level = specified[ci];
-            let key = enc.probe_cube(ci, &mut caches[ci], &cube_eqs[ci], prober, scratch);
+            let key = enc.probe_cube(ci, &mut caches[ci], &cube_eqs[ci], engine, scratch);
             if let Some(key) = key {
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
@@ -1090,112 +937,38 @@ impl<'a> WindowEncoder<'a> {
     }
 
     /// Initialises one cube's residue caches on first visit, resumes
-    /// stale residues on revisits (high-water mark / constraint
-    /// intersection), and returns the cube's candidate key.
+    /// stale residues on revisits (high-water mark), and returns the
+    /// cube's candidate key.
     fn probe_cube(
         &self,
         ci: usize,
         cache: &mut CubeCache,
         eqs: &[(u32, bool)],
-        prober: &Prober,
+        engine: &FixedEngine,
         scratch: &mut ProbeScratch,
     ) -> Option<Key> {
-        match prober {
-            Prober::Tt(engine) => {
-                if !cache.init {
-                    cache.init = true;
-                    self.init_cube_tt(cache, eqs, engine, scratch);
-                } else {
-                    // delta reduction: intersect every cached mask
-                    // with the constraint accumulated since the last
-                    // visit, pruning emptied (conflicted) positions
-                    cache.prune(|entry| {
-                        let mut any = 0u64;
-                        for (m, &c) in entry.rows.iter_mut().zip(&engine.c_mask) {
-                            *m &= c;
-                            any |= *m;
-                        }
-                        any != 0
-                    });
-                }
-                let count = cache.entries.len();
-                let mut best: Option<(usize, usize)> = None; // (rank, pos)
-                for entry in &cache.entries {
-                    let pop: usize = entry.rows.iter().map(|w| w.count_ones() as usize).sum();
-                    debug_assert!(pop.is_power_of_two(), "affine subspaces have 2^k points");
-                    let rank = engine.f_log - pop.trailing_zeros() as usize;
-                    let key = (rank, entry.position);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                }
-                best.map(|(rank, pos)| (rank, count, pos, ci))
-            }
-            Prober::Fixed(engine) => {
-                if !cache.init {
-                    cache.init = true;
-                    self.init_cube_fixed(cache, eqs, engine, scratch);
-                } else {
-                    // high-water-mark resumption against the committed
-                    // row log
-                    cache.prune(|entry| engine.refresh_entry(entry));
-                }
-                let count = cache.entries.len();
-                let mut best: Option<(usize, usize)> = None; // (rank, pos)
-                for entry in &cache.entries {
-                    let key = (entry.rows.len(), entry.position);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                }
-                best.map(|(rank, pos)| (rank, count, pos, ci))
+        if !cache.init {
+            cache.init = true;
+            self.init_cube(cache, eqs, engine, scratch);
+        } else {
+            // high-water-mark resumption against the committed row log
+            cache.prune(|entry| engine.refresh_entry(entry));
+        }
+        let count = cache.entries.len();
+        let mut best: Option<(usize, usize)> = None; // (rank, pos)
+        for entry in &cache.entries {
+            let key = (entry.rows.len(), entry.position);
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
             }
         }
+        best.map(|(rank, pos)| (rank, count, pos, ci))
     }
 
-    /// First-visit probe of every window position, truth-table tier:
-    /// start each position from the current constraint mask and AND in
-    /// each equation's satisfying-seed mask, equation-outer over a
-    /// block of positions; surviving masks are the cached residues.
-    fn init_cube_tt(
-        &self,
-        cache: &mut CubeCache,
-        eqs: &[(u32, bool)],
-        engine: &TtEngine,
-        scratch: &mut ProbeScratch,
-    ) {
-        let words = engine.c_mask.len();
-        let masks = &mut scratch.masks;
-        masks.resize(POSITION_BLOCK, [0; MAX_MASK_WORDS]);
-        for (start, len) in position_blocks(self.table.window()) {
-            for mask in &mut masks[..len] {
-                mask[..words].copy_from_slice(&engine.c_mask);
-            }
-            let live = probe_block(
-                self.table,
-                start,
-                &mut masks[..len],
-                eqs,
-                all_lanes(len),
-                |mask, row, bit| engine.and_equation(&mut mask[..words], row, bit),
-            );
-            for position in survivors(start, live) {
-                let mut entry = cache.take_entry();
-                entry.position = position;
-                entry.watermark = 0;
-                entry.rows.clear();
-                entry
-                    .rows
-                    .extend_from_slice(&masks[position - start][..words]);
-                cache.entries.push(entry);
-            }
-        }
-    }
-
-    /// First-visit probe of every window position, fixed-frame tier:
-    /// fold each equation's packed, committed-row-reduced projection
-    /// into each position's local elimination, equation-outer over a
-    /// block of positions — the surviving rows are exactly the rank the
+    /// First-visit probe of every window position: fold each
+    /// equation's packed, committed-row-reduced projection into each
+    /// position's local elimination, equation-outer over a block of
+    /// positions — the surviving rows are exactly the rank the
     /// candidate would add, and equations inconsistent with the
     /// committed basis alone conflict on a single load.
     ///
@@ -1205,7 +978,7 @@ impl<'a> WindowEncoder<'a> {
     /// the positions left then carry their rows into per-position
     /// eliminators and finish the cube's equations one position at a
     /// time, as every position of a shorter block does.
-    fn init_cube_fixed(
+    fn init_cube(
         &self,
         cache: &mut CubeCache,
         eqs: &[(u32, bool)],
@@ -1543,33 +1316,19 @@ mod tests {
     }
 
     #[test]
-    fn fixed_frame_tier_matches_the_reference() {
-        // an LFSR in the 11..=63 free-dimension band after the first
-        // commit exercises the fixed-frame tier (and its mid-seed
-        // hand-off to the truth-table tier as the space shrinks)
-        let profile = CubeProfile::mini();
-        let set = generate_test_set(&profile, 5);
-        for n in [30usize, 48] {
-            let table = build_table(n, set.config(), 8, 2);
-            let enc = WindowEncoder::new(&set, &table).unwrap();
-            let reference = enc.encode_reference(3).unwrap();
-            assert_eq!(enc.encode(3).unwrap(), reference, "n={n}");
-        }
-    }
-
-    #[test]
     fn first_visits_agree_with_the_reference_probe_at_every_position() {
         // L = 70 spans a full block of positions and a partial one;
-        // n = 16 and n = 30 open the seed in the truth-table and the
-        // fixed-frame tier
+        // n = 16 and n = 30 open the seed in a frame of f < 6 and one
+        // of f > 10
         let profile = CubeProfile::mini();
         let set = generate_test_set(&profile, 5);
-        for n in [16usize, 30] {
+        for (n, dims) in [(16usize, 1..6), (30, 11..64)] {
             let table = build_table(n, set.config(), 70, 2);
             let enc = WindowEncoder::new(&set, &table).unwrap();
             let mut search = Search::new(&enc);
             let SeedSearch { solver, prober, .. } = &mut search.first_cube().unwrap();
             let prober = prober.as_ref().expect("a word-sized frame");
+            assert!(dims.contains(&prober.dim), "n={n}: f = {}", prober.dim);
             let mut viable = 0;
             for ci in (0..set.len()).filter(|&ci| search.remaining[ci]) {
                 let mut cache = CubeCache::default();
@@ -1578,13 +1337,7 @@ mod tests {
                 let mut got: Vec<(usize, usize)> = cache
                     .entries
                     .iter()
-                    .map(|e| match prober {
-                        Prober::Tt(engine) => {
-                            let pop: u32 = e.rows.iter().map(|w| w.count_ones()).sum();
-                            (e.position, engine.f_log - pop.trailing_zeros() as usize)
-                        }
-                        Prober::Fixed(_) => (e.position, e.rows.len()),
-                    })
+                    .map(|e| (e.position, e.rows.len()))
                     .collect();
                 got.sort_unstable();
                 let want: Vec<(usize, usize)> = (0..70)
@@ -1612,17 +1365,20 @@ mod tests {
     }
 
     #[test]
-    fn truth_table_tier_matches_the_reference() {
+    fn fixed_frame_tier_matches_the_reference() {
         // (LFSR size, window, which seed frames the config must reach):
-        // a first commit leaving f < 6 (one partial mask word), one
-        // leaving 6 <= f <= 10 (multi-word masks), and a fixed-frame
-        // start that hands over to the truth-table tier mid-seed
+        // first commits leaving f < 6, 6 <= f <= 10 and 11 <= f <= 63,
+        // and a frame that commits shrink through f <= 10 — one frame
+        // carries every seed from its first commit to full rank
         type Reached = fn(&[usize]) -> bool;
-        let cases: [(usize, usize, &str, Reached); 3] = [
+        let cases: [(usize, usize, &str, Reached); 4] = [
             (16, 12, "f < 6", |f| (1..6).contains(&f[0])),
             (22, 12, "6 <= f <= 10", |f| (6..=10).contains(&f[0])),
-            (30, 8, "fixed -> truth-table hand-off", |f| {
-                f[0] > TtEngine::MAX_DIM && f.iter().any(|&x| (1..=TtEngine::MAX_DIM).contains(&x))
+            (30, 8, "a frame shrinking through f <= 10", |f| {
+                f[0] > 10 && f.iter().any(|&x| (1..=10).contains(&x))
+            }),
+            (48, 8, "11 <= f <= 63", |f| {
+                (11..=FixedEngine::MAX_DIM).contains(&f[0])
             }),
         ];
         let profile = CubeProfile::mini();
@@ -1682,7 +1438,7 @@ mod tests {
                 }
                 assert_eq!(frame.project(w), naive, "n={n}");
 
-                // the word-sized tiers' invariant: with the rhs xored
+                // the word-sized frame's invariant: with the rhs xored
                 // into bit 63, zero coordinates mean the basis implies
                 // the row (a conflict iff bit 63 is set)
                 let rhs: bool = rng.gen();
@@ -1736,7 +1492,7 @@ mod tests {
     fn general_width_path_matches_the_reference_beyond_63_free_dims() {
         // a deliberately oversized LFSR leaves > 63 free dimensions
         // after the first commit: those rounds run the reference
-        // probe until the seed hands over to the word-sized tiers
+        // probe until the seed hands over to a word-sized frame
         let profile = CubeProfile::mini();
         let set = generate_test_set(&profile, 5);
         let table = build_table(90, set.config(), 6, 2);
@@ -1747,7 +1503,7 @@ mod tests {
                 let f = free_after_commits(&enc, &s.placements);
                 f[0] > FixedEngine::MAX_DIM && f.iter().any(|&x| x <= FixedEngine::MAX_DIM)
             }),
-            "no seed hands over from f > 63 to the word-sized tiers"
+            "no seed hands over from f > 63 to a word-sized frame"
         );
         assert_eq!(enc.encode(3).unwrap(), reference);
     }

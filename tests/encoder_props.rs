@@ -7,9 +7,9 @@
 //! The cached search replaces the reference's probing engine but not
 //! its greedy decisions; since probe outcomes (conflict / added rank)
 //! are invariants of the equation sets, any divergence here is a bug
-//! in the residue cache, the free-space projection, the fixed-frame
-//! tier or the truth-table tier — exactly the machinery this suite
-//! exists to guard.
+//! in the residue cache, the free-space projection or the fixed-frame
+//! tier's first visits and commits, at any frame size — exactly the
+//! machinery this suite exists to guard.
 
 use proptest::prelude::*;
 
@@ -45,7 +45,7 @@ proptest! {
         let profile = CubeProfile::mini();
         let set = generate_test_set(&profile, set_seed);
         // bands by the free dimension f the seed's first cube leaves:
-        // truth-table (f <= 10), fixed-frame (11..=63) with one-word
+        // small frames (f <= 10), fixed-frame (11..=63) with one-word
         // rows, fixed-frame with two-word rows (n > 64, f <= 63) and
         // oversized (f > 63, which runs the reference probe until
         // f <= 63; the mini profile's smax is at most 12)
