@@ -261,9 +261,27 @@ impl Codec {
     ///
     /// # Errors
     ///
-    /// [`CodecError::Oversize`] when the message body exceeds
-    /// [`MAX_MESSAGE_BYTES`].
+    /// [`CodecError::Oversize`] when the message, or the body it
+    /// compresses to, exceeds [`MAX_MESSAGE_BYTES`]; the message is
+    /// checked before any compression work.
     pub fn encode_frames(&self, message: &[u8]) -> Result<Vec<Vec<u8>>, CodecError> {
+        self.encode_frames_within(message, MAX_MESSAGE_BYTES)
+    }
+
+    /// [`encode_frames`](Codec::encode_frames) under a message cap of
+    /// `cap` bytes. The receiver decompresses under the same cap, so a
+    /// message past it is refused here whether or not it would
+    /// compress under it.
+    fn encode_frames_within(&self, message: &[u8], cap: u64) -> Result<Vec<Vec<u8>>, CodecError> {
+        let check = |bytes: usize| {
+            let bytes = bytes as u64;
+            if bytes > cap {
+                Err(CodecError::Oversize { bytes, cap })
+            } else {
+                Ok(())
+            }
+        };
+        check(message.len())?;
         let compressed;
         let body = if self.config.compress {
             compressed = compress(message);
@@ -271,12 +289,7 @@ impl Codec {
         } else {
             message
         };
-        if body.len() as u64 > MAX_MESSAGE_BYTES {
-            return Err(CodecError::Oversize {
-                bytes: body.len() as u64,
-                cap: MAX_MESSAGE_BYTES,
-            });
-        }
+        check(body.len())?;
         let mut bodies: Vec<&[u8]> = body
             .chunks(self.config.chunk_bytes.max(1) as usize)
             .collect();
@@ -725,6 +738,39 @@ mod tests {
                 other => panic!("cut at {cut} surfaced as {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn the_sender_checks_the_message_before_compressing_it() {
+        let cap = 1000;
+        // compresses ~40x, so only the raw length can break the cap
+        let message = vec![b'X'; cap as usize + 1];
+        for compress in [false, true] {
+            let c = codec(compress, MIN_CHUNK_BYTES);
+            assert!(matches!(
+                c.encode_frames_within(&message, cap),
+                Err(CodecError::Oversize {
+                    bytes: 1001,
+                    cap: 1000
+                })
+            ));
+            assert!(c.encode_frames_within(&message[1..], cap).is_ok());
+        }
+        // a message at the cap whose compressed body outgrows it
+        let mut state = 7u64;
+        let noise: Vec<u8> = (0..cap)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 56) as u8
+            })
+            .collect();
+        assert!(codec(false, MIN_CHUNK_BYTES)
+            .encode_frames_within(&noise, cap)
+            .is_ok());
+        assert!(matches!(
+            codec(true, MIN_CHUNK_BYTES).encode_frames_within(&noise, cap),
+            Err(CodecError::Oversize { cap: 1000, .. })
+        ));
     }
 
     #[test]
