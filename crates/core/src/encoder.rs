@@ -40,36 +40,39 @@
 //!   frame row is one `u64`, so `f <= 63`: a wider frame (an LFSR far
 //!   larger than its cubes) runs the reference search's own probe,
 //!   exact by construction, until commits shrink it into range.
-//! * **On-demand projection through a byte-sliced frame.** Projection
-//!   into the frame is linear in the table row, so each seed frame
-//!   tabulates the packed images of the `n` seed variables and a
-//!   lookup table of every XOR of eight consecutive images (the Method
-//!   of Four Russians). Projecting a probed row costs one lookup per
-//!   row byte, so probing costs time in proportion to the rows it
-//!   reads — nothing of size `L x cells` is built per seed.
-//! * **Equation-outer first visits.** A cube's first visit in a seed
-//!   probes all `L` positions. It takes the cube's equations in
-//!   ascending table offset and folds each one into every still-live
-//!   position of a block of 64 positions before the next equation
-//!   starts; a position drops out at its first conflict.
-//!   The [`ExprTable`] is cell-major, so one equation's rows for the
-//!   block are one contiguous run, and the block's per-position
-//!   states stay cache-resident. The fold is bit-sliced: the block's
-//!   projected rows are transposed into bit-planes and one pass over
-//!   the free columns folds the equation into every position's
-//!   echelon system at once; the last few live positions finish on
-//!   per-position eliminators. Viability and added rank are invariants
-//!   of each position's equations, so they are exactly those of a
-//!   position-at-a-time probe, and the cached residue spans the same
-//!   rows.
+//! * **Projection through a byte-sliced frame, once per table run.**
+//!   Projection into the frame is linear in the table row, so each
+//!   seed frame tabulates the packed images of the `n` seed variables
+//!   and a lookup table of every XOR of eight consecutive images (the
+//!   Method of Four Russians): projecting a row costs one lookup per
+//!   row byte. A first visit reads table runs — one cell offset's rows
+//!   for a block of 64 window positions — and the frame projects a run
+//!   the first time any cube reads it, transposes it into bit-planes
+//!   and keeps them until a commit changes the frame. Only the runs
+//!   that first visits read are projected, and each at most once per
+//!   frame state.
+//! * **Equation-outer, bit-sliced first visits.** A cube's first visit
+//!   in a seed probes all `L` positions. It takes the cube's equations
+//!   most-shared cell first (the runs other cubes read too) and folds
+//!   each one into every still-live position of a block of 64
+//!   positions before the next equation starts; a position drops out
+//!   at its first conflict. The fold is bit-sliced: one pass over the
+//!   run's planes folds the equation into every position's echelon
+//!   system at once, and a block ends at the cube's last equation or
+//!   when no position is live. Only the survivors' systems are turned
+//!   back into packed rows. Viability and added rank are invariants of
+//!   each position's equations, so they are exactly those of a
+//!   position-at-a-time probe, in any equation order, and the cached
+//!   residue spans the same rows.
 //! * **Residue caching with a high-water mark.** Each viable
 //!   `(cube, position)` candidate caches its locally-eliminated
-//!   projected system. Later rounds do not re-eliminate it: committed
-//!   rows accumulate in an append-only log, and a stale residue is
-//!   *resumed* by folding in only the log suffix past its high-water
-//!   mark — sound because the basis (and hence the log) only ever
-//!   grows, and conflicts are monotone. One frame serves the whole
-//!   seed once it fits a word, however small commits shrink it.
+//!   projected system. Later rounds do not re-eliminate it: a residue
+//!   that predates a commit (its high-water mark, the committed rank
+//!   it has seen, is below the current one) is *resumed* by reducing
+//!   its few rows modulo the committed rows and re-eliminating them —
+//!   sound because the basis only ever grows, and conflicts are
+//!   monotone. One frame serves the whole seed once it fits a word,
+//!   however small commits shrink it.
 //! * **Lazy, serial level probing.** Each round probes the remaining
 //!   cubes level by level, most specified bits first, and stops at
 //!   the shallowest level that has a solvable candidate — the
@@ -83,6 +86,7 @@
 //! `encode_scaling` bench pin the cached search to it, placement for
 //! placement and seed bit for seed bit.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -191,17 +195,18 @@ impl Error for EncodeError {}
 type Key = (usize, usize, usize, usize);
 
 /// The cached residue of one candidate `(cube, position)` system:
-/// `rows` is its Gauss-Jordan eliminated system *including* the
-/// committed-row log up to `watermark`, one packed `u64` per row
-/// (right-hand side in bit 63), so `rows.len()` is the rank the
-/// candidate would add.
+/// `rows` is its eliminated system *including* the committed rows up
+/// to rank `watermark`, one packed `u64` per row (right-hand side in bit
+/// 63) with distinct pivots, so `rows.len()` is the rank the candidate
+/// would add. A first visit stores an echelon basis, a refresh the
+/// Gauss-Jordan one; any basis of the system serves.
 ///
 /// Rounds in a frame wider than 63 dimensions cache nothing here: they
 /// run the reference search's probe.
 #[derive(Debug, Default)]
 struct PosResidue {
     position: usize,
-    /// Committed-log rows already folded in.
+    /// Committed rank already folded in.
     watermark: usize,
     rows: Vec<u64>,
 }
@@ -254,57 +259,28 @@ impl CubeCache {
 }
 
 /// Window positions a first visit probes at once: one bit each in a
-/// `u64` live mask. Each equation folds into every live position of a
-/// block before the next equation starts, so the block's per-position
-/// states stay cache-resident while the equation's rows stream from
-/// one contiguous table run.
+/// `u64` live mask and one lane each of a bit-plane. Each equation
+/// folds into every live position of a block before the next equation
+/// starts, so the block's per-position states stay cache-resident
+/// while the equation's rows come from one contiguous table run.
 const POSITION_BLOCK: usize = u64::BITS as usize;
 
-/// Live positions below which a first visit leaves the bit-sliced fold
-/// for per-position eliminators. The sliced fold costs about the same
-/// for any number of live positions, the per-position fold one
-/// position's worth each. Encoding s38417 at scale 0.25 and L = 200
-/// took a median 3.6-3.8 s with this at 12 to 25, 3.9 s at 8 and
-/// 4.1 s at 32 (six runs each on a host drifting by about 15%).
-const SLICED_TAIL_LANES: u32 = 16;
-
-/// Shortest block a first visit slices. A short block stays sliced for
-/// only a few equations before it drops to the tail, which does not
-/// repay moving its rows back out: on s38417 at L = 24 (one 24-position
-/// block) slicing was slower than folding position by position.
-const SLICED_MIN_BLOCK: usize = 32;
-
-/// Reusable first-visit buffers, one set per encode, so steady-state
-/// probing allocates almost nothing.
-#[derive(Debug, Default)]
-struct ProbeScratch {
-    /// Per-position eliminators of a block.
-    elims: Vec<FastElim>,
-    /// Bit-sliced eliminators of a block.
-    sliced: SlicedElim,
-}
-
-/// Equation-outer probe of the window positions
-/// `start..start + states.len()` (at most [`POSITION_BLOCK`]): folds
-/// each equation into every still-live position before the next
+/// Equation-outer concrete check of the window positions
+/// `start..start + len` (at most [`POSITION_BLOCK`]): tests each
+/// equation's row at every still-live position before the next
 /// equation starts, reading its rows from the offset's contiguous
-/// position run, and drops a position at its first failed fold.
-/// `states[i]` is position `start + i`'s state, and `live` holds the
-/// positions still to probe, bit `i` for position `start + i`. Returns
-/// the survivors in the same form. Each position still folds the
-/// equations in their given order, so outcomes match a
-/// position-at-a-time probe exactly.
-fn probe_block<S>(
+/// position run, and drops a position at its first failed `check`.
+/// `live` holds the positions still to check, bit `i` for position
+/// `start + i`; returns the survivors in the same form.
+fn probe_block(
     table: &ExprTable,
-    start: usize,
-    states: &mut [S],
+    (start, len): (usize, usize),
     eqs: &[(u32, bool)],
     mut live: u64,
-    mut fold: impl FnMut(&mut S, &[u64], bool) -> bool,
+    mut check: impl FnMut(&[u64], bool) -> bool,
 ) -> u64 {
-    debug_assert!((1..=POSITION_BLOCK).contains(&states.len()));
+    debug_assert!((1..=POSITION_BLOCK).contains(&len));
     let stride = table.stride();
-    let len = states.len();
     for &(off, bit) in eqs {
         if live == 0 {
             break;
@@ -314,7 +290,7 @@ fn probe_block<S>(
         while m != 0 {
             let i = m.trailing_zeros() as usize;
             m &= m - 1;
-            if !fold(&mut states[i], &rows[i * stride..(i + 1) * stride], bit) {
+            if !check(&rows[i * stride..(i + 1) * stride], bit) {
                 live &= !(1u64 << i);
             }
         }
@@ -418,18 +394,6 @@ impl FastElim {
         self.pivot_mask |= 1 << p;
     }
 
-    /// Inserts an echelon row whose pivot (lowest coordinate bit) lies
-    /// below every pivot held. No held row carries a bit that low, so
-    /// reducing the row keeps the Jordan invariant without touching
-    /// the held rows.
-    #[inline]
-    fn push_below(&mut self, packed: u64) {
-        let p = packed.trailing_zeros();
-        debug_assert!(p < 63 && self.pivot_mask & ((2u64 << p) - 1) == 0);
-        self.rows[p as usize] = self.reduce_packed(packed);
-        self.pivot_mask |= 1 << p;
-    }
-
     /// Folds a packed row in; returns `false` on a conflict (the row
     /// reduces to `0 = 1`), leaving the eliminator unchanged.
     #[inline]
@@ -468,6 +432,7 @@ impl FastElim {
 /// zero, so a word's eight lookups unroll with constant shifts: on
 /// s38417 (`n = 85`) that took a first visit's projection from about
 /// 19 to 14 ns per row, against a loop over the ragged last word.
+#[derive(Default)]
 struct Frame {
     /// Packed image of each seed variable.
     img: Vec<u64>,
@@ -535,6 +500,70 @@ impl Frame {
     }
 }
 
+/// Words per arena chunk of a [`PlaneCache`] (32 KiB). An entry is at
+/// most 64 words and never straddles two chunks.
+const PLANE_CHUNK: usize = 4096;
+
+/// The bit-planes of every table run sliced in the current frame
+/// state: one entry of `width` words — the free columns' planes, then
+/// the right-hand side's — per `(offset, block)` run, made on the run's
+/// first use and dropped when the frame changes. Entries are packed
+/// into fixed chunks that are kept for the whole encode, so the arena
+/// never copies what it holds and its footprint is its largest frame
+/// state's.
+#[derive(Debug, Default)]
+struct PlaneCache {
+    /// Arena address of each run's entry, indexed by
+    /// `offset * blocks + block`; [`PlaneCache::NONE`] while unsliced.
+    slot: Vec<u32>,
+    width: usize,
+    /// Arena address of the next entry.
+    next: usize,
+    chunks: Vec<Box<[u64]>>,
+}
+
+impl PlaneCache {
+    const NONE: u32 = u32::MAX;
+
+    fn new(runs: usize) -> PlaneCache {
+        PlaneCache {
+            slot: vec![PlaneCache::NONE; runs],
+            ..PlaneCache::default()
+        }
+    }
+
+    /// Drops every entry; new entries are `width` words.
+    fn clear(&mut self, width: usize) {
+        self.slot.fill(PlaneCache::NONE);
+        self.width = width;
+        self.next = 0;
+    }
+
+    /// The planes of run `run`, written by `slice` into a new entry on
+    /// the run's first use.
+    #[inline]
+    fn planes(&mut self, run: usize, slice: impl FnOnce(&mut [u64])) -> &[u64] {
+        let width = self.width;
+        let fresh = self.slot[run] == PlaneCache::NONE;
+        if fresh {
+            if self.next % PLANE_CHUNK + width > PLANE_CHUNK {
+                self.next = self.next.next_multiple_of(PLANE_CHUNK);
+            }
+            if self.next / PLANE_CHUNK == self.chunks.len() {
+                self.chunks.push(vec![0; PLANE_CHUNK].into_boxed_slice());
+            }
+            self.slot[run] = u32::try_from(self.next).expect("plane arena below 2^32 words");
+            self.next += width;
+        }
+        let at = self.slot[run] as usize;
+        let entry = &mut self.chunks[at / PLANE_CHUNK][at % PLANE_CHUNK..][..width];
+        if fresh {
+            slice(entry);
+        }
+        entry
+    }
+}
+
 /// Fixed-frame probing engine for free spaces of dimension `<= 63`:
 /// the frame is taken once per seed and rows are projected
 /// on demand as `projection | rhs << 63`. The frame's images are kept
@@ -543,19 +572,25 @@ impl Frame {
 /// only reduces against the candidate's own few local rows, and an
 /// equation inconsistent with the committed basis alone dies on its
 /// projection. Cached residues are the *local* rows (the rank the
-/// candidate would add); commits append to a row log and a stale
-/// residue is resumed by folding in only the log suffix past its
-/// high-water mark.
+/// candidate would add), and a stale residue is resumed by reducing
+/// its rows modulo the committed rows.
+///
+/// One engine serves the whole encode: each seed takes a new frame
+/// into it ([`take_frame`](Self::take_frame)), and the plane arena and
+/// the sliced fold's buffers are reused.
 struct FixedEngine {
     dim: usize,
     /// Projects rows already reduced mod `g`: bits `0..dim` =
     /// coordinates, bit 63 = right-hand side.
     frame: Frame,
-    /// Eliminated committed rows (everything since the frame).
+    /// Eliminated committed rows (everything since the frame), in
+    /// Gauss-Jordan form.
     g: FastElim,
-    /// Append-only log of the committed rows as inserted — the replay
-    /// source for high-water-mark resumption (packed form).
-    g_log: Vec<u64>,
+    /// The planes of the runs first visits have read in this frame
+    /// state.
+    planes: PlaneCache,
+    /// The first-visit fold over the frame's free columns.
+    sliced: SlicedElim,
 }
 
 impl FixedEngine {
@@ -563,20 +598,37 @@ impl FixedEngine {
     /// (bit 63 carries the right-hand side).
     const MAX_DIM: usize = 63;
 
-    fn new(space: &AffineSpace) -> FixedEngine {
+    /// An engine, with no frame yet, for a table of `runs`
+    /// `(offset, block)` runs.
+    fn new(runs: usize) -> FixedEngine {
         FixedEngine {
-            dim: space.dim(),
-            frame: Frame::new(space),
+            dim: 0,
+            frame: Frame::default(),
             g: FastElim::new(),
-            g_log: Vec::new(),
+            planes: PlaneCache::new(runs),
+            sliced: SlicedElim::default(),
         }
     }
 
+    /// Takes `space` as the frame, with nothing committed in it.
+    fn take_frame(&mut self, space: &AffineSpace) {
+        self.dim = space.dim();
+        self.frame = Frame::new(space);
+        self.g.clear();
+        self.frame_changed();
+    }
+
+    /// Drops the planes of the old frame state and slices the free
+    /// columns of the new one.
+    fn frame_changed(&mut self) {
+        self.sliced.set_frame(self.dim, self.g.pivot_mask);
+        self.planes.clear(self.sliced.width());
+    }
+
     /// Folds the committed winner's local residue rows (packed) into
-    /// the global eliminator and the replay log, and re-reduces the
-    /// frame.
+    /// the global eliminator, and re-reduces the frame.
     fn commit_update(&mut self, rows: &[u64]) {
-        let logged = self.g_log.len();
+        let rank = self.g.rank();
         for &packed in rows {
             let (row, e) = self
                 .g
@@ -586,52 +638,96 @@ impl FixedEngine {
                 continue;
             }
             self.g.insert_reduced(row, e);
-            self.g_log.push(row | (u64::from(e) << 63));
         }
-        if self.g_log.len() > logged {
+        if self.g.rank() > rank {
             self.frame.reduce(&self.g);
+            self.frame_changed();
         }
     }
 
-    /// Brings one cached residue up to the current log, dropping it on
-    /// conflict: the stored local rows are reduced against the unseen
-    /// log suffix and re-eliminated.
+    /// First-visit probe of every window position: folds each
+    /// equation's committed-row-reduced projection into each
+    /// position's local elimination, equation-outer over each block of
+    /// positions, and pushes every viable position's residue into
+    /// `cache` — the surviving rows are exactly the rank the candidate
+    /// would add, and an equation inconsistent with the committed basis
+    /// alone conflicts on its projection.
+    ///
+    /// Every block folds through the bit-sliced echelon fold, from the
+    /// planes of its equations' runs, sliced on first use (lanes past a
+    /// short block hold whatever the buffer held, and no fold takes
+    /// them), until the last equation or until no position is live.
+    fn first_visit(&mut self, table: &ExprTable, eqs: &[(u32, bool)], cache: &mut CubeCache) {
+        let FixedEngine {
+            frame,
+            g,
+            planes,
+            sliced,
+            ..
+        } = self;
+        let stride = table.stride();
+        let blocks = table.window().div_ceil(POSITION_BLOCK);
+        for (block, (start, len)) in position_blocks(table.window()).enumerate() {
+            sliced.clear();
+            let mut live = all_lanes(len);
+            for &(off, bit) in eqs {
+                let off = off as usize;
+                let run = planes.planes(off * blocks + block, |out| {
+                    let rows = &table.position_run(off)[start * stride..(start + len) * stride];
+                    let lanes = sliced.lanes_mut();
+                    for (lane, row) in lanes.iter_mut().zip(rows.chunks_exact(stride)) {
+                        *lane = frame.project(row);
+                    }
+                    sliced.slice(out);
+                });
+                live &= !sliced.fold(run, bit, live);
+                if live == 0 {
+                    break;
+                }
+            }
+            for i in survivors(0, live) {
+                let mut entry = cache.take_entry();
+                entry.position = start + i;
+                entry.watermark = g.rank();
+                sliced.export(i, &mut entry.rows);
+                cache.entries.push(entry);
+            }
+        }
+    }
+
+    /// Brings one cached residue up to the committed rows, dropping
+    /// it on conflict: the stored local rows are reduced modulo the
+    /// committed rows and re-eliminated. The committed rows are in
+    /// Gauss-Jordan form, so a reduction is one XOR per committed pivot
+    /// the row holds; it is linear, so any stored basis of the
+    /// residue's system reduces to a basis of the same reduced system.
     fn refresh_entry(&self, entry: &mut PosResidue) -> bool {
-        if entry.watermark == self.g_log.len() {
+        if entry.watermark == self.g.rank() {
             return true;
         }
         let mut elim = FastElim::new();
         for &stored in &entry.rows {
-            let mut row = stored;
-            for &basis in &self.g_log[entry.watermark..] {
-                if row
-                    & FastElim::ROW_MASK
-                    & (1u64 << (basis & FastElim::ROW_MASK).trailing_zeros())
-                    != 0
-                {
-                    row ^= basis;
-                }
-            }
-            if !elim.fold_packed(row) {
+            if !elim.fold_packed(self.g.reduce_packed(stored)) {
                 return false;
             }
         }
         elim.store_packed(&mut entry.rows);
-        entry.watermark = self.g_log.len();
+        entry.watermark = self.g.rank();
         true
     }
 }
 
 /// Per-encode state of the incremental search: each cube's equations
 /// and specified-bit count, the greedy order, what is left to encode,
-/// and the per-cube residue caches with the one probing scratch.
+/// the per-cube residue caches and the fixed-frame engine.
 struct Search<'a> {
     enc: &'a WindowEncoder<'a>,
-    /// Per-cube equations as (the cell's table offset, bit), sorted by
-    /// offset: the scan-geometry arithmetic and care-bit iteration are
-    /// paid once per cube, and a first visit streams the equations'
-    /// position runs in ascending address order (equation order cannot
-    /// change probe outcomes).
+    /// Per-cube equations as (the cell's table offset, bit), the cells
+    /// that the most cubes specify first, ties by ascending offset: the
+    /// scan-geometry arithmetic and care-bit iteration are paid once
+    /// per cube, and a first visit reads first the runs that other
+    /// cubes' first visits read too (equation order cannot change probe
+    /// outcomes).
     cube_eqs: Vec<Vec<(u32, bool)>>,
     specified: Vec<usize>,
     /// Cube indices, most specified bits first.
@@ -639,18 +735,20 @@ struct Search<'a> {
     remaining: Vec<bool>,
     remaining_count: usize,
     caches: Vec<CubeCache>,
-    scratch: ProbeScratch,
+    /// The current seed's frame, once it fits a word.
+    engine: FixedEngine,
 }
 
 /// Per-seed state of the incremental search: the basis being built,
-/// its probing frame and the placements so far.
+/// whether it has a probing frame, and the placements so far.
 struct SeedSearch {
     solver: IncrementalSolver,
-    /// `None` while the frame is wider than one word (`f > 63`, an LFSR
-    /// far larger than its cubes): those rounds run the reference
+    /// `false` while the frame is wider than one word (`f > 63`, an
+    /// LFSR far larger than its cubes): those rounds run the reference
     /// search's own probe over `viable`, exact by construction, until
-    /// commits shrink the frame to a word.
-    prober: Option<FixedEngine>,
+    /// commits shrink the frame to a word and [`Search::engine`] takes
+    /// it.
+    framed: bool,
     /// The reference search's still-viable positions per cube, for the
     /// oversized rounds.
     viable: HashMap<usize, Vec<usize>>,
@@ -659,27 +757,31 @@ struct SeedSearch {
 
 impl SeedSearch {
     /// Commits `pick` — whose cached residue is `winner`, empty in an
-    /// oversized frame — and brings the probing frame up to date. The
-    /// commit that shrinks an oversized frame to a word takes the
-    /// seed's frame; no cube has a cached residue to restart then,
-    /// because the oversized rounds probe through `viable` alone.
-    fn commit(&mut self, enc: &WindowEncoder<'_>, pick: Placement, winner: &[u64]) {
+    /// oversized frame — and brings the probing frame in `engine` up to
+    /// date. The commit that shrinks an oversized frame to a word
+    /// takes the seed's frame; no cube has a cached residue to restart
+    /// then, because the oversized rounds probe through `viable` alone.
+    fn commit(
+        &mut self,
+        enc: &WindowEncoder<'_>,
+        engine: &mut FixedEngine,
+        pick: Placement,
+        winner: &[u64],
+    ) {
         let committed = enc.commit(&mut self.solver, pick.cube, pick.position);
         debug_assert!(committed, "selected system must still be solvable");
         let free = self.solver.free_vars();
         if free == 0 {
             return;
         }
-        match &mut self.prober {
-            Some(engine) => {
-                engine.commit_update(winner);
-                debug_assert_eq!(engine.g.rank(), engine.dim - free);
-            }
-            None => {
-                self.viable.remove(&pick.cube);
-                if free <= FixedEngine::MAX_DIM {
-                    self.prober = Some(FixedEngine::new(&self.solver.affine_space()));
-                }
+        if self.framed {
+            engine.commit_update(winner);
+            debug_assert_eq!(engine.g.rank(), engine.dim - free);
+        } else {
+            self.viable.remove(&pick.cube);
+            if free <= FixedEngine::MAX_DIM {
+                engine.take_frame(&self.solver.affine_space());
+                self.framed = true;
             }
         }
     }
@@ -688,17 +790,23 @@ impl SeedSearch {
 impl<'a> Search<'a> {
     fn new(enc: &'a WindowEncoder<'a>) -> Search<'a> {
         let set = enc.set;
-        let cube_eqs = (0..set.len())
+        let table = enc.table;
+        let offsets = table.scan().depth() * table.chains();
+        let mut cube_eqs: Vec<Vec<(u32, bool)>> = (0..set.len())
             .map(|ci| {
-                let mut eqs: Vec<(u32, bool)> = set
-                    .cube(ci)
+                set.cube(ci)
                     .iter_specified()
-                    .map(|(cell, bit)| (enc.table.row_offset(cell) as u32, bit))
-                    .collect();
-                eqs.sort_unstable_by_key(|&(off, _)| off);
-                eqs
+                    .map(|(cell, bit)| (table.row_offset(cell) as u32, bit))
+                    .collect()
             })
             .collect();
+        let mut uses = vec![0u32; offsets];
+        for &(off, _) in cube_eqs.iter().flatten() {
+            uses[off as usize] += 1;
+        }
+        for eqs in &mut cube_eqs {
+            eqs.sort_unstable_by_key(|&(off, _)| (Reverse(uses[off as usize]), off));
+        }
         Search {
             enc,
             cube_eqs,
@@ -709,7 +817,7 @@ impl<'a> Search<'a> {
             remaining: vec![true; set.len()],
             remaining_count: set.len(),
             caches: (0..set.len()).map(|_| CubeCache::default()).collect(),
-            scratch: ProbeScratch::default(),
+            engine: FixedEngine::new(offsets * table.window().div_ceil(POSITION_BLOCK)),
         }
     }
 
@@ -741,9 +849,12 @@ impl<'a> Search<'a> {
         for cache in &mut self.caches {
             cache.reset();
         }
+        let framed = solver.free_vars() <= FixedEngine::MAX_DIM;
+        if framed {
+            self.engine.take_frame(&solver.affine_space());
+        }
         let mut seed = SeedSearch {
-            prober: (solver.free_vars() <= FixedEngine::MAX_DIM)
-                .then(|| FixedEngine::new(&solver.affine_space())),
+            framed,
             solver,
             viable: HashMap::new(),
             placements: Vec::new(),
@@ -762,25 +873,27 @@ impl<'a> Search<'a> {
     /// basis is full or no remaining cube is solvable anywhere.
     fn greedy_fill(&mut self, seed: &mut SeedSearch) {
         while seed.solver.rank() < self.enc.table.vars() {
-            let pick = match &seed.prober {
-                None => self.enc.select_next(
+            let pick = if seed.framed {
+                self.select_cached()
+            } else {
+                self.enc.select_next(
                     &mut seed.viable,
                     &self.remaining,
                     &self.order,
                     &mut seed.solver,
-                ),
-                Some(engine) => self.select_cached(engine),
+                )
             };
             let Some(pick) = pick else {
                 return;
             };
             // the winner's cached residue is consumed by the commit,
             // before its cache is cleared
-            let winner = match seed.prober {
-                None => &[][..],
-                Some(_) => self.caches[pick.cube].residue(pick.position),
+            let winner = if seed.framed {
+                self.caches[pick.cube].residue(pick.position)
+            } else {
+                &[][..]
             };
-            seed.commit(self.enc, pick, winner);
+            seed.commit(self.enc, &mut self.engine, pick, winner);
             self.place(seed, pick);
             self.caches[pick.cube].reset();
         }
@@ -791,7 +904,7 @@ impl<'a> Search<'a> {
     /// first, and hand back the best candidate of the shallowest level
     /// that has one — the reference search's early exit, so deeper
     /// cubes are first visited only in the round that needs them.
-    fn select_cached(&mut self, engine: &FixedEngine) -> Option<Placement> {
+    fn select_cached(&mut self) -> Option<Placement> {
         let Search {
             enc,
             cube_eqs,
@@ -799,7 +912,7 @@ impl<'a> Search<'a> {
             order,
             remaining,
             caches,
-            scratch,
+            engine,
             ..
         } = self;
         let mut level = usize::MAX;
@@ -809,7 +922,7 @@ impl<'a> Search<'a> {
                 break;
             }
             level = specified[ci];
-            let key = enc.probe_cube(ci, &mut caches[ci], &cube_eqs[ci], engine, scratch);
+            let key = enc.probe_cube(ci, &mut caches[ci], &cube_eqs[ci], engine);
             if let Some(key) = key {
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
@@ -826,7 +939,6 @@ impl<'a> Search<'a> {
     /// blocks of positions, like a first visit).
     fn place_embedded(&mut self, seed: &mut SeedSearch, bits: &BitVec) {
         let table = self.enc.table;
-        let mut none = [(); POSITION_BLOCK];
         for i in 0..self.order.len() {
             let ci = self.order[i];
             if !self.remaining[ci] {
@@ -837,11 +949,10 @@ impl<'a> Search<'a> {
             let embedded = position_blocks(table.window()).find_map(|(start, len)| {
                 let live = probe_block(
                     table,
-                    start,
-                    &mut none[..len],
+                    (start, len),
                     &self.cube_eqs[ci],
                     all_lanes(len),
-                    |_, row, bit| words::dot(row, bits.as_words()) == bit,
+                    |row, bit| words::dot(row, bits.as_words()) == bit,
                 );
                 survivors(start, live).next()
             });
@@ -944,14 +1055,13 @@ impl<'a> WindowEncoder<'a> {
         ci: usize,
         cache: &mut CubeCache,
         eqs: &[(u32, bool)],
-        engine: &FixedEngine,
-        scratch: &mut ProbeScratch,
+        engine: &mut FixedEngine,
     ) -> Option<Key> {
         if !cache.init {
             cache.init = true;
-            self.init_cube(cache, eqs, engine, scratch);
+            engine.first_visit(self.table, eqs, cache);
         } else {
-            // high-water-mark resumption against the committed row log
+            // high-water-mark resumption against the committed rows
             cache.prune(|entry| engine.refresh_entry(entry));
         }
         let count = cache.entries.len();
@@ -963,68 +1073,6 @@ impl<'a> WindowEncoder<'a> {
             }
         }
         best.map(|(rank, pos)| (rank, count, pos, ci))
-    }
-
-    /// First-visit probe of every window position: fold each
-    /// equation's packed, committed-row-reduced projection into each
-    /// position's local elimination, equation-outer over a block of
-    /// positions — the surviving rows are exactly the rank the
-    /// candidate would add, and equations inconsistent with the
-    /// committed basis alone conflict on a single load.
-    ///
-    /// In a block of at least [`SLICED_MIN_BLOCK`] positions, while at
-    /// least [`SLICED_TAIL_LANES`] of them are live, an equation folds
-    /// into all of them at once through the bit-sliced echelon fold;
-    /// the positions left then carry their rows into per-position
-    /// eliminators and finish the cube's equations one position at a
-    /// time, as every position of a shorter block does.
-    fn init_cube(
-        &self,
-        cache: &mut CubeCache,
-        eqs: &[(u32, bool)],
-        engine: &FixedEngine,
-        scratch: &mut ProbeScratch,
-    ) {
-        let ProbeScratch { elims, sliced, .. } = scratch;
-        elims.resize(POSITION_BLOCK, FastElim::new());
-        sliced.set_frame(engine.dim, engine.g.pivot_mask);
-        let stride = self.table.stride();
-        // projected bit 63 is the x0 offset; the equation's rhs is
-        // that offset xor the cube bit
-        let project = |row: &[u64], bit: bool| engine.frame.project(row) ^ (u64::from(bit) << 63);
-        for (start, len) in position_blocks(self.table.window()) {
-            sliced.clear();
-            let mut live = all_lanes(len);
-            let mut folded = 0;
-            for &(off, bit) in eqs {
-                if len < SLICED_MIN_BLOCK || live.count_ones() < SLICED_TAIL_LANES {
-                    break;
-                }
-                let rows = &self.table.position_run(off as usize)[start * stride..];
-                let lanes = sliced.lanes_mut();
-                for i in survivors(0, live) {
-                    lanes[i] = project(&rows[i * stride..(i + 1) * stride], bit);
-                }
-                live &= !sliced.fold(live);
-                folded += 1;
-            }
-            sliced.export(live, elims);
-            let live = probe_block(
-                self.table,
-                start,
-                &mut elims[..len],
-                &eqs[folded..],
-                live,
-                |elim, row, bit| elim.fold_packed(project(row, bit)),
-            );
-            for position in survivors(start, live) {
-                let mut entry = cache.take_entry();
-                entry.position = position;
-                entry.watermark = engine.g_log.len();
-                elims[position - start].store_packed(&mut entry.rows);
-                cache.entries.push(entry);
-            }
-        }
     }
 
     /// Tries the full system of `cube` at window `position` through the
@@ -1303,7 +1351,19 @@ mod tests {
 
     #[test]
     fn cached_search_matches_the_reference_bit_for_bit() {
-        let cases = [(1usize, 7u64), (4, 7), (12, 7), (20, 7), (6, 11), (16, 11)];
+        // 24 and 70 slice short blocks, 70 and 130 a full block and a
+        // final short one
+        let cases = [
+            (1usize, 7u64),
+            (4, 7),
+            (12, 7),
+            (20, 7),
+            (6, 11),
+            (16, 11),
+            (24, 7),
+            (70, 11),
+            (130, 7),
+        ];
         for (window, fill_seed) in cases {
             let (set, table) = mini_setup(window);
             let enc = WindowEncoder::new(&set, &table).unwrap();
@@ -1315,38 +1375,80 @@ mod tests {
         }
     }
 
+    /// First-visits every remaining cube of `search` in the engine's
+    /// current frame, into fresh caches, and checks each cube's viable
+    /// positions and added ranks against the reference probe on
+    /// `solver`. Returns the number of viable candidates.
+    fn check_first_visits(
+        search: &mut Search<'_>,
+        solver: &mut IncrementalSolver,
+        what: &str,
+    ) -> usize {
+        let enc = search.enc;
+        let mut viable = 0;
+        for ci in (0..enc.set.len()).filter(|&ci| search.remaining[ci]) {
+            let mut cache = CubeCache::default();
+            enc.probe_cube(ci, &mut cache, &search.cube_eqs[ci], &mut search.engine);
+            let mut got: Vec<(usize, usize)> = cache
+                .entries
+                .iter()
+                .map(|e| (e.position, e.rows.len()))
+                .collect();
+            got.sort_unstable();
+            let want: Vec<(usize, usize)> = (0..enc.table.window())
+                .filter_map(|v| enc.probe_rank(solver, ci, v).map(|rank| (v, rank)))
+                .collect();
+            assert_eq!(got, want, "{what} cube {ci}");
+            viable += want.len();
+            search.caches[ci] = cache;
+        }
+        viable
+    }
+
     #[test]
     fn first_visits_agree_with_the_reference_probe_at_every_position() {
-        // L = 70 spans a full block of positions and a partial one;
-        // n = 16 and n = 30 open the seed in a frame of f < 6 and one
-        // of f > 10
+        // L = 24 is one short block, L = 70 a full block and a short
+        // one; n = 16 and n = 30 open the seed in a frame of f < 6 and
+        // one of f > 10. Each case probes again after a commit that
+        // re-reduces the frame, so no plane survives a frame change.
         let profile = CubeProfile::mini();
         let set = generate_test_set(&profile, 5);
-        for (n, dims) in [(16usize, 1..6), (30, 11..64)] {
-            let table = build_table(n, set.config(), 70, 2);
-            let enc = WindowEncoder::new(&set, &table).unwrap();
-            let mut search = Search::new(&enc);
-            let SeedSearch { solver, prober, .. } = &mut search.first_cube().unwrap();
-            let prober = prober.as_ref().expect("a word-sized frame");
-            assert!(dims.contains(&prober.dim), "n={n}: f = {}", prober.dim);
-            let mut viable = 0;
-            for ci in (0..set.len()).filter(|&ci| search.remaining[ci]) {
-                let mut cache = CubeCache::default();
-                let eqs = &search.cube_eqs[ci];
-                enc.probe_cube(ci, &mut cache, eqs, prober, &mut search.scratch);
-                let mut got: Vec<(usize, usize)> = cache
-                    .entries
-                    .iter()
-                    .map(|e| (e.position, e.rows.len()))
-                    .collect();
-                got.sort_unstable();
-                let want: Vec<(usize, usize)> = (0..70)
-                    .filter_map(|v| enc.probe_rank(solver, ci, v).map(|rank| (v, rank)))
-                    .collect();
-                assert_eq!(got, want, "n={n} cube {ci}");
-                viable += want.len();
+        for window in [24usize, 70] {
+            for (n, dims) in [(16usize, 1..6), (30, 11..64)] {
+                let what = format!("L={window} n={n}");
+                let table = build_table(n, set.config(), window, 2);
+                let enc = WindowEncoder::new(&set, &table).unwrap();
+                let mut search = Search::new(&enc);
+                let mut seed = search.first_cube().unwrap();
+                assert!(seed.framed, "{what}: a word-sized frame");
+                let dim = search.engine.dim;
+                assert!(dims.contains(&dim), "{what}: f = {dim}");
+                let viable = check_first_visits(&mut search, &mut seed.solver, &what);
+                assert!(viable > 0, "{what}: no viable candidate probed");
+
+                // commit a candidate that adds rank but leaves the
+                // frame free, then probe the re-reduced frame
+                let (pick, winner) = (0..set.len())
+                    .filter(|&ci| search.remaining[ci])
+                    .flat_map(|ci| search.caches[ci].entries.iter().map(move |e| (ci, e)))
+                    .find(|(_, e)| (1..dim).contains(&e.rows.len()))
+                    .map(|(cube, e)| {
+                        let pick = Placement {
+                            cube,
+                            position: e.position,
+                        };
+                        (pick, e.rows.clone())
+                    })
+                    .expect("a candidate adding 0 < rank < f");
+                seed.commit(&enc, &mut search.engine, pick, &winner);
+                search.place(&mut seed, pick);
+                assert_eq!(search.engine.g.rank(), winner.len(), "{what}");
+                check_first_visits(
+                    &mut search,
+                    &mut seed.solver,
+                    &format!("{what} after a commit"),
+                );
             }
-            assert!(viable > 0, "n={n}: no viable candidate probed");
         }
     }
 
@@ -1463,7 +1565,8 @@ mod tests {
             let space = random_system(n, &mut rng).0.affine_space();
             let coords = FastElim::ROW_MASK >> (FixedEngine::MAX_DIM - space.dim());
             let fresh = Frame::new(&space);
-            let mut engine = FixedEngine::new(&space);
+            let mut engine = FixedEngine::new(0);
+            engine.take_frame(&space);
             // every committed row holds at one point, so none conflicts
             let solution = rng.gen::<u64>() & coords;
             for _ in 0..5 {

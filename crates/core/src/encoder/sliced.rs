@@ -6,9 +6,9 @@
 //! frame's images are pre-reduced modulo the committed rows, so a
 //! projected row is zero at every committed pivot column; only the
 //! `f` free columns and the right-hand side (bit 63) are sliced, as
-//! `f + 1` bit-planes.
-
-use super::{survivors, FastElim};
+//! `f + 1` bit-planes. A table run's planes do not depend on the cube:
+//! the cube's bit is xored into the right-hand side plane as the
+//! equation folds, so one slicing of a run serves every cube.
 
 /// Transposes a 64 x 64 bit matrix in place: bit `j` of word `i`
 /// trades places with bit `i` of word `j`. Each of the six rounds
@@ -46,8 +46,8 @@ pub(super) struct SlicedElim {
     cols: Vec<u64>,
     piv: [u64; 64],
     rows: Vec<u64>,
-    /// One projected row per lane, then (after the transpose) one
-    /// plane per frame bit.
+    /// One projected row per lane, turned into planes by
+    /// [`slice`](Self::slice).
     buf: [u64; 64],
     /// The equation's planes in column order, reduced as the fold
     /// walks the columns.
@@ -84,28 +84,45 @@ impl SlicedElim {
         self.cols.len() - 1
     }
 
+    /// Planes of one sliced row set: one per free column, then the
+    /// right-hand side's.
+    pub(super) fn width(&self) -> usize {
+        self.cols.len()
+    }
+
     /// Empties every lane's system.
     pub(super) fn clear(&mut self) {
         self.piv = [0; 64];
     }
 
-    /// The per-lane row buffer of the next [`fold`](Self::fold): word
-    /// `i` is lane `i`'s packed row (rhs in bit 63). Words of lanes the
-    /// fold does not take are ignored.
+    /// The per-lane row buffer of the next [`slice`](Self::slice): word
+    /// `i` is lane `i`'s packed row (bit 63 the frame's offset). Words
+    /// left from earlier rows only fill lanes no fold takes.
     pub(super) fn lanes_mut(&mut self) -> &mut [u64; 64] {
         &mut self.buf
     }
 
-    /// Folds the rows in [`lanes_mut`](Self::lanes_mut) into the lanes
-    /// of `live`, and returns the lanes whose row reduced to `0 = 1`.
-    /// Those lanes' systems are left as they were; a lane whose row
-    /// was redundant is unchanged too.
-    pub(super) fn fold(&mut self, live: u64) -> u64 {
+    /// Transposes the rows in [`lanes_mut`](Self::lanes_mut) and
+    /// writes their [`width`](Self::width) planes to `planes`: word `k`
+    /// holds every lane's bit of free column `k`, the last word their
+    /// bit 63.
+    pub(super) fn slice(&mut self, planes: &mut [u64]) {
         transpose64(&mut self.buf);
-        let f = self.free();
-        for (e, &col) in self.eq.iter_mut().zip(&self.cols) {
-            *e = self.buf[col.trailing_zeros() as usize];
+        for (plane, &col) in planes.iter_mut().zip(&self.cols) {
+            *plane = self.buf[col.trailing_zeros() as usize];
         }
+    }
+
+    /// Folds one equation, given as the [`slice`](Self::slice)d planes
+    /// of its rows with `bit` xored into every right-hand side, into
+    /// the lanes of `live`, and returns the lanes whose row reduced to
+    /// `0 = 1`. Those lanes' systems are left as they were; a lane
+    /// whose row was redundant is unchanged too, and no lane outside
+    /// `live` is read or written.
+    pub(super) fn fold(&mut self, planes: &[u64], bit: bool, live: u64) -> u64 {
+        let f = self.free();
+        self.eq[..=f].copy_from_slice(planes);
+        self.eq[f] ^= 0u64.wrapping_sub(u64::from(bit));
         let mut todo = live;
         let mut planes = &mut self.rows[..];
         for c in 0..f {
@@ -132,46 +149,31 @@ impl SlicedElim {
         todo & self.eq[f]
     }
 
-    /// Loads the pivot rows of each lane `i` of `lanes`, in packed
-    /// frame form, into the eliminator `elims[i]`, cleared first. One
-    /// transpose per column turns its pivot rows back into one packed
-    /// row per lane. The columns go from the highest down, so each row
-    /// is reduced once and no held row needs updating.
-    pub(super) fn export(&mut self, lanes: u64, elims: &mut [FastElim]) {
-        let SlicedElim {
-            cols,
-            piv,
-            rows,
-            buf,
-            ..
-        } = self;
-        for i in survivors(0, lanes) {
-            elims[i].clear();
-        }
-        let f = cols.len() - 1;
-        let mut planes = &rows[..];
-        for c in (0..f).rev() {
-            let (rest, pivot_rows) = planes.split_at(planes.len() - (f - c));
+    /// Stores lane `lane`'s pivot rows into `out` in packed frame
+    /// form, ascending by pivot: an echelon basis of its system, each
+    /// row gathered bit by bit from its planes.
+    pub(super) fn export(&self, lane: usize, out: &mut Vec<u64>) {
+        out.clear();
+        let f = self.free();
+        let mut planes = &self.rows[..];
+        for c in 0..f {
+            let (pivot_rows, rest) = planes.split_at(f - c);
             planes = rest;
-            let holders = piv[c] & lanes;
-            if holders == 0 {
+            if self.piv[c] >> lane & 1 == 0 {
                 continue;
             }
-            *buf = [0; 64];
-            buf[cols[c].trailing_zeros() as usize] = holders;
-            for (&p, &col) in pivot_rows.iter().zip(&cols[c + 1..]) {
-                buf[col.trailing_zeros() as usize] = p;
+            let mut row = self.cols[c];
+            for (&p, &col) in pivot_rows.iter().zip(&self.cols[c + 1..]) {
+                row |= col & 0u64.wrapping_sub(p >> lane & 1);
             }
-            transpose64(buf);
-            for i in survivors(0, holders) {
-                elims[i].push_below(buf[i]);
-            }
+            out.push(row);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::{survivors, FastElim};
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -193,11 +195,91 @@ mod tests {
         }
     }
 
-    /// Whether every row of `a` reduces to zero against `b`.
-    fn spanned_by(a: &FastElim, b: &FastElim) -> bool {
-        let mut rows = Vec::new();
-        a.store_packed(&mut rows);
-        rows.iter().all(|&r| b.reduce_packed(r) == 0)
+    /// Folds random equations into `sliced` and into one
+    /// [`FastElim`] per lane, checks that both agree on every conflict
+    /// and on each survivor's exported system, and counts conflicts,
+    /// redundant rows and survivors into `kinds`. A block has
+    /// `1 + case % 64` lanes; with `garbage`, the lanes past it hold
+    /// random words that every slicing carries into the planes. Returns
+    /// the frame's free dimension.
+    fn fold_random_block(
+        rng: &mut SmallRng,
+        case: usize,
+        garbage: bool,
+        kinds: &mut [usize; 3],
+    ) -> usize {
+        let lanes = 1 + case % 64;
+        let dim = rng.gen_range(1..=63usize);
+        // a few committed pivot columns the frame keeps at zero
+        let mut committed = 0u64;
+        while dim - (committed.count_ones() as usize) > 1 && rng.gen_bool(0.6) {
+            committed |= 1 << rng.gen_range(0..dim);
+        }
+        let free: Vec<u32> = (0..dim as u32)
+            .filter(|&c| committed >> c & 1 == 0)
+            .collect();
+        let f = free.len();
+        // each lane draws from a subspace of its own dimension, so
+        // lanes stop gaining rank and die at different rows
+        let span: Vec<usize> = (0..lanes).map(|_| rng.gen_range(1..=f)).collect();
+        let solution: Vec<u64> = (0..lanes).map(|_| rng.gen()).collect();
+        let mut sliced = SlicedElim::default();
+        sliced.set_frame(dim, committed);
+        let mut elims = vec![FastElim::new(); lanes];
+        let mut live = u64::MAX >> (64 - lanes);
+        let mut planes = vec![0u64; sliced.width()];
+        for _ in 0..f + 8 {
+            let mut rows = [0u64; 64];
+            for (lane, row) in rows.iter_mut().enumerate().take(lanes) {
+                for &c in &free[..span[lane]] {
+                    *row |= u64::from(rng.gen_bool(0.5)) << c;
+                }
+                // the rhs holds at the lane's own point but for rare
+                // errors, so dependent rows are mostly redundant
+                let err = rng.gen_bool(0.03);
+                let rhs = (*row & solution[lane]).count_ones() % 2 == 1;
+                *row |= u64::from(rhs ^ err) << 63;
+            }
+            // the cube's bit reaches the planes only at the fold
+            let bit: bool = rng.gen();
+            let flip = u64::from(bit) << 63;
+            for (lane, word) in sliced.lanes_mut().iter_mut().enumerate() {
+                *word = match lane < lanes {
+                    true => rows[lane] ^ flip,
+                    false if garbage => rng.gen(),
+                    false => 0,
+                };
+            }
+            sliced.slice(&mut planes);
+            let conflicts = sliced.fold(&planes, bit, live);
+            assert_eq!(conflicts & !live, 0, "case {case}: a conflict outside live");
+            for (lane, elim) in elims.iter_mut().enumerate() {
+                if live >> lane & 1 == 0 {
+                    continue;
+                }
+                let rank = elim.rank();
+                let ok = elim.fold_packed(rows[lane]);
+                assert_eq!(!ok, conflicts >> lane & 1 == 1, "case {case} lane {lane}");
+                kinds[0] += usize::from(!ok);
+                kinds[1] += usize::from(ok && elim.rank() == rank);
+            }
+            live &= !conflicts;
+        }
+        let (mut exported, mut ours, mut theirs) = (Vec::new(), Vec::new(), Vec::new());
+        for lane in survivors(0, live) {
+            sliced.export(lane, &mut exported);
+            // equal spans have equal Gauss-Jordan forms
+            let mut elim = FastElim::new();
+            for &row in &exported {
+                assert!(elim.fold_packed(row), "case {case} lane {lane}");
+            }
+            elim.store_packed(&mut ours);
+            elims[lane].store_packed(&mut theirs);
+            assert_eq!(ours, theirs, "case {case} lane {lane}");
+            assert_eq!(exported.len(), theirs.len(), "case {case} lane {lane}");
+            kinds[2] += 1;
+        }
+        f
     }
 
     #[test]
@@ -206,63 +288,21 @@ mod tests {
         let mut kinds = [0usize; 3]; // conflicts, redundant rows, survivors
         let mut small_frames = 0;
         for case in 0..120 {
-            let lanes = 1 + case % 64;
-            let dim = rng.gen_range(1..=63usize);
-            // a few committed pivot columns the frame keeps at zero
-            let mut committed = 0u64;
-            while dim - (committed.count_ones() as usize) > 1 && rng.gen_bool(0.6) {
-                committed |= 1 << rng.gen_range(0..dim);
-            }
-            let free: Vec<u32> = (0..dim as u32)
-                .filter(|&c| committed >> c & 1 == 0)
-                .collect();
-            let f = free.len();
-            small_frames += usize::from(f <= 10);
-            // each lane draws from a subspace of its own dimension, so
-            // lanes stop gaining rank and die at different rows
-            let span: Vec<usize> = (0..lanes).map(|_| rng.gen_range(1..=f)).collect();
-            let solution: Vec<u64> = (0..lanes).map(|_| rng.gen()).collect();
-            let mut sliced = SlicedElim::default();
-            sliced.set_frame(dim, committed);
-            let mut elims = vec![FastElim::new(); lanes];
-            let mut live = u64::MAX >> (64 - lanes);
-            for _ in 0..f + 8 {
-                let mut rows = [0u64; 64];
-                for (lane, row) in rows.iter_mut().enumerate().take(lanes) {
-                    for &c in &free[..span[lane]] {
-                        *row |= u64::from(rng.gen_bool(0.5)) << c;
-                    }
-                    // the rhs holds at the lane's own point but for rare
-                    // errors, so dependent rows are mostly redundant
-                    let err = rng.gen_bool(0.03);
-                    let rhs = (*row & solution[lane]).count_ones() % 2 == 1;
-                    *row |= u64::from(rhs ^ err) << 63;
-                }
-                *sliced.lanes_mut() = rows;
-                let conflicts = sliced.fold(live);
-                for (lane, elim) in elims.iter_mut().enumerate() {
-                    if live >> lane & 1 == 0 {
-                        continue;
-                    }
-                    let rank = elim.rank();
-                    let ok = elim.fold_packed(rows[lane]);
-                    assert_eq!(!ok, conflicts >> lane & 1 == 1, "case {case} lane {lane}");
-                    kinds[0] += usize::from(!ok);
-                    kinds[1] += usize::from(ok && elim.rank() == rank);
-                }
-                live &= !conflicts;
-            }
-            let mut exported = vec![FastElim::new(); lanes];
-            sliced.export(live, &mut exported);
-            for lane in survivors(0, live) {
-                let (ours, theirs) = (&exported[lane], &elims[lane]);
-                assert_eq!(ours.rank(), theirs.rank(), "case {case} lane {lane}");
-                assert!(spanned_by(ours, theirs), "case {case} lane {lane}");
-                assert!(spanned_by(theirs, ours), "case {case} lane {lane}");
-                kinds[2] += 1;
-            }
+            small_frames += usize::from(fold_random_block(&mut rng, case, false, &mut kinds) <= 10);
         }
         assert!(kinds.iter().all(|&k| k > 0), "outcomes seen: {kinds:?}");
         assert!(small_frames > 0, "no frame of f <= 10 drawn");
+    }
+
+    #[test]
+    fn plane_fold_ignores_lanes_past_the_block() {
+        // a block shorter than 64 positions slices whatever its unused
+        // lanes hold; the fold must neither read nor write them
+        let mut rng = SmallRng::seed_from_u64(33);
+        let mut kinds = [0usize; 3];
+        for case in 0..120 {
+            fold_random_block(&mut rng, case, true, &mut kinds);
+        }
+        assert!(kinds.iter().all(|&k| k > 0), "outcomes seen: {kinds:?}");
     }
 }

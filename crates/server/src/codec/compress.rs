@@ -245,12 +245,7 @@ pub fn decompress(bytes: &[u8], cap: u64) -> Result<Vec<u8>, CodecError> {
                 if out.len() + len > raw_len {
                     return Err(CodecError::Compression("match overruns declared length"));
                 }
-                // may overlap the bytes it is producing — copy forward
-                let from = out.len() - offset;
-                for i in 0..len {
-                    let b = out[from + i];
-                    out.push(b);
-                }
+                copy_match(&mut out, offset, len);
             } else {
                 let b = *bytes
                     .get(at)
@@ -264,6 +259,22 @@ pub fn decompress(bytes: &[u8], cap: u64) -> Result<Vec<u8>, CodecError> {
         return Err(CodecError::Compression("trailing bytes after final token"));
     }
     Ok(out)
+}
+
+/// Appends the `len` bytes that start `offset` back from the end of
+/// `out`. A match shorter than its offset is one copy; a longer one
+/// overlaps the bytes it is producing (the LZ run idiom) and copies
+/// forward a byte at a time.
+fn copy_match(out: &mut Vec<u8>, offset: usize, len: usize) {
+    let from = out.len() - offset;
+    if offset >= len {
+        out.extend_from_within(from..from + len);
+    } else {
+        for i in 0..len {
+            let b = out[from + i];
+            out.push(b);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -410,6 +421,62 @@ mod tests {
             let raw = shaped(kind, len, seed);
             prop_assert_eq!(compress(&raw), reference_compress(&raw));
         }
+    }
+
+    /// The match copy `decompress` made before [`copy_match`]: one
+    /// push per byte, forward. Kept as the reference.
+    fn reference_copy_match(out: &mut Vec<u8>, offset: usize, len: usize) {
+        let from = out.len() - offset;
+        for i in 0..len {
+            let b = out[from + i];
+            out.push(b);
+        }
+    }
+
+    /// A stream of `literals` followed by one match item.
+    fn literals_then_match(literals: &[u8], offset: usize, len: usize) -> Vec<u8> {
+        let mut out = ((literals.len() + len) as u64).to_be_bytes().to_vec();
+        let mut control_at = 0;
+        for item in 0..=literals.len() {
+            if item % 8 == 0 {
+                control_at = out.len();
+                out.push(0);
+            }
+            match literals.get(item) {
+                Some(&b) => out.push(b),
+                None => {
+                    out[control_at] |= 1 << (item % 8);
+                    let token = ((offset as u16) << 4) | (len - MIN_MATCH) as u16;
+                    out.extend_from_slice(&token.to_be_bytes());
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn match_copies_equal_the_byte_wise_loop() {
+        // offset 1 is a run, offset == len the longest single copy and
+        // offset == len - 1 the shortest overlapping one
+        let literals = b"abcdefghijklmnopqrstuvwxyz";
+        for len in MIN_MATCH..=MAX_MATCH {
+            for offset in [1, len - 1, len, len + 1, literals.len()] {
+                let mut want = literals.to_vec();
+                reference_copy_match(&mut want, offset, len);
+                let mut got = literals.to_vec();
+                copy_match(&mut got, offset, len);
+                assert_eq!(got, want, "offset {offset} len {len}");
+                let stream = literals_then_match(literals, offset, len);
+                assert_eq!(
+                    decompress(&stream, 1 << 20).unwrap(),
+                    want,
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+        let mut run = b"ab".to_vec();
+        copy_match(&mut run, 1, MAX_MATCH);
+        assert_eq!(run[1..], [b'b'; 1 + MAX_MATCH]);
     }
 
     #[test]

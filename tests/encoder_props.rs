@@ -74,14 +74,13 @@ proptest! {
     }
 
     /// The fixed-frame bands at windows that split into position
-    /// blocks of every kind. A first visit slices a block of at least
-    /// 32 positions until fewer than 16 are live, then finishes them
-    /// one at a time; a shorter block never slices. L = 24 is one
-    /// short block, L = 70 a sliced block and a short one, and L = 130
-    /// two sliced blocks and a short one. The cubes are s9234's, 20 to
-    /// 37 specified bits against a frame of 11 to 40 free dimensions,
-    /// so positions die at every point of a first visit and blocks
-    /// cross into the tail.
+    /// blocks of every kind. A first visit slices every block, full or
+    /// short, until its last equation or its last live position. L = 24
+    /// is one short block, L = 70 a full block and a short one, and
+    /// L = 130 two full blocks and a short one. The cubes are s9234's,
+    /// 20 to 37 specified bits against a frame of 11 to 40 free
+    /// dimensions, so positions die at every point of a first visit and
+    /// some survive every equation.
     #[test]
     fn sliced_first_visits_match_reference_exactly(
         set_seed in any::<u64>(),
