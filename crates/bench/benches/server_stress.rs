@@ -1,7 +1,7 @@
 //! `server_stress`: the loopback serving benchmark — cold vs
 //! warm-disk vs warm-memory latency per registry workload, and
 //! throughput as concurrent clients fan over the corpus at several
-//! worker-pool widths.
+//! job-slot counts.
 //!
 //! Two measurements, both against a real `ss-server` over loopback
 //! TCP at the golden-conformance knobs (`L=24, S=4, k=6`):
@@ -22,13 +22,17 @@
 //!   than cold on every workload.
 //! * **throughput vs workers** — N concurrent clients each stream the
 //!   whole corpus through one server; wall-clock jobs/sec is recorded
-//!   per worker-pool width. Every job must come back `Done` with the
-//!   digest its workload produced cold — the server may never drop or
-//!   corrupt a job under concurrent load.
+//!   per job-slot count (`--workers`). Every job must come back `Done`
+//!   with the digest its workload produced cold — the server may never
+//!   drop or corrupt a job under concurrent load.
 //! * **fleet vs shard count** — the same balanced workload runs
 //!   against 1, 2 and 4 shards whose *per-shard* cache is sized below
-//!   the workload's measured working set. Sharding's scaling axis here
-//!   is aggregate cache capacity (the artifacts are pure functions of
+//!   the workload's measured working set, yet large enough for the
+//!   largest share of it any 4-shard owner holds. Each share is
+//!   computed from the shards' bound addresses and every key's
+//!   measured bytes, so the sizing holds for whichever ports the OS
+//!   hands out. Sharding's scaling axis here is aggregate cache
+//!   capacity (the artifacts are pure functions of
 //!   their content key, so each key lives on exactly one owner): a
 //!   single shard thrashes its LRU and re-pays cold synthesis, while
 //!   the 4-shard fleet holds the whole working set and answers from
@@ -61,8 +65,8 @@ use std::time::Instant;
 
 use ss_core::{Engine, Table};
 use ss_server::{
-    Balancer, CacheTier, Client, CodecCounters, JobReport, JobSpec, RetryPolicy, ServeOptions,
-    Server, ServerHandle, ShardSpec,
+    cache_key, Balancer, CacheTier, Client, CodecCounters, JobReport, JobSpec, RetryPolicy,
+    ServeOptions, Server, ServerHandle, ShardRing, ShardSpec,
 };
 use ss_telemetry::json::Json;
 use ss_testdata::{generate_test_set, CubeProfile, Workload, WorkloadRegistry};
@@ -79,10 +83,10 @@ const THROUGHPUT_PROFILE_SCALE: f64 = 0.1;
 
 /// Fleet sweep: shard counts, key population, balanced clients, and
 /// the per-shard cache as a fraction of the measured working set —
-/// under 1.0 so one shard cannot hold the workload, while at 4 shards
-/// even a lopsided rendezvous spread (the ring hashes ephemeral-port
-/// addresses, so the split varies run to run) leaves every owner's
-/// slice of the 32 keys inside its budget.
+/// under 1.0 so one shard cannot hold the workload. The ring hashes
+/// ephemeral-port addresses, so the 4-shard split varies run to run;
+/// when its largest share is past this fraction, the cache grows to
+/// that share (still below the working set).
 const FLEET_SWEEP: [usize; 3] = [1, 2, 4];
 const FLEET_KEYS: u64 = 32;
 const FLEET_CLIENTS: usize = 4;
@@ -471,6 +475,8 @@ fn fleet_spec(seed: u64) -> JobSpec {
 struct FleetRow {
     shards: usize,
     cache_bytes: usize,
+    /// Bytes of the working set each shard owns, by shard id.
+    owned_bytes: Vec<u64>,
     jobs: usize,
     wall_s: f64,
     /// Cold syntheses summed across the whole fleet — equals
@@ -496,11 +502,11 @@ impl FleetRow {
 
 /// Phase 0 of the fleet sweep: run every fleet key cold against a
 /// throwaway single server with an ample cache, recording the golden
-/// digests and the exact bytes the corpus occupies in the memory
-/// tier. The sweep then sizes each shard's cache as a fraction of
-/// that working set, so the scaling claim tracks the workload instead
-/// of hard-coded byte counts.
-fn fleet_working_set() -> (Vec<JobSpec>, Vec<u64>, u64) {
+/// digests and the exact bytes each key occupies in the memory tier.
+/// The sweep then sizes each shard's cache from that working set and
+/// its shares, so the scaling claim tracks the workload instead of
+/// hard-coded byte counts.
+fn fleet_working_set() -> (Vec<JobSpec>, Vec<u64>, Vec<u64>) {
     let handle = Server::bind(&ServeOptions {
         workers: 1,
         ..ServeOptions::default()
@@ -509,62 +515,85 @@ fn fleet_working_set() -> (Vec<JobSpec>, Vec<u64>, u64) {
     .spawn();
     let mut client = Client::connect(handle.addr()).expect("connect probe");
     let specs: Vec<JobSpec> = (1..=FLEET_KEYS).map(fleet_spec).collect();
-    let mut digests = Vec::with_capacity(specs.len());
+    let (mut digests, mut key_bytes) = (Vec::new(), Vec::new());
     for spec in &specs {
+        let before = handle.stats().memory.bytes;
         let (_, report) = run_resilient(&mut client, handle.addr(), spec);
         assert_eq!(report.tier, CacheTier::Cold, "fleet keys must be distinct");
         digests.push(report.digest);
+        key_bytes.push(handle.stats().memory.bytes - before);
     }
-    let stats = handle.stats();
     assert_eq!(
-        stats.memory.evictions, 0,
+        handle.stats().memory.evictions,
+        0,
         "probe cache too small to measure the working set"
     );
-    let working_set = stats.memory.bytes;
     handle.shutdown();
-    (specs, digests, working_set)
+    (specs, digests, key_bytes)
 }
 
-/// Binds `shards` servers on ephemeral ports, one worker,
-/// `cache_bytes` of memory tier and replication factor `replicas`
-/// each, then wires the full peer list into every one before
-/// spawning.
-fn spawn_fleet(
-    shards: usize,
-    cache_bytes: usize,
-    replicas: usize,
-) -> (Vec<String>, Vec<ServerHandle>) {
-    let servers: Vec<Server> = (0..shards)
-        .map(|_| {
-            Server::bind(&ServeOptions {
-                workers: 1,
-                cache_bytes,
-                queue_depth: 16,
-                replicas,
-                ..ServeOptions::default()
-            })
-            .expect("bind shard")
-        })
-        .collect();
-    let peers: Vec<String> = servers
-        .iter()
-        .map(|s| s.local_addr().expect("shard addr").to_string())
-        .collect();
-    let handles = servers
-        .into_iter()
-        .enumerate()
-        .map(|(id, mut server)| {
-            server
-                .set_shards(ShardSpec {
-                    peers: peers.clone(),
-                    id,
-                    epoch: 0,
+/// A bound, not yet serving fleet: each shard's address, and the
+/// servers in shard-id order.
+struct BoundFleet {
+    peers: Vec<String>,
+    servers: Vec<Server>,
+}
+
+impl BoundFleet {
+    /// Binds `shards` servers on ephemeral ports, one job slot and
+    /// replication factor `replicas` each.
+    fn bind(shards: usize, replicas: usize) -> BoundFleet {
+        let servers: Vec<Server> = (0..shards)
+            .map(|_| {
+                Server::bind(&ServeOptions {
+                    workers: 1,
+                    queue_depth: 16,
+                    replicas,
+                    ..ServeOptions::default()
                 })
-                .expect("shard spec");
-            server.spawn()
-        })
-        .collect();
-    (peers, handles)
+                .expect("bind shard")
+            })
+            .collect();
+        let peers = servers
+            .iter()
+            .map(|s| s.local_addr().expect("shard addr").to_string())
+            .collect();
+        BoundFleet { peers, servers }
+    }
+
+    /// Bytes of the working set each shard owns: every key's bytes,
+    /// summed on the shard the ring assigns its content key to.
+    fn owned_bytes(&self, specs: &[JobSpec], key_bytes: &[u64]) -> Vec<u64> {
+        let ring = ShardRing::new(self.peers.clone()).expect("fleet ring");
+        let mut owned = vec![0; self.peers.len()];
+        for (spec, bytes) in specs.iter().zip(key_bytes) {
+            owned[ring.owner(cache_key(spec))] += bytes;
+        }
+        owned
+    }
+
+    /// Gives every shard `cache_bytes` of memory tier and the full
+    /// peer list, then spawns them.
+    fn spawn(self, cache_bytes: usize) -> (Vec<String>, Vec<ServerHandle>) {
+        let peers = self.peers;
+        let handles = self
+            .servers
+            .into_iter()
+            .enumerate()
+            .map(|(id, mut server)| {
+                server.set_cache_bytes(cache_bytes);
+                server
+                    .set_shards(ShardSpec {
+                        peers: peers.clone(),
+                        id,
+                        epoch: 0,
+                    })
+                    .expect("shard spec");
+                server.spawn()
+            })
+            .collect();
+        (peers, handles)
+    }
 }
 
 /// One fleet row: an untimed warm-up pass seeds every owner's cache
@@ -573,16 +602,14 @@ fn spawn_fleet(
 /// sweep point replays the identical request stream) and every answer
 /// is checked against its golden digest.
 fn measure_fleet(
-    shards: usize,
+    fleet: BoundFleet,
+    owned_bytes: Vec<u64>,
     cache_bytes: usize,
     specs: &[JobSpec],
     digests: &[u64],
 ) -> FleetRow {
-    // replication off: this sweep deliberately under-provisions each
-    // shard's cache to measure capacity scaling, and replica copies
-    // would both consume that budget and blur the exactly-once
-    // synthesis arithmetic; the replicated row is measured separately
-    let (peers, handles) = spawn_fleet(shards, cache_bytes, 1);
+    let shards = fleet.peers.len();
+    let (peers, handles) = fleet.spawn(cache_bytes);
 
     let mut warm = Balancer::new(peers.clone())
         .expect("warm-up balancer")
@@ -623,6 +650,7 @@ fn measure_fleet(
     let mut row = FleetRow {
         shards,
         cache_bytes,
+        owned_bytes,
         jobs: FLEET_CLIENTS * FLEET_DRAWS,
         wall_s,
         synthesis: 0,
@@ -672,7 +700,7 @@ fn measure_replicated_failover(specs: &[JobSpec], digests: &[u64]) -> FailoverRo
     const REPLICAS: usize = 2;
     let shards = 3;
     // ample cache: this row measures failover latency, not capacity
-    let (peers, mut handles) = spawn_fleet(shards, 64 << 20, REPLICAS);
+    let (peers, mut handles) = BoundFleet::bind(shards, REPLICAS).spawn(64 << 20);
 
     let mut balancer = Balancer::new(peers)
         .expect("failover balancer")
@@ -785,6 +813,10 @@ fn write_json(
                 ("clients", FLEET_CLIENTS.into()),
                 ("keys", FLEET_KEYS.into()),
                 ("cache_bytes_per_shard", row.cache_bytes.into()),
+                (
+                    "owned_bytes",
+                    Json::Array(row.owned_bytes.iter().map(|&b| b.into()).collect()),
+                ),
                 ("jobs", row.jobs.into()),
                 ("wall_s", Json::exp(row.wall_s, 6)),
                 ("jobs_per_s", Json::fixed(row.jobs_per_s(), 1)),
@@ -887,15 +919,41 @@ fn main() {
     }
     println!("{table}");
 
-    let (specs, fleet_digests, working_set) = fleet_working_set();
-    let cache_bytes = ((working_set as f64 * FLEET_CACHE_FRACTION) as usize).max(1);
+    let (specs, fleet_digests, key_bytes) = fleet_working_set();
+    let working_set: u64 = key_bytes.iter().sum();
+    // replication off: this sweep deliberately under-provisions each
+    // shard's cache to measure capacity scaling, and replica copies
+    // would both consume that budget and blur the exactly-once
+    // synthesis arithmetic; the replicated row is measured separately
+    let fleets: Vec<BoundFleet> = FLEET_SWEEP
+        .iter()
+        .map(|&n| BoundFleet::bind(n, 1))
+        .collect();
+    let shares: Vec<Vec<u64>> = fleets
+        .iter()
+        .map(|fleet| fleet.owned_bytes(&specs, &key_bytes))
+        .collect();
+    let widest_share = shares.last().and_then(|s| s.iter().max()).copied();
+    let cache_bytes = ((working_set as f64 * FLEET_CACHE_FRACTION) as u64)
+        .max(widest_share.expect("fleet sweep is non-empty"));
+    assert!(
+        cache_bytes < working_set,
+        "one shard owns the whole working set, so no cache can both hold its share and thrash a single shard"
+    );
     println!(
-        "fleet working set: {} keys, {} bytes -> {} bytes of cache per shard\n",
+        "fleet working set: {} keys, {} bytes -> {} bytes of cache per shard",
         FLEET_KEYS, working_set, cache_bytes
     );
-    let fleet: Vec<FleetRow> = FLEET_SWEEP
-        .iter()
-        .map(|&n| measure_fleet(n, cache_bytes, &specs, &fleet_digests))
+    for (n, owned) in FLEET_SWEEP.iter().zip(&shares) {
+        println!("  {n} shard(s) own {owned:?} bytes");
+    }
+    println!();
+    let fleet: Vec<FleetRow> = fleets
+        .into_iter()
+        .zip(shares)
+        .map(|(fleet, owned)| {
+            measure_fleet(fleet, owned, cache_bytes as usize, &specs, &fleet_digests)
+        })
         .collect();
     let mut table = Table::new([
         "shards", "clients", "jobs", "wall", "jobs/s", "speedup", "synth", "hit rate",

@@ -522,7 +522,7 @@ impl Client {
     /// Runs a job: one `Submit`, answered with the job's id and
     /// report once it has run. `Busy` retries pace themselves with
     /// fresh [`RetryPolicy`] jitter and no overall deadline — the
-    /// queue bound guarantees progress as workers drain.
+    /// bounded wait guarantees progress as running jobs finish.
     ///
     /// # Errors
     ///

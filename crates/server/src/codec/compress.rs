@@ -262,18 +262,17 @@ pub fn decompress(bytes: &[u8], cap: u64) -> Result<Vec<u8>, CodecError> {
 }
 
 /// Appends the `len` bytes that start `offset` back from the end of
-/// `out`. A match shorter than its offset is one copy; a longer one
-/// overlaps the bytes it is producing (the LZ run idiom) and copies
-/// forward a byte at a time.
+/// `out`. A match longer than its offset overlaps the bytes it is
+/// producing (the LZ run idiom): each copy takes all that exists past
+/// `from` so far, so the copied span doubles per call, and a match no
+/// longer than its offset is a single copy.
 fn copy_match(out: &mut Vec<u8>, offset: usize, len: usize) {
     let from = out.len() - offset;
-    if offset >= len {
-        out.extend_from_within(from..from + len);
-    } else {
-        for i in 0..len {
-            let b = out[from + i];
-            out.push(b);
-        }
+    let mut left = len;
+    while left > 0 {
+        let n = left.min(out.len() - from);
+        out.extend_from_within(from..from + n);
+        left -= n;
     }
 }
 
@@ -456,11 +455,12 @@ mod tests {
 
     #[test]
     fn match_copies_equal_the_byte_wise_loop() {
-        // offset 1 is a run, offset == len the longest single copy and
-        // offset == len - 1 the shortest overlapping one
+        // offsets 1, 2 and 3 are runs of one, two and three bytes,
+        // offset == len the longest single copy and offset == len - 1
+        // the shortest overlapping one
         let literals = b"abcdefghijklmnopqrstuvwxyz";
         for len in MIN_MATCH..=MAX_MATCH {
-            for offset in [1, len - 1, len, len + 1, literals.len()] {
+            for offset in [1, 2, 3, len - 1, len, len + 1, literals.len()] {
                 let mut want = literals.to_vec();
                 reference_copy_match(&mut want, offset, len);
                 let mut got = literals.to_vec();

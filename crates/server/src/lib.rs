@@ -1,5 +1,5 @@
 //! `ss-server` — the State Skip compression **service**: a
-//! multi-threaded TCP server with a bounded job queue, explicit
+//! multi-threaded TCP server with a bounded job gate, explicit
 //! backpressure and a content-addressed cache of synthesis/encode
 //! artifacts, plus the matching client library.
 //!
@@ -7,8 +7,8 @@
 //! `ss-server` accepts workloads over a length-prefixed, versioned
 //! wire protocol ([`protocol`]) — every connection opens with one
 //! `Hello` exchange and then streams CRC-guarded, optionally
-//! compressed chunks ([`codec`]) — executes them on a worker pool
-//! against the staged [`Engine`](ss_core::Engine) flow, and answers
+//! compressed chunks ([`codec`]) — runs each on the thread of the
+//! connection that submitted it, a bounded number at once, against the staged [`Engine`](ss_core::Engine) flow, and answers
 //! repeated submissions of the same `(cube set, engine config)` pair
 //! from a size-bounded LRU of synthesised hardware and encodings
 //! ([`cache`]) — skipping the two expensive stages entirely while

@@ -103,7 +103,7 @@ impl std::error::Error for WireError {}
 ///
 /// The `threads` knob deliberately does **not** travel: results are
 /// bit-identical at every thread count, so the server picks its own
-/// per-job parallelism (total capacity divided among workers) and the
+/// per-job parallelism (total capacity divided among job slots) and the
 /// cache key stays thread-agnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
@@ -226,7 +226,8 @@ pub struct JobReport {
     pub digest: u64,
     /// Which cache tier served the synthesis + encode artifacts.
     pub tier: CacheTier,
-    /// Server-side service time in microseconds (excludes queueing).
+    /// Server-side service time in microseconds (excludes the wait
+    /// for a job slot).
     pub service_micros: u64,
     /// This connection's wire totals at reply time.
     pub conn: ConnStats,
@@ -395,16 +396,16 @@ impl CodecCounters {
     }
 }
 
-/// Aggregate server telemetry, answered to [`Request::Stats`]: queue
-/// and worker state, per-tier cache counters, persistent-store
-/// counters, and per-phase latency histograms.
+/// Aggregate server telemetry, answered to [`Request::Stats`]: job
+/// gate state, per-tier cache counters, persistent-store counters, and
+/// per-phase latency histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
-    /// Worker threads serving the job queue.
+    /// Job slots: how many jobs run at once.
     pub workers: u32,
-    /// Bounded queue capacity.
+    /// How many submissions may wait for a job slot.
     pub queue_capacity: u32,
-    /// Jobs currently queued (not running).
+    /// Submissions currently waiting for a job slot (not running).
     pub queued: u32,
     /// Jobs completed (successfully or not) since startup.
     pub jobs_done: u64,
@@ -622,8 +623,9 @@ pub enum Request {
     /// configuration. Travels as a plain frame — the codec starts with
     /// the *next* message.
     Hello(CodecConfig),
-    /// Run a job. Answered once a worker has run it, with `Done` or
-    /// `Failed`; or straight away with `Busy` (queue full), `Error`
+    /// Run a job. Answered once the server has run it, with `Done` or
+    /// `Failed`; or straight away with `Busy` (the wait for a job slot
+    /// is full), `Error`
     /// (rejected at the door, or shutdown) or — on a sharded server
     /// that does not own the job's content key — `Redirect`.
     Submit(JobSpec),
@@ -682,11 +684,13 @@ pub enum Request {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// The bounded queue is full — backpressure, retry later.
+    /// The wait for a job slot is full — backpressure, retry later.
+    /// A connection shed at the accept gate gets one too, with both
+    /// counts set to the connection bound.
     Busy {
-        /// Jobs currently queued.
+        /// Submissions currently waiting for a job slot.
         queued: u32,
-        /// Queue capacity.
+        /// How many submissions may wait.
         capacity: u32,
     },
     /// The job finished.

@@ -1,15 +1,13 @@
-//! The concurrent compression service: bounded job queue, worker
-//! pool, per-connection protocol handlers and the content-addressed
-//! artifact cache, all over blocking std TCP.
+//! The concurrent compression service: per-connection protocol
+//! handlers that run their own jobs behind a bounded job gate, and the
+//! content-addressed artifact cache, all over blocking std TCP.
 //!
 //! # Threading model
 //!
 //! ```text
-//! accept loop ── one handler thread per connection ──┐
-//!                       ▲                            │ try_enqueue (bounded; Busy when full)
-//!                       │ reply channel              ▼
-//!                  worker pool (N threads) ◀── bounded queue
-//!                  │  pop → execute → send Done/Failed
+//! accept loop ── one handler thread per connection
+//!                  │  admit → wait for a job slot (Busy when the wait is full)
+//!                  │  → execute → reply Done/Failed → free the slot
 //!                  └─ artifact cache (Mutex<ArtifactCache>)
 //!
 //! sharded only:
@@ -19,12 +17,13 @@
 //!                 higher ring epochs gossiped back in Pong
 //! ```
 //!
-//! Backpressure is explicit: the queue never grows past its capacity —
-//! a submission that would overflow is answered [`Response::Busy`] and
-//! nothing is buffered. A `Submit` is answered with its job's report,
-//! so a connection has at most one job in flight; its handler waits
-//! for the worker's reply with a stop check, so shutdown cannot
-//! deadlock a connection.
+//! A job is a pure function of its spec, so the handler that read a
+//! `Submit` runs it and answers with its report: a connection has at
+//! most one job in flight. The job gate bounds the rest. `workers`
+//! slots run at once, at most `queue_depth` submissions wait for one,
+//! and a submission past that is answered [`Response::Busy`] with
+//! nothing buffered. A waiting handler re-checks the stop flag every
+//! tick, so shutdown cannot deadlock a connection.
 //!
 //! Every message after a connection's `Hello` exchange travels through
 //! the agreed [`Codec`], which checks each chunk once as it arrives.
@@ -35,7 +34,7 @@
 //! a leaf lock — nothing else is locked while it is held.
 //!
 //! Each job runs with `total parallelism / workers` engine threads, so
-//! the pool saturates the machine without oversubscribing it; results
+//! full slots saturate the machine without oversubscribing it; results
 //! are bit-identical at every thread count, so this knob never changes
 //! what a client receives.
 
@@ -44,8 +43,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -100,18 +98,20 @@ const PEER_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 const PEER_IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Tunables for [`Server::bind`]. `Default` is a loopback address on
-/// an OS-assigned port, one worker per hardware thread, a 256 MiB
-/// cache and a queue of four jobs per worker.
+/// an OS-assigned port, one job slot per hardware thread, a 256 MiB
+/// cache and room for four waiting submissions per slot.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Listen address, e.g. `"127.0.0.1:7113"`; port 0 lets the OS
     /// pick (read the result from [`Server::local_addr`]).
     pub addr: String,
-    /// Worker threads; 0 means one per hardware thread.
+    /// Job slots: how many jobs run at once, each on its connection's
+    /// thread; 0 means one per hardware thread.
     pub workers: usize,
     /// Artifact-cache budget in bytes.
     pub cache_bytes: usize,
-    /// Bounded queue capacity; 0 means `4 * workers`.
+    /// How many submissions may wait for a job slot before the next
+    /// is answered `Busy`; 0 means `4 * workers`.
     pub queue_depth: usize,
     /// Root of the persistent artifact store; `None` serves from the
     /// in-memory tier only. The directory is created if absent, its
@@ -149,23 +149,23 @@ impl Default for ServeOptions {
     }
 }
 
-/// A finished job as a worker sends it back: the report, or the
-/// failure message.
-type JobOutcome = Result<JobReport, String>;
-
-/// A job sitting in the bounded queue: pre-parsed and pre-validated,
-/// so workers only ever do compression work.
-struct QueuedJob {
+/// An admitted job: pre-parsed and pre-validated, so running it is
+/// only compression work.
+#[derive(Debug)]
+struct Job {
     id: u64,
     key: u64,
     set: TestSet,
     spec: JobSpec,
-    /// When the job entered the queue (monotonic µs) — the queue-wait
-    /// span runs from here to the worker pop.
-    enqueued_micros: u64,
-    /// One-slot channel to the connection handler waiting for this
-    /// job; the worker's send never blocks.
-    reply: SyncSender<JobOutcome>,
+}
+
+/// The job gate's two counts, kept under one mutex.
+#[derive(Default)]
+struct Gate {
+    /// Jobs holding one of the `workers` slots.
+    running: usize,
+    /// Submissions waiting for a slot; at most `queue_capacity`.
+    waiting: usize,
 }
 
 /// The persistent tier: the on-disk store plus an in-memory index of
@@ -221,15 +221,17 @@ struct ReplicationTask {
     trace: u64,
 }
 
-/// State shared by the accept loop, connection handlers and workers.
+/// State shared by the accept loop, the connection handlers and, when
+/// sharded, the replicator and prober.
 struct Shared {
-    queue: Mutex<VecDeque<QueuedJob>>,
-    queue_cv: Condvar,
+    gate: Mutex<Gate>,
+    /// Signalled when a slot frees, and on stop.
+    gate_cv: Condvar,
     cache: Mutex<ArtifactCache>,
     /// The persistent second tier, when `--store-dir` is configured.
     disk: Option<DiskTier>,
     /// Cache keys whose cold computation is in flight — request
-    /// coalescing: a worker holding a duplicate key waits for the
+    /// coalescing: a job holding a duplicate key waits for the
     /// computer instead of re-running synthesis + encode in parallel.
     pending: Mutex<HashSet<u64>>,
     pending_cv: Condvar,
@@ -269,17 +271,26 @@ struct Shared {
     job_threads: usize,
 }
 
-/// What a submission attempt produced.
+/// What admission made of a valid submission.
 #[derive(Debug)]
-enum Enqueue {
-    /// Queued; the worker that runs it answers on this channel.
-    Queued(Receiver<JobOutcome>),
-    Busy {
-        queued: u32,
-        capacity: u32,
-    },
+enum Admission {
+    /// This server runs it.
+    Run(Job),
     /// Another shard owns this key; the payload is its address.
     Redirect(String),
+}
+
+/// A held job slot, freed on drop: on every exit path, unwinds
+/// included, so a panicking job never shrinks the server's capacity.
+struct JobSlot<'a> {
+    shared: &'a Shared,
+}
+
+impl Drop for JobSlot<'_> {
+    fn drop(&mut self) {
+        self.shared.lock_gate().running -= 1;
+        self.shared.gate_cv.notify_all();
+    }
 }
 
 impl Shared {
@@ -293,8 +304,8 @@ impl Shared {
         replicas: usize,
     ) -> Self {
         Shared {
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
+            gate: Mutex::new(Gate::default()),
+            gate_cv: Condvar::new(),
             cache: Mutex::new(ArtifactCache::new(cache_bytes)),
             disk,
             pending: Mutex::new(HashSet::new()),
@@ -318,23 +329,23 @@ impl Shared {
         }
     }
 
-    /// Validates a spec, canonicalises its workload text and either
-    /// queues it (`Queued`), applies backpressure (`Busy`), or —
-    /// sharded, non-`direct`, and the canonical key belongs to another
-    /// shard — answers the owner's address (`Redirect`). The error
-    /// carries a client-facing message.
+    /// Validates a spec, canonicalises its workload text and keys it,
+    /// then either admits it to run here (`Run`) or — sharded,
+    /// non-`direct`, and the canonical key belongs to another shard —
+    /// answers the owner's address (`Redirect`). The error carries a
+    /// client-facing message.
     ///
     /// `direct` submissions (`SubmitDirect`) always execute locally:
     /// that is the balancer's failover path onto a non-owner, which
     /// must never be bounced back toward a dead owner.
-    fn try_enqueue(&self, mut spec: JobSpec, direct: bool) -> Result<Enqueue, String> {
+    fn admit(&self, mut spec: JobSpec, direct: bool) -> Result<Admission, String> {
         let set = TestSet::from_text(&spec.set_text).map_err(|e| format!("cube file: {e}"))?;
         if set.is_empty() {
             return Err("cube file: test set is empty".to_string());
         }
         // canonical text: whitespace/comment variants share a cache key
         spec.set_text = set.to_text();
-        // reject bad knobs at the door, not in a worker
+        // reject bad knobs at the door, before taking a job slot
         engine_from_spec(&spec, self.job_threads).map_err(|e| format!("config: {e}"))?;
         let key = cache_key(&spec);
 
@@ -347,31 +358,58 @@ impl Shared {
                 let owner = state.ring.owner(key);
                 if state.id != Some(owner) {
                     self.bump(|s| s.redirects += 1);
-                    return Ok(Enqueue::Redirect(state.ring.shards()[owner].clone()));
+                    return Ok(Admission::Redirect(state.ring.shards()[owner].clone()));
                 }
             }
         }
-
-        let mut queue = self.queue.lock().expect("queue mutex");
-        if queue.len() >= self.queue_capacity {
-            self.bump(|s| s.busy_rejections += 1);
-            return Ok(Enqueue::Busy {
-                queued: queue.len() as u32,
-                capacity: self.queue_capacity as u32,
-            });
-        }
-        let (reply, outcome) = mpsc::sync_channel(1);
-        queue.push_back(QueuedJob {
+        Ok(Admission::Run(Job {
             id: self.next_job.fetch_add(1, Ordering::Relaxed),
             key,
             set,
             spec,
-            enqueued_micros: self.clock.now_micros(),
-            reply,
-        });
-        drop(queue);
-        self.queue_cv.notify_one();
-        Ok(Enqueue::Queued(outcome))
+        }))
+    }
+
+    /// Waits for one of the `workers` job slots. Answers `Busy` when
+    /// `queue_capacity` submissions are already waiting, and "server
+    /// shutting down" within a [`WAIT_TICK`] of stop: stop beats a
+    /// free slot, so a submission still waiting at stop never runs.
+    // the refusal is the reply itself, built once per refused
+    // submission and never stored, so its size costs nothing
+    #[allow(clippy::result_large_err)]
+    fn claim_slot(&self) -> Result<JobSlot<'_>, Response> {
+        let mut gate = self.lock_gate();
+        if gate.waiting >= self.queue_capacity {
+            self.bump(|s| s.busy_rejections += 1);
+            return Err(Response::Busy {
+                queued: gate.waiting as u32,
+                capacity: self.queue_capacity as u32,
+            });
+        }
+        gate.waiting += 1;
+        loop {
+            if self.stop.load(Ordering::Relaxed) {
+                gate.waiting -= 1;
+                return Err(Response::Error(SHUTTING_DOWN.to_string()));
+            }
+            if gate.running < self.workers {
+                gate.waiting -= 1;
+                gate.running += 1;
+                return Ok(JobSlot { shared: self });
+            }
+            gate = self
+                .gate_cv
+                .wait_timeout(gate, WAIT_TICK)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+
+    /// Locks the job gate. Every gate update is one whole step, so a
+    /// gate poisoned by a panic elsewhere is still valid, and a slot
+    /// freed while a panic unwinds must not panic on it.
+    fn lock_gate(&self) -> MutexGuard<'_, Gate> {
+        self.gate.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Applies one update to the tally. The tally mutex is a leaf
@@ -387,7 +425,7 @@ impl Shared {
         let mut s = *self.tally.lock().expect("tally mutex");
         s.workers = self.workers as u32;
         s.queue_capacity = self.queue_capacity as u32;
-        s.queued = self.queue.lock().expect("queue mutex").len() as u32;
+        s.queued = self.lock_gate().waiting as u32;
         let cache = self.cache.lock().expect("cache mutex").stats();
         s.memory = TierStats {
             hits: cache.hits,
@@ -571,7 +609,7 @@ impl Drop for PendingGuard<'_> {
 
 /// Cache lookup with request coalescing: a hit returns the artifacts
 /// and their report summary; a miss either claims the key (returning a guard — the caller is
-/// now the computer) or, when another worker is already computing the
+/// now the computer) or, when another job is already computing the
 /// same key, blocks until that computation lands and retries. A
 /// computer that fails releases the key, so exactly one waiter
 /// inherits the cold path — progress is guaranteed, never a stampede.
@@ -677,7 +715,7 @@ fn verify_and_admit(
 /// recompute). Never panics and never returns an unverified result:
 /// the envelope checksum guards the bytes, and [`verify_and_admit`]
 /// checks the stored report digest.
-fn disk_lookup(shared: &Shared, job: &QueuedJob) -> Option<(ReportSummary, usize)> {
+fn disk_lookup(shared: &Shared, job: &Job) -> Option<(ReportSummary, usize)> {
     let disk = shared.disk.as_ref()?;
     let indexed = disk
         .index
@@ -723,7 +761,7 @@ fn disk_lookup(shared: &Shared, job: &QueuedJob) -> Option<(ReportSummary, usize
 /// filter → encode path as the CLI `run` command) that populates both
 /// tiers. A memory hit answers from the slot's summary and runs no
 /// pipeline stage.
-fn execute(shared: &Shared, job: &QueuedJob) -> Result<JobReport, String> {
+fn execute(shared: &Shared, job: &Job) -> Result<JobReport, String> {
     let start = Instant::now();
     let trace = job.spec.trace;
     let t_lookup = shared.clock.now_micros();
@@ -745,7 +783,7 @@ fn execute(shared: &Shared, job: &QueuedJob) -> Result<JobReport, String> {
             );
             (summary, entry.dropped, CacheTier::Memory)
         }
-        // holding the guard: this worker is the (sole) computer for
+        // holding the guard: this job is the (sole) computer for
         // the key, whether it comes off disk or runs cold
         Err(_pending_guard) => {
             let t_disk = shared.clock.now_micros();
@@ -1143,7 +1181,7 @@ fn prober_loop(shared: &Shared) {
 /// Projects a report summary onto the wire-sized [`JobReport`] of
 /// `job` — the one projection every tier answers through.
 fn job_report(
-    job: &QueuedJob,
+    job: &Job,
     summary: &ReportSummary,
     dropped: usize,
     tier: CacheTier,
@@ -1164,88 +1202,21 @@ fn job_report(
         digest: summary.digest,
         tier,
         service_micros: service.as_micros() as u64,
-        // stamped by the connection handler at reply time; a worker
-        // has no wire context
+        // stamped by the connection handler at reply time
         conn: ConnStats::default(),
         trace: job.spec.trace.trace,
         job: job.id,
     }
 }
 
-fn worker_loop(shared: &Shared) {
-    loop {
-        let job = {
-            let mut queue = shared.queue.lock().expect("queue mutex");
-            loop {
-                // stop beats pop: shutdown abandons the backlog (the
-                // documented ServerHandle contract) instead of
-                // draining arbitrarily many queued jobs first
-                if shared.stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                let (q, _) = shared
-                    .queue_cv
-                    .wait_timeout(queue, WAIT_TICK)
-                    .expect("queue mutex");
-                queue = q;
-            }
-        };
-        let popped = shared.clock.now_micros();
-        shared.record_span(
-            job.spec.trace.trace,
-            job.spec.trace.parent,
-            SpanKind::QueueWait,
-            job.enqueued_micros,
-            popped.saturating_sub(job.enqueued_micros),
-            String::new,
-        );
-        let outcome = execute(shared, &job);
-        // counted before the reply goes out, so a client that has its
-        // report never reads a stale jobs_done
-        shared.bump(|s| s.jobs_done += 1);
-        // a client that hung up drops its receiver: the send fails and
-        // the job's artifacts are still cached
-        let _ = job.reply.send(outcome);
-    }
-}
-
-/// Blocks a connection handler until the worker running its job
-/// answers, re-checking the stop flag every [`WAIT_TICK`] so shutdown
-/// never strands a connection.
-fn await_outcome(shared: &Shared, outcome: &Receiver<JobOutcome>) -> Response {
-    loop {
-        match outcome.recv_timeout(WAIT_TICK) {
-            Ok(Ok(report)) => return Response::Done(report),
-            Ok(Err(message)) => {
-                return Response::Failed {
-                    message,
-                    conn: ConnStats::default(),
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::Relaxed) {
-                    return Response::Error(SHUTTING_DOWN.to_string());
-                }
-            }
-            // only a panicking worker drops a job without answering
-            Err(RecvTimeoutError::Disconnected) => {
-                return Response::Error("the worker running this job died".to_string())
-            }
-        }
-    }
-}
-
-/// Answers a submission: with the job's outcome once a worker has run
-/// it, or straight away with `Busy`, `Redirect` or `Error`.
+/// Answers a submission: straight away with `Redirect`, `Busy` or
+/// `Error`, or, once a job slot is free, by running the job on this
+/// handler's thread and answering `Done` or `Failed`.
 fn submit(shared: &Shared, spec: JobSpec, direct: bool) -> Response {
     let trace = spec.trace;
-    match shared.try_enqueue(spec, direct) {
-        Ok(Enqueue::Queued(outcome)) => await_outcome(shared, &outcome),
-        Ok(Enqueue::Busy { queued, capacity }) => Response::Busy { queued, capacity },
-        Ok(Enqueue::Redirect(addr)) => {
+    let job = match shared.admit(spec, direct) {
+        Ok(Admission::Run(job)) => job,
+        Ok(Admission::Redirect(addr)) => {
             shared.record_span(
                 trace.trace,
                 trace.parent,
@@ -1254,12 +1225,37 @@ fn submit(shared: &Shared, spec: JobSpec, direct: bool) -> Response {
                 0,
                 || format!("-> {addr}"),
             );
-            Response::Redirect {
+            return Response::Redirect {
                 addr,
                 trace: trace.trace,
-            }
+            };
         }
-        Err(message) => Response::Error(message),
+        Err(message) => return Response::Error(message),
+    };
+    let admitted = shared.clock.now_micros();
+    let slot = match shared.claim_slot() {
+        Ok(slot) => slot,
+        Err(refusal) => return refusal,
+    };
+    shared.record_span(
+        trace.trace,
+        trace.parent,
+        SpanKind::QueueWait,
+        admitted,
+        shared.clock.now_micros().saturating_sub(admitted),
+        String::new,
+    );
+    let outcome = execute(shared, &job);
+    // counted before the reply goes out, so a client that has its
+    // report never reads a stale jobs_done
+    shared.bump(|s| s.jobs_done += 1);
+    drop(slot);
+    match outcome {
+        Ok(report) => Response::Done(report),
+        Err(message) => Response::Failed {
+            message,
+            conn: ConnStats::default(),
+        },
     }
 }
 
@@ -1505,6 +1501,19 @@ fn dispatch_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     }
 }
 
+/// Starts the replicator and prober of a sharded server; an unsharded
+/// one runs neither.
+fn spawn_fleet_threads(shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
+    if shared.shards.lock().expect("shards mutex").is_none() {
+        return Vec::new();
+    }
+    let (replicator, prober) = (Arc::clone(shared), Arc::clone(shared));
+    vec![
+        thread::spawn(move || replicator_loop(&replicator)),
+        thread::spawn(move || prober_loop(&prober)),
+    ]
+}
+
 /// A bound (not yet serving) compression service.
 ///
 /// [`Server::run`] serves on the calling thread forever (the CLI
@@ -1516,9 +1525,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listen socket and sizes the worker pool, queue and
-    /// cache from `options` (see [`ServeOptions`] for the defaults
-    /// each `0` resolves to).
+    /// Binds the listen socket and sizes the job gate and cache from
+    /// `options` (see [`ServeOptions`] for the defaults each `0`
+    /// resolves to).
     ///
     /// # Errors
     ///
@@ -1598,6 +1607,15 @@ impl Server {
         Ok(())
     }
 
+    /// Re-sizes the memory tier of a bound-but-not-yet-serving server.
+    /// Like [`Server::set_shards`], this is for benches that bind a
+    /// fleet on port 0 and only then know how much each shard owns.
+    pub fn set_cache_bytes(&mut self, bytes: usize) {
+        let shared = Arc::get_mut(&mut self.shared)
+            .expect("set_cache_bytes is called before any thread shares the server state");
+        *shared.cache.get_mut().expect("cache mutex") = ArtifactCache::new(bytes);
+    }
+
     /// The actual bound address (resolves port 0).
     ///
     /// # Errors
@@ -1607,37 +1625,29 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Worker threads this server will run.
+    /// Job slots: how many jobs this server runs at once.
     pub fn workers(&self) -> usize {
         self.shared.workers
     }
 
-    /// Bounded queue capacity.
+    /// How many submissions may wait for a job slot before the next
+    /// is answered `Busy`.
     pub fn queue_capacity(&self) -> usize {
         self.shared.queue_capacity
     }
 
-    /// Serves forever on the calling thread (workers on background
-    /// threads). Only returns on an accept error.
+    /// Serves forever, accepting on the calling thread; each
+    /// connection, and the jobs it submits, runs on a thread of its
+    /// own. Only returns on an accept error.
     ///
     /// # Errors
     ///
     /// The first fatal `accept` error.
     pub fn run(self) -> io::Result<()> {
-        let shared = Arc::clone(&self.shared);
-        for _ in 0..shared.workers {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || worker_loop(&shared));
-        }
-        if shared.shards.lock().expect("shards mutex").is_some() {
-            let replicator = Arc::clone(&shared);
-            thread::spawn(move || replicator_loop(&replicator));
-            let prober = Arc::clone(&shared);
-            thread::spawn(move || prober_loop(&prober));
-        }
+        spawn_fleet_threads(&self.shared);
         loop {
             let (stream, _) = self.listener.accept()?;
-            dispatch_connection(&shared, stream);
+            dispatch_connection(&self.shared, stream);
         }
     }
 
@@ -1649,35 +1659,21 @@ impl Server {
             .local_addr()
             .expect("bound listener has an address");
         let shared = Arc::clone(&self.shared);
-        let workers: Vec<JoinHandle<()>> = (0..shared.workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        let mut aux: Vec<JoinHandle<()>> = Vec::new();
-        if shared.shards.lock().expect("shards mutex").is_some() {
-            let replicator = Arc::clone(&shared);
-            aux.push(thread::spawn(move || replicator_loop(&replicator)));
-            let prober = Arc::clone(&shared);
-            aux.push(thread::spawn(move || prober_loop(&prober)));
-        }
         let accept_shared = Arc::clone(&shared);
         let listener = self.listener;
-        let accept = thread::spawn(move || {
+        let mut threads = vec![thread::spawn(move || {
             while let Ok((stream, _)) = listener.accept() {
                 if accept_shared.stop.load(Ordering::Relaxed) {
                     return;
                 }
                 dispatch_connection(&accept_shared, stream);
             }
-        });
+        })];
+        threads.extend(spawn_fleet_threads(&shared));
         ServerHandle {
             addr,
             shared,
-            accept: Some(accept),
-            workers,
-            aux,
+            threads,
         }
     }
 }
@@ -1687,10 +1683,9 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    /// The replicator and prober threads of a sharded server.
-    aux: Vec<JoinHandle<()>>,
+    /// The accept thread, then a sharded server's replicator and
+    /// prober; empty once stopped.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -1704,8 +1699,11 @@ impl ServerHandle {
         self.shared.stats()
     }
 
-    /// Stops accepting, drains nothing (queued jobs are abandoned;
-    /// running jobs finish), and joins the accept and worker threads.
+    /// Stops accepting and drains nothing: submissions waiting for a
+    /// job slot are answered "server shutting down" and never run.
+    /// Returns once every running job has finished (and written
+    /// through to the store) and the accept, replicator and prober
+    /// threads are joined.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -1714,23 +1712,19 @@ impl ServerHandle {
         self.shared.stop.store(true, Ordering::Relaxed);
         // unblock accept with a throwaway connection
         let _ = TcpStream::connect(self.addr);
-        self.shared.queue_cv.notify_all();
+        self.shared.gate_cv.notify_all();
         self.shared.repl_cv.notify_all();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        for aux in self.aux.drain(..) {
-            let _ = aux.join();
-        }
+        let (gate, gate_cv) = (self.shared.lock_gate(), &self.shared.gate_cv);
+        drop(gate_cv.wait_while(gate, |gate| gate.running > 0));
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.accept.is_some() {
+        if !self.threads.is_empty() {
             self.stop_and_join();
         }
     }
@@ -1753,43 +1747,82 @@ mod tests {
         JobSpec::new(&set, engine.config())
     }
 
-    /// Backpressure is deterministic at the queue level: with no
-    /// workers draining, capacity+1 submissions yield exactly one
-    /// `Busy` and nothing is buffered past the bound.
-    #[test]
-    fn bounded_queue_rejects_with_busy_never_buffers() {
-        let shared = Shared::new(1, 2, 1 << 20, 1, None, 256, 1);
-        let spec = mini_spec();
-        for _ in 0..2 {
-            assert!(matches!(
-                shared.try_enqueue(spec.clone(), false),
-                Ok(Enqueue::Queued(_))
-            ));
+    /// The job admission hands on for `spec`.
+    fn admitted(shared: &Shared, spec: JobSpec, direct: bool) -> Job {
+        match shared.admit(spec, direct) {
+            Ok(Admission::Run(job)) => job,
+            other => panic!("not admitted to run here: {other:?}"),
         }
-        match shared.try_enqueue(spec.clone(), false).unwrap() {
-            Enqueue::Busy { queued, capacity } => {
-                assert_eq!((queued, capacity), (2, 2));
-            }
-            other => panic!("queue overflowed its bound: {other:?}"),
-        }
-        assert_eq!(shared.queue.lock().unwrap().len(), 2);
-        assert_eq!(shared.stats().busy_rejections, 1);
-        // ids are distinct and monotone
-        let ids: Vec<u64> = shared.queue.lock().unwrap().iter().map(|j| j.id).collect();
-        assert_eq!(ids, [1, 2]);
     }
 
-    /// A submission blocked on a job no worker runs answers "server
-    /// shutting down" within a few ticks of the stop flag — and not
-    /// before it.
+    /// Submits `spec` on a thread of its own, as a connection handler
+    /// would.
+    fn spawn_submit(shared: &Arc<Shared>, spec: JobSpec) -> thread::JoinHandle<Response> {
+        let handler = Arc::clone(shared);
+        thread::spawn(move || respond(&handler, Request::Submit(spec)))
+    }
+
+    /// [`spawn_submit`], returning once the server counts it as
+    /// waiting.
+    fn submit_waiting(shared: &Arc<Shared>, spec: JobSpec) -> thread::JoinHandle<Response> {
+        let waiting = shared.stats().queued;
+        let submitted = spawn_submit(shared, spec);
+        while shared.stats().queued == waiting {
+            thread::sleep(Duration::from_millis(1));
+        }
+        submitted
+    }
+
+    /// Backpressure is deterministic at the gate: with its one slot
+    /// held, two submissions wait and the third is answered `Busy` at
+    /// exactly the capacity, with nothing buffered past the bound.
+    /// Once the slot frees, the two that waited run, with distinct job
+    /// ids rising in admission order.
+    #[test]
+    fn bounded_gate_rejects_with_busy_never_buffers() {
+        let shared = Arc::new(Shared::new(1, 2, 1 << 20, 1, None, 256, 1));
+        let held = shared.claim_slot().expect("a free slot");
+        let waiters: Vec<_> = (0..2)
+            .map(|_| submit_waiting(&shared, mini_spec()))
+            .collect();
+        // the third must be answered at once: admitted to wait, it
+        // would wait for good, so the test stops looking after 5 s
+        let third = spawn_submit(&shared, mini_spec());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !third.is_finished() && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert!(third.is_finished(), "the wait overflowed its bound");
+        match third.join().unwrap() {
+            Response::Busy { queued, capacity } => assert_eq!((queued, capacity), (2, 2)),
+            other => panic!("the wait overflowed its bound: {other:?}"),
+        }
+        let stats = shared.stats();
+        assert_eq!(
+            (stats.queued, stats.busy_rejections, stats.jobs_done),
+            (2, 1, 0)
+        );
+        drop(held);
+        let ids: Vec<u64> = waiters
+            .into_iter()
+            .map(|waiter| match waiter.join().unwrap() {
+                Response::Done(report) => report.job,
+                other => panic!("a waiting submission answered {other:?}"),
+            })
+            .collect();
+        assert_eq!(ids, [1, 2]);
+        let stats = shared.stats();
+        assert_eq!((stats.queued, stats.jobs_done), (0, 2));
+    }
+
+    /// A submission waiting for a slot that never frees answers
+    /// "server shutting down" within a few ticks of the stop flag, and
+    /// not before it.
     #[test]
     fn a_blocked_submit_answers_shutdown_within_a_few_ticks() {
         let shared = Arc::new(Shared::new(1, 4, 1 << 20, 1, None, 256, 1));
-        let handler = Arc::clone(&shared);
-        let blocked = thread::spawn(move || respond(&handler, Request::Submit(mini_spec())));
-        while shared.queue.lock().unwrap().is_empty() {
-            thread::sleep(Duration::from_millis(1));
-        }
+        let _held = shared.claim_slot().expect("a free slot");
+        let blocked = submit_waiting(&shared, mini_spec());
         thread::sleep(2 * WAIT_TICK);
         assert!(!blocked.is_finished(), "answered before its job ran");
         let stopped = Instant::now();
@@ -1798,6 +1831,29 @@ mod tests {
         let waited = stopped.elapsed();
         assert!(waited < 3 * WAIT_TICK, "shutdown took {waited:?}");
         assert_eq!(response, Response::Error(SHUTTING_DOWN.to_string()));
+    }
+
+    /// Stop beats a free slot: submissions still waiting when the
+    /// server stops answer "server shutting down" and never run, even
+    /// when the slot frees right after.
+    #[test]
+    fn waiting_submissions_never_run_after_stop() {
+        let shared = Arc::new(Shared::new(1, 8, 1 << 20, 1, None, 256, 1));
+        let held = shared.claim_slot().expect("a free slot");
+        let waiters: Vec<_> = (0..3)
+            .map(|_| submit_waiting(&shared, mini_spec()))
+            .collect();
+        shared.stop.store(true, Ordering::Relaxed);
+        drop(held);
+        for waiter in waiters {
+            assert_eq!(
+                waiter.join().unwrap(),
+                Response::Error(SHUTTING_DOWN.to_string())
+            );
+        }
+        let stats = shared.stats();
+        assert_eq!((stats.jobs_done, stats.queued), (0, 0));
+        assert_eq!(stats.memory.misses, 0, "a waiting job ran after stop");
     }
 
     /// A shard that stops while a balanced submission waits on it
@@ -1834,7 +1890,7 @@ mod tests {
         let owner = ShardRing::new(peers.clone())
             .unwrap()
             .owner(cache_key(&spec));
-        // the owner runs no worker, so the job waits in its queue
+        // the owner has no job slot, so the job waits at its gate
         Arc::get_mut(&mut servers[owner].shared).unwrap().workers = 0;
         let mut handles: Vec<Option<ServerHandle>> =
             servers.into_iter().map(|s| Some(s.spawn())).collect();
@@ -1853,9 +1909,9 @@ mod tests {
     }
 
     /// A connection has at most one job in flight: three submissions
-    /// written back to back before any reply is read, against one
-    /// worker and a one-job queue, are all served, in order, and none
-    /// is turned away `Busy`.
+    /// written back to back before any reply is read, against one job
+    /// slot with room for one waiting submission, are all served, in
+    /// order, and none is turned away `Busy`.
     #[test]
     fn a_connection_has_at_most_one_job_in_flight() {
         let handle = Server::bind(&ServeOptions {
@@ -1904,21 +1960,75 @@ mod tests {
         handle.shutdown();
     }
 
+    /// A job that fails frees its slot: a one-slot server answers
+    /// `Failed` for an LFSR below the set's smax, then `Done` for the
+    /// next good spec.
     #[test]
-    fn workers_abandon_the_backlog_on_stop() {
-        let shared = Arc::new(Shared::new(1, 8, 1 << 20, 1, None, 256, 1));
-        shared.try_enqueue(mini_spec(), false).unwrap();
-        shared.stop.store(true, Ordering::Relaxed);
-        let worker = Arc::clone(&shared);
-        thread::spawn(move || worker_loop(&worker))
-            .join()
-            .expect("worker exits cleanly");
-        assert_eq!(
-            shared.queue.lock().unwrap().len(),
-            1,
-            "stop abandons queued jobs instead of draining them"
-        );
-        assert_eq!(shared.stats().jobs_done, 0);
+    fn a_failed_job_frees_its_slot() {
+        let shared = Shared::new(1, 4, 1 << 20, 1, None, 256, 1);
+        let good = mini_spec();
+        let smax = TestSet::from_text(&good.set_text).unwrap().smax();
+        let bad = JobSpec {
+            lfsr_size: (smax - 1) as u32,
+            ..good.clone()
+        };
+        match respond(&shared, Request::Submit(bad)) {
+            Response::Failed { message, .. } => assert!(!message.is_empty()),
+            other => panic!("an LFSR below smax answered {other:?}"),
+        }
+        let running = shared.lock_gate().running;
+        assert_eq!(running, 0, "the failed job kept its slot");
+        match respond(&shared, Request::Submit(good)) {
+            Response::Done(report) => assert_eq!(report.tier, CacheTier::Cold),
+            other => panic!("the next good spec answered {other:?}"),
+        }
+        let stats = shared.stats();
+        assert_eq!((stats.jobs_done, stats.busy_rejections), (2, 0));
+    }
+
+    /// `ServerHandle::shutdown` waits for a job that is already
+    /// running: it returns only once the job has finished and written
+    /// its artifact through to the store directory.
+    #[test]
+    fn shutdown_returns_after_the_running_job_writes_through() {
+        let dir = std::env::temp_dir().join(format!("ss-server-drain-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let handle = Server::bind(&ServeOptions {
+            workers: 1,
+            store_dir: Some(dir.clone()),
+            ..ServeOptions::default()
+        })
+        .unwrap()
+        .spawn();
+        let shared = Arc::clone(&handle.shared);
+        let spec = mini_spec();
+        let key = cache_key(&spec);
+        // an in-flight claim on the key parks the job inside execute,
+        // holding its slot, until the claim is released
+        shared.pending.lock().unwrap().insert(key);
+        let addr = handle.addr();
+        let submitted = thread::spawn(move || Client::connect(addr).unwrap().run(&spec));
+        while shared.lock_gate().running == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let stopping = thread::spawn(move || handle.shutdown());
+        thread::sleep(3 * WAIT_TICK);
+        assert!(!stopping.is_finished(), "shutdown left a running job");
+        shared.pending.lock().unwrap().remove(&key);
+        shared.pending_cv.notify_all();
+        stopping.join().unwrap();
+        let stored: Vec<u64> = ArtifactStore::open(&dir)
+            .unwrap()
+            .keys()
+            .unwrap()
+            .into_iter()
+            .map(|(stored, _)| stored)
+            .collect();
+        assert_eq!(stored, [key], "shutdown returned before the write-through");
+        assert_eq!(shared.stats().jobs_done, 1);
+        let (_, report) = submitted.join().unwrap().expect("the running job answers");
+        assert_eq!(report.tier, CacheTier::Cold);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1926,31 +2036,28 @@ mod tests {
         let shared = Shared::new(1, 4, 1 << 20, 1, None, 256, 1);
         let mut bad = mini_spec();
         bad.set_text = "no header".to_string();
-        assert!(shared.try_enqueue(bad, false).is_err());
+        assert!(shared.admit(bad, false).is_err());
         let mut bad = mini_spec();
         bad.segment = 0;
-        assert!(shared
-            .try_enqueue(bad, false)
-            .unwrap_err()
-            .starts_with("config:"));
+        assert!(shared.admit(bad, false).unwrap_err().starts_with("config:"));
         let mut empty = mini_spec();
         empty.set_text = "chains 2 depth 3\n".to_string();
-        assert!(shared.try_enqueue(empty, false).is_err());
-        assert_eq!(shared.queue.lock().unwrap().len(), 0);
+        assert!(shared.admit(empty, false).is_err());
+        assert_eq!(
+            shared.next_job.load(Ordering::Relaxed),
+            1,
+            "nothing admitted"
+        );
     }
 
-    /// A worker executing a queued job twice hits the cache the second
-    /// time and produces an identical report (modulo telemetry).
+    /// Executing an admitted job twice hits the cache the second time
+    /// and produces an identical report (modulo telemetry).
     #[test]
     fn execute_is_deterministic_and_cache_flags_are_honest() {
         let shared = Shared::new(1, 4, 64 << 20, 1, None, 256, 1);
         let spec = mini_spec();
-        shared.try_enqueue(spec.clone(), false).unwrap();
-        shared.try_enqueue(spec, false).unwrap();
-        let mut queue = shared.queue.lock().unwrap();
-        let first = queue.pop_front().unwrap();
-        let second = queue.pop_front().unwrap();
-        drop(queue);
+        let first = admitted(&shared, spec.clone(), false);
+        let second = admitted(&shared, spec, false);
         assert_eq!(first.key, second.key, "same workload, same key");
         let cold = execute(&shared, &first).unwrap();
         let warm = execute(&shared, &second).unwrap();
@@ -2003,8 +2110,7 @@ mod tests {
             1,
         );
         let spec = mini_spec();
-        shared.try_enqueue(spec.clone(), false).unwrap();
-        let job = shared.queue.lock().unwrap().pop_front().unwrap();
+        let job = admitted(&shared, spec.clone(), false);
         let cold = execute(&shared, &job).unwrap();
         assert_eq!(cold.tier, CacheTier::Cold);
         assert_eq!(shared.stats().store_writes, 1);
@@ -2022,8 +2128,7 @@ mod tests {
             1,
         );
         assert_eq!(shared.stats().disk.entries, 1, "index warm-started");
-        shared.try_enqueue(spec, false).unwrap();
-        let job = shared.queue.lock().unwrap().pop_front().unwrap();
+        let job = admitted(&shared, spec, false);
         let warm = execute(&shared, &job).unwrap();
         assert_eq!(warm.tier, CacheTier::Disk);
         assert_eq!(warm.digest, cold.digest);
@@ -2038,8 +2143,7 @@ mod tests {
         // the disk hit promoted the entry: the next run is a memory hit
         // that answers every result field the verified run did, from
         // the slot's summary, without running a stage
-        shared.try_enqueue(mini_spec(), false).unwrap();
-        let job = shared.queue.lock().unwrap().pop_front().unwrap();
+        let job = admitted(&shared, mini_spec(), false);
         let hot = execute(&shared, &job).unwrap();
         assert_eq!(hot.tier, CacheTier::Memory);
         assert_eq!(results(&hot), results(&warm));
@@ -2087,12 +2191,16 @@ mod tests {
         let non_owner = (owner + 1) % peers.len();
 
         let shared = sharded(&peers, non_owner);
-        match shared.try_enqueue(spec.clone(), false).unwrap() {
-            Enqueue::Redirect(addr) => assert_eq!(addr, peers[owner]),
+        match shared.admit(spec.clone(), false).unwrap() {
+            Admission::Redirect(addr) => assert_eq!(addr, peers[owner]),
             other => panic!("expected a redirect, got {other:?}"),
         }
         assert_eq!(shared.stats().redirects, 1);
-        assert_eq!(shared.queue.lock().unwrap().len(), 0, "nothing queued");
+        assert_eq!(
+            shared.next_job.load(Ordering::Relaxed),
+            1,
+            "nothing admitted"
+        );
         // the request path agrees: a plain Submit always redirects
         match respond(&shared, Request::Submit(spec.clone())) {
             Response::Redirect { addr, .. } => assert_eq!(addr, peers[owner]),
@@ -2101,22 +2209,22 @@ mod tests {
 
         // same workload, non-canonical text: same owner
         spec.set_text = format!("# comment\n{}", spec.set_text);
-        match shared.try_enqueue(spec.clone(), false).unwrap() {
-            Enqueue::Redirect(addr) => assert_eq!(addr, peers[owner]),
+        match shared.admit(spec.clone(), false).unwrap() {
+            Admission::Redirect(addr) => assert_eq!(addr, peers[owner]),
             other => panic!("expected a redirect, got {other:?}"),
         }
 
         // direct lands locally even on the non-owner (failover path)
         assert!(matches!(
-            shared.try_enqueue(spec.clone(), true).unwrap(),
-            Enqueue::Queued(_)
+            shared.admit(spec.clone(), true).unwrap(),
+            Admission::Run(_)
         ));
 
         // the owner serves its own key
         let shared = sharded(&peers, owner);
         assert!(matches!(
-            shared.try_enqueue(spec, false).unwrap(),
-            Enqueue::Queued(_)
+            shared.admit(spec, false).unwrap(),
+            Admission::Run(_)
         ));
         let stats = shared.stats();
         assert_eq!(stats.redirects, 0);
@@ -2203,8 +2311,8 @@ mod tests {
         apply_reconfigure(&shared, 2, vec!["b:1".into(), "c:1".into()]).unwrap();
         assert_eq!(shared.membership().1, u32::MAX);
         assert!(matches!(
-            shared.try_enqueue(mini_spec(), false).unwrap(),
-            Enqueue::Redirect(_)
+            shared.admit(mini_spec(), false).unwrap(),
+            Admission::Redirect(_)
         ));
 
         let plain = Shared::new(1, 4, 1 << 20, 1, None, 256, 1);
@@ -2275,8 +2383,7 @@ mod tests {
 
         // produce a genuine envelope on a second, unrelated server
         let producer = Shared::new(1, 4, 64 << 20, 1, None, 256, 1);
-        producer.try_enqueue(mini_spec(), false).unwrap();
-        let job = producer.queue.lock().unwrap().pop_front().unwrap();
+        let job = admitted(&producer, mini_spec(), false);
         let cold = execute(&producer, &job).unwrap();
         let (key, entry) = producer.cache.lock().unwrap().entries().pop().unwrap();
         let artifact = Artifact {
@@ -2297,8 +2404,7 @@ mod tests {
         assert_eq!(stats.synthesis.count, 0, "ingestion never synthesizes");
 
         // the replica actually serves, bit-identical, from memory
-        shared.try_enqueue(mini_spec(), true).unwrap();
-        let job = shared.queue.lock().unwrap().pop_front().unwrap();
+        let job = admitted(&shared, mini_spec(), true);
         let warm = execute(&shared, &job).unwrap();
         assert_eq!(warm.tier, CacheTier::Memory);
         assert_eq!(warm.digest, cold.digest);
@@ -2320,8 +2426,7 @@ mod tests {
     #[test]
     fn an_ingested_replica_answers_the_cold_report_without_computing() {
         let producer = Shared::new(1, 4, 64 << 20, 1, None, 256, 1);
-        producer.try_enqueue(mini_spec(), false).unwrap();
-        let job = producer.queue.lock().unwrap().pop_front().unwrap();
+        let job = admitted(&producer, mini_spec(), false);
         let cold = execute(&producer, &job).unwrap();
         let (key, entry) = producer.cache.lock().unwrap().entries().pop().unwrap();
 
@@ -2334,8 +2439,7 @@ mod tests {
         let verified = replica.stats();
         assert_eq!((verified.embed.count, verified.segment.count), (1, 1));
 
-        replica.try_enqueue(mini_spec(), true).unwrap();
-        let job = replica.queue.lock().unwrap().pop_front().unwrap();
+        let job = admitted(&replica, mini_spec(), true);
         let hit = execute(&replica, &job).unwrap();
         assert_eq!(hit.tier, CacheTier::Memory);
         assert_eq!(results(&hit), results(&cold));

@@ -27,7 +27,8 @@
 //! decompressed sequences.
 //!
 //! `serve` runs the long-lived compression service of `ss_server`
-//! (bounded queue, worker pool, content-addressed artifact cache);
+//! (jobs run on their connections' threads behind a bounded job gate,
+//! answered from a content-addressed artifact cache);
 //! `submit` sends one workload to a running service and waits for the
 //! result. This binary lives in the workspace facade package so it can
 //! see both `ss_core` and `ss_server`.
@@ -37,7 +38,8 @@ use std::process::ExitCode;
 
 use ss_core::{
     comparison_table, emit_decompressor_rtl, improvement_percent, parse_workload,
-    sequence_coverage, Baseline11, ClassicalReseeding, CompressionScheme, Engine, StateSkip, Table,
+    sequence_coverage, Baseline11, ClassicalReseeding, CompressionScheme, Engine, FileWorkload,
+    SchemeReport, StateSkip, Table,
 };
 use ss_lfsr::SkipCircuit;
 use ss_server::{
@@ -83,8 +85,10 @@ encoder runs on one); results are bit-identical at every thread count.
 
 serve answers repeated submissions of the same workload/config from a
 content-addressed artifact cache (bit-identical results, synthesis and
-encode skipped); a full queue is answered with an explicit Busy that
-submit retries with backoff. With --store-dir the cache gains a
+encode skipped). Each job runs on its connection's thread: --workers
+bounds how many run at once and --queue how many submissions may wait
+for a slot; a submission past that is answered with an explicit Busy
+that submit retries with backoff. With --store-dir the cache gains a
 persistent second tier: artifacts are written through to digest-
 verified files and survive restarts, so a restarted server answers the
 whole corpus without re-running synthesis. submit --workload names a
@@ -125,7 +129,14 @@ fn run() -> Result<(), String> {
     // stray --threads falls through to that command's own argument
     // handling and errors instead of being silently swallowed
     let threads = match command.as_str() {
-        "run" | "compare" => take_threads_flag(&mut args)?,
+        "run" | "compare" => match take_value_flag(&mut args, "--threads")? {
+            Some(v) => match v.parse() {
+                Ok(0) => return Err("--threads must be >= 1".into()),
+                Ok(n) => Some(n),
+                Err(_) => return Err(format!("not a thread count: {v:?}")),
+            },
+            None => None,
+        },
         _ => None,
     };
     match command.as_str() {
@@ -176,24 +187,6 @@ fn run() -> Result<(), String> {
     }
 }
 
-/// Extracts a `--threads N` flag from anywhere in the argument list.
-fn take_threads_flag(args: &mut Vec<String>) -> Result<Option<usize>, String> {
-    let Some(at) = args.iter().position(|a| a == "--threads") else {
-        return Ok(None);
-    };
-    if at + 1 >= args.len() {
-        return Err("--threads needs a count".into());
-    }
-    let n: usize = args[at + 1]
-        .parse()
-        .map_err(|_| format!("not a thread count: {:?}", args[at + 1]))?;
-    if n == 0 {
-        return Err("--threads must be >= 1".into());
-    }
-    args.drain(at..=at + 1);
-    Ok(Some(n))
-}
-
 /// Splits `--bench <path> --cubes <path>` out of a flag/positional mix,
 /// returning (bench, cubes, positionals).
 fn split_flags(args: &[String]) -> Result<(String, String, Vec<&String>), String> {
@@ -214,6 +207,26 @@ fn split_flags(args: &[String]) -> Result<(String, String, Vec<&String>), String
         cubes.ok_or("missing --cubes <file>")?,
         rest,
     ))
+}
+
+/// Reads and parses a `.bench` netlist + cube-set file pair.
+fn read_workload(bench_path: &str, cubes_path: &str) -> Result<FileWorkload, String> {
+    let bench_text =
+        std::fs::read_to_string(bench_path).map_err(|e| format!("{bench_path}: {e}"))?;
+    let cubes_text =
+        std::fs::read_to_string(cubes_path).map_err(|e| format!("{cubes_path}: {e}"))?;
+    parse_workload(&bench_text, &cubes_text).map_err(|e| e.to_string())
+}
+
+/// The `--bench <f> --cubes <f> [L] [S] [k]` arguments of `run` and
+/// `compare`: the parsed workload and the window, segment and speedup.
+fn load_files(args: &[String]) -> Result<(FileWorkload, usize, usize, u64), String> {
+    let (bench_path, cubes_path, rest) = split_flags(args)?;
+    let window = parse_or(rest.first().copied(), 100)?;
+    let segment = parse_or(rest.get(1).copied(), 5)?;
+    let speedup = parse_or(rest.get(2).copied(), 10)? as u64;
+    let workload = read_workload(&bench_path, &cubes_path)?;
+    Ok((workload, window, segment, speedup))
 }
 
 fn parse_or(arg: Option<&String>, default: usize) -> Result<usize, String> {
@@ -300,16 +313,7 @@ fn cmd_run(
 /// run the full State Skip flow, and fault-simulate the decompressed
 /// sequences against the circuit.
 fn run_files(args: &[String], threads: Option<usize>) -> Result<(), String> {
-    let (bench_path, cubes_path, rest) = split_flags(args)?;
-    let window = parse_or(rest.first().copied(), 100)?;
-    let segment = parse_or(rest.get(1).copied(), 5)?;
-    let speedup = parse_or(rest.get(2).copied(), 10)? as u64;
-
-    let bench_text =
-        std::fs::read_to_string(&bench_path).map_err(|e| format!("{bench_path}: {e}"))?;
-    let cubes_text =
-        std::fs::read_to_string(&cubes_path).map_err(|e| format!("{cubes_path}: {e}"))?;
-    let workload = parse_workload(&bench_text, &cubes_text).map_err(|e| e.to_string())?;
+    let (workload, window, segment, speedup) = load_files(args)?;
     let netlist = &workload.circuit.netlist;
     println!(
         "circuit:  {} inputs ({} PIs + {} scan cells), {} gates, {} outputs",
@@ -383,40 +387,30 @@ fn compare(
     let set = load(path)?;
     let engine = engine_for(window, segment, speedup, threads)?;
     let (engine, set) = encodable(&engine, &set)?;
+    let reports = compare_schemes(&engine, &set)?;
+    println!("L={window} S={segment} k={speedup}, {} cubes", set.len());
+    println!("{}", comparison_table(&reports));
+    Ok(())
+}
+
+/// Runs the three schemes `compare` sets side by side on one engine.
+fn compare_schemes(engine: &Engine, set: &TestSet) -> Result<Vec<SchemeReport>, String> {
     let schemes: Vec<Box<dyn CompressionScheme>> = vec![
         Box::new(StateSkip),
         Box::new(ClassicalReseeding),
         Box::new(Baseline11),
     ];
-    let reports = engine.run_all(&schemes, &set).map_err(|e| e.to_string())?;
-    println!("L={window} S={segment} k={speedup}, {} cubes", set.len());
-    println!("{}", comparison_table(&reports));
-    Ok(())
+    engine.run_all(&schemes, set).map_err(|e| e.to_string())
 }
 
 /// `compare --bench <f> --cubes <f>`: the file-ingestion path of
 /// `run`, feeding the three-scheme comparison instead of a single
 /// report.
 fn compare_files(args: &[String], threads: Option<usize>) -> Result<(), String> {
-    let (bench_path, cubes_path, rest) = split_flags(args)?;
-    let window = parse_or(rest.first().copied(), 100)?;
-    let segment = parse_or(rest.get(1).copied(), 5)?;
-    let speedup = parse_or(rest.get(2).copied(), 10)? as u64;
-
-    let bench_text =
-        std::fs::read_to_string(&bench_path).map_err(|e| format!("{bench_path}: {e}"))?;
-    let cubes_text =
-        std::fs::read_to_string(&cubes_path).map_err(|e| format!("{cubes_path}: {e}"))?;
-    let workload = parse_workload(&bench_text, &cubes_text).map_err(|e| e.to_string())?;
-
+    let (workload, window, segment, speedup) = load_files(args)?;
     let engine = engine_for(window, segment, speedup, threads)?;
     let (engine, set) = encodable(&engine, &workload.set)?;
-    let schemes: Vec<Box<dyn CompressionScheme>> = vec![
-        Box::new(StateSkip),
-        Box::new(ClassicalReseeding),
-        Box::new(Baseline11),
-    ];
-    let reports = engine.run_all(&schemes, &set).map_err(|e| e.to_string())?;
+    let reports = compare_schemes(&engine, &set)?;
     println!(
         "circuit: {} inputs, {} gates; L={window} S={segment} k={speedup}, {} cubes",
         workload.circuit.netlist.input_count(),
@@ -552,12 +546,7 @@ fn submit(args: &[String]) -> Result<(), String> {
             let lfsr = w.profile().map(|p| p.lfsr_size);
             (name.clone(), w.test_set(), lfsr)
         }
-        (None, Some(bench), Some(cubes)) => {
-            let bench_text = std::fs::read_to_string(bench).map_err(|e| format!("{bench}: {e}"))?;
-            let cubes_text = std::fs::read_to_string(cubes).map_err(|e| format!("{cubes}: {e}"))?;
-            let workload = parse_workload(&bench_text, &cubes_text).map_err(|e| e.to_string())?;
-            (cubes.clone(), workload.set, None)
-        }
+        (None, Some(bench), Some(cubes)) => (cubes.clone(), read_workload(bench, cubes)?.set, None),
         (None, None, None) => {
             let path = args
                 .first()
