@@ -40,17 +40,19 @@
 //!   frame row is one `u64`, so `f <= 63`: a wider frame (an LFSR far
 //!   larger than its cubes) runs the reference search's own probe,
 //!   exact by construction, until commits shrink it into range.
-//! * **Projection through a byte-sliced frame, once per table run.**
-//!   Projection into the frame is linear in the table row, so each
-//!   seed frame tabulates the packed images of the `n` seed variables
-//!   and a lookup table of every XOR of eight consecutive images (the
-//!   Method of Four Russians): projecting a row costs one lookup per
-//!   row byte. A first visit reads table runs — one cell offset's rows
-//!   for a block of 64 window positions — and the frame projects a run
-//!   the first time any cube reads it, transposes it into bit-planes
-//!   and keeps them until a commit changes the frame. Only the runs
-//!   that first visits read are projected, and each at most once per
-//!   frame state.
+//! * **Projection of one sequence per frame state.** Every table row
+//!   is the XOR of a few delays of one linear-recurrence sequence
+//!   `u(t)` (the table's sequence form), and projection into the frame
+//!   is linear in the row. So each seed frame keeps the packed
+//!   projections of the sequence's `n` basis terms, and once per frame
+//!   state the recurrence extends them to the projected sequence of
+//!   the whole window, sliced by residue modulo the scan depth into
+//!   bit-planes. A first visit reads table runs — one cell offset's
+//!   rows for a block of 64 window positions — and a run's planes are
+//!   a few shifted reads of the sliced sequence, one per delay of its
+//!   chain. They are kept until a commit changes the frame.
+//!   Only the runs that first visits read are sliced, and each at most
+//!   once per frame state.
 //! * **Equation-outer, bit-sliced first visits.** A cube's first visit
 //!   in a seed probes all `L` positions. It takes the cube's equations
 //!   most-shared cell first (the runs other cubes read too) and folds
@@ -101,7 +103,7 @@ use crate::expr_table::ExprTable;
 
 mod sliced;
 
-use sliced::SlicedElim;
+use sliced::{SlicedElim, SlicedSequence};
 
 /// One intentional cube placement inside a seed's window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -419,84 +421,61 @@ impl FastElim {
     }
 }
 
-/// One seed frame `x0 + span(N)` of dimension `<= 63`, ready to project
-/// expression-table rows on demand.
+/// One seed frame `x0 + span(N)` of dimension `<= 63`, projected onto
+/// the table's LFSR sequence.
 ///
-/// Projection is linear in the row, so it is tabulated per seed
-/// variable: `img[i]` packs variable `i`'s image — bit `j` is `N_j[i]`,
-/// bit 63 is `x0[i]` — and a row projects to the XOR of the images of
-/// its ones. A byte-sliced lookup table (the Method of Four Russians)
-/// holds the XOR of every subset of eight consecutive images, so one
-/// projection costs one lookup per row byte. The table has eight
-/// byte tables per row word, the ones past the last variable all
-/// zero, so a word's eight lookups unroll with constant shifts: on
-/// s38417 (`n = 85`) that took a first visit's projection from about
-/// 19 to 14 ns per row, against a loop over the ragged last word.
+/// Projection is linear in the row: a row projects to the packed word
+/// whose bit `j` is `row · N_j` and bit 63 is `row · x0`. Every table
+/// row is the XOR of a few terms of one sequence `u(t)`, whose first
+/// `n` terms are a basis and whose later terms follow a recurrence (the
+/// table's sequence form), so the frame keeps only the projections
+/// `q(d)` of the basis terms. The recurrence extends them to the whole
+/// projected sequence, once per frame state ([`SlicedSequence`]).
 #[derive(Default)]
 struct Frame {
-    /// Packed image of each seed variable.
-    img: Vec<u64>,
-    /// `lut[b][v]` = XOR of `img[8b + k]` over the ones `k` of `v`.
-    lut: Vec<[u64; 256]>,
+    /// `q(d)` for `d < n`, reduced modulo the committed rows.
+    basis: Vec<u64>,
 }
 
 impl Frame {
-    fn new(space: &AffineSpace) -> Frame {
+    fn new(space: &AffineSpace, table: &ExprTable) -> Frame {
         debug_assert!(space.dim() <= FixedEngine::MAX_DIM);
+        // the packed image of each seed variable: bit `j` is `N_j[i]`,
+        // bit 63 is `x0[i]`
         let mut img = vec![0u64; space.vars()];
-        let mut scatter = |row: &[u64], bit: u64| {
-            for (wi, &word) in row.iter().enumerate() {
-                let mut word = word;
-                while word != 0 {
-                    img[wi * 64 + word.trailing_zeros() as usize] |= bit;
-                    word &= word - 1;
-                }
-            }
-        };
         for j in 0..space.dim() {
-            scatter(space.null_row(j), 1u64 << j);
+            for_each_one(space.null_row(j), |i| img[i] |= 1 << j);
         }
-        scatter(space.x0_words(), 1u64 << 63);
-        let mut frame = Frame {
-            lut: vec![[0u64; 256]; img.len().div_ceil(64) * 8],
-            img,
-        };
-        frame.rebuild();
-        frame
+        for_each_one(space.x0_words(), |i| img[i] |= 1 << 63);
+        let basis = table
+            .basis_rows()
+            .map(|row| {
+                let mut q = 0;
+                for_each_one(row, |i| q ^= img[i]);
+                q
+            })
+            .collect();
+        Frame { basis }
     }
 
-    /// Recomputes the lookup table from the images (256 XORs per byte;
-    /// the tables past the last variable stay zero).
-    fn rebuild(&mut self) {
-        for (table, img) in self.lut.iter_mut().zip(self.img.chunks(8)) {
-            for v in 1..256usize {
-                let k = v.trailing_zeros() as usize;
-                table[v] = table[v & (v - 1)] ^ img.get(k).copied().unwrap_or(0);
-            }
-        }
-    }
-
-    /// The packed projection of table row `row`: bit `j` = `row · N_j`,
-    /// bit 63 = `row · x0`.
-    #[inline]
-    fn project(&self, row: &[u64]) -> u64 {
-        let mut acc = 0u64;
-        for (&w, tables) in row.iter().zip(self.lut.chunks_exact(8)) {
-            for (b, table) in w.to_le_bytes().into_iter().zip(tables) {
-                acc ^= table[usize::from(b)];
-            }
-        }
-        acc
-    }
-
-    /// Reduces every image modulo the committed rows of `g` and
-    /// rebuilds the lookup table. Reduction by Jordan rows is linear,
-    /// so every later projection comes out already reduced.
+    /// Reduces every basis projection modulo the committed rows of
+    /// `g`. Reduction by Jordan rows is linear, so the sequence the
+    /// recurrence extends them to comes out already reduced.
     fn reduce(&mut self, g: &FastElim) {
-        for v in &mut self.img {
-            *v = g.reduce_packed(*v);
+        for q in &mut self.basis {
+            *q = g.reduce_packed(*q);
         }
-        self.rebuild();
+    }
+}
+
+/// Calls `f` with the index of every one bit of `row`, ascending.
+fn for_each_one(row: &[u64], mut f: impl FnMut(usize)) {
+    for (wi, &word) in row.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            f(wi * 64 + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
     }
 }
 
@@ -539,10 +518,17 @@ impl PlaneCache {
         self.next = 0;
     }
 
-    /// The planes of run `run`, written by `slice` into a new entry on
-    /// the run's first use.
+    /// The planes of table run `(offset, block)`, read from `sequence`
+    /// into a new entry on the run's first use.
     #[inline]
-    fn planes(&mut self, run: usize, slice: impl FnOnce(&mut [u64])) -> &[u64] {
+    fn run(
+        &mut self,
+        table: &ExprTable,
+        sequence: &SlicedSequence,
+        offset: usize,
+        block: usize,
+    ) -> &[u64] {
+        let run = offset * table.window().div_ceil(POSITION_BLOCK) + block;
         let width = self.width;
         let fresh = self.slot[run] == PlaneCache::NONE;
         if fresh {
@@ -558,34 +544,41 @@ impl PlaneCache {
         let at = self.slot[run] as usize;
         let entry = &mut self.chunks[at / PLANE_CHUNK][at % PLANE_CHUNK..][..width];
         if fresh {
-            slice(entry);
+            let chains = table.chains();
+            let delays = table.delays(offset % chains);
+            sequence.run(offset / chains, delays, block * POSITION_BLOCK, entry);
         }
         entry
     }
 }
 
 /// Fixed-frame probing engine for free spaces of dimension `<= 63`:
-/// the frame is taken once per seed and rows are projected
-/// on demand as `projection | rhs << 63`. The frame's images are kept
+/// the frame is taken once per seed and rows are projected as
+/// `projection | rhs << 63`. The frame's projections are kept
 /// **pre-reduced modulo the committed rows** — each commit reduces the
-/// `n` images and rebuilds the lookup table — so a probed equation
-/// only reduces against the candidate's own few local rows, and an
-/// equation inconsistent with the committed basis alone dies on its
-/// projection. Cached residues are the *local* rows (the rank the
-/// candidate would add), and a stale residue is resumed by reducing
-/// its rows modulo the committed rows.
+/// `n` basis projections — so a probed equation only reduces against
+/// the candidate's own few local rows, and an equation inconsistent
+/// with the committed basis alone dies on its projection. Cached
+/// residues are the *local* rows (the rank the candidate would add),
+/// and a stale residue is resumed by reducing its rows modulo the
+/// committed rows.
 ///
 /// One engine serves the whole encode: each seed takes a new frame
-/// into it ([`take_frame`](Self::take_frame)), and the plane arena and
-/// the sliced fold's buffers are reused.
+/// into it ([`take_frame`](Self::take_frame)), and the sliced
+/// sequence, the plane arena and the sliced fold's buffers are reused.
 struct FixedEngine {
     dim: usize,
-    /// Projects rows already reduced mod `g`: bits `0..dim` =
+    /// The basis projections, reduced mod `g`: bits `0..dim` =
     /// coordinates, bit 63 = right-hand side.
     frame: Frame,
     /// Eliminated committed rows (everything since the frame), in
     /// Gauss-Jordan form.
     g: FastElim,
+    /// The frame's projected sequence, sliced on the first first visit
+    /// of each frame state.
+    sequence: SlicedSequence,
+    /// Whether `sequence` belongs to the current frame state.
+    sequenced: bool,
     /// The planes of the runs first visits have read in this frame
     /// state.
     planes: PlaneCache,
@@ -605,24 +598,38 @@ impl FixedEngine {
             dim: 0,
             frame: Frame::default(),
             g: FastElim::new(),
+            sequence: SlicedSequence::default(),
+            sequenced: false,
             planes: PlaneCache::new(runs),
             sliced: SlicedElim::default(),
         }
     }
 
-    /// Takes `space` as the frame, with nothing committed in it.
-    fn take_frame(&mut self, space: &AffineSpace) {
+    /// Takes `space` as the frame of `table`'s rows, with nothing
+    /// committed in it.
+    fn take_frame(&mut self, space: &AffineSpace, table: &ExprTable) {
         self.dim = space.dim();
-        self.frame = Frame::new(space);
+        self.frame = Frame::new(space, table);
         self.g.clear();
         self.frame_changed();
     }
 
-    /// Drops the planes of the old frame state and slices the free
-    /// columns of the new one.
+    /// Drops the sequence and planes of the old frame state and slices
+    /// the free columns of the new one.
     fn frame_changed(&mut self) {
         self.sliced.set_frame(self.dim, self.g.pivot_mask);
         self.planes.clear(self.sliced.width());
+        self.sequenced = false;
+    }
+
+    /// Projects and slices the frame state's sequence, once per frame
+    /// state.
+    fn project_sequence(&mut self, table: &ExprTable) {
+        if !self.sequenced {
+            let cols = self.sliced.cols();
+            self.sequence.build(table, &self.frame.basis, cols);
+            self.sequenced = true;
+        }
     }
 
     /// Folds the committed winner's local residue rows (packed) into
@@ -654,32 +661,24 @@ impl FixedEngine {
     /// alone conflicts on its projection.
     ///
     /// Every block folds through the bit-sliced echelon fold, from the
-    /// planes of its equations' runs, sliced on first use (lanes past a
-    /// short block hold whatever the buffer held, and no fold takes
-    /// them), until the last equation or until no position is live.
+    /// planes of its equations' runs, read from the frame state's
+    /// sliced sequence on first use (lanes past a short block hold
+    /// whatever the sequence holds there, and no fold takes them),
+    /// until the last equation or until no position is live.
     fn first_visit(&mut self, table: &ExprTable, eqs: &[(u32, bool)], cache: &mut CubeCache) {
+        self.project_sequence(table);
         let FixedEngine {
-            frame,
             g,
+            sequence,
             planes,
             sliced,
             ..
         } = self;
-        let stride = table.stride();
-        let blocks = table.window().div_ceil(POSITION_BLOCK);
         for (block, (start, len)) in position_blocks(table.window()).enumerate() {
             sliced.clear();
             let mut live = all_lanes(len);
             for &(off, bit) in eqs {
-                let off = off as usize;
-                let run = planes.planes(off * blocks + block, |out| {
-                    let rows = &table.position_run(off)[start * stride..(start + len) * stride];
-                    let lanes = sliced.lanes_mut();
-                    for (lane, row) in lanes.iter_mut().zip(rows.chunks_exact(stride)) {
-                        *lane = frame.project(row);
-                    }
-                    sliced.slice(out);
-                });
+                let run = planes.run(table, sequence, off as usize, block);
                 live &= !sliced.fold(run, bit, live);
                 if live == 0 {
                     break;
@@ -780,7 +779,7 @@ impl SeedSearch {
         } else {
             self.viable.remove(&pick.cube);
             if free <= FixedEngine::MAX_DIM {
-                engine.take_frame(&self.solver.affine_space());
+                engine.take_frame(&self.solver.affine_space(), enc.table);
                 self.framed = true;
             }
         }
@@ -851,7 +850,8 @@ impl<'a> Search<'a> {
         }
         let framed = solver.free_vars() <= FixedEngine::MAX_DIM;
         if framed {
-            self.engine.take_frame(&solver.affine_space());
+            self.engine
+                .take_frame(&solver.affine_space(), self.enc.table);
         }
         let mut seed = SeedSearch {
             framed,
@@ -1283,12 +1283,22 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use ss_gf2::primitive_poly;
-    use ss_lfsr::{Lfsr, PhaseShifter};
+    use ss_lfsr::{Lfsr, LfsrKind, PhaseShifter};
     use ss_testdata::{generate_test_set, CubeProfile, ScanConfig};
 
     fn build_table(n: usize, scan: ScanConfig, window: usize, seed: u64) -> ExprTable {
+        build_table_of(LfsrKind::Fibonacci, n, scan, window, seed)
+    }
+
+    fn build_table_of(
+        kind: LfsrKind,
+        n: usize,
+        scan: ScanConfig,
+        window: usize,
+        seed: u64,
+    ) -> ExprTable {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let lfsr = Lfsr::fibonacci(primitive_poly(n).unwrap());
+        let lfsr = Lfsr::try_new(primitive_poly(n).unwrap(), kind).unwrap();
         let shifter = PhaseShifter::synthesize(n, scan.chains(), 3, &mut rng).unwrap();
         ExprTable::build(&lfsr, &shifter, scan, window)
     }
@@ -1364,14 +1374,18 @@ mod tests {
             (70, 11),
             (130, 7),
         ];
-        for (window, fill_seed) in cases {
-            let (set, table) = mini_setup(window);
-            let enc = WindowEncoder::new(&set, &table).unwrap();
-            assert_eq!(
-                enc.encode(fill_seed).unwrap(),
-                enc.encode_reference(fill_seed).unwrap(),
-                "cached search diverged at L={window}, fill seed {fill_seed}"
-            );
+        let profile = CubeProfile::mini();
+        let set = generate_test_set(&profile, 5);
+        for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
+            for (window, fill_seed) in cases {
+                let table = build_table_of(kind, profile.lfsr_size, set.config(), window, 2);
+                let enc = WindowEncoder::new(&set, &table).unwrap();
+                assert_eq!(
+                    enc.encode(fill_seed).unwrap(),
+                    enc.encode_reference(fill_seed).unwrap(),
+                    "{kind} cached search diverged at L={window}, fill seed {fill_seed}"
+                );
+            }
         }
     }
 
@@ -1413,10 +1427,11 @@ mod tests {
         // re-reduces the frame, so no plane survives a frame change.
         let profile = CubeProfile::mini();
         let set = generate_test_set(&profile, 5);
-        for window in [24usize, 70] {
+        let kinds = [LfsrKind::Fibonacci, LfsrKind::Galois];
+        for (kind, window) in kinds.into_iter().flat_map(|k| [(k, 24usize), (k, 70)]) {
             for (n, dims) in [(16usize, 1..6), (30, 11..64)] {
-                let what = format!("L={window} n={n}");
-                let table = build_table(n, set.config(), window, 2);
+                let what = format!("{kind} L={window} n={n}");
+                let table = build_table_of(kind, n, set.config(), window, 2);
                 let enc = WindowEncoder::new(&set, &table).unwrap();
                 let mut search = Search::new(&enc);
                 let mut seed = search.first_cube().unwrap();
@@ -1514,80 +1529,95 @@ mod tests {
         (solver, eqs)
     }
 
-    #[test]
-    fn frame_projection_matches_the_naive_dot_products() {
-        // partial bytes, a word boundary and multi-word strides
-        let mut rng = SmallRng::seed_from_u64(21);
-        let mut seen = [0usize; 3]; // Added, Redundant, Conflict
-        for n in [11usize, 24, 64, 85, 130] {
-            let (solver, eqs) = random_system(n, &mut rng);
-            let space = solver.affine_space();
-            let frame = Frame::new(&space);
-            for i in 0..200 {
-                // every other row lies in the basis's row space, so
-                // all three probe outcomes occur
-                let mut row = BitVec::random(n, &mut rng);
-                if i % 2 == 1 {
-                    row = BitVec::zeros(n);
-                    eqs.iter()
-                        .filter(|_| rng.gen())
-                        .for_each(|eq| row.xor_with(eq));
-                }
-                let w = row.as_words();
-                let mut naive = u64::from(words::dot(w, space.x0_words())) << 63;
-                for j in 0..space.dim() {
-                    naive |= u64::from(words::dot(w, space.null_row(j))) << j;
-                }
-                assert_eq!(frame.project(w), naive, "n={n}");
+    /// The packed projection of table row `row` into `space`, one dot
+    /// product per coordinate: bit `j` is `row · N_j`, bit 63 is
+    /// `row · x0`.
+    fn project_row(space: &AffineSpace, row: &[u64]) -> u64 {
+        let mut packed = u64::from(words::dot(row, space.x0_words())) << 63;
+        for j in 0..space.dim() {
+            packed |= u64::from(words::dot(row, space.null_row(j))) << j;
+        }
+        packed
+    }
 
-                // the word-sized frame's invariant: with the rhs xored
-                // into bit 63, zero coordinates mean the basis implies
-                // the row (a conflict iff bit 63 is set)
-                let rhs: bool = rng.gen();
-                let packed = naive ^ (u64::from(rhs) << 63);
-                let predicted = match (packed & FastElim::ROW_MASK, packed >> 63) {
-                    (0, 1) => SolveOutcome::Conflict,
-                    (0, _) => SolveOutcome::Redundant,
-                    _ => SolveOutcome::Added,
-                };
-                let outcome = solver.probe(&row, rhs);
-                assert_eq!(predicted, outcome, "n={n}");
-                seen[outcome as usize] += 1;
+    /// Checks the planes of every `(offset, block)` run of `table` in
+    /// the engine's current frame state against its rows, each
+    /// projected by dot products, reduced modulo the committed rows and
+    /// transposed bit by bit into the engine's columns.
+    fn check_run_planes(
+        engine: &mut FixedEngine,
+        space: &AffineSpace,
+        table: &ExprTable,
+        at: &str,
+    ) {
+        engine.project_sequence(table);
+        let stride = table.stride();
+        for off in 0..table.scan().depth() * table.chains() {
+            for (block, (start, len)) in position_blocks(table.window()).enumerate() {
+                let rows = &table.position_run(off)[start * stride..(start + len) * stride];
+                let lanes: Vec<u64> = rows
+                    .chunks_exact(stride)
+                    .map(|row| engine.g.reduce_packed(project_row(space, row)))
+                    .collect();
+                assert!(lanes.iter().all(|&lane| lane & engine.g.pivot_mask == 0));
+                let want: Vec<u64> = engine
+                    .sliced
+                    .cols()
+                    .iter()
+                    .map(|&col| {
+                        (lanes.iter().enumerate()).fold(0, |plane, (i, &lane)| {
+                            plane | u64::from(lane & col != 0) << i
+                        })
+                    })
+                    .collect();
+                let got: Vec<u64> = (engine.planes.run(table, &engine.sequence, off, block))
+                    .iter()
+                    .map(|&plane| plane & all_lanes(len))
+                    .collect();
+                assert_eq!(got, want, "{at}: offset {off} block {block}");
             }
         }
-        assert!(seen.iter().all(|&c| c > 0), "outcomes seen: {seen:?}");
     }
 
     #[test]
-    fn reduced_frame_matches_projecting_then_reducing() {
-        let mut rng = SmallRng::seed_from_u64(22);
-        for n in [24usize, 85, 130] {
-            let space = random_system(n, &mut rng).0.affine_space();
-            let coords = FastElim::ROW_MASK >> (FixedEngine::MAX_DIM - space.dim());
-            let fresh = Frame::new(&space);
-            let mut engine = FixedEngine::new(0);
-            engine.take_frame(&space);
-            // every committed row holds at one point, so none conflicts
-            let solution = rng.gen::<u64>() & coords;
-            for _ in 0..5 {
-                let rows: Vec<u64> = (0..3)
-                    .map(|_| {
-                        let row = rng.gen::<u64>() & coords;
-                        row | (u64::from((row & solution).count_ones() % 2 == 1) << 63)
-                    })
-                    .collect();
-                engine.commit_update(&rows);
-                for _ in 0..100 {
-                    let row = BitVec::random(n, &mut rng);
-                    assert_eq!(
-                        engine.frame.project(row.as_words()),
-                        engine.g.reduce_packed(fresh.project(row.as_words())),
-                        "n={n} after {} committed rows",
-                        engine.g.rank()
-                    );
+    fn sliced_runs_equal_the_transposed_row_projections() {
+        // L = 1 and 24 are one short block, 70 a full block and a short
+        // one, 200 three full blocks and a short one. With 85 variables
+        // (two-word rows) over depth 6, a delay carries a row up to 14
+        // entries into another residue; with 24 over depth 40, at most
+        // one.
+        let mut rng = SmallRng::seed_from_u64(21);
+        for (n, chains, depth) in [(85usize, 4usize, 6usize), (24, 3, 40)] {
+            let scan = ScanConfig::new(chains, depth).unwrap();
+            let shifter = PhaseShifter::synthesize(n, chains, 3, &mut rng).unwrap();
+            for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
+                let lfsr = Lfsr::try_new(primitive_poly(n).unwrap(), kind).unwrap();
+                for window in [1usize, 24, 70, 200] {
+                    let table = ExprTable::build(&lfsr, &shifter, scan, window);
+                    let space = random_system(n, &mut rng).0.affine_space();
+                    let runs = depth * chains * window.div_ceil(POSITION_BLOCK);
+                    let mut engine = FixedEngine::new(runs);
+                    engine.take_frame(&space, &table);
+                    let at = format!("{kind} n={n} L={window}");
+                    check_run_planes(&mut engine, &space, &table, &at);
+                    // commits re-reduce the frame; every committed row
+                    // holds at one point, so none conflicts
+                    let coords = FastElim::ROW_MASK >> (FixedEngine::MAX_DIM - space.dim());
+                    let solution = rng.gen::<u64>() & coords;
+                    for _ in 0..2 {
+                        let rows: Vec<u64> = (0..3)
+                            .map(|_| {
+                                let row = rng.gen::<u64>() & coords;
+                                row | u64::from((row & solution).count_ones() % 2 == 1) << 63
+                            })
+                            .collect();
+                        engine.commit_update(&rows);
+                        let at = format!("{at} after {} committed rows", engine.g.rank());
+                        check_run_planes(&mut engine, &space, &table, &at);
+                    }
+                    assert_eq!(engine.g.rank(), 6, "{at}");
                 }
             }
-            assert_eq!(engine.g.rank(), 15, "n={n}");
         }
     }
 

@@ -3,18 +3,24 @@
 //! per echelon column and plane.
 //!
 //! Lane `i` of every word is position `start + i` of the block. The
-//! frame's images are pre-reduced modulo the committed rows, so a
+//! frame's projections are pre-reduced modulo the committed rows, so a
 //! projected row is zero at every committed pivot column; only the
 //! `f` free columns and the right-hand side (bit 63) are sliced, as
 //! `f + 1` bit-planes. A table run's planes do not depend on the cube:
 //! the cube's bit is xored into the right-hand side plane as the
 //! equation folds, so one slicing of a run serves every cube.
+//!
+//! The planes come from the frame's projected LFSR sequence, sliced
+//! once per frame state ([`SlicedSequence`]): a run's planes are a few
+//! shifted reads of it, one per delay of the run's chain.
+
+use crate::expr_table::ExprTable;
 
 /// Transposes a 64 x 64 bit matrix in place: bit `j` of word `i`
 /// trades places with bit `i` of word `j`. Each of the six rounds
 /// swaps the off-diagonal `w x w` blocks of every `2w x 2w` tile, for
 /// `w` = 32, 16, ..., 1.
-pub(super) fn transpose64(m: &mut [u64; 64]) {
+fn transpose64(m: &mut [u64; 64]) {
     let mut width = 32;
     let mut mask = u64::MAX >> 32;
     while width != 0 {
@@ -46,9 +52,6 @@ pub(super) struct SlicedElim {
     cols: Vec<u64>,
     piv: [u64; 64],
     rows: Vec<u64>,
-    /// One projected row per lane, turned into planes by
-    /// [`slice`](Self::slice).
-    buf: [u64; 64],
     /// The equation's planes in column order, reduced as the fold
     /// walks the columns.
     eq: [u64; 64],
@@ -60,7 +63,6 @@ impl Default for SlicedElim {
             cols: vec![1 << 63],
             piv: [0; 64],
             rows: Vec::new(),
-            buf: [0; 64],
             eq: [0; 64],
         }
     }
@@ -84,6 +86,12 @@ impl SlicedElim {
         self.cols.len() - 1
     }
 
+    /// Frame bit of each sliced plane, as a one-bit mask: the free
+    /// columns ascending, then the right-hand side's bit 63.
+    pub(super) fn cols(&self) -> &[u64] {
+        &self.cols
+    }
+
     /// Planes of one sliced row set: one per free column, then the
     /// right-hand side's.
     pub(super) fn width(&self) -> usize {
@@ -95,26 +103,9 @@ impl SlicedElim {
         self.piv = [0; 64];
     }
 
-    /// The per-lane row buffer of the next [`slice`](Self::slice): word
-    /// `i` is lane `i`'s packed row (bit 63 the frame's offset). Words
-    /// left from earlier rows only fill lanes no fold takes.
-    pub(super) fn lanes_mut(&mut self) -> &mut [u64; 64] {
-        &mut self.buf
-    }
-
-    /// Transposes the rows in [`lanes_mut`](Self::lanes_mut) and
-    /// writes their [`width`](Self::width) planes to `planes`: word `k`
-    /// holds every lane's bit of free column `k`, the last word their
-    /// bit 63.
-    pub(super) fn slice(&mut self, planes: &mut [u64]) {
-        transpose64(&mut self.buf);
-        for (plane, &col) in planes.iter_mut().zip(&self.cols) {
-            *plane = self.buf[col.trailing_zeros() as usize];
-        }
-    }
-
-    /// Folds one equation, given as the [`slice`](Self::slice)d planes
-    /// of its rows with `bit` xored into every right-hand side, into
+    /// Folds one equation, given as the planes of its rows (word `k`
+    /// holds every lane's bit of [`cols`](Self::cols)`[k]`), with `bit`
+    /// xored into every right-hand side, into
     /// the lanes of `live`, and returns the lanes whose row reduced to
     /// `0 = 1`. Those lanes' systems are left as they were; a lane
     /// whose row was redundant is unchanged too, and no lane outside
@@ -171,6 +162,97 @@ impl SlicedElim {
     }
 }
 
+/// The frame's projected LFSR sequence, sliced by residue into
+/// bit-planes.
+///
+/// Term `q(t)` is the packed projection of the table's sequence term
+/// `u(t)` (see [`ExprTable`]'s sequence form), so the row of offset
+/// `(l, c)` at window position `p` projects to the XOR of
+/// `q(p * depth + l + d)` over the chain's delays `d`. Writing
+/// `l + d = a * depth + r`, that term is `q((p + a) * depth + r)`:
+/// entry `p + a` of residue `r`'s subsequence. Each residue's
+/// subsequence is stored as bit-planes, 64 entries to a word, laid out
+/// `(residue, word, column)`, so a block's 64 lanes read one delay as
+/// one contiguous run of two words per column, shifted by `a`.
+#[derive(Debug, Default)]
+pub(super) struct SlicedSequence {
+    /// `q(t)`, `t < span * depth`.
+    seq: Vec<u64>,
+    /// `planes[(r * words + w) * width + k]`: bit `i` is column `k` of
+    /// `q((64 * w + i) * depth + r)`, zero past `span` entries.
+    planes: Vec<u64>,
+    depth: usize,
+    words: usize,
+    width: usize,
+}
+
+impl SlicedSequence {
+    /// Projects the sequence of `table` from `basis`, the packed
+    /// projections `q(d)` of its basis terms `u(d)`, `d < vars`, by the
+    /// table's recurrence, far enough for every window position and
+    /// delay, and slices the frame bits `cols` into planes.
+    pub(super) fn build(&mut self, table: &ExprTable, basis: &[u64], cols: &[u64]) {
+        let n = basis.len();
+        let depth = table.scan().depth();
+        // entries per residue: every window position, plus the
+        // largest carry `a` of a load cycle plus a delay (`d < n`)
+        let span = table.window() + (depth + n - 2) / depth;
+        let len = span * depth;
+        self.seq.clear();
+        self.seq.extend_from_slice(basis);
+        for t in n..len {
+            let q = table
+                .recurrence()
+                .iter()
+                .fold(0, |acc, &j| acc ^ self.seq[t - n + j]);
+            self.seq.push(q);
+        }
+        // one spare word per residue, so a shifted read never runs out
+        let sliced_words = span.div_ceil(64);
+        self.depth = depth;
+        self.words = sliced_words + 1;
+        self.width = cols.len();
+        self.planes.clear();
+        self.planes.resize(depth * self.words * self.width, 0);
+        let mut lanes = [0u64; 64];
+        for r in 0..depth {
+            for w in 0..sliced_words {
+                for (i, lane) in lanes.iter_mut().enumerate() {
+                    *lane = self.seq.get((64 * w + i) * depth + r).copied().unwrap_or(0);
+                }
+                transpose64(&mut lanes);
+                let at = (r * self.words + w) * self.width;
+                for (plane, &col) in self.planes[at..at + self.width].iter_mut().zip(cols) {
+                    *plane = lanes[col.trailing_zeros() as usize];
+                }
+            }
+        }
+    }
+
+    /// Writes to `out` the planes of the block of positions
+    /// `start..start + 64` (`start` a multiple of 64) of the rows that
+    /// are the XOR of `u(p * depth + load_cycle + d)` over `d` in
+    /// `delays`. Lanes past the window hold whatever the sequence holds
+    /// there.
+    pub(super) fn run(&self, load_cycle: usize, delays: &[usize], start: usize, out: &mut [u64]) {
+        debug_assert!(start.is_multiple_of(64) && out.len() == self.width);
+        out.fill(0);
+        let width = self.width;
+        for &d in delays {
+            let s = load_cycle + d;
+            let entry = start + s / self.depth;
+            let at = ((s % self.depth) * self.words + entry / 64) * width;
+            let (lo, hi) = self.planes[at..at + 2 * width].split_at(width);
+            // `(hi << 1) << (63 - shift)` is `hi << (64 - shift)`, and
+            // zero at shift 0
+            let shift = entry % 64;
+            for ((plane, &lo), &hi) in out.iter_mut().zip(lo).zip(hi) {
+                *plane ^= lo >> shift | (hi << 1) << (63 - shift);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::{survivors, FastElim};
@@ -200,7 +282,7 @@ mod tests {
     /// and on each survivor's exported system, and counts conflicts,
     /// redundant rows and survivors into `kinds`. A block has
     /// `1 + case % 64` lanes; with `garbage`, the lanes past it hold
-    /// random words that every slicing carries into the planes. Returns
+    /// random words that every transpose carries into the planes. Returns
     /// the frame's free dimension.
     fn fold_random_block(
         rng: &mut SmallRng,
@@ -243,14 +325,15 @@ mod tests {
             // the cube's bit reaches the planes only at the fold
             let bit: bool = rng.gen();
             let flip = u64::from(bit) << 63;
-            for (lane, word) in sliced.lanes_mut().iter_mut().enumerate() {
-                *word = match lane < lanes {
-                    true => rows[lane] ^ flip,
-                    false if garbage => rng.gen(),
-                    false => 0,
-                };
+            let mut words: [u64; 64] = std::array::from_fn(|lane| match lane < lanes {
+                true => rows[lane] ^ flip,
+                false if garbage => rng.gen(),
+                false => 0,
+            });
+            transpose64(&mut words);
+            for (plane, &col) in planes.iter_mut().zip(sliced.cols()) {
+                *plane = words[col.trailing_zeros() as usize];
             }
-            sliced.slice(&mut planes);
             let conflicts = sliced.fold(&planes, bit, live);
             assert_eq!(conflicts & !live, 0, "case {case}: a conflict outside live");
             for (lane, elim) in elims.iter_mut().enumerate() {

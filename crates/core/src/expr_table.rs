@@ -20,8 +20,26 @@
 //! slot. Table size is `L * cells * stride` words: an s38417-sized
 //! table (`n = 85`, 1664 cells) is ~5.3 MB at `L = 200` and ~13 MB at
 //! `L = 500`.
+//!
+//! # Sequence form
+//!
+//! Every row is one phase-shifter output at one clock of one LFSR, so
+//! it is the XOR of a few delays of a single linear-recurrence
+//! sequence `u(t) = e0 * T^t`, the expression of cell 0 at cycle `t`.
+//! Its first `n` terms form a basis (the unit vectors for a Fibonacci
+//! LFSR, a unit-triangular basis for a Galois one), and one inversion
+//! in that basis gives:
+//!
+//! * the recurrence `u(t + n) = XOR of u(t + j)` over `j` in a set `P`;
+//! * for each chain `c`, a delay set `D_c` with
+//!   `ps_c = XOR of u(d)` over `d` in `D_c`, so the row of chain `c`
+//!   at cycle `t` is `XOR of u(t + d)` over `d` in `D_c`.
+//!
+//! [`ExprTable::build`] records this form beside the rows. The encoder
+//! projects the sequence once per seed frame state instead of
+//! projecting rows.
 
-use ss_gf2::BitVec;
+use ss_gf2::{BitMatrix, BitVec};
 use ss_lfsr::{ExpressionStream, Lfsr, PhaseShifter};
 use ss_testdata::ScanConfig;
 
@@ -63,6 +81,14 @@ pub struct ExprTable {
     cycles: usize,
     scan: ScanConfig,
     window: usize,
+    /// The sequence form's basis `u(d)`, `d < vars`, one row of
+    /// `stride` words each.
+    basis: Vec<u64>,
+    /// The recurrence's delays `P`: `u(t + vars)` is the XOR of
+    /// `u(t + j)` over `j` in `P`.
+    recurrence: Vec<usize>,
+    /// Each chain's delay set `D_c`, ascending.
+    delays: Vec<Vec<usize>>,
 }
 
 impl ExprTable {
@@ -106,6 +132,7 @@ impl ExprTable {
                 stream.step();
             }
         }
+        let (basis, recurrence, delays) = sequence_form(lfsr, shifter);
         ExprTable {
             words,
             stride,
@@ -114,7 +141,28 @@ impl ExprTable {
             cycles,
             scan,
             window,
+            basis,
+            recurrence,
+            delays,
         }
+    }
+
+    /// The sequence form's basis rows `u(d) = e0 * T^d` for `d < vars()`,
+    /// each [`stride`](Self::stride) words.
+    pub(crate) fn basis_rows(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.basis.chunks_exact(self.stride)
+    }
+
+    /// The delays `P` of the sequence's recurrence: `u(t + vars())` is
+    /// the XOR of `u(t + j)` over `j` in `P`.
+    pub(crate) fn recurrence(&self) -> &[usize] {
+        &self.recurrence
+    }
+
+    /// Chain `chain`'s delay set `D_c`: its row at cycle `t` is the XOR
+    /// of `u(t + d)` over `d` in `D_c`.
+    pub(crate) fn delays(&self, chain: usize) -> &[usize] {
+        &self.delays[chain]
     }
 
     /// Number of scan chains (rows per cycle).
@@ -271,12 +319,35 @@ impl ExprTable {
     }
 }
 
+/// The sequence form of `lfsr` behind `shifter`: the basis rows
+/// `u(d)`, `d < n`, as flat words, the recurrence's delays, and each
+/// chain's delay set, all read off one inverse of the basis.
+fn sequence_form(lfsr: &Lfsr, shifter: &PhaseShifter) -> (Vec<u64>, Vec<usize>, Vec<Vec<usize>>) {
+    let n = lfsr.size();
+    let mut stream = ExpressionStream::new(lfsr);
+    let mut u = Vec::with_capacity(n + 1);
+    for _ in 0..=n {
+        u.push(stream.cell_expr(0).clone());
+        stream.step();
+    }
+    let next = u.pop().expect("n + 1 terms");
+    let basis: Vec<u64> = u.iter().flat_map(|row| row.as_words()).copied().collect();
+    // coordinates in the basis: `v = (v * U^-1) * U`
+    let inverse = BitMatrix::from_rows(u)
+        .inverse()
+        .expect("the first n terms of an LFSR's cell-0 sequence form a basis");
+    let coords = |v: &BitVec| inverse.vec_mul(v).iter_ones().collect();
+    let delays = shifter.rows().iter_rows().map(coords).collect();
+    (basis, coords(&next), delays)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use ss_gf2::primitive_poly;
+    use ss_lfsr::LfsrKind;
 
     fn setup() -> (Lfsr, PhaseShifter, ScanConfig) {
         let mut rng = SmallRng::seed_from_u64(77);
@@ -395,6 +466,59 @@ mod tests {
                 assert_eq!(&run[position * 2..position * 2 + 2], want, "{at}");
                 assert_eq!(table.cell_expr_words(position, cell), want, "{at}");
                 assert_eq!(table.expr_words(cycle, chain), want, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_row_is_its_chains_delays_of_the_cell_zero_sequence() {
+        // 70 seed variables make two-word rows; 5 chains of depth 7
+        // put delays past one load into later residues
+        let mut rng = SmallRng::seed_from_u64(79);
+        let n = 70;
+        let shifter = PhaseShifter::synthesize(n, 5, 3, &mut rng).unwrap();
+        let scan = ScanConfig::new(5, 7).unwrap();
+        for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
+            let lfsr = Lfsr::try_new(primitive_poly(n).unwrap(), kind).unwrap();
+            for window in [1usize, 8, 24, 70] {
+                let table = ExprTable::build(&lfsr, &shifter, scan, window);
+                // u(t), straight from a stream, past the last row's
+                // largest delay
+                let mut stream = ExpressionStream::new(&lfsr);
+                let u: Vec<BitVec> = (0..table.cycles() + n)
+                    .map(|_| {
+                        let row = stream.cell_expr(0).clone();
+                        stream.step();
+                        row
+                    })
+                    .collect();
+                let at = format!("{kind} L={window}");
+                for (d, row) in table.basis_rows().enumerate() {
+                    assert_eq!(row, u[d].as_words(), "{at}: basis row {d}");
+                }
+                for t in 0..u.len() - n {
+                    let mut next = BitVec::zeros(n);
+                    table
+                        .recurrence()
+                        .iter()
+                        .for_each(|&j| next.xor_with(&u[t + j]));
+                    assert_eq!(next, u[t + n], "{at}: recurrence at t = {t}");
+                }
+                for t in 0..table.cycles() {
+                    for c in 0..table.chains() {
+                        let mut want = BitVec::zeros(n);
+                        table
+                            .delays(c)
+                            .iter()
+                            .for_each(|&d| want.xor_with(&u[t + d]));
+                        assert_eq!(table.expr(t, c), want, "{at}: cycle {t} chain {c}");
+                    }
+                }
+                if kind == LfsrKind::Fibonacci {
+                    for c in 0..table.chains() {
+                        assert_eq!(table.delays(c), shifter.taps(c), "{at}: chain {c}");
+                    }
+                }
             }
         }
     }

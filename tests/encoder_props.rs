@@ -15,12 +15,19 @@ use proptest::prelude::*;
 
 use ss_core::{Engine, ExprTable, WindowEncoder};
 use ss_gf2::primitive_poly;
-use ss_lfsr::{Lfsr, PhaseShifter};
+use ss_lfsr::{Lfsr, LfsrKind, PhaseShifter};
 use ss_testdata::{generate_test_set, CubeProfile, WorkloadRegistry};
 
-fn table_for(set: &ss_testdata::TestSet, n: usize, window: usize, hw_seed: u64) -> ExprTable {
+fn table_for(
+    set: &ss_testdata::TestSet,
+    kind: LfsrKind,
+    n: usize,
+    window: usize,
+    hw_seed: u64,
+) -> ExprTable {
     let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(hw_seed);
-    let lfsr = Lfsr::fibonacci(primitive_poly(n).expect("tabulated degree"));
+    let lfsr = Lfsr::try_new(primitive_poly(n).expect("tabulated degree"), kind)
+        .expect("primitive polynomials make valid LFSRs");
     let shifter = PhaseShifter::synthesize(n, set.config().chains(), 3, &mut rng)
         .expect("synthesizable shifter");
     ExprTable::build(&lfsr, &shifter, set.config(), window)
@@ -31,8 +38,9 @@ proptest! {
 
     /// The cached search reproduces the reference encoding exactly for
     /// random workloads x window in {1, 8, 24, 70} x one LFSR size band
-    /// per probing path. A first visit probes positions in blocks of
-    /// 64, so L = 70 spans a full block and a partial one.
+    /// per probing path x both LFSR kinds. A first visit probes
+    /// positions in blocks of 64, so L = 70 spans a full block and a
+    /// partial one.
     #[test]
     fn cached_encoder_matches_reference_exactly(
         set_seed in any::<u64>(),
@@ -40,6 +48,7 @@ proptest! {
         window_idx in 0usize..4,
         band in 0usize..4,
         offset in 0usize..21,
+        galois in any::<bool>(),
     ) {
         let window = [1usize, 8, 24, 70][window_idx];
         let profile = CubeProfile::mini();
@@ -55,7 +64,8 @@ proptest! {
             2 => set.smax() + 53 + offset % 11,
             _ => 80 + offset,
         };
-        let table = table_for(&set, n, window, 2);
+        let kind = if galois { LfsrKind::Galois } else { LfsrKind::Fibonacci };
+        let table = table_for(&set, kind, n, window, 2);
         let encoder = WindowEncoder::new(&set, &table).expect("one geometry");
 
         // drop cubes that cannot be encoded alone (either both paths
@@ -68,7 +78,7 @@ proptest! {
                 let cached = encoder
                     .encode(fill_seed)
                     .expect("reference encoded, cached must too");
-                prop_assert_eq!(&cached, &reference, "window={} n={}", window, n);
+                prop_assert_eq!(&cached, &reference, "{} window={} n={}", kind, window, n);
             }
         }
     }
@@ -80,7 +90,7 @@ proptest! {
     /// L = 130 two full blocks and a short one. The cubes are s9234's,
     /// 20 to 37 specified bits against a frame of 11 to 40 free
     /// dimensions, so positions die at every point of a first visit and
-    /// some survive every equation.
+    /// some survive every equation. Both LFSR kinds are drawn.
     #[test]
     fn sliced_first_visits_match_reference_exactly(
         set_seed in any::<u64>(),
@@ -88,6 +98,7 @@ proptest! {
         window_idx in 0usize..3,
         two_word_rows in any::<bool>(),
         offset in 0usize..11,
+        galois in any::<bool>(),
     ) {
         let window = [24usize, 70, 130][window_idx];
         let profile = CubeProfile { cube_count: 16, ..CubeProfile::s9234() };
@@ -97,7 +108,8 @@ proptest! {
         } else {
             set.smax() + 11 + offset
         };
-        let table = table_for(&set, n, window, 2);
+        let kind = if galois { LfsrKind::Galois } else { LfsrKind::Fibonacci };
+        let table = table_for(&set, kind, n, window, 2);
         let encoder = WindowEncoder::new(&set, &table).expect("one geometry");
         match encoder.encode_reference(fill_seed) {
             Err(err) => {
@@ -107,7 +119,7 @@ proptest! {
                 let cached = encoder
                     .encode(fill_seed)
                     .expect("reference encoded, cached must too");
-                prop_assert_eq!(&cached, &reference, "window={} n={}", window, n);
+                prop_assert_eq!(&cached, &reference, "{} window={} n={}", kind, window, n);
             }
         }
     }
