@@ -82,7 +82,8 @@ impl TraceContext {
 pub enum SpanKind {
     /// Server side: reading and decoding a trace-carrying request.
     RecvDecode = 0,
-    /// Server side: time a job sat in the bounded queue.
+    /// Server side: time a job waited for one of the server's job
+    /// slots (at most `queue_depth` jobs wait at once).
     QueueWait = 1,
     /// Server side: memory-tier cache lookup (hit or miss — the note
     /// says which).

@@ -2,7 +2,8 @@
 //! residue caching over free-space projections — **bit-identical** to
 //! the pre-overhaul reference search (`encode_reference`): same seeds,
 //! same placements, for random workloads across window sizes, fill
-//! seeds and LFSR sizes, plus an exhaustive registry check.
+//! seeds, LFSR sizes and both LFSR kinds, plus an exhaustive registry
+//! check.
 //!
 //! The cached search replaces the reference's probing engine but not
 //! its greedy decisions; since probe outcomes (conflict / added rank)
