@@ -15,8 +15,8 @@
 //! probes one equation (one offset) at every window position before it
 //! moves to the next, so each equation streams one contiguous run of
 //! `L * stride` words instead of touching one cache line in each of
-//! `L` position blocks. [`ExprTable::build`] steps the LFSR once
-//! through all `L * r` cycles and writes each row straight into its
+//! `L` position blocks. [`ExprTable::build`] derives every row from
+//! the table's sequence form (below) and writes it straight into its
 //! slot. Table size is `L * cells * stride` words: an s38417-sized
 //! table (`n = 85`, 1664 cells) is ~5.3 MB at `L = 200` and ~13 MB at
 //! `L = 500`.
@@ -35,9 +35,9 @@
 //!   `ps_c = XOR of u(d)` over `d` in `D_c`, so the row of chain `c`
 //!   at cycle `t` is `XOR of u(t + d)` over `d` in `D_c`.
 //!
-//! [`ExprTable::build`] records this form beside the rows. The encoder
-//! projects the sequence once per seed frame state instead of
-//! projecting rows.
+//! [`ExprTable::build`] computes the rows from this form and keeps the
+//! form beside them. The encoder projects the sequence once per seed
+//! frame state instead of projecting rows.
 
 use ss_gf2::{BitMatrix, BitVec};
 use ss_lfsr::{ExpressionStream, Lfsr, PhaseShifter};
@@ -92,8 +92,10 @@ pub struct ExprTable {
 }
 
 impl ExprTable {
-    /// Builds the table for `window` vectors of scan geometry `scan`,
-    /// writing each cycle's rows straight into their cell-major slots.
+    /// Builds the table for `window` vectors of scan geometry `scan`:
+    /// finds the sequence form, extends the sequence by its recurrence
+    /// past the last cycle, and writes each row, the XOR of its chain's
+    /// delays, straight into its cell-major slot.
     ///
     /// # Panics
     ///
@@ -115,24 +117,33 @@ impl ExprTable {
         let chains = scan.chains();
         let depth = scan.depth();
         let cycles = window * depth;
-        let mut words = vec![0u64; cycles * chains * stride];
-        let taps: Vec<Vec<usize>> = (0..chains).map(|c| shifter.taps(c)).collect();
-        let mut stream = ExpressionStream::new(lfsr);
-        for position in 0..window {
-            for load_cycle in 0..depth {
-                // each row is the XOR of its chain's tapped cell
-                // expressions (`output_expr`), written in place
-                for (c, taps) in taps.iter().enumerate() {
-                    let base = ((load_cycle * chains + c) * window + position) * stride;
-                    let row = &mut words[base..base + stride];
-                    for &cell in taps {
-                        ss_gf2::words::xor_in(row, stream.cell_expr(cell).as_words());
-                    }
-                }
-                stream.step();
+        let (mut seq, recurrence, delays) = sequence_form(lfsr, shifter);
+        // `u(t)` for every cycle plus the largest delay (`d < vars`)
+        seq.resize((cycles + vars) * stride, 0);
+        for t in vars..cycles + vars {
+            let (earlier, next) = seq.split_at_mut(t * stride);
+            for &j in &recurrence {
+                let at = (t - vars + j) * stride;
+                ss_gf2::words::xor_in(&mut next[..stride], &earlier[at..at + stride]);
             }
         }
-        let (basis, recurrence, delays) = sequence_form(lfsr, shifter);
+        // each row is the XOR of its chain's delays of the sequence,
+        // written offset by offset into its cell-major slot
+        let mut words = vec![0u64; cycles * chains * stride];
+        let mut rows = words.chunks_exact_mut(stride);
+        for load_cycle in 0..depth {
+            for chain_delays in &delays {
+                for position in 0..window {
+                    let row = rows.next().expect("one row per slot");
+                    let t = position * depth + load_cycle;
+                    for &d in chain_delays {
+                        ss_gf2::words::xor_in(row, &seq[(t + d) * stride..(t + d + 1) * stride]);
+                    }
+                }
+            }
+        }
+        seq.truncate(vars * stride);
+        seq.shrink_to_fit();
         ExprTable {
             words,
             stride,
@@ -141,7 +152,7 @@ impl ExprTable {
             cycles,
             scan,
             window,
-            basis,
+            basis: seq,
             recurrence,
             delays,
         }
