@@ -21,8 +21,9 @@
 //! row; the times and ratios are recorded in `BENCH_encode.json` at
 //! the workspace root, next to `BENCH_packed.json`.
 //!
-//! At `L = 24` every expression table fits in L2, so those rows cannot
-//! show how the first-visit probe scales with the table. A second set
+//! At `L = 24` every first visit is one short block of 24 positions,
+//! so those rows cannot show how the first-visit probe scales with the
+//! window. A second set
 //! of **window rows** times the cached search alone on the two largest
 //! profiles at the paper's `L = 50` and `L = 200` (scale 0.1, the
 //! paper's LFSR sizes, as in perfbench's `paper-encode` jobs). The

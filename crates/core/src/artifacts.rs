@@ -32,6 +32,33 @@ use crate::expr_table::ExprTable;
 use crate::modeselect::ModeSelect;
 use crate::segments::{SegmentPlan, TslReport};
 
+/// The largest `window × cells` a hardware context may cover: the
+/// expression table, the encoder's run index and every expanded window
+/// grow with it. The largest job in the repository, s38417 at
+/// `L = 500`, is ~832 K.
+pub const MAX_WINDOW_CELLS: usize = 1 << 22;
+
+/// Refuses hardware whose expression table would be out of bounds: an
+/// LFSR size outside [`primitive_poly`]'s `3..=168`, or more than
+/// [`MAX_WINDOW_CELLS`] window positions × scan cells.
+fn check_table_bounds(n: usize, scan: ScanConfig, window: usize) -> Result<(), SchemeError> {
+    if !(3..=168).contains(&n) {
+        return Err(SchemeError::bad_config(format!(
+            "LFSR size {n} is outside 3..=168"
+        )));
+    }
+    let cells = scan.cells();
+    if window
+        .checked_mul(cells)
+        .is_none_or(|slots| slots > MAX_WINDOW_CELLS)
+    {
+        return Err(SchemeError::bad_config(format!(
+            "window {window} × {cells} scan cells is above the bound of {MAX_WINDOW_CELLS}"
+        )));
+    }
+    Ok(())
+}
+
 /// The synthesised hardware a scheme runs against: LFSR, phase
 /// shifter and the precomputed expression table, together with the
 /// engine configuration that produced them.
@@ -57,9 +84,10 @@ impl HardwareCtx {
     ///
     /// # Errors
     ///
-    /// [`SchemeError::BadConfig`] for an empty set or an LFSR below
-    /// `smax`; synthesis errors from the polynomial table, LFSR or
-    /// phase shifter layers otherwise.
+    /// [`SchemeError::BadConfig`] for an empty set, an LFSR below
+    /// `smax` or a window × cells above [`MAX_WINDOW_CELLS`]; synthesis
+    /// errors from the polynomial table, LFSR or phase shifter layers
+    /// otherwise.
     pub fn synthesize(set: &TestSet, config: &EngineConfig) -> Result<Self, SchemeError> {
         if set.is_empty() {
             return Err(SchemeError::bad_config("test set is empty"));
@@ -72,6 +100,7 @@ impl HardwareCtx {
             )));
         }
         let poly = primitive_poly(n)?;
+        check_table_bounds(n, set.config(), config.window)?;
         let lfsr = Lfsr::try_new(poly, config.lfsr_kind)?;
         let mut rng = SmallRng::seed_from_u64(config.hw_seed);
         let shifter = PhaseShifter::synthesize(n, set.config().chains(), config.ps_taps, &mut rng)?;
@@ -96,13 +125,17 @@ impl HardwareCtx {
     /// [`SchemeError::BadConfig`] when the parts disagree: the phase
     /// shifter must drive exactly `scan.chains()` outputs from exactly
     /// `lfsr.size()` LFSR bits, and `config.lfsr_size` (when pinned)
-    /// must match the LFSR handed in.
+    /// must match the LFSR handed in. Also when they are out of the
+    /// bounds [`synthesize`](Self::synthesize) keeps: an LFSR size
+    /// outside `3..=168` or a window × cells above
+    /// [`MAX_WINDOW_CELLS`].
     pub fn from_parts(
         config: EngineConfig,
         scan: ScanConfig,
         lfsr: Lfsr,
         shifter: PhaseShifter,
     ) -> Result<Self, SchemeError> {
+        check_table_bounds(lfsr.size(), scan, config.window)?;
         check_shifter(lfsr.size(), &shifter, scan)?;
         if let Some(n) = config.lfsr_size {
             if n != lfsr.size() {
@@ -171,14 +204,13 @@ impl HardwareCtx {
         let mut dropped = Vec::new();
         let mut solver = IncrementalSolver::new(self.table.vars());
         let empty = solver.checkpoint();
+        let mut row = vec![0; self.table.stride()];
         for (ci, cube) in set.iter().enumerate() {
             solver.rollback(empty);
             let mut ok = true;
             for (cell, bit) in cube.iter_specified() {
-                // borrowed word-slice path: the expression row is
-                // consumed straight out of the table
-                let expr = self.table.cell_expr_words(0, cell);
-                if solver.insert_words(expr, bit) == SolveOutcome::Conflict {
+                self.table.cell_expr_into(0, cell, &mut row);
+                if solver.insert_words(&row, bit) == SolveOutcome::Conflict {
                     ok = false;
                     break;
                 }
@@ -217,8 +249,9 @@ impl<'a> Encoded<'a> {
         })
     }
 
-    /// Encodes `set` on a borrowed context — no clone of the (large)
-    /// expression table; the stages hold the reference instead.
+    /// Encodes `set` on a borrowed context — no clone of the LFSR,
+    /// shifter and expression table; the stages hold the reference
+    /// instead.
     ///
     /// # Errors
     ///

@@ -260,47 +260,16 @@ impl CubeCache {
     }
 }
 
-/// Window positions a first visit probes at once: one bit each in a
-/// `u64` live mask and one lane each of a bit-plane. Each equation
-/// folds into every live position of a block before the next equation
-/// starts, so the block's per-position states stay cache-resident
-/// while the equation's rows come from one contiguous table run.
+/// Window positions a first visit or the full-rank check probes at
+/// once: one bit each in a `u64` live mask and one lane each of a
+/// bit-plane. Each equation folds into every live position of a block
+/// before the next equation starts, so the block's per-position states
+/// stay cache-resident while the equation's planes come from one
+/// sliced run.
 const POSITION_BLOCK: usize = u64::BITS as usize;
 
-/// Equation-outer concrete check of the window positions
-/// `start..start + len` (at most [`POSITION_BLOCK`]): tests each
-/// equation's row at every still-live position before the next
-/// equation starts, reading its rows from the offset's contiguous
-/// position run, and drops a position at its first failed `check`.
-/// `live` holds the positions still to check, bit `i` for position
-/// `start + i`; returns the survivors in the same form.
-fn probe_block(
-    table: &ExprTable,
-    (start, len): (usize, usize),
-    eqs: &[(u32, bool)],
-    mut live: u64,
-    mut check: impl FnMut(&[u64], bool) -> bool,
-) -> u64 {
-    debug_assert!((1..=POSITION_BLOCK).contains(&len));
-    let stride = table.stride();
-    for &(off, bit) in eqs {
-        if live == 0 {
-            break;
-        }
-        let rows = &table.position_run(off as usize)[start * stride..(start + len) * stride];
-        let mut m = live;
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if !check(&rows[i * stride..(i + 1) * stride], bit) {
-                live &= !(1u64 << i);
-            }
-        }
-    }
-    live
-}
-
-/// Every position of a block of `len`, as a [`probe_block`] mask.
+/// Every position of a block of `len`, as a live mask (bit `i` for
+/// the block's position `i`).
 fn all_lanes(len: usize) -> u64 {
     u64::MAX >> (POSITION_BLOCK - len)
 }
@@ -312,7 +281,7 @@ fn position_blocks(window: usize) -> impl Iterator<Item = (usize, usize)> {
         .map(move |start| (start, POSITION_BLOCK.min(window - start)))
 }
 
-/// The positions of a [`probe_block`] survivor mask, ascending.
+/// The positions of a live mask of the block at `start`, ascending.
 fn survivors(start: usize, mut live: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (live != 0).then(|| {
@@ -544,9 +513,7 @@ impl PlaneCache {
         let at = self.slot[run] as usize;
         let entry = &mut self.chunks[at / PLANE_CHUNK][at % PLANE_CHUNK..][..width];
         if fresh {
-            let chains = table.chains();
-            let delays = table.delays(offset % chains);
-            sequence.run(offset / chains, delays, block * POSITION_BLOCK, entry);
+            sequence.run(table, offset, block * POSITION_BLOCK, entry);
         }
         entry
     }
@@ -736,6 +703,8 @@ struct Search<'a> {
     caches: Vec<CubeCache>,
     /// The current seed's frame, once it fits a word.
     engine: FixedEngine,
+    /// A full-rank seed's window, sliced: its concrete outputs.
+    point: SlicedSequence,
 }
 
 /// Per-seed state of the incremental search: the basis being built,
@@ -817,6 +786,7 @@ impl<'a> Search<'a> {
             remaining_count: set.len(),
             caches: (0..set.len()).map(|_| CubeCache::default()).collect(),
             engine: FixedEngine::new(offsets * table.window().div_ceil(POSITION_BLOCK)),
+            point: SlicedSequence::default(),
         }
     }
 
@@ -935,25 +905,34 @@ impl<'a> Search<'a> {
     /// Step 3, the full-rank fast path: the window is *uniquely*
     /// determined, so "solvable" degenerates to "already embedded" —
     /// each remaining cube takes the first position whose cells all
-    /// evaluate to its bits under the seed (checked equation-outer over
-    /// blocks of positions, like a first visit).
+    /// evaluate to its bits under the seed. The seed is a point, so its
+    /// window's outputs are the table's sequence projected onto it, in
+    /// the right-hand side bit alone, and slice as a frame's do; each
+    /// cube's equations are checked equation-outer over blocks of
+    /// positions, one plane per run.
     fn place_embedded(&mut self, seed: &mut SeedSearch, bits: &BitVec) {
         let table = self.enc.table;
+        let basis: Vec<u64> = table
+            .basis_rows()
+            .map(|row| u64::from(words::dot(row, bits.as_words())) << 63)
+            .collect();
+        self.point.build(table, &basis, &[1 << 63]);
+        let mut plane = [0u64];
         for i in 0..self.order.len() {
             let ci = self.order[i];
             if !self.remaining[ci] {
                 continue;
             }
-            // equation-outer over each block's live positions; the
-            // first block with a survivor holds the first match
+            // the first block with a survivor holds the first match
             let embedded = position_blocks(table.window()).find_map(|(start, len)| {
-                let live = probe_block(
-                    table,
-                    (start, len),
-                    &self.cube_eqs[ci],
-                    all_lanes(len),
-                    |row, bit| words::dot(row, bits.as_words()) == bit,
-                );
+                let mut live = all_lanes(len);
+                for &(off, bit) in &self.cube_eqs[ci] {
+                    self.point.run(table, off as usize, start, &mut plane);
+                    live &= if bit { plane[0] } else { !plane[0] };
+                    if live == 0 {
+                        break;
+                    }
+                }
                 survivors(start, live).next()
             });
             if let Some(position) = embedded {
@@ -1076,15 +1055,17 @@ impl<'a> WindowEncoder<'a> {
     }
 
     /// Tries the full system of `cube` at window `position` through the
-    /// solver's borrowed word-slice path; commits on success, rolls
-    /// back and returns `false` on conflict. Insertion order matches
-    /// the reference search, so the committed basis — and therefore the
-    /// solved seed bits — are identical.
+    /// solver's word-slice path, each row written into one scratch
+    /// buffer; commits on success, rolls back and returns `false` on
+    /// conflict. Insertion order matches the reference search, so the
+    /// committed basis — and therefore the solved seed bits — are
+    /// identical.
     fn commit(&self, solver: &mut IncrementalSolver, cube: usize, position: usize) -> bool {
         let cp = solver.checkpoint();
+        let mut row = vec![0; self.table.stride()];
         for (cell, bit) in self.set.cube(cube).iter_specified() {
-            let expr = self.table.cell_expr_words(position, cell);
-            if solver.insert_words(expr, bit) == SolveOutcome::Conflict {
+            self.table.cell_expr_into(position, cell, &mut row);
+            if solver.insert_words(&row, bit) == SolveOutcome::Conflict {
                 solver.rollback(cp);
                 return false;
             }
@@ -1284,7 +1265,7 @@ mod tests {
     use rand::SeedableRng;
     use ss_gf2::primitive_poly;
     use ss_lfsr::{Lfsr, LfsrKind, PhaseShifter};
-    use ss_testdata::{generate_test_set, CubeProfile, ScanConfig};
+    use ss_testdata::{generate_test_set, CubeProfile, ScanConfig, TestSet};
 
     fn build_table(n: usize, scan: ScanConfig, window: usize, seed: u64) -> ExprTable {
         build_table_of(LfsrKind::Fibonacci, n, scan, window, seed)
@@ -1540,24 +1521,41 @@ mod tests {
         packed
     }
 
+    /// Every phase-shifter output expression of `lfsr` behind `shifter`
+    /// for `cycles` cycles, straight from an [`ExpressionStream`]:
+    /// `rows[cycle][chain]`.
+    ///
+    /// [`ExpressionStream`]: ss_lfsr::ExpressionStream
+    fn stream_rows(lfsr: &Lfsr, shifter: &PhaseShifter, cycles: usize) -> Vec<Vec<BitVec>> {
+        let mut stream = ss_lfsr::ExpressionStream::new(lfsr);
+        (0..cycles)
+            .map(|_| {
+                let rows = stream.output_exprs(shifter);
+                stream.step();
+                rows
+            })
+            .collect()
+    }
+
     /// Checks the planes of every `(offset, block)` run of `table` in
-    /// the engine's current frame state against its rows, each
-    /// projected by dot products, reduced modulo the committed rows and
-    /// transposed bit by bit into the engine's columns.
+    /// the engine's current frame state against its rows from `rows`
+    /// ([`stream_rows`]), each projected by dot products, reduced
+    /// modulo the committed rows and transposed bit by bit into the
+    /// engine's columns.
     fn check_run_planes(
         engine: &mut FixedEngine,
         space: &AffineSpace,
         table: &ExprTable,
+        rows: &[Vec<BitVec>],
         at: &str,
     ) {
         engine.project_sequence(table);
-        let stride = table.stride();
-        for off in 0..table.scan().depth() * table.chains() {
+        let (chains, depth) = (table.chains(), table.scan().depth());
+        for off in 0..depth * chains {
             for (block, (start, len)) in position_blocks(table.window()).enumerate() {
-                let rows = &table.position_run(off)[start * stride..(start + len) * stride];
-                let lanes: Vec<u64> = rows
-                    .chunks_exact(stride)
-                    .map(|row| engine.g.reduce_packed(project_row(space, row)))
+                let lanes: Vec<u64> = (start..start + len)
+                    .map(|p| &rows[p * depth + off / chains][off % chains])
+                    .map(|row| engine.g.reduce_packed(project_row(space, row.as_words())))
                     .collect();
                 assert!(lanes.iter().all(|&lane| lane & engine.g.pivot_mask == 0));
                 let want: Vec<u64> = engine
@@ -1594,12 +1592,13 @@ mod tests {
                 let lfsr = Lfsr::try_new(primitive_poly(n).unwrap(), kind).unwrap();
                 for window in [1usize, 24, 70, 200] {
                     let table = ExprTable::build(&lfsr, &shifter, scan, window);
+                    let exprs = stream_rows(&lfsr, &shifter, table.cycles());
                     let space = random_system(n, &mut rng).0.affine_space();
                     let runs = depth * chains * window.div_ceil(POSITION_BLOCK);
                     let mut engine = FixedEngine::new(runs);
                     engine.take_frame(&space, &table);
                     let at = format!("{kind} n={n} L={window}");
-                    check_run_planes(&mut engine, &space, &table, &at);
+                    check_run_planes(&mut engine, &space, &table, &exprs, &at);
                     // commits re-reduce the frame; every committed row
                     // holds at one point, so none conflicts
                     let coords = FastElim::ROW_MASK >> (FixedEngine::MAX_DIM - space.dim());
@@ -1613,9 +1612,69 @@ mod tests {
                             .collect();
                         engine.commit_update(&rows);
                         let at = format!("{at} after {} committed rows", engine.g.rank());
-                        check_run_planes(&mut engine, &space, &table, &at);
+                        check_run_planes(&mut engine, &space, &table, &exprs, &at);
                     }
                     assert_eq!(engine.g.rank(), 6, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn full_rank_check_places_each_cube_at_its_first_match_in_the_expanded_window() {
+        // sparse random cubes over two geometries (two-word rows over
+        // depth 6, one-word rows over depth 40) match a random full seed
+        // at many positions; L = 1 and 24 are one short block, 70 and
+        // 200 end in a short one
+        let mut rng = SmallRng::seed_from_u64(22);
+        for (n, chains, depth) in [(85usize, 4usize, 6usize), (24, 3, 40)] {
+            let scan = ScanConfig::new(chains, depth).unwrap();
+            let shifter = PhaseShifter::synthesize(n, chains, 3, &mut rng).unwrap();
+            let mut set = TestSet::new(scan);
+            for _ in 0..80 {
+                let mut care = BitVec::zeros(scan.cells());
+                for _ in 0..rng.gen_range(1..=10) {
+                    care.set(rng.gen_range(0..scan.cells()), true);
+                }
+                let mut values = BitVec::random(scan.cells(), &mut rng);
+                values.and_with(&care);
+                set.push(ss_testdata::TestCube::from_planes(care, values))
+                    .unwrap();
+            }
+            for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
+                let lfsr = Lfsr::try_new(primitive_poly(n).unwrap(), kind).unwrap();
+                for window in [1usize, 24, 70, 200] {
+                    let table = ExprTable::build(&lfsr, &shifter, scan, window);
+                    let enc = WindowEncoder::new(&set, &table).unwrap();
+                    let mut late = 0;
+                    for _ in 0..6 {
+                        let bits = BitVec::random(n, &mut rng);
+                        let vectors =
+                            crate::expand::try_expand_seed(&lfsr, &shifter, scan, &bits, window)
+                                .unwrap();
+                        let mut search = Search::new(&enc);
+                        let mut seed = SeedSearch {
+                            solver: IncrementalSolver::new(n),
+                            framed: false,
+                            viable: HashMap::new(),
+                            placements: Vec::new(),
+                        };
+                        search.place_embedded(&mut seed, &bits);
+                        let want: Vec<Placement> = (search.order.iter())
+                            .filter_map(|&cube| {
+                                let position =
+                                    vectors.iter().position(|v| set.cube(cube).matches(v))?;
+                                Some(Placement { cube, position })
+                            })
+                            .collect();
+                        let at = format!("{kind} n={n} L={window}");
+                        assert_eq!(seed.placements, want, "{at}");
+                        assert!(!want.is_empty(), "{at}: no cube embedded");
+                        late += want.iter().filter(|p| p.position >= 64).count();
+                    }
+                    if window > 64 {
+                        assert!(late > 0, "{kind} n={n} L={window}: no match past 64");
+                    }
                 }
             }
         }

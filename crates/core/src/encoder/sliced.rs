@@ -12,7 +12,9 @@
 //!
 //! The planes come from the frame's projected LFSR sequence, sliced
 //! once per frame state ([`SlicedSequence`]): a run's planes are a few
-//! shifted reads of it, one per delay of the run's chain.
+//! shifted reads of it, one per delay of the run's chain. A full-rank
+//! seed is a frame of dimension 0, so its concrete outputs are the same
+//! sequence sliced into the right-hand side plane alone.
 
 use crate::expr_table::ExprTable;
 
@@ -229,16 +231,18 @@ impl SlicedSequence {
         }
     }
 
-    /// Writes to `out` the planes of the block of positions
-    /// `start..start + 64` (`start` a multiple of 64) of the rows that
-    /// are the XOR of `u(p * depth + load_cycle + d)` over `d` in
-    /// `delays`. Lanes past the window hold whatever the sequence holds
-    /// there.
-    pub(super) fn run(&self, load_cycle: usize, delays: &[usize], start: usize, out: &mut [u64]) {
+    /// Writes to `out` the planes of the run of `table`'s offset
+    /// `offset` for the block of positions `start..start + 64` (`start`
+    /// a multiple of 64): the rows that are the XOR of
+    /// `u(p * depth + load_cycle + d)` over the delays `d` of the
+    /// offset's chain. Lanes past the window hold whatever the sequence
+    /// holds there.
+    pub(super) fn run(&self, table: &ExprTable, offset: usize, start: usize, out: &mut [u64]) {
         debug_assert!(start.is_multiple_of(64) && out.len() == self.width);
         out.fill(0);
         let width = self.width;
-        for &d in delays {
+        let load_cycle = offset / table.chains();
+        for &d in table.delays(offset % table.chains()) {
             let s = load_cycle + d;
             let entry = start + s / self.depth;
             let at = ((s % self.depth) * self.words + entry / 64) * width;

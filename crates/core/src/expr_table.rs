@@ -1,4 +1,5 @@
-//! Precomputed phase-shifter output expressions for a whole window.
+//! Phase-shifter output expressions for a whole window, in sequence
+//! form.
 //!
 //! Seed encoding forms one linear equation per specified cube bit; the
 //! left-hand side is the expression of a phase-shifter output at a
@@ -6,20 +7,6 @@
 //! the phase shifter and the cycle — not on the solver state — so they
 //! are computed once per `(LFSR, shifter, L)` configuration and shared
 //! by every seed.
-//!
-//! # Layout
-//!
-//! Rows live in one flat word array, **cell-major**: a scan cell's
-//! load slot — its *offset*, `load_cycle * chains + chain` — names a
-//! run of `L` rows, one per window position, side by side. The encoder
-//! probes one equation (one offset) at every window position before it
-//! moves to the next, so each equation streams one contiguous run of
-//! `L * stride` words instead of touching one cache line in each of
-//! `L` position blocks. [`ExprTable::build`] derives every row from
-//! the table's sequence form (below) and writes it straight into its
-//! slot. Table size is `L * cells * stride` words: an s38417-sized
-//! table (`n = 85`, 1664 cells) is ~5.3 MB at `L = 200` and ~13 MB at
-//! `L = 500`.
 //!
 //! # Sequence form
 //!
@@ -35,20 +22,24 @@
 //!   `ps_c = XOR of u(d)` over `d` in `D_c`, so the row of chain `c`
 //!   at cycle `t` is `XOR of u(t + d)` over `d` in `D_c`.
 //!
-//! [`ExprTable::build`] computes the rows from this form and keeps the
-//! form beside them. The encoder projects the sequence once per seed
-//! frame state instead of projecting rows.
+//! The table is this form and nothing else: [`ExprTable::build`]
+//! extends the sequence by its recurrence past the last cycle's
+//! largest delay, `L * r + n` terms of `stride` words (~21 K words,
+//! ~170 KB, for an s38417-sized table, `n = 85` and `r = 52`, at
+//! `L = 200`). No row is stored; [`ExprTable::cell_expr_into`] writes
+//! one into a caller's buffer. The encoder projects the sequence once
+//! per seed frame state instead of projecting rows.
 
-use ss_gf2::{BitMatrix, BitVec};
+use ss_gf2::{words, BitMatrix, BitVec};
 use ss_lfsr::{ExpressionStream, Lfsr, PhaseShifter};
 use ss_testdata::ScanConfig;
 
-/// The expression table: for each cycle `t < L*r` and chain `c`, the
-/// GF(2) row `ps_c * T^t` over the seed variables, stored cell-major:
-/// the row for window position `v` and scan-cell offset `o`
-/// ([`row_offset`](Self::row_offset)) is row `o * L + v`, so one
-/// offset's rows for every position form one
-/// [`position_run`](Self::position_run).
+/// The expression table of a window: for each cycle `t < L*r` and
+/// chain `c`, the GF(2) row `ps_c * T^t` over the seed variables, held
+/// as the sequence form it is derived from. A scan cell's *offset*
+/// ([`row_offset`](Self::row_offset)) names its load slot; the rows of
+/// one offset at every window position are one phase-shifter output
+/// `r` cycles apart.
 ///
 /// # Example
 ///
@@ -66,24 +57,24 @@ use ss_testdata::ScanConfig;
 /// assert_eq!(table.cycles(), 12);
 /// // cycle 0: cell expressions are the unit vectors
 /// assert_eq!(table.expr(0, 5), ss_gf2::BitVec::unit(8, 5));
-/// // one offset's rows for all three window positions, side by side
-/// let run = table.position_run(table.row_offset(3));
-/// assert_eq!(&run[2..3], table.cell_expr_words(2, 3));
+/// // one row, written into a caller's buffer
+/// let mut row = vec![0; table.stride()];
+/// table.cell_expr_into(2, 3, &mut row);
+/// assert_eq!(row, table.cell_expr(2, 3).as_words());
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExprTable {
-    words: Vec<u64>,
+    /// `u(t)` for `t < cycles + vars`, one row of `stride` words each:
+    /// the last cycle plus the largest delay (`d < vars`).
+    seq: Vec<u64>,
     stride: usize,
     vars: usize,
     chains: usize,
     cycles: usize,
     scan: ScanConfig,
     window: usize,
-    /// The sequence form's basis `u(d)`, `d < vars`, one row of
-    /// `stride` words each.
-    basis: Vec<u64>,
     /// The recurrence's delays `P`: `u(t + vars)` is the XOR of
     /// `u(t + j)` over `j` in `P`.
     recurrence: Vec<usize>,
@@ -93,9 +84,8 @@ pub struct ExprTable {
 
 impl ExprTable {
     /// Builds the table for `window` vectors of scan geometry `scan`:
-    /// finds the sequence form, extends the sequence by its recurrence
-    /// past the last cycle, and writes each row, the XOR of its chain's
-    /// delays, straight into its cell-major slot.
+    /// finds the sequence form and extends the sequence by its
+    /// recurrence past the last cycle's largest delay.
     ///
     /// # Panics
     ///
@@ -114,45 +104,24 @@ impl ExprTable {
         );
         let vars = lfsr.size();
         let stride = vars.div_ceil(64);
-        let chains = scan.chains();
-        let depth = scan.depth();
-        let cycles = window * depth;
+        let cycles = window * scan.depth();
         let (mut seq, recurrence, delays) = sequence_form(lfsr, shifter);
-        // `u(t)` for every cycle plus the largest delay (`d < vars`)
         seq.resize((cycles + vars) * stride, 0);
         for t in vars..cycles + vars {
             let (earlier, next) = seq.split_at_mut(t * stride);
             for &j in &recurrence {
                 let at = (t - vars + j) * stride;
-                ss_gf2::words::xor_in(&mut next[..stride], &earlier[at..at + stride]);
+                words::xor_in(&mut next[..stride], &earlier[at..at + stride]);
             }
         }
-        // each row is the XOR of its chain's delays of the sequence,
-        // written offset by offset into its cell-major slot
-        let mut words = vec![0u64; cycles * chains * stride];
-        let mut rows = words.chunks_exact_mut(stride);
-        for load_cycle in 0..depth {
-            for chain_delays in &delays {
-                for position in 0..window {
-                    let row = rows.next().expect("one row per slot");
-                    let t = position * depth + load_cycle;
-                    for &d in chain_delays {
-                        ss_gf2::words::xor_in(row, &seq[(t + d) * stride..(t + d + 1) * stride]);
-                    }
-                }
-            }
-        }
-        seq.truncate(vars * stride);
-        seq.shrink_to_fit();
         ExprTable {
-            words,
+            seq,
             stride,
             vars,
-            chains,
+            chains: scan.chains(),
             cycles,
             scan,
             window,
-            basis: seq,
             recurrence,
             delays,
         }
@@ -161,7 +130,7 @@ impl ExprTable {
     /// The sequence form's basis rows `u(d) = e0 * T^d` for `d < vars()`,
     /// each [`stride`](Self::stride) words.
     pub(crate) fn basis_rows(&self) -> std::slice::ChunksExact<'_, u64> {
-        self.basis.chunks_exact(self.stride)
+        self.seq[..self.vars * self.stride].chunks_exact(self.stride)
     }
 
     /// The delays `P` of the sequence's recurrence: `u(t + vars())` is
@@ -182,9 +151,8 @@ impl ExprTable {
     }
 
     /// The offset of scan cell `cell`: its load slot
-    /// `load_cycle * chains() + chain`, which names its
-    /// [`position_run`](Self::position_run). Precompute it once per
-    /// cube.
+    /// `load_cycle * chains() + chain`, the same for every window
+    /// position. Precompute it once per cube.
     ///
     /// # Panics
     ///
@@ -192,22 +160,6 @@ impl ExprTable {
     pub fn row_offset(&self, cell: usize) -> usize {
         let (chain, pos) = self.scan.chain_of(cell);
         self.scan.load_cycle(pos) * self.chains + chain
-    }
-
-    /// The rows of offset `offset` (from [`row_offset`](Self::row_offset))
-    /// for window positions `0..window()`, side by side: position `v`'s
-    /// row is `run[v * stride()..(v + 1) * stride()]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset >= depth * chains()`.
-    pub fn position_run(&self, offset: usize) -> &[u64] {
-        assert!(
-            offset < self.scan.depth() * self.chains,
-            "offset {offset} out of range"
-        );
-        let len = self.window * self.stride;
-        &self.words[offset * len..(offset + 1) * len]
     }
 
     /// Number of seed variables (LFSR size).
@@ -230,23 +182,16 @@ impl ExprTable {
         self.scan
     }
 
-    /// Raw words of the row at window position `position` and offset
-    /// `offset`.
-    fn row(&self, position: usize, offset: usize) -> &[u64] {
-        let base = (offset * self.window + position) * self.stride;
-        &self.words[base..base + self.stride]
-    }
-
-    /// Raw words of the expression for `(cycle, chain)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn expr_words(&self, cycle: usize, chain: usize) -> &[u64] {
+    /// Writes the row for `(cycle, chain)`, the XOR of its chain's
+    /// delays of the sequence, into `out`.
+    fn row_into(&self, cycle: usize, chain: usize, out: &mut [u64]) {
         assert!(cycle < self.cycles, "cycle {cycle} out of range");
         assert!(chain < self.chains, "chain {chain} out of range");
-        let depth = self.scan.depth();
-        self.row(cycle / depth, cycle % depth * self.chains + chain)
+        out.fill(0);
+        for &d in &self.delays[chain] {
+            let at = (cycle + d) * self.stride;
+            words::xor_in(out, &self.seq[at..at + self.stride]);
+        }
     }
 
     /// The expression for `(cycle, chain)` as a [`BitVec`].
@@ -255,12 +200,14 @@ impl ExprTable {
     ///
     /// Panics if out of range.
     pub fn expr(&self, cycle: usize, chain: usize) -> BitVec {
-        BitVec::from_words(self.vars, self.expr_words(cycle, chain))
+        let mut row = vec![0; self.stride];
+        self.row_into(cycle, chain, &mut row);
+        BitVec::from_words(self.vars, &row)
     }
 
     /// Words per expression row (`vars()` rounded up to whole `u64`s) —
-    /// the slice length of [`expr_words`](Self::expr_words) /
-    /// [`cell_expr_words`](Self::cell_expr_words) rows.
+    /// the buffer length [`cell_expr_into`](Self::cell_expr_into)
+    /// writes.
     pub fn stride(&self) -> usize {
         self.stride
     }
@@ -274,24 +221,26 @@ impl ExprTable {
     /// Panics if `position >= window()` or `cell` is outside the scan
     /// geometry.
     pub fn cell_expr(&self, position: usize, cell: usize) -> BitVec {
-        BitVec::from_words(self.vars, self.cell_expr_words(position, cell))
+        let mut row = vec![0; self.stride];
+        self.cell_expr_into(position, cell, &mut row);
+        BitVec::from_words(self.vars, &row)
     }
 
-    /// Raw words of [`cell_expr`](Self::cell_expr), borrowed straight
-    /// from the table — the allocation-free row the solver's
-    /// word-slice API ([`IncrementalSolver::insert_words`]
-    /// [`probe_words`]) consumes directly.
+    /// Writes the words of [`cell_expr`](Self::cell_expr) into `out`,
+    /// with no allocation: the row the solver's word-slice API
+    /// ([`IncrementalSolver::insert_words`]) takes.
     ///
     /// [`IncrementalSolver::insert_words`]: ss_gf2::IncrementalSolver::insert_words
-    /// [`probe_words`]: ss_gf2::IncrementalSolver::probe_words
     ///
     /// # Panics
     ///
-    /// Panics if `position >= window()` or `cell` is outside the scan
-    /// geometry.
-    pub fn cell_expr_words(&self, position: usize, cell: usize) -> &[u64] {
+    /// Panics if `position >= window()`, `cell` is outside the scan
+    /// geometry or `out.len() != stride()`.
+    pub fn cell_expr_into(&self, position: usize, cell: usize, out: &mut [u64]) {
         assert!(position < self.window, "window position out of range");
-        self.row(position, self.row_offset(cell))
+        let (chain, pos) = self.scan.chain_of(cell);
+        let cycle = position * self.scan.depth() + self.scan.load_cycle(pos);
+        self.row_into(cycle, chain, out);
     }
 
     /// Evaluates the whole window for a concrete seed: the `L` test
@@ -307,6 +256,7 @@ impl ExprTable {
         assert_eq!(seed.len(), self.vars, "seed width mismatch");
         let r = self.scan.depth();
         let chains = self.chains;
+        let mut row = vec![0; self.stride];
         let mut vectors = Vec::with_capacity(self.window);
         for position in 0..self.window {
             let mut vector = BitVec::zeros(self.scan.cells());
@@ -314,12 +264,8 @@ impl ExprTable {
                 let cycle = position * r + t;
                 let pos = self.scan.position_loaded_at(t);
                 for c in 0..chains {
-                    let words = self.expr_words(cycle, c);
-                    let mut acc = 0u64;
-                    for (w, s) in words.iter().zip(seed.as_words()) {
-                        acc ^= w & s;
-                    }
-                    if acc.count_ones() % 2 == 1 {
+                    self.row_into(cycle, c, &mut row);
+                    if words::dot(&row, seed.as_words()) {
                         vector.set(self.scan.cell_index(c, pos), true);
                     }
                 }
@@ -329,7 +275,6 @@ impl ExprTable {
         vectors
     }
 }
-
 /// The sequence form of `lfsr` behind `shifter`: the basis rows
 /// `u(d)`, `d < n`, as flat words, the recurrence's delays, and each
 /// chain's delay set, all read off one inverse of the basis.
@@ -433,50 +378,37 @@ mod tests {
     }
 
     #[test]
-    fn cell_expr_words_borrows_the_same_row() {
-        let (lfsr, shifter, scan) = setup();
-        let table = ExprTable::build(&lfsr, &shifter, scan, 3);
-        assert_eq!(table.stride(), 1);
-        for position in 0..3 {
-            for cell in 0..scan.cells() {
-                assert_eq!(
-                    BitVec::from_words(table.vars(), table.cell_expr_words(position, cell)),
-                    table.cell_expr(position, cell),
-                    "position {position} cell {cell}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn every_accessor_reads_the_stream_row_of_each_position_and_cell() {
         // 70 seed variables make two-word rows; 23 cells on 4 chains
         // pad the last chain with one cell
         let mut rng = SmallRng::seed_from_u64(78);
-        let lfsr = Lfsr::fibonacci(primitive_poly(70).unwrap());
         let shifter = PhaseShifter::synthesize(70, 4, 3, &mut rng).unwrap();
         let scan = ScanConfig::for_cells(4, 23).unwrap();
         assert_eq!(scan.cells(), 24);
         let window = 5;
-        let table = ExprTable::build(&lfsr, &shifter, scan, window);
-        assert_eq!(table.stride(), 2);
-        let mut stream = ExpressionStream::new(&lfsr);
-        let mut rows = Vec::new(); // rows[cycle][chain]
-        for _ in 0..table.cycles() {
-            rows.push(stream.output_exprs(&shifter));
-            stream.step();
-        }
-        for cell in 0..scan.cells() {
-            let run = table.position_run(table.row_offset(cell));
-            assert_eq!(run.len(), window * 2);
-            let (chain, pos) = scan.chain_of(cell);
-            for position in 0..window {
-                let cycle = position * scan.depth() + scan.load_cycle(pos);
-                let want = rows[cycle][chain].as_words();
-                let at = format!("position {position} cell {cell}");
-                assert_eq!(&run[position * 2..position * 2 + 2], want, "{at}");
-                assert_eq!(table.cell_expr_words(position, cell), want, "{at}");
-                assert_eq!(table.expr_words(cycle, chain), want, "{at}");
+        for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
+            let lfsr = Lfsr::try_new(primitive_poly(70).unwrap(), kind).unwrap();
+            let table = ExprTable::build(&lfsr, &shifter, scan, window);
+            assert_eq!(table.stride(), 2);
+            let mut stream = ExpressionStream::new(&lfsr);
+            let mut rows = Vec::new(); // rows[cycle][chain]
+            for _ in 0..table.cycles() {
+                rows.push(stream.output_exprs(&shifter));
+                stream.step();
+            }
+            // stale words in the buffer must not leak into a row
+            let mut buf = vec![u64::MAX; 2];
+            for cell in 0..scan.cells() {
+                let (chain, pos) = scan.chain_of(cell);
+                for position in 0..window {
+                    let cycle = position * scan.depth() + scan.load_cycle(pos);
+                    let want = &rows[cycle][chain];
+                    let at = format!("{kind} position {position} cell {cell}");
+                    table.cell_expr_into(position, cell, &mut buf);
+                    assert_eq!(buf, want.as_words(), "{at}");
+                    assert_eq!(&table.cell_expr(position, cell), want, "{at}");
+                    assert_eq!(&table.expr(cycle, chain), want, "{at}");
+                }
             }
         }
     }

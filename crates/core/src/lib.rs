@@ -117,7 +117,7 @@ mod scheme;
 mod soc;
 mod workload_io;
 
-pub use artifacts::{Embedded, Encoded, HardwareCtx, PipelineReport, Segmented};
+pub use artifacts::{Embedded, Encoded, HardwareCtx, PipelineReport, Segmented, MAX_WINDOW_CELLS};
 pub use baseline11::baseline11_tsl;
 pub use builder::{Engine, EngineBuilder, EngineConfig};
 pub use cost::{DecompressorCost, DecompressorCostInputs};

@@ -149,9 +149,9 @@ impl IncrementalSolver {
     /// is guaranteed when the slice comes from a [`BitVec`] or an
     /// expression table.
     ///
-    /// This is the allocation-free insertion path: the expression rows
-    /// of `ss_core::ExprTable` are consumed directly, with no
-    /// intermediate `BitVec`.
+    /// This is the allocation-free insertion path: a caller writes each
+    /// expression row of `ss_core::ExprTable` into one reused buffer
+    /// and inserts it, with no intermediate `BitVec`.
     ///
     /// # Panics
     ///

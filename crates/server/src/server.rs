@@ -1986,6 +1986,35 @@ mod tests {
         assert_eq!((stats.jobs_done, stats.busy_rejections), (2, 0));
     }
 
+    /// A table past the core's bound is refused before it is built: a
+    /// submission whose window × cells is just above
+    /// `MAX_WINDOW_CELLS` answers `Failed` naming the bound, and the
+    /// next honest job is served.
+    #[test]
+    fn an_oversized_table_is_refused_and_the_next_job_is_served() {
+        let shared = Shared::new(1, 4, 1 << 20, 1, None, 256, 1);
+        let good = mini_spec();
+        // two cells: the window alone carries the table past the bound
+        let bad = JobSpec {
+            set_text: "chains 1 depth 2\n0X\n".to_string(),
+            window: (ss_core::MAX_WINDOW_CELLS / 2 + 1) as u32,
+            segment: 1,
+            ..good.clone()
+        };
+        match respond(&shared, Request::Submit(bad)) {
+            Response::Failed { message, .. } => assert!(
+                message.contains(&ss_core::MAX_WINDOW_CELLS.to_string()),
+                "{message}"
+            ),
+            other => panic!("an oversized table answered {other:?}"),
+        }
+        match respond(&shared, Request::Submit(good)) {
+            Response::Done(report) => assert_eq!(report.tier, CacheTier::Cold),
+            other => panic!("the next honest job answered {other:?}"),
+        }
+        assert_eq!(shared.stats().jobs_done, 2);
+    }
+
     /// `ServerHandle::shutdown` waits for a job that is already
     /// running: it returns only once the job has finished and written
     /// its artifact through to the store directory.

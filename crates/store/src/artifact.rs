@@ -48,8 +48,10 @@ pub const FORMAT_VERSION: u32 = 1;
 pub const MAX_ARTIFACT_BYTES: u64 = 1 << 30;
 
 /// Domain caps on decoded dimensions — far above any real workload,
-/// low enough that a crafted file cannot provoke absurd allocations
-/// or a multi-minute `ExprTable` rebuild.
+/// low enough that a crafted file cannot provoke absurd allocations.
+/// Bounds across fields (the LFSR size, window × scan cells) are the
+/// core's own, checked when [`HardwareCtx::from_parts`] reassembles
+/// the parts.
 const MAX_BITS: u64 = 1 << 24;
 const MAX_WINDOW: u64 = 1 << 16;
 const MAX_DIM: u64 = 1 << 20;
@@ -268,6 +270,23 @@ fn kind_from_u8(v: u8) -> Result<LfsrKind, StoreError> {
     }
 }
 
+/// Wraps `payload` in a valid envelope — magic, version, key, digest,
+/// length, then the payload and its checksum — whatever the payload
+/// holds.
+pub(crate) fn seal(key: u64, report_digest: u64, payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_BYTES + payload.len() + CHECKSUM_BYTES);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&FORMAT_VERSION.to_be_bytes());
+    buf.extend_from_slice(&key.to_be_bytes());
+    buf.extend_from_slice(&report_digest.to_be_bytes());
+    buf.extend_from_slice(&(payload.len() as u64).to_be_bytes());
+    buf.extend_from_slice(payload);
+    let mut h = Fnv64::new();
+    h.write(&buf);
+    buf.extend_from_slice(&h.finish().to_be_bytes());
+    buf
+}
+
 fn encode_payload(artifact: &Artifact) -> Vec<u8> {
     let mut buf = Vec::new();
     let ctx = &artifact.ctx;
@@ -431,8 +450,8 @@ fn decode_payload(payload: &[u8], threads: Option<usize>) -> Result<(Artifact, u
     };
     r.finish()?;
 
-    // reassemble: the expensive ExprTable is rebuilt deterministically
-    // from the parts (ss_core validates their agreement)
+    // reassemble: the expression table is rebuilt deterministically
+    // from the parts (ss_core validates their agreement and bounds)
     let ctx = HardwareCtx::from_parts(config, scan, lfsr, shifter)
         .map_err(|e| StoreError::Invalid(e.to_string()))?;
     if encoding.lfsr_size != ctx.lfsr_size() {
@@ -472,18 +491,7 @@ impl Artifact {
     /// `key` (the content-addressed cache key the store files it
     /// under).
     pub fn to_bytes(&self, key: u64) -> Vec<u8> {
-        let payload = encode_payload(self);
-        let mut buf = Vec::with_capacity(HEADER_BYTES + payload.len() + CHECKSUM_BYTES);
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&FORMAT_VERSION.to_be_bytes());
-        buf.extend_from_slice(&key.to_be_bytes());
-        buf.extend_from_slice(&self.report_digest.to_be_bytes());
-        buf.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-        buf.extend_from_slice(&payload);
-        let mut h = Fnv64::new();
-        h.write(&buf);
-        buf.extend_from_slice(&h.finish().to_be_bytes());
-        buf
+        seal(key, self.report_digest, &encode_payload(self))
     }
 
     /// Decodes and fully validates an artifact file loaded under
@@ -540,5 +548,67 @@ impl Artifact {
         let (mut artifact, _) = decode_payload(payload, threads)?;
         artifact.report_digest = report_digest;
         Ok(artifact)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The payload of an empty cube set and encoding at window
+    /// `window`, on a one-chain scan of depth `depth` behind a
+    /// Fibonacci LFSR of polynomial `exponents` (degree first), whose
+    /// one shifter output taps LFSR cell 0.
+    fn payload(window: u64, depth: u64, exponents: &[u64]) -> Vec<u8> {
+        let n = exponents[0];
+        let mut buf = Vec::new();
+        // window, segment, speedup; no pinned LFSR size; kind, ps_taps,
+        // hw_seed, fill_seed
+        put_all(&mut buf, &[window, 1, 2]);
+        put_u8(&mut buf, 0);
+        put_u8(&mut buf, kind_to_u8(LfsrKind::Fibonacci));
+        put_all(&mut buf, &[1, 0, 0]);
+        // scan: chains, depth
+        put_all(&mut buf, &[1, depth]);
+        put_u8(&mut buf, kind_to_u8(LfsrKind::Fibonacci));
+        put_u64(&mut buf, exponents.len() as u64);
+        put_all(&mut buf, exponents);
+        // shifter: one row of `n` columns
+        put_all(&mut buf, &[1, n]);
+        put_planes(&mut buf, &BitVec::unit(n as usize, 0));
+        // no cubes, none dropped; encoding window, LFSR size, cubes,
+        // seeds
+        put_all(&mut buf, &[0, 0, window, n, 0, 0]);
+        buf
+    }
+
+    fn put_all(buf: &mut Vec<u8>, values: &[u64]) {
+        values.iter().for_each(|&v| put_u64(buf, v));
+    }
+
+    fn decode(payload: &[u8]) -> Result<Artifact, StoreError> {
+        Artifact::from_bytes(&seal(7, 0, payload), 7, Some(1))
+    }
+
+    /// A crafted artifact cannot make the loader build a table past the
+    /// core's bounds: each field is within its own cap, and the parts
+    /// are refused just above the LFSR size or window × cells bound.
+    #[test]
+    fn parts_past_the_table_bounds_are_refused() {
+        let artifact = decode(&payload(8, 2, &[16, 15, 13, 4, 0])).unwrap();
+        assert_eq!(artifact.ctx.lfsr_size(), 16);
+
+        let err = decode(&payload(8, 2, &[169, 1, 0]))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("LFSR size 169"), "{err}");
+
+        let window = MAX_WINDOW;
+        let depth = ss_core::MAX_WINDOW_CELLS as u64 / window + 1;
+        let err = decode(&payload(window, depth, &[16, 15, 13, 4, 0]))
+            .unwrap_err()
+            .to_string();
+        let bound = ss_core::MAX_WINDOW_CELLS.to_string();
+        assert!(err.contains(&bound), "{err}");
     }
 }

@@ -18,7 +18,8 @@ use proptest::prelude::*;
 use ss_core::{Encoded, Engine};
 use ss_testdata::{generate_test_set, CubeProfile};
 
-use crate::{report_digest, Artifact, ArtifactStore, Fnv64, StoreError, FORMAT_VERSION, MAGIC};
+use crate::artifact::seal;
+use crate::{report_digest, Artifact, ArtifactStore, StoreError, FORMAT_VERSION};
 
 const KEY: u64 = 0xab54_a98c_eb1f_0ad2;
 
@@ -62,24 +63,6 @@ fn artifact_for(seed: u64) -> Artifact {
 fn canonical_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| artifact().to_bytes(KEY))
-}
-
-/// Wraps an arbitrary payload in a *valid* envelope — right magic,
-/// version, key, length and checksum — so decoding exercises the
-/// payload reader against adversarial bytes instead of stopping at the
-/// checksum gate.
-fn envelope(key: u64, digest: u64, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&FORMAT_VERSION.to_be_bytes());
-    buf.extend_from_slice(&key.to_be_bytes());
-    buf.extend_from_slice(&digest.to_be_bytes());
-    buf.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-    buf.extend_from_slice(payload);
-    let mut h = Fnv64::new();
-    h.write(&buf);
-    buf.extend_from_slice(&h.finish().to_be_bytes());
-    buf
 }
 
 #[test]
@@ -225,7 +208,7 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..512),
         digest in any::<u64>(),
     ) {
-        let bytes = envelope(KEY, digest, &payload);
+        let bytes = seal(KEY, digest, &payload);
         prop_assert!(Artifact::from_bytes(&bytes, KEY, None).is_err());
     }
 
@@ -245,7 +228,7 @@ proptest! {
         let at = at % payload.len();
         let end = (at + noise.len()).min(payload.len());
         payload[at..end].copy_from_slice(&noise[..end - at]);
-        let bytes = envelope(KEY, artifact().report_digest, &payload);
+        let bytes = seal(KEY, artifact().report_digest, &payload);
         // the splice may happen to reproduce the original payload
         // (noise == what was there); anything else must reject — and
         // nothing may panic
