@@ -1,8 +1,10 @@
-//! Shared harness utilities for the paper-reproduction benches.
+//! Shared harness utilities for the benches.
 //!
-//! Every `cargo bench -p ss-bench --bench <tableN|fig4|hardware>`
-//! target prints the corresponding table/figure of the DATE 2008 paper
-//! with **measured** columns next to the **paper-reported** values.
+//! `cargo bench -p ss-bench --bench paper_fidelity` prints every table
+//! and figure of the DATE 2008 paper with **measured** columns next to
+//! the **paper-reported** values, and writes `BENCH_paper.json`.
+//! `EXPERIMENTS.md` holds its committed full-scale run and the known
+//! deviations from the paper.
 //!
 //! # Workload scaling
 //!
@@ -14,25 +16,40 @@
 //! its scale in the banner, and the `BENCH_*.json` files record it as
 //! `ss_scale`. Scaling shrinks seed counts roughly proportionally but
 //! leaves every *trend* (who wins, how results move with k, S and L)
-//! intact.
+//! intact; `EXPERIMENTS.md` records which scale each committed file
+//! was run at.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::time::Instant;
 
-use ss_core::{Engine, PipelineReport};
 use ss_telemetry::json::Json;
 use ss_testdata::{generate_test_set, CubeProfile, TestSet, WorkloadRegistry, CORPUS_SEED};
 
-/// Workload scale factor from `SS_SCALE` (default 0.25, clamped to
-/// `(0, 1]`).
+/// Workload scale factor from `SS_SCALE`: 0.25 when unset, otherwise
+/// the value clamped to `[0.01, 1]`.
+///
+/// # Panics
+///
+/// Panics, naming the variable, when `SS_SCALE` is set but is not a
+/// finite number (`NaN`, `inf`, `full`, `1,0`): a silent fallback
+/// would run, and record in `BENCH_*.json`, a scale nobody asked for.
 pub fn scale() -> f64 {
-    std::env::var("SS_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(|s| s.clamp(0.01, 1.0))
-        .unwrap_or(0.25)
+    match std::env::var("SS_SCALE") {
+        Ok(text) => parse_scale(&text).unwrap_or_else(|e| panic!("{e}")),
+        Err(_) => 0.25,
+    }
+}
+
+/// Parses an `SS_SCALE` value: a finite number, clamped to `[0.01, 1]`.
+fn parse_scale(text: &str) -> Result<f64, String> {
+    match text.trim().parse::<f64>() {
+        Ok(s) if s.is_finite() => Ok(s.clamp(0.01, 1.0)),
+        _ => Err(format!(
+            "SS_SCALE={text:?} is not a finite number; use a value in [0.01, 1]"
+        )),
+    }
 }
 
 /// Writes `BENCH_<file>.json` at the workspace root, one row per line:
@@ -75,90 +92,6 @@ pub fn workload(profile: &CubeProfile) -> TestSet {
     }
 }
 
-/// Runs the full State Skip flow for a profile at `(L, S, k)` through
-/// the staged [`Engine`], using the paper's LFSR size for that
-/// circuit. Intrinsically unencodable cubes (see
-/// [`ss_core::HardwareCtx::encodable_subset`]) are dropped first and
-/// their count reported on stderr — the paper's real test sets
-/// contained none at these LFSR sizes.
-///
-/// # Panics
-///
-/// Panics on engine errors — benches want loud failures.
-pub fn run_profile(
-    profile: &CubeProfile,
-    set: &TestSet,
-    window: usize,
-    segment: usize,
-    speedup: u64,
-) -> PipelineReport {
-    let engine = Engine::builder()
-        .window(window)
-        .segment(segment)
-        .speedup(speedup)
-        .lfsr_size(profile.lfsr_size)
-        .build()
-        .unwrap_or_else(|e| panic!("{}: engine setup failed: {e}", profile.name));
-    let (encodable, dropped) = engine
-        .encodable_subset(set)
-        .unwrap_or_else(|e| panic!("{}: hardware synthesis failed: {e}", profile.name));
-    if !dropped.is_empty() {
-        eprintln!(
-            "note: {}: dropped {} intrinsically unencodable cube(s) of {} (n = {})",
-            profile.name,
-            dropped.len(),
-            set.len(),
-            profile.lfsr_size
-        );
-    }
-    engine
-        .run(&encodable)
-        .unwrap_or_else(|e| panic!("{}: engine run failed: {e}", profile.name))
-}
-
-/// Best State-Skip reduction over a parameter sweep, reusing one
-/// encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepBest {
-    /// TSL of the plain window-based scheme.
-    pub orig: u64,
-    /// Best proposed TSL found.
-    pub prop: u64,
-    /// Segment size that achieved it.
-    pub segment: usize,
-    /// Speedup factor that achieved it.
-    pub speedup: u64,
-}
-
-/// Sweeps segment sizes and speedup factors over an existing pipeline
-/// report (the encoding and embedding map are fixed; only the segment
-/// plan and traversal are recomputed — exactly the paper's experiment
-/// structure).
-pub fn best_reduction(
-    report: &PipelineReport,
-    scan_depth: usize,
-    segments: &[usize],
-    speedups: &[u64],
-) -> SweepBest {
-    let orig = report.tsl_original;
-    let mut best: Option<SweepBest> = None;
-    for &segment in segments {
-        let plan = ss_core::SegmentPlan::build(&report.embedding, segment);
-        for &speedup in speedups {
-            let prop = plan.tsl(speedup, scan_depth).vectors;
-            if best.is_none_or(|b| prop < b.prop) {
-                best = Some(SweepBest {
-                    orig,
-                    prop,
-                    segment,
-                    speedup,
-                });
-            }
-        }
-    }
-    best.expect("non-empty sweep")
-}
-
 /// Prints a standard bench header with the scale disclosure.
 pub fn banner(what: &str) {
     println!("=== {what} ===");
@@ -181,10 +114,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_is_clamped() {
-        // without the env var the default applies
-        let s = scale();
-        assert!(s > 0.0 && s <= 1.0);
+    fn scale_parse_clamps_finite_values_and_rejects_the_rest() {
+        assert_eq!(parse_scale("0.5"), Ok(0.5));
+        assert_eq!(parse_scale("0"), Ok(0.01));
+        assert_eq!(parse_scale("2"), Ok(1.0));
+        for bad in ["NaN", "abc"] {
+            let err = parse_scale(bad).expect_err(bad);
+            assert!(err.contains("SS_SCALE"), "{err}");
+        }
     }
 
     #[test]
@@ -204,13 +141,5 @@ mod tests {
                 "factor {factor}"
             );
         }
-    }
-
-    #[test]
-    fn run_profile_smoke() {
-        let profile = CubeProfile::mini();
-        let set = workload(&profile);
-        let report = run_profile(&profile, &set, 10, 2, 4);
-        assert!(report.seeds > 0);
     }
 }

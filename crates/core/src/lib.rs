@@ -128,8 +128,8 @@ pub use error::SchemeError;
 pub use expand::{try_expand_seed, PackedWindowExpander};
 pub use expr_table::ExprTable;
 pub use literature::{
-    lit_table3, lit_table4, LitEmbeddingRow, LitMethod, LitTable4Row, Table1Row, Table2Row,
-    PAPER_TABLE1, PAPER_TABLE2,
+    lit_table3, lit_table4, LitEmbeddingRow, LitMethod, LitTable4Row, PaperSection4, Table1Row,
+    Table2Row, PAPER_FIG4_BARS, PAPER_SECTION4, PAPER_TABLE1, PAPER_TABLE2,
 };
 pub use modeselect::ModeSelect;
 pub use report::{improvement_percent, Table};

@@ -306,6 +306,42 @@ pub const PAPER_TABLE2: &[Table2Row] = &[
     ),
 ];
 
+/// The paper's Fig. 4 bars (s13207, L = 300, S in {4, 10, 12, 20}):
+/// `(k, lowest %, highest %)`, the spread of TSL improvement over the
+/// four segment sizes at the smallest and the largest speedup plotted.
+/// Smaller segments sit at the top of each spread. The paper gives
+/// the L curves (S = 5) only as trends: improvement rises with L, and
+/// every curve rises with k.
+pub const PAPER_FIG4_BARS: [(u64, u64, u64); 2] = [(3, 69, 78), (24, 80, 93)];
+
+/// The paper's Section 4 hardware numbers, in gate equivalents.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PaperSection4 {
+    /// State Skip circuit for s13207's 24-bit LFSR, `(k, GE)`.
+    pub skip_ge: [(u64, u64); 2],
+    /// The rest of the decompressor for s13207, shared between cores.
+    pub shared_ge: u64,
+    /// Mode Select `(min, max)` over 50 <= L <= 500 and 2 <= S <= 50
+    /// for s13207.
+    pub mode_select_ge: (u64, u64),
+    /// Per-core Mode Select `(min, max)` in the five-core SoC study
+    /// (L = 200, S = 10, k = 10).
+    pub soc_mode_select_ge: (u64, u64),
+    /// The decompressor's share of the SoC's area, percent.
+    pub soc_area_percent: f64,
+}
+
+/// The paper's Section 4: 52 GE of State Skip circuit at k = 12
+/// rising to 119 GE at k = 32, ~320 GE for the shared rest, Mode
+/// Select 44–262 GE, and 107–373 GE per core in the SoC study.
+pub const PAPER_SECTION4: PaperSection4 = PaperSection4 {
+    skip_ge: [(12, 52), (32, 119)],
+    shared_ge: 320,
+    mode_select_ge: (44, 262),
+    soc_mode_select_ge: (107, 373),
+    soc_area_percent: 6.6,
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -78,6 +78,11 @@ mod tests {
     use ss_testdata::{ScanConfig, TestCube, TestSet};
 
     fn plan_with_two_seeds() -> SegmentPlan {
+        SegmentPlan::build(&two_seed_map(), 2)
+    }
+
+    /// Two seeds with windows of length 4.
+    fn two_seed_map() -> EmbeddingMap {
         let mut set = TestSet::new(ScanConfig::new(1, 2).unwrap());
         set.push("11".parse::<TestCube>().unwrap()).unwrap();
         set.push("00".parse::<TestCube>().unwrap()).unwrap();
@@ -87,8 +92,7 @@ mod tests {
             vec![z([1, 1]), z([1, 0]), z([0, 0]), z([1, 0])],
             vec![z([0, 1]), z([1, 0]), z([1, 0]), z([1, 0])],
         ];
-        let map = EmbeddingMap::from_windows(&set, &windows);
-        SegmentPlan::build(&map, 2)
+        EmbeddingMap::from_windows(&set, &windows)
     }
 
     #[test]
@@ -124,6 +128,20 @@ mod tests {
             .map(|i| plan.useful_segments(i).iter().filter(|&&s| s > 0).count())
             .sum();
         assert_eq!(ms.term_count(), expected);
+    }
+
+    #[test]
+    fn one_segment_per_window_needs_no_mode_select() {
+        // S = L leaves only segment 0, which is never a term: the
+        // 0 GE row of Section 4's grid at L = 50, S = 50
+        let halves = ModeSelect::from_plan(&plan_with_two_seeds());
+        assert!(halves.term_count() > 0, "S = 2 keeps a later segment");
+        let whole = SegmentPlan::build(&two_seed_map(), 4);
+        let ms = ModeSelect::from_plan(&whole);
+        assert_eq!(whole.segments_per_window(), 1);
+        assert_eq!(ms.term_count(), 0);
+        assert_eq!(ms.gate_count(), GateCount::default());
+        assert_eq!(ss_lfsr::CostModel::default().ge(&ms.gate_count()), 0.0);
     }
 
     #[test]

@@ -161,7 +161,8 @@ impl CubeProfile {
 
     /// Returns a copy with the cube count scaled by `factor` (rounded,
     /// at least 1). Benches use this to trade fidelity for runtime and
-    /// print the factor (`SS_SCALE`) in their banner.
+    /// print the factor (`SS_SCALE`) in their banner; `EXPERIMENTS.md`
+    /// records the scale each committed `BENCH_*.json` was run at.
     pub fn scaled(&self, factor: f64) -> Self {
         let mut p = self.clone();
         p.cube_count = ((p.cube_count as f64 * factor).round() as usize).max(1);
